@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError
-from .pog import Certificate, Pog, _norm
+from .pog import Certificate, Pog, _norm, bfs_path, classify
 
 MODES = ("local_tournament", "quasi_transitive")
 
@@ -166,40 +166,38 @@ def _odd_closed_walk(X, parent, v, w):
 
 def aux_path(X, a, b):
     """Shortest path between two aux vertices (given as pairs)."""
-    s, t = X.vid[a], X.vid[b]
-    prev = {s: None}
-    q = deque([s])
-    while q:
-        v = q.popleft()
-        if v == t:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = prev[v]
-            return [X.verts[k] for k in reversed(path)]
-        for w in X.adj[v]:
-            if w not in prev:
-                prev[w] = v
-                q.append(w)
-    raise InvariantError("aux vertices lie in different components")
+    path = bfs_path(X.adj.__getitem__, X.vid[a], X.vid[b])
+    if path is None:
+        raise InvariantError("aux vertices lie in different components")
+    return [X.verts[k] for k in path]
 
 
-def _component_arc_split(P, X, col, c):
-    """Aux vertices of component c that are arcs of P, split by colour."""
-    red, blue = [], []
-    for k in X.comp_members[c]:
-        if X.verts[k] in P.arcs:
-            (red if col.colours[k] == 0 else blue).append(X.verts[k])
-    return red, blue
-
-
-def _conflict_certificate(P, X, red, blue):
-    walk = aux_path(X, red[0], blue[0])
-    return Certificate("OrientationConflict", {
-        "kind": "odd_pair",
-        "walk": [[P.names[i], P.names[j]] for i, j in walk],
-        "mode": X.mode,
-    })
+def _orient_classes(P, X, fill):
+    """Orient, in every aux component holding arcs, the colour class of
+    those arcs; with `fill`, also the red class of every component
+    without arcs.  Returns the oriented pog, or a certificate when X is
+    not bipartite or two arcs of one component take different colours."""
+    col = two_colour(X)
+    if isinstance(col, Certificate):
+        return col
+    to_orient = []
+    for c, members in enumerate(X.comp_members):
+        red, blue = [], []
+        for k in members:
+            if X.verts[k] in P.arcs:
+                (red if col.colours[k] == 0 else blue).append(X.verts[k])
+        if red and blue:
+            walk = aux_path(X, red[0], blue[0])
+            return Certificate("OrientationConflict", {
+                "kind": "odd_pair",
+                "walk": [[P.names[i], P.names[j]] for i, j in walk],
+                "mode": X.mode,
+            })
+        if red or blue or fill:
+            for i, j in col.class_pairs(c, 1 if blue else 0):
+                if _norm(i, j) in P.edges:
+                    to_orient.append((i, j))
+    return P.orient(to_orient)
 
 
 def consentaneous_closure(P, aux=None):
@@ -210,20 +208,7 @@ def consentaneous_closure(P, aux=None):
     orientable in the class (odd walk) or two arcs disagree (odd pair).
     """
     X = aux if aux is not None else build_aux(P)
-    col = two_colour(X)
-    if isinstance(col, Certificate):
-        return col
-    to_orient = []
-    for c in range(X.ncomp):
-        red, blue = _component_arc_split(P, X, col, c)
-        if red and blue:
-            return _conflict_certificate(P, X, red, blue)
-        if red or blue:
-            want = 0 if red else 1
-            for i, j in col.class_pairs(c, want):
-                if _norm(i, j) in P.edges:
-                    to_orient.append((i, j))
-    return P.orient(to_orient)
+    return _orient_classes(P, X, fill=False)
 
 
 def complete_via_aux(P, mode="local_tournament"):
@@ -233,23 +218,11 @@ def complete_via_aux(P, mode="local_tournament"):
     components take the class of their lexicographically smallest pair.
     Returns the completion or a certificate.
     """
-    X = build_aux(P, mode)
-    col = two_colour(X)
-    if isinstance(col, Certificate):
-        return col
-    to_orient = []
-    for c in range(X.ncomp):
-        red, blue = _component_arc_split(P, X, col, c)
-        if red and blue:
-            return _conflict_certificate(P, X, red, blue)
-        want = 1 if blue else 0
-        for i, j in col.class_pairs(c, want):
-            if _norm(i, j) in P.edges:
-                to_orient.append((i, j))
-    D = P.orient(to_orient)
+    D = _orient_classes(P, build_aux(P, mode), fill=True)
+    if isinstance(D, Certificate):
+        return D
     if D.edges:
         raise InvariantError("aux completion left an edge unoriented")
-    from .pog import classify
     rep = classify(D)
     ok = rep.local_tournament if mode == "local_tournament" else rep.quasi_transitive
     if not ok:

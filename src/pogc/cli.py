@@ -188,7 +188,10 @@ def _parse_witness(text, n_vars):
     toks = text.replace(",", " ").split()
     t = {}
     for tok in toks:
-        l = int(tok)
+        try:
+            l = int(tok)
+        except ValueError:
+            raise ParseError("bad witness literal %r" % tok) from None
         if l == 0 or abs(l) > n_vars:
             raise ParseError("witness literal %d out of range" % l)
         t[abs(l)] = l > 0

@@ -8,10 +8,9 @@ bounded exhaustive search with a bipartite matching oracle.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import InvariantError, SizeGuardError
-from .pog import Certificate, Pog, _norm, classify, require_oriented
+from .pog import (Certificate, _norm, bfs_path, classify, find_directed_cycle,
+                  require_oriented, topological_order)
 
 
 # -- transitive tournaments --------------------------------------------
@@ -25,37 +24,16 @@ def complete_to_transitive_tournament(P):
             if not P.adjacent(u, v):
                 return Certificate("NonAdjacentPair",
                                    {"pair": [P.names[u], P.names[v]]})
-    from .pog import find_directed_cycle
     cyc = find_directed_cycle(P)
     if cyc is not None:
         return Certificate("DirectedCycle", {"cycle": [P.names[v] for v in cyc]})
-    order = _topological(P)
+    order = topological_order(P)
     pos = {v: k for k, v in enumerate(order)}
     D = P.orient([(u, v) if pos[u] < pos[v] else (v, u) for u, v in P.edges])
     rep = classify(D)
     if not rep.transitive_tournament:
         raise InvariantError("completion is not a transitive tournament")
     return D
-
-
-def _topological(P):
-    indeg = {v: len(P.in_nbrs[v]) for v in range(P.n)}
-    order = []
-    ready = sorted(v for v in range(P.n) if indeg[v] == 0)
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in sorted(P.out_nbrs[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                # keep the ready list sorted for a deterministic order
-                lo = 0
-                while lo < len(ready) and ready[lo] < w:
-                    lo += 1
-                ready.insert(lo, w)
-    if len(order) != P.n:
-        raise InvariantError("arc digraph is not acyclic")
-    return order
 
 
 # -- 2-SAT --------------------------------------------------------------
@@ -145,26 +123,12 @@ def two_sat(nvars, clauses):
                    for x in range(1, nvars + 1)}
 
 
-def _bfs_path(adj, s, t):
-    prev = {s: None}
-    q = deque([s])
-    while q:
-        v = q.popleft()
-        if v == t:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = prev[v]
-            return path[::-1]
-        for w in adj[v]:
-            if w not in prev:
-                prev[w] = v
-                q.append(w)
-    raise InvariantError("expected implication path is missing")
-
-
 def _lit_cycle(adj, a, b):
-    return _bfs_path(adj, a, b) + _bfs_path(adj, b, a)[1:]
+    there = bfs_path(adj.__getitem__, a, b)
+    back = bfs_path(adj.__getitem__, b, a)
+    if there is None or back is None:
+        raise InvariantError("expected implication path is missing")
+    return there + back[1:]
 
 
 # -- in-tournaments ------------------------------------------------------
@@ -389,29 +353,19 @@ def is_k_arc_strong(D, k):
 def _max_flow(D, s, t, cap):
     used = set()  # saturated arcs
     flow = 0
+
+    def residual(v):
+        return ([w for w in sorted(D.out_nbrs[v]) if (v, w) not in used]
+                + [w for w in sorted(D.in_nbrs[v]) if (w, v) in used])
+
     while flow < cap:
-        prev = {s: None}
-        q = deque([s])
-        while q and t not in prev:
-            v = q.popleft()
-            steps = [("fwd", (v, w)) for w in sorted(D.out_nbrs[v])
-                     if (v, w) not in used]
-            steps += [("rev", (w, v)) for w in sorted(D.in_nbrs[v])
-                      if (w, v) in used]
-            for kind, arc in steps:
-                w = arc[1] if kind == "fwd" else arc[0]
-                if w not in prev:
-                    prev[w] = (v, kind, arc)
-                    q.append(w)
-        if t not in prev:
+        path = bfs_path(residual, s, t)
+        if path is None:
             return flow
-        node = t
-        while prev[node] is not None:
-            v, kind, arc = prev[node]
-            if kind == "fwd":
-                used.add(arc)
+        for v, w in zip(path, path[1:]):
+            if (v, w) in D.arcs:
+                used.add((v, w))
             else:
-                used.discard(arc)
-            node = v
+                used.discard((w, v))
         flow += 1
     return flow

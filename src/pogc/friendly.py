@@ -17,7 +17,8 @@ from .errors import (InvariantError, NotFriendlyError, NotInClassError,
                      UnsupportedInstanceError)
 from .interval import representation_from_orientation, validate_representation, \
     orientation_from_representation
-from .pog import Certificate, Pog, _norm, classify, find_directed_cycle
+from .pog import Certificate, Pog, _norm, classify, find_directed_cycle, \
+    topological_order
 from .rounds import merge_ltt
 
 
@@ -181,14 +182,7 @@ def complete_cells(P):
             return Certificate("DirectedCycle", {
                 "cycle": [P.names[v] for v in cyc],
                 "location": {"kind": "cell"}})
-        # Kahn order on the cell's arcs, smallest index first
-        remaining = list(cell)
-        order = []
-        while remaining:
-            v = min(x for x in remaining
-                    if not (P.in_nbrs[x] & set(remaining) - {x}))
-            order.append(v)
-            remaining.remove(v)
+        order = topological_order(P, within=cell)
         for s in range(len(order)):
             for t in range(s + 1, len(order)):
                 if _norm(order[s], order[t]) in P.edges:

@@ -9,15 +9,14 @@ point, which makes the induced orientation unambiguous.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 from .auxgraph import build_aux, consentaneous_closure, two_colour
 from .errors import (InvariantError, NotInClassError, NoZeroOutdegreeStartError,
                      ParseError, RepresentationError)
-from .pog import Certificate, Ordering, Pog, classify, find_directed_cycle, \
-    require_oriented
+from .pog import Certificate, Ordering, Pog, bfs_path, classify, \
+    find_directed_cycle, require_oriented
 from .rounds import find_round_ordering
 
 
@@ -252,20 +251,10 @@ def _find_hole(G):
                 if G.adjacent(y, z):
                     continue
                 banned = (G.adj[x] | {x}) - {y, z}
-                prev = {y: None}
-                q = deque([y])
-                while q:
-                    a = q.popleft()
-                    if a == z:
-                        path = []
-                        while a is not None:
-                            path.append(a)
-                            a = prev[a]
-                        return [x] + path[::-1]
-                    for b in sorted(G.adj[a]):
-                        if b not in banned and b not in prev:
-                            prev[b] = a
-                            q.append(b)
+                path = bfs_path(lambda a: [b for b in sorted(G.adj[a])
+                                           if b not in banned], y, z)
+                if path is not None:
+                    return [x] + path
     return None
 
 

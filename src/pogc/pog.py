@@ -8,8 +8,10 @@ into a name tuple; all stored pairs use indices.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -198,7 +200,10 @@ class Certificate:
             raise ParseError("invalid certificate JSON: %s" % exc)
         if not isinstance(obj, dict) or "tag" not in obj:
             raise ParseError("certificate must be an object with a tag")
-        return cls(str(obj["tag"]), dict(obj.get("payload", {})))
+        payload = obj.get("payload", {})
+        if not isinstance(payload, dict):
+            raise ParseError("certificate payload must be an object")
+        return cls(str(obj["tag"]), payload)
 
 
 # -- text formats ------------------------------------------------------
@@ -350,6 +355,47 @@ def find_directed_cycle(P, within=None):
     return None
 
 
+def bfs_path(nbrs, s, t):
+    """Shortest path from s to t as a vertex list, or None.  `nbrs(v)`
+    lists the neighbours of v in the order the search tries them."""
+    prev = {s: None}
+    q = deque([s])
+    while q:
+        v = q.popleft()
+        if v == t:
+            path = []
+            while v is not None:
+                path.append(v)
+                v = prev[v]
+            return path[::-1]
+        for w in nbrs(v):
+            if w not in prev:
+                prev[w] = v
+                q.append(w)
+    return None
+
+
+def topological_order(P, within=None):
+    """Topological order of the arc digraph, restricted to the vertex
+    subset `within`, taking the smallest ready vertex first."""
+    verts = set(within) if within is not None else set(range(P.n))
+    indeg = {v: len(P.in_nbrs[v] & verts) for v in verts}
+    ready = [v for v in verts if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in P.out_nbrs[v]:
+            if w in indeg:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(ready, w)
+    if len(order) != len(verts):
+        raise InvariantError("arc digraph is not acyclic")
+    return order
+
+
 def _first_nonadjacent_pair(P, members):
     for x in sorted(members):
         for y in sorted(members):
@@ -439,26 +485,31 @@ def classify(P):
                           quasi_transitive, acyclic, strong, wit)
 
 
+def _reach(nbrs, s):
+    seen = {s}
+    stack = [s]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def _strong_witness(P):
-    # strong on the arcs alone; the single vertex digraph is strong
+    """Strongness on the arcs alone, with the lexicographically smallest
+    pair (s, t) such that s does not reach t.  A vertex that reaches 0
+    reaches everything 0 does, so s is 0 or else the smallest vertex
+    that cannot reach 0, and then t is 0."""
     if P.n <= 1:
         return True, None
-    for s in range(P.n):
-        seen = {s}
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in sorted(P.out_nbrs[v]):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) < P.n:
-            t = min(set(range(P.n)) - seen)
-            return False, (P.names[s], P.names[t])
-        if s == 0:
-            # reachability from one root plus reaching that root suffices,
-            # but checking all roots keeps the witness lexicographic
-            pass
+    everyone = set(range(P.n))
+    missed = everyone - _reach(P.out_nbrs, 0)
+    if missed:
+        return False, (P.names[0], P.names[min(missed)])
+    stuck = everyone - _reach(P.in_nbrs, 0)
+    if stuck:
+        return False, (P.names[min(stuck)], P.names[0])
     return True, None
 
 

@@ -12,9 +12,8 @@ that decomposition drives the merge of two such tournaments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .errors import InvariantError, NotInClassError, NotRoundError, SizeGuardError
+from .errors import InvariantError, NotInClassError, NotRoundError
 from .pog import Ordering, Pog, classify, require_oriented
 
 ORDER_KINDS = ("round", "excellent", "nice")
@@ -29,30 +28,31 @@ def check_ordering(P, O, kind):
         raise InvariantError("ordering does not cover the vertex set")
     if kind == "round":
         require_oriented(P)
-        return _check_round(P, O)
+        for comp in P.ug_components():
+            cset = set(comp)
+            wit = _check_round(P, [v for v in O.seq if v in cset])
+            if wit is not None:
+                return False, wit
+        return True, None
     if kind == "excellent":
         return _check_excellent(P, O)
     return _check_nice(P, O)
 
 
-def _check_round(P, O):
-    for comp in P.ug_components():
-        cset = set(comp)
-        seq = [v for v in O.seq if v in cset]
-        pos = {v: t for t, v in enumerate(seq)}
-        k = len(seq)
-        for t, v in enumerate(seq):
-            out = P.out_nbrs[v]
-            want = {seq[(t + 1 + s) % k] for s in range(len(out))}
-            if out != want:
-                u = min(out ^ want)
-                return False, (P.names[v], "out", P.names[u])
-            inn = P.in_nbrs[v]
-            want = {seq[(t - 1 - s) % k] for s in range(len(inn))}
-            if inn != want:
-                u = min(inn ^ want)
-                return False, (P.names[v], "in", P.names[u])
-    return True, None
+def _check_round(P, seq):
+    """First violation of roundness in the cyclic arrangement seq of one
+    component, as (vertex, side, neighbour) names, or None."""
+    k = len(seq)
+    for t, v in enumerate(seq):
+        out = P.out_nbrs[v]
+        want = {seq[(t + 1 + s) % k] for s in range(len(out))}
+        if out != want:
+            return P.names[v], "out", P.names[min(out ^ want)]
+        inn = P.in_nbrs[v]
+        want = {seq[(t - 1 - s) % k] for s in range(len(inn))}
+        if inn != want:
+            return P.names[v], "in", P.names[min(inn ^ want)]
+    return None
 
 
 def _excellent_violation(P, O, a, b):
@@ -92,19 +92,6 @@ def _check_nice(P, O):
 # -- finding round orderings -------------------------------------------
 
 
-def _round_ok(P, seq):
-    pos = {v: t for t, v in enumerate(seq)}
-    k = len(seq)
-    for t, v in enumerate(seq):
-        out = P.out_nbrs[v]
-        if out != {seq[(t + 1 + s) % k] for s in range(len(out))}:
-            return False
-        inn = P.in_nbrs[v]
-        if inn != {seq[(t - 1 - s) % k] for s in range(len(inn))}:
-            return False
-    return True
-
-
 def _succ_map(P, comp):
     """succ(v) = unique source of the tournament on N+(v); None when
     d+(v) = 0, raises LookupError when no such source exists (the
@@ -128,69 +115,37 @@ def _succ_map(P, comp):
 
 
 def _component_round(P, comp):
-    """Round ordering of one component as a vertex list, or None."""
-    k = len(comp)
-    if k == 1:
-        return list(comp)
+    """Round ordering of one component as a vertex list, or None.
 
-    def candidates():
-        try:
-            succ = _succ_map(P, comp)
-        except LookupError:
-            return
-        if len(set(s for s in succ.values() if s is not None)) != \
-                sum(1 for s in succ.values() if s is not None):
-            return  # succ not injective, cannot be round
-        tails = set(s for s in succ.values() if s is not None)
-        starts = sorted(v for v in comp if v not in tails)
-        if not starts:
-            # succ is a permutation; it must be a single cycle
-            cyc = [min(comp)]
-            while True:
-                nxt = succ[cyc[-1]]
-                if nxt == cyc[0]:
-                    break
-                if nxt in cyc[1:] or len(cyc) > k:
-                    return
-                cyc.append(nxt)
-            if len(cyc) == k:
-                yield cyc
-            return
-        frags = []
-        for s in starts:
-            frag = [s]
-            while succ[frag[-1]] is not None:
-                frag.append(succ[frag[-1]])
-            frags.append(frag)
-        if sum(len(f) for f in frags) != k:
-            return
-        if len(frags) > 6:
-            return
-        for perm in permutations(range(len(frags))):
-            yield [v for f in perm for v in frags[f]]
-
-    for cand in candidates():
-        if _round_ok(P, cand):
-            return cand
-    if k <= 9:
-        first = comp[0]
-        rest = comp[1:]
-        for perm in permutations(rest):
-            cand = [first] + list(perm)
-            if _round_ok(P, cand):
-                return cand
+    In a round ordering each vertex with out-neighbours is followed by
+    succ(v).  A vertex without out-neighbours is followed by one without
+    in-neighbours, which no out-interval can reach, so no arc joins two
+    maximal succ-paths: a connected round component is one succ-path or
+    one succ-cycle, and that walk is the only candidate.
+    """
+    try:
+        succ = _succ_map(P, comp)
+    except LookupError:
         return None
-    rep = classify(P.induced(comp))
-    if rep.locally_transitive:
-        raise SizeGuardError("round ordering search gave up on a large component")
-    return None
+    nexts = [u for u in succ.values() if u is not None]
+    has_pred = set(nexts)
+    if len(has_pred) != len(nexts):
+        return None  # succ not injective
+    starts = [v for v in comp if v not in has_pred]
+    if len(starts) > 1:
+        return None
+    walk = [starts[0] if starts else comp[0]]
+    while len(walk) < len(comp):
+        nxt = succ[walk[-1]]
+        if nxt is None or nxt == walk[0]:
+            return None  # more than one path or cycle
+        walk.append(nxt)
+    return walk if _check_round(P, walk) is None else None
 
 
 def find_round_ordering(D):
     """A round ordering of D (cyclic, componentwise), or None."""
     require_oriented(D)
-    if D.n == 0:
-        return Ordering("cyclic", ())
     seq = []
     for comp in D.ug_components():
         part = _component_round(D, comp)
@@ -198,11 +153,7 @@ def find_round_ordering(D):
             return None
         low = part.index(min(part))
         seq.extend(part[low:] + part[:low])
-    O = Ordering("cyclic", tuple(seq))
-    ok, _ = check_ordering(D, O, "round")
-    if not ok:
-        raise InvariantError("round ordering candidate failed verification")
-    return O
+    return Ordering("cyclic", tuple(seq))
 
 
 # -- excellence based completion ---------------------------------------

@@ -236,6 +236,10 @@ def test_reduce_3sat_witness_forms(w, capsys):
     assert len(line.split()) == 2 + 20
     assert run(["reduce-3sat", "--witness", "1 -2 3", f]) == 0
     assert capsys.readouterr().out == line
+    for bad in ("xyz", "1 -2 x", "1.5"):
+        assert run(["reduce-3sat", "--witness", bad, f]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
 
 
 def test_reduce_3sat_unsatisfying_witness(w, capsys):

@@ -189,3 +189,37 @@ def test_certificate_json_round_trip():
         Certificate.from_json("{not json")
     with pytest.raises(ParseError):
         Certificate.from_json('{"payload": {}}')
+    for payload in ('[1, 2]', '"ab"', 'null', '3'):
+        with pytest.raises(ParseError):
+            Certificate.from_json('{"tag": "Bridge", "payload": %s}' % payload)
+
+
+def _strong_reference(P):
+    """All-roots scan: the first root s missing some vertex, and the
+    smallest vertex t it misses."""
+    for s in range(P.n):
+        seen, stack = {s}, [s]
+        while stack:
+            for w in P.out_nbrs[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) < P.n:
+            t = min(set(range(P.n)) - seen)
+            return (P.names[s], P.names[t])
+    return None
+
+
+def test_classify_strong_witness_matches_all_roots_scan():
+    rng = random.Random(53)
+    strong = 0
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        P = random_pog(rng, n, p_adj=rng.choice((0.3, 0.6, 0.9)),
+                       p_arc=rng.choice((0.7, 1.0)))
+        rep = classify(P)
+        want = _strong_reference(P)
+        assert rep.witnesses.get("strong") == want, sorted(P.arcs)
+        assert rep.strong == (want is None)
+        strong += rep.strong
+    assert strong > 100

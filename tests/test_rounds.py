@@ -115,10 +115,36 @@ def test_roundlt_equivalence_all_oriented_graphs_n4():
                 arcs.add((i, j))
             elif r == 2:
                 arcs.add((j, i))
-        D = Pog(names(4), frozenset(), frozenset(arcs))
-        rep = classify(D)
-        got = find_round_ordering(D) is not None
-        assert got == (rep.local_tournament and rep.locally_transitive)
+        _assert_round_iff_ltlt(Pog(names(4), frozenset(), frozenset(arcs)))
+    # random oriented graphs on 6-9 vertices, sparse to dense
+    rng = random.Random(47)
+    for _ in range(2000):
+        n = rng.randint(6, 9)
+        p_adj = rng.choice((0.2, 0.35, 0.5, 0.8))
+        _assert_round_iff_ltlt(random_pog(rng, n, p_adj=p_adj, p_arc=1.0))
+    # circular bands v_i -> v_{i+1..i+w}, round by construction, with
+    # shuffled labels; flipping one arc usually breaks roundness
+    for n in range(10, 15):
+        for w in range(1, (n - 1) // 2 + 1):
+            label = list(range(n))
+            rng.shuffle(label)
+            arcs = {(label[i], label[(i + s) % n])
+                    for i in range(n) for s in range(1, w + 1)}
+            D = Pog(names(n), frozenset(), frozenset(arcs))
+            assert find_round_ordering(D) is not None
+            _assert_round_iff_ltlt(D)
+            u, v = sorted(arcs)[rng.randrange(len(arcs))]
+            _assert_round_iff_ltlt(
+                Pog(names(n), frozenset(), frozenset(arcs - {(u, v)} | {(v, u)})))
+
+
+def _assert_round_iff_ltlt(D):
+    rep = classify(D)
+    O = find_round_ordering(D)
+    assert (O is not None) == (rep.local_tournament and rep.locally_transitive), \
+        sorted(D.arcs)
+    if O is not None:
+        assert check_ordering(D, O, "round")[0]
 
 
 def test_complete_under_excellent_dominated_edge():
