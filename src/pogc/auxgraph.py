@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError
-from .pog import Certificate, Pog, _norm, bfs_path, classify
+from .pog import Certificate, Pog, _norm, _reach, bfs_path, classify
 
 MODES = ("local_tournament", "quasi_transitive")
 
@@ -71,13 +71,34 @@ class AuxGraph:
         i, j = self.verts[vidx]
         return [self.P.names[i], self.P.names[j]]
 
+    @cached_property
+    def _colouring(self):
+        """One BFS per component from its smallest pair, coloured red:
+        the colour of every vertex, and per component the closed odd
+        walk through its first conflict edge (None when bipartite)."""
+        colours = [-1] * len(self.verts)
+        parent = [-1] * len(self.verts)
+        odd = []
+        for members in self.comp_members:
+            root = members[0]  # verts are sorted, so this is the smallest pair
+            colours[root] = 0
+            walk = None
+            q = deque([root])
+            while q:
+                v = q.popleft()
+                for w in self.adj[v]:
+                    if colours[w] < 0:
+                        colours[w] = 1 - colours[v]
+                        parent[w] = v
+                        q.append(w)
+                    elif colours[w] == colours[v] and walk is None:
+                        walk = _odd_closed_walk(parent, v, w)
+            odd.append(walk)
+        return tuple(colours), tuple(odd)
+
 
 def build_aux(P, mode="local_tournament"):
-    verts = []
-    for i, j in sorted(P.und_pairs):
-        verts.append((i, j))
-        verts.append((j, i))
-    verts.sort()
+    verts = sorted(p for i, j in P.und_pairs for p in ((i, j), (j, i)))
     m = len(verts)
     adj = [[] for _ in range(m)]
     for x in range(m):
@@ -85,20 +106,12 @@ def build_aux(P, mode="local_tournament"):
             if aux_adjacent(P, verts[x], verts[y], mode):
                 adj[x].append(y)
                 adj[y].append(x)
-    comp = [-1] * m
-    c = 0
+    comp, c = [-1] * m, 0
     for s in range(m):
-        if comp[s] >= 0:
-            continue
-        comp[s] = c
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for w in adj[v]:
-                if comp[w] < 0:
-                    comp[w] = c
-                    q.append(w)
-        c += 1
+        if comp[s] < 0:
+            for v in _reach(adj, s):
+                comp[v] = c
+            c += 1
     return AuxGraph(P, mode, tuple(verts), tuple(tuple(a) for a in adj),
                     tuple(comp))
 
@@ -108,9 +121,6 @@ class TwoColouring:
     X: AuxGraph
     colours: tuple  # 0 (red) / 1 (blue) per aux vertex
 
-    def colour_of(self, pair):
-        return self.colours[self.X.vid[pair]]
-
     def class_pairs(self, c, colour):
         return [self.X.verts[k] for k in self.X.comp_members[c]
                 if self.colours[k] == colour]
@@ -118,50 +128,29 @@ class TwoColouring:
 
 def two_colour(X):
     """2-colour every component, the lexicographically smallest pair of
-    each component red.  Returns a TwoColouring or an OddClosedWalkAux
-    certificate."""
-    colours = [-1] * len(X.verts)
-    parent = [-1] * len(X.verts)
-    for members in X.comp_members:
-        root = members[0]  # verts are sorted, so this is the smallest pair
-        colours[root] = 0
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            for w in X.adj[v]:
-                if colours[w] < 0:
-                    colours[w] = 1 - colours[v]
-                    parent[w] = v
-                    q.append(w)
-                elif colours[w] == colours[v]:
-                    walk = _odd_closed_walk(X, parent, v, w)
-                    return Certificate("OddClosedWalkAux", {
-                        "walk": [X.pair_names(k) for k in walk],
-                        "mode": X.mode,
-                    })
-    return TwoColouring(X, tuple(colours))
+    each component red.  Returns a TwoColouring, or an OddClosedWalkAux
+    certificate for the first component that is not bipartite."""
+    colours, odd = X._colouring
+    for walk in odd:
+        if walk is not None:
+            return Certificate("OddClosedWalkAux", {
+                "walk": [X.pair_names(k) for k in walk],
+                "mode": X.mode,
+            })
+    return TwoColouring(X, colours)
 
 
-def _odd_closed_walk(X, parent, v, w):
-    """Closed odd walk through the conflict edge vw of a BFS tree."""
+def _odd_closed_walk(parent, v, w):
+    """Closed odd walk through the conflict edge vw of a BFS tree: from
+    the meeting point of the tree paths of v and w down to v, across to
+    w and back up."""
     up_v, up_w = [v], [w]
-    seen = {v: 0}
-    x = v
-    while parent[x] >= 0:
-        x = parent[x]
-        seen[x] = len(up_v)
-        up_v.append(x)
-    x = w
-    while x not in seen:
-        x = parent[x]
-        up_w.append(x)
-    meet = seen[x]
-    path_v = up_v[:meet + 1]          # v .. meet
-    path_w = up_w                     # w .. meet
-    walk = list(reversed(path_v)) + path_w[:-1]
-    # walk runs meet .. v, w .. parent-chain; close it back at meet
-    walk.append(walk[0])
-    return walk
+    while parent[up_v[-1]] >= 0:
+        up_v.append(parent[up_v[-1]])
+    at = {x: t for t, x in enumerate(up_v)}
+    while up_w[-1] not in at:
+        up_w.append(parent[up_w[-1]])
+    return up_v[at[up_w[-1]]::-1] + up_w
 
 
 def aux_path(X, a, b):
@@ -172,31 +161,66 @@ def aux_path(X, a, b):
     return [X.verts[k] for k in path]
 
 
-def _orient_classes(P, X, fill):
-    """Orient, in every aux component holding arcs, the colour class of
-    those arcs; with `fill`, also the red class of every component
-    without arcs.  Returns the oriented pog, or a certificate when X is
-    not bipartite or two arcs of one component take different colours."""
+def _arc_classes(P, X, mates=False):
+    """The colour that the arcs of P fix in each aux component (None for
+    a component without arcs), or an OrientationConflict certificate for
+    the first component holding arcs where that fails: the component is
+    not bipartite, its arcs take both colours (`odd_pair`) or, with
+    `mates`, an unoriented pair shares the arcs' colour
+    (`unoriented_mate`).  A walk starts at the component's first arc; an
+    `odd_pair` walk runs from its first red arc to its first blue one."""
+    colours, odd = X._colouring
+    fixed = []
+    for c, members in enumerate(X.comp_members):
+        arcs = [k for k in members if X.verts[k] in P.arcs]
+        if not arcs:
+            fixed.append(None)
+            continue
+        first, colour = X.verts[arcs[0]], colours[arcs[0]]
+        red = [X.verts[k] for k in arcs if colours[k] == 0]
+        blue = [X.verts[k] for k in arcs if colours[k] == 1]
+        if odd[c] is not None:
+            # to the odd closed walk, round it and back: odd in length
+            loop = [X.verts[k] for k in odd[c]]
+            path = aux_path(X, first, loop[0])
+            kind, walk = "odd_pair", path + loop[1:] + path[-2::-1]
+        elif red and blue:
+            kind, walk = "odd_pair", aux_path(X, red[0], blue[0])
+        else:
+            mate = next((X.verts[k] for k in members if colours[k] == colour
+                         and _norm(*X.verts[k]) in P.edges), None) if mates else None
+            if mate is None:
+                fixed.append(colour)
+                continue
+            kind, walk = "unoriented_mate", aux_path(X, first, mate)
+        return Certificate("OrientationConflict", {
+            "kind": kind,
+            "walk": [[P.names[i], P.names[j]] for i, j in walk],
+            "mode": X.mode,
+        })
+    return fixed
+
+
+def _orient_classes(P, X, fill=None):
+    """Orient, in every aux component holding arcs, the colour class
+    those arcs fix.  With `fill`, a key on pairs, every other component
+    orients the class of its pair with the smallest key.  Returns the
+    oriented pog, or a certificate when X is not bipartite or two arcs
+    of one component take different colours."""
     col = two_colour(X)
     if isinstance(col, Certificate):
         return col
+    fixed = _arc_classes(P, X)
+    if isinstance(fixed, Certificate):
+        return fixed
     to_orient = []
     for c, members in enumerate(X.comp_members):
-        red, blue = [], []
-        for k in members:
-            if X.verts[k] in P.arcs:
-                (red if col.colours[k] == 0 else blue).append(X.verts[k])
-        if red and blue:
-            walk = aux_path(X, red[0], blue[0])
-            return Certificate("OrientationConflict", {
-                "kind": "odd_pair",
-                "walk": [[P.names[i], P.names[j]] for i, j in walk],
-                "mode": X.mode,
-            })
-        if red or blue or fill:
-            for i, j in col.class_pairs(c, 1 if blue else 0):
-                if _norm(i, j) in P.edges:
-                    to_orient.append((i, j))
+        colour = fixed[c]
+        if colour is None and fill is not None:
+            colour = col.colours[min(members, key=lambda k: fill(X.verts[k]))]
+        if colour is not None:
+            to_orient.extend(p for p in col.class_pairs(c, colour)
+                             if _norm(*p) in P.edges)
     return P.orient(to_orient)
 
 
@@ -208,7 +232,7 @@ def consentaneous_closure(P, aux=None):
     orientable in the class (odd walk) or two arcs disagree (odd pair).
     """
     X = aux if aux is not None else build_aux(P)
-    return _orient_classes(P, X, fill=False)
+    return _orient_classes(P, X)
 
 
 def complete_via_aux(P, mode="local_tournament"):
@@ -218,13 +242,18 @@ def complete_via_aux(P, mode="local_tournament"):
     components take the class of their lexicographically smallest pair.
     Returns the completion or a certificate.
     """
-    D = _orient_classes(P, build_aux(P, mode), fill=True)
+    return _complete_via_aux(P, build_aux(P, mode))
+
+
+def _complete_via_aux(P, X):
+    """complete_via_aux on X, the aux graph of UG(P) in X's mode."""
+    D = _orient_classes(P, X, fill=lambda pair: pair)
     if isinstance(D, Certificate):
         return D
     if D.edges:
         raise InvariantError("aux completion left an edge unoriented")
     rep = classify(D)
-    ok = rep.local_tournament if mode == "local_tournament" else rep.quasi_transitive
+    ok = rep.local_tournament if X.mode == "local_tournament" else rep.quasi_transitive
     if not ok:
         raise InvariantError("aux completion fell outside the target class")
     return D

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .auxgraph import build_aux, complete_via_aux, consentaneous_closure, two_colour
+from .auxgraph import (_arc_classes, _complete_via_aux, build_aux,
+                       consentaneous_closure, two_colour)
 from .errors import (InvariantError, NotFriendlyError, NotInClassError,
                      UnsupportedInstanceError)
 from .interval import representation_from_orientation, validate_representation, \
@@ -80,60 +81,11 @@ def bad_triples(P, aux=None):
     return out
 
 
-def _consentaneity_certificate(P, X):
-    """Parity BFS from the first arc of every aux component."""
-    arcset = P.arcs
-    for members in X.comp_members:
-        roots = [k for k in members if X.verts[k] in arcset]
-        if not roots:
-            continue
-        root = roots[0]
-        dist = {root: 0}
-        parent = {root: None}
-        q = deque([root])
-        order = [root]
-        conflict_edge = None
-        while q:
-            v = q.popleft()
-            for w in X.adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    q.append(w)
-                    order.append(w)
-                elif (dist[w] - dist[v]) % 2 == 0 and conflict_edge is None:
-                    conflict_edge = (v, w)
-
-        def up(k):
-            path = []
-            while k is not None:
-                path.append(k)
-                k = parent[k]
-            return path  # k .. root
-
-        if conflict_edge is not None:
-            v, w = conflict_edge
-            walk = up(v)[::-1] + up(w)  # root..v, w..root: odd closed walk
-            return Certificate("OrientationConflict", {
-                "kind": "odd_pair", "mode": X.mode,
-                "walk": [X.pair_names(k) for k in walk]})
-        for k in order:
-            if dist[k] % 2 == 1 and X.verts[k] in arcset:
-                return Certificate("OrientationConflict", {
-                    "kind": "odd_pair", "mode": X.mode,
-                    "walk": [X.pair_names(s) for s in up(k)[::-1]]})
-            if dist[k] % 2 == 0 and _norm(*X.verts[k]) in P.edges:
-                return Certificate("OrientationConflict", {
-                    "kind": "unoriented_mate", "mode": X.mode,
-                    "walk": [X.pair_names(s) for s in up(k)[::-1]]})
-    return None
-
-
 def is_friendly(P, aux=None):
     """(True, None) or (False, certificate)."""
     X = aux if aux is not None else build_aux(P)
-    cert = _consentaneity_certificate(P, X)
-    if cert is not None:
+    cert = _arc_classes(P, X, mates=True)
+    if isinstance(cert, Certificate):
         return False, cert
     bts = bad_triples(P, aux=X)
     if bts:
@@ -216,6 +168,12 @@ def friendly_complete_graph(P):
     cert = forbidden_cycle(P)
     if cert is not None:
         return cert
+    return _merge_arc_parts(P)
+
+
+def _merge_arc_parts(P):
+    """Locally transitive tournament completing a friendly partially
+    oriented complete graph without a forbidden cycle."""
     if P.n == 0:
         return P
     # arc-connectivity parts; friendliness makes each a tournament
@@ -248,7 +206,11 @@ def friendly_complete_graph(P):
 def complete_friendly(P):
     """Complete a friendly pog to a locally transitive local tournament,
     or return a refuting certificate."""
-    X = build_aux(P)
+    return _complete_friendly(P, build_aux(P))
+
+
+def _complete_friendly(P, X):
+    """complete_friendly on X, the aux graph of UG(P)."""
     ok, cert = is_friendly(P, aux=X)
     if not ok:
         raise NotFriendlyError("pog is not friendly", cert)
@@ -270,14 +232,14 @@ def complete_friendly(P):
     if isinstance(col, Certificate):
         return col
     if all(P.adjacent(u, v) for u in range(P.n) for v in range(u + 1, P.n)):
-        return friendly_complete_graph(P)
+        return _merge_arc_parts(P)
 
     P1 = complete_cells(P)
     if isinstance(P1, Certificate):
         raise InvariantError("cell cycle escaped the forbidden scan")
     bar = complement_components(P)
     if len(bar) == 1:
-        D = complete_via_aux(P1)
+        D = _complete_via_aux(P1, X)
         if isinstance(D, Certificate):
             raise InvariantError("friendly pog lost orientability")
         return _verified(P, D)
@@ -314,18 +276,13 @@ def _complete_split_complement(P, P1, X, col, bar):
     if isinstance(cur, Certificate):
         raise InvariantError("closure failed on a friendly pog")
     # leftover unbalanced edges inside a component take the red class
+    side = {v: k for k, C in enumerate(bar) for v in C}
     leftovers = []
-    for c in range(X.ncomp):
-        members = X.comp_members[c]
-        if X.is_thin(c):
+    for c, members in enumerate(X.comp_members):
+        if X.is_thin(c) or any(X.verts[k] in cur.arcs for k in members):
             continue
-        if any(X.verts[k] in cur.arcs for k in members):
-            continue
-        for i, j in col.class_pairs(c, 0):
-            if _norm(i, j) in cur.edges:
-                comp_i = next(k for k, C in enumerate(bar) if i in C)
-                if j in bar[comp_i]:
-                    leftovers.append((i, j))
+        leftovers.extend((i, j) for i, j in col.class_pairs(c, 0)
+                         if _norm(i, j) in cur.edges and side[i] == side[j])
     cur = cur.orient(leftovers)
 
     reps = [C[0] for C in bar]
@@ -402,13 +359,15 @@ def extend_circular_arc_representation(G, partial=None):
     P1 = complete_cells(P0)
     if isinstance(P1, Certificate):
         return P1
-    P2 = consentaneous_closure(P1)
+    X = build_aux(P1)
+    P2 = consentaneous_closure(P1, aux=X)
     if isinstance(P2, Certificate):
         return P2
-    ok, cert = is_friendly(P2)
-    if not ok:
-        raise InvariantError("extension pog is not friendly: %s" % cert.tag)
-    D = complete_friendly(P2)
+    try:
+        D = _complete_friendly(P2, X)
+    except NotFriendlyError as exc:
+        raise InvariantError("extension pog is not friendly: %s"
+                             % exc.certificate.tag) from None
     if isinstance(D, Certificate):
         return D
     if not frozenset(arcs) <= D.arcs:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .auxgraph import build_aux, consentaneous_closure, two_colour
+from .auxgraph import _orient_classes, build_aux, consentaneous_closure
 from .errors import (InvariantError, NotInClassError, NoZeroOutdegreeStartError,
                      ParseError, RepresentationError)
-from .pog import Certificate, Ordering, Pog, bfs_path, classify, \
+from .pog import Certificate, Ordering, Pog, _reach, bfs_path, classify, \
     find_directed_cycle, require_oriented
 from .rounds import find_round_ordering
 
@@ -40,7 +40,7 @@ class Representation:
                 if l > r:
                     raise RepresentationError("interval with negative length")
         else:
-            if self.modulus <= 0:
+            if self.names and self.modulus <= 0:
                 raise RepresentationError("circular representation needs a modulus")
             for l, r in self.spans:
                 if not (0 <= l < self.modulus and 0 <= r < self.modulus):
@@ -216,45 +216,31 @@ def check_peo(G, O):
     return True, None
 
 
-def lex_two_colouring(G, O, forced=None):
-    """Colour the auxiliary graph component by component.
-
-    Components holding arcs of `forced` take the class of those arcs;
-    every other component paints its first uncoloured pair (by position
-    of both endpoints) red.  Returns the red/forced arc set.
-    """
-    X = build_aux(G)
-    col = two_colour(X)
-    if isinstance(col, Certificate):
-        raise InvariantError("auxiliary graph is not bipartite")
-    key = lambda k: (O.pos[X.verts[k][0]], O.pos[X.verts[k][1]])
-    chosen = {}
-    if forced is not None:
-        for a in forced.arcs:
-            k = X.vid[a]
-            chosen[X.comp[k]] = col.colours[k]
-    for k in sorted(range(len(X.verts)), key=key):
-        chosen.setdefault(X.comp[k], col.colours[k])
-    return frozenset(X.verts[k] for k in range(len(X.verts))
-                     if col.colours[k] == chosen[X.comp[k]])
-
-
 # -- obstructions ------------------------------------------------------
 
 
 def _find_hole(G):
+    """Hole x, y, ..., z for the first x and first non-adjacent pair y, z
+    in N(x) joined by a path avoiding N[x] - {y, z}, or None.  Such a
+    path exists exactly when y and z both touch one component of
+    G - N[x], so the path search runs once, for that pair."""
     for x in range(G.n):
+        closed = G.adj[x] | {x}
+        rest = {v: G.adj[v] - closed for v in range(G.n) if v not in closed}
+        comp = {}  # vertex of G - N[x] -> first vertex of its component
+        for r in rest:
+            if r not in comp:
+                comp.update(dict.fromkeys(_reach(rest, r), r))
+        touch = {y: {comp[w] for w in G.adj[y] - closed} for y in G.adj[x]}
         na = sorted(G.adj[x])
         for s in range(len(na)):
             for t in range(s + 1, len(na)):
                 y, z = na[s], na[t]
-                if G.adjacent(y, z):
+                if G.adjacent(y, z) or not touch[y] & touch[z]:
                     continue
-                banned = (G.adj[x] | {x}) - {y, z}
-                path = bfs_path(lambda a: [b for b in sorted(G.adj[a])
-                                           if b not in banned], y, z)
-                if path is not None:
-                    return [x] + path
+                banned = closed - {y, z}
+                return [x] + bfs_path(lambda a: [b for b in sorted(G.adj[a])
+                                                 if b not in banned], y, z)
     return None
 
 
@@ -341,7 +327,8 @@ def find_proper_interval_obstruction(G):
 def complete_to_acyclic_lt(P):
     """Complete a pog to an acyclic local tournament, or return a
     certificate refuting the completion."""
-    closed = consentaneous_closure(P)
+    X = build_aux(P)
+    closed = consentaneous_closure(P, aux=X)
     if isinstance(closed, Certificate):
         return closed
     cyc = find_directed_cycle(closed)
@@ -364,16 +351,16 @@ def complete_to_acyclic_lt(P):
         if cert is None:
             raise InvariantError("elimination failed on a chordal graph")
         return cert
-    R = lex_two_colouring(P.underlying_graph(), O, forced=closed)
-    D = Pog(P.names, frozenset(), R)
+    # a component without arcs orients the class of its pair that comes
+    # first by the positions of both endpoints
+    D = _orient_classes(closed, X,
+                        fill=lambda pair: (O.pos[pair[0]], O.pos[pair[1]]))
     rep = classify(D)
     if not (rep.acyclic and rep.local_tournament):
         cert = find_proper_interval_obstruction(P)
         if cert is None:
             raise InvariantError("colouring failed on a proper interval graph")
         return cert
-    if not closed.arcs <= D.arcs:
-        raise InvariantError("colouring dropped a forced arc")
     return D
 
 
@@ -387,9 +374,7 @@ def _linear_order(D):
     if O is None:
         raise NotInClassError("digraph is not round")
     seq = []
-    for comp in D.ug_components():
-        cset = set(comp)
-        part = [v for v in O.seq if v in cset]
+    for part in D.ug_parts(O.seq):
         k = len(part)
         for shift in range(k):
             rot = part[shift:] + part[:shift]
@@ -429,9 +414,7 @@ def representation_from_orientation(D, kind):
         if O is None:
             raise NotInClassError("digraph is not round")
         names, spans, offset = [], [], 0
-        for comp in D.ug_components():
-            cset = set(comp)
-            part = [v for v in O.seq if v in cset]
+        for part in D.ug_parts(O.seq):
             k = len(part)
             pos = {v: t for t, v in enumerate(part)}
             for v in part:

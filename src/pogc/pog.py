@@ -164,6 +164,16 @@ class Pog:
             comps.append(sorted(comp))
         return comps
 
+    def ug_parts(self, seq):
+        """The vertices of seq split by underlying component, one list
+        per component in ug_components() order, each in seq order."""
+        comps = self.ug_components()
+        part_of = {v: c for c, comp in enumerate(comps) for v in comp}
+        parts = [[] for _ in comps]
+        for v in seq:
+            parts[part_of[v]].append(v)
+        return parts
+
 
 @dataclass(frozen=True)
 class Ordering:
@@ -664,6 +674,10 @@ def _verify(P, cert):
         ids = _ids(P, pay["ordering"]["seq"])
         if ids is None or sorted(ids) != list(range(P.n)):
             return False
+        if pay["ordering"]["kind"] not in ("linear", "cyclic"):
+            return False
+        if pay["kind"] == "round" and not P.is_oriented():
+            return False  # roundness is defined on oriented graphs only
         O = Ordering(pay["ordering"]["kind"], tuple(ids))
         ok, _ = check_ordering(P, O, pay["kind"])
         return not ok

@@ -27,10 +27,10 @@ def check_ordering(P, O, kind):
     if len(O.seq) != P.n:
         raise InvariantError("ordering does not cover the vertex set")
     if kind == "round":
-        require_oriented(P)
-        for comp in P.ug_components():
-            cset = set(comp)
-            wit = _check_round(P, [v for v in O.seq if v in cset])
+        if not P.is_oriented():
+            raise NotInClassError("round orderings need an oriented graph")
+        for part in P.ug_parts(O.seq):
+            wit = _check_round(P, part)
             if wit is not None:
                 return False, wit
         return True, None

@@ -2,10 +2,13 @@
 
 import random
 
+from pogc import auxgraph, friendly, interval
 from pogc.auxgraph import (aux_adjacent, build_aux, complete_via_aux,
                            consentaneous_closure, two_colour)
+from pogc.errors import NotFriendlyError
+from pogc.interval import Representation
 from pogc.pog import Certificate, Pog, classify, verify_certificate
-from util import all_graphs, brute_force_completion, random_pog
+from util import all_graphs, brute_force_completion, names, random_pog
 
 
 def _triangle():
@@ -159,3 +162,78 @@ def test_completion_respects_odd_distance_rule():
             c = X.comp[X.vid[a]]
             colour = col.colours[X.vid[a]]
             assert seen.setdefault(c, colour) == colour
+
+
+def _band(n, w, circular):
+    """Band graph v_i ~ v_j iff the (cyclic) distance of i, j is at most w."""
+    dist = (lambda i, j: min(j - i, n - (j - i))) if circular else (lambda i, j: j - i)
+    return Pog(names(n), frozenset((i, j) for i in range(n) for j in range(i + 1, n)
+                                   if dist(i, j) <= w), frozenset())
+
+
+def _band_span(i, n, w, circular):
+    """Span of v_i in the unit representation of _band(n, w, circular)."""
+    if circular:
+        return 2 * i, (2 * (i + w) + 1) % (2 * n)
+    return 2 * i, 2 * (i + w) + 1
+
+
+def _partial(n, w, circular, window):
+    return Representation("circular" if circular else "interval",
+                          tuple("v%d" % i for i in window),
+                          tuple(_band_span(i, n, w, circular) for i in window),
+                          2 * n if circular else 0)
+
+
+def test_one_aux_build_per_underlying_graph(monkeypatch):
+    """No operation builds the aux graph of one underlying graph twice."""
+    keys = []
+    real = auxgraph.build_aux
+
+    def counting(P, mode="local_tournament"):
+        keys.append((P.names, P.und_pairs, mode))
+        return real(P, mode)
+
+    for mod in (auxgraph, friendly, interval):
+        monkeypatch.setattr(mod, "build_aux", counting)
+
+    def ltlt(P):
+        try:
+            return friendly.complete_friendly(P)
+        except NotFriendlyError as exc:
+            return exc.certificate
+
+    def extend(G, partial):
+        if partial.kind == "interval":
+            return interval.extend_interval_representation(G, partial)
+        return friendly.extend_circular_arc_representation(G, partial)
+
+    rng = random.Random(59)
+    pogs, extensions = [], []
+    for _ in range(12):
+        n, w, circular = rng.randint(7, 14), rng.randint(1, 3), rng.random() < 0.5
+        G = _band(n, w, circular)
+        forward = sorted(G.edges) if not circular else \
+            [(i, j) if (j - i) % n <= w else (j, i) for i, j in sorted(G.edges)]
+        pogs.append(G.orient(a for a in forward if rng.random() < 0.3))
+        start = rng.randrange(n - 3)
+        extensions.append((G, _partial(n, w, circular, range(start, start + 3))))
+    pogs += [random_pog(rng, rng.randint(2, 8)) for _ in range(60)]
+
+    runs = [("complete_to_acyclic_lt", interval.complete_to_acyclic_lt),
+            ("complete_friendly", ltlt)]
+    runs += [("complete_via_aux " + mode, lambda P, mode=mode: complete_via_aux(P, mode))
+             for mode in auxgraph.MODES]
+    calls = [(name, f, (P,)) for P in pogs for name, f in runs]
+    calls += [("proper_circular_arc_representation",
+               friendly.proper_circular_arc_representation, (P.underlying_graph(),))
+              for P in pogs if len(P.ug_components()) == 1]
+    calls += [("extend " + partial.kind, extend, (G, partial))
+              for G, partial in extensions]
+    built = 0
+    for name, f, args in calls:
+        keys.clear()
+        f(*args)
+        built += len(keys)
+        assert len(keys) == len(set(keys)), (name, args)
+    assert built >= len(calls)

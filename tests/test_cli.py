@@ -141,6 +141,15 @@ def test_recognize_circular_c4(w, capsys):
     assert len(obj["representation"]["spans"]) == 4
 
 
+def test_recognize_empty_graph(w, capsys):
+    f = w("g", "")
+    for cls in ("proper-interval", "proper-circular-arc"):
+        assert run(["recognize", "--class", cls, "--json", f]) == 0
+        obj = _json_out(capsys)
+        assert obj["status"] == "yes"
+        assert obj["representation"]["spans"] == {}
+
+
 def test_recognize_chordal(w, capsys):
     assert run(["recognize", "--class", "chordal",
                 w("g", "edge a b\nedge b c\nedge a c\n")]) == 0
@@ -165,6 +174,11 @@ def test_check_ordering_round(w, capsys):
     cert = Certificate.from_json(capsys.readouterr().out)
     assert cert.tag == "OrderingViolation"
     assert verify_certificate(parse_pog(DIRECTED_C3), cert)
+    # roundness is undefined with an unoriented edge: an input error
+    mixed = w("g2", "edge a b\narc b c\narc c a\n")
+    assert run(["check-ordering", "--kind", "round", mixed, good]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_check_ordering_excellent_json(w, capsys):
@@ -271,3 +285,12 @@ def test_verify_cert_garbage(w, capsys):
     f = w("g", CLAW)
     c = w("cert", "not json")
     assert run(["verify-cert", f, c]) == 2
+    # an OrderingViolation naming a round ordering, checked against a pog
+    # with an unoriented edge, or naming an unknown ordering kind
+    g = w("g2", "edge a b\narc b c\narc c a\n")
+    for kind, order_kind in (("round", "cyclic"), ("excellent", "spiral")):
+        c = w("cert2", json.dumps({"tag": "OrderingViolation", "payload": {
+            "kind": kind, "ordering": {"kind": order_kind, "seq": ["a", "b", "c"]},
+            "witness": None}}))
+        assert run(["verify-cert", g, c]) == 1
+        assert capsys.readouterr().out.strip() == "invalid"

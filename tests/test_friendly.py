@@ -1,16 +1,18 @@
 """Cells, bad triples, friendliness, LTLT completions, circular extension."""
 
+import itertools
 import random
 
+from pogc.auxgraph import aux_adjacent
 from pogc.friendly import (bad_triples, cells, complement_components,
                            complete_cells, complete_friendly,
                            extend_circular_arc_representation,
                            friendly_complete_graph, is_friendly,
                            proper_circular_arc_representation)
 from pogc.interval import orientation_from_representation
-from pogc.pog import Certificate, Pog, classify, verify_certificate
-from util import (all_graphs, brute_force_completion, names, random_graph,
-                  random_pog)
+from pogc.pog import Certificate, Pog, _norm, classify, verify_certificate
+from util import (all_graphs, all_pogs, brute_force_completion, names,
+                  random_graph, random_pog)
 
 
 def _c4():
@@ -207,3 +209,51 @@ def test_extend_circular_preserves_induced_orientation():
         want = {(u, v) for u, v in D.arcs if u in kset and v in kset}
         have = {(u, v) for u, v in got.arcs if u in kset and v in kset}
         assert want == have
+
+
+def _friendly_reference(P):
+    """Friendliness from the definition: pairwise aux adjacency, parity
+    from an arc in every aux component holding one, then bad triples."""
+    pairs = sorted(P.und_pairs | {(j, i) for i, j in P.und_pairs})
+    nbrs = {a: [b for b in pairs if aux_adjacent(P, a, b)] for a in pairs}
+    comp = {}
+    for a in pairs:
+        if a in comp:
+            continue
+        parity, todo, odd = {a: 0}, [a], False
+        while todo:
+            x = todo.pop()
+            for y in nbrs[x]:
+                if y not in parity:
+                    parity[y] = 1 - parity[x]
+                    todo.append(y)
+                odd = odd or parity[y] == parity[x]
+        comp.update((x, a) for x in parity)
+        arcs = [x for x in parity if x in P.arcs]
+        if arcs and (odd or any(parity[x] != parity[arcs[0]] for x in arcs)
+                     or any(parity[x] == parity[arcs[0]] and _norm(*x) in P.edges
+                            for x in parity)):
+            return False
+    for x, y, z in itertools.combinations(range(P.n), 3):
+        tri = [(x, y), (y, z), (x, z)]
+        if all(p in P.und_pairs for p in tri) \
+                and len({comp[p] for p in tri}) == 3 \
+                and sum(p not in P.edges for p in tri) == 2:
+            return False
+    return True
+
+
+def test_is_friendly_matches_definition():
+    rng = random.Random(61)
+    corpus = [P for n in range(1, 5) for P in all_pogs(n)]
+    corpus += [random_pog(rng, rng.randint(1, 9), p_adj=rng.choice((0.5, 0.8)),
+                          p_arc=rng.choice((0.1, 0.3)))
+               for _ in range(1500)]
+    refuted = 0
+    for P in corpus:
+        ok, cert = is_friendly(P)
+        assert ok == _friendly_reference(P), (P.edges, P.arcs)
+        if not ok:
+            refuted += 1
+            assert verify_certificate(P, cert), (P.edges, P.arcs, cert)
+    assert 0 < refuted < len(corpus)

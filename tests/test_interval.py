@@ -12,7 +12,7 @@ from pogc.interval import (Representation, check_peo, complete_to_acyclic_lt,
                            parse_representation, render_representation,
                            representation_from_orientation,
                            validate_representation)
-from pogc.pog import Certificate, Pog, classify, verify_certificate
+from pogc.pog import Certificate, Pog, bfs_path, classify, verify_certificate
 from util import (all_graphs, brute_force_completion, names, orientations,
                   random_graph, random_pog)
 
@@ -251,3 +251,32 @@ def test_extend_interval_random_preserves_induced_orientation():
         got = {(u, v) for u, v in full.arcs if u in subset and v in subset}
         assert want == got
         built += 1
+
+
+def _find_hole_reference(G):
+    """One path search per non-adjacent neighbour pair of every vertex."""
+    for x in range(G.n):
+        na = sorted(G.adj[x])
+        for s in range(len(na)):
+            for t in range(s + 1, len(na)):
+                y, z = na[s], na[t]
+                if G.adjacent(y, z):
+                    continue
+                banned = (G.adj[x] | {x}) - {y, z}
+                path = bfs_path(lambda a: [b for b in sorted(G.adj[a])
+                                           if b not in banned], y, z)
+                if path is not None:
+                    return [x] + path
+    return None
+
+
+def test_find_hole_matches_pairwise_search():
+    from pogc.interval import _find_hole
+    rng = random.Random(67)
+    holes = 0
+    for _ in range(1500):
+        G = random_graph(rng, rng.randint(1, 12), p=rng.choice((0.15, 0.3, 0.5)))
+        hole = _find_hole(G)
+        assert hole == _find_hole_reference(G), G.edges
+        holes += hole is not None
+    assert 100 < holes < 1400
