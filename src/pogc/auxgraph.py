@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError
-from .pog import Certificate, Pog, _norm, _reach, bfs_path, classify
+from .pog import Certificate, Pog, _components, _norm, bfs_path, classify
 
 MODES = ("local_tournament", "quasi_transitive")
 
@@ -106,12 +106,10 @@ def build_aux(P, mode="local_tournament"):
             if aux_adjacent(P, verts[x], verts[y], mode):
                 adj[x].append(y)
                 adj[y].append(x)
-    comp, c = [-1] * m, 0
-    for s in range(m):
-        if comp[s] < 0:
-            for v in _reach(adj, s):
-                comp[v] = c
-            c += 1
+    comp = [-1] * m
+    for c, members in enumerate(_components(range(m), adj.__getitem__)):
+        for v in members:
+            comp[v] = c
     return AuxGraph(P, mode, tuple(verts), tuple(tuple(a) for a in adj),
                     tuple(comp))
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 refuted (a certificate is emitted), 2 input
-error, 3 size guard or unsupported instance.
+error, 3 size guard or unsupported instance, 4 internal error (a bug:
+one ``internal error:`` line on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -296,6 +297,10 @@ def run(argv=None):
     except (SizeGuardError, UnsupportedInstanceError) as exc:
         print("unsupported: %s" % exc, file=sys.stderr)
         return 3
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 4
 
 
 def main():

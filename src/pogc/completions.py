@@ -9,8 +9,8 @@ bounded exhaustive search with a bipartite matching oracle.
 from __future__ import annotations
 
 from .errors import InvariantError, SizeGuardError
-from .pog import (Certificate, _norm, bfs_path, classify, find_directed_cycle,
-                  require_oriented, topological_order)
+from .pog import (Certificate, _norm, _separates, bfs_path, classify,
+                  find_directed_cycle, require_oriented, topological_order)
 
 
 # -- transitive tournaments --------------------------------------------
@@ -27,7 +27,9 @@ def complete_to_transitive_tournament(P):
     cyc = find_directed_cycle(P)
     if cyc is not None:
         return Certificate("DirectedCycle", {"cycle": [P.names[v] for v in cyc]})
-    order = topological_order(P)
+    order = topological_order(range(P.n), P.out_nbrs.__getitem__)
+    if order is None:
+        raise InvariantError("arc digraph is not acyclic")
     pos = {v: k for k, v in enumerate(order)}
     D = P.orient([(u, v) if pos[u] < pos[v] else (v, u) for u, v in P.edges])
     rep = classify(D)
@@ -207,45 +209,24 @@ def verify_in_tournament_core(P, cycle):
 # -- strong completions --------------------------------------------------
 
 
-def _ug_bridge(P):
-    """Lexicographically smallest bridge of UG(P), or None."""
-    for u, v in sorted(P.und_pairs):
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in P.adj[x]:
-                if (x, y) in ((u, v), (v, u)):
-                    continue
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if v not in seen:
-            return (u, v)
-    return None
-
-
-def _bidirected_strong(P):
-    """Strongness of the digraph with every edge doubled; returns
-    (True, None) or (False, source component)."""
-    succ = [set(P.out_nbrs[v]) for v in range(P.n)]
-    for i, j in P.edges:
-        succ[i].add(j)
-        succ[j].add(i)
+def _bidirected_strong(succ):
+    """Strongness of the digraph `succ` (a list of successor sets, every
+    edge doubled); returns (True, None) or (False, source component)."""
+    n = len(succ)
     comp = _sccs([sorted(s) for s in succ])
     if max(comp, default=0) == 0:
         return True, None
     # source components have no incoming arcs; pick the one with the
     # smallest vertex
     incoming = set()
-    for v in range(P.n):
+    for v in range(n):
         for w in succ[v]:
             if comp[v] != comp[w]:
                 incoming.add(comp[w])
     sources = [c for c in set(comp) if c not in incoming]
-    best = min((min(v for v in range(P.n) if comp[v] == c), c)
+    best = min((min(v for v in range(n) if comp[v] == c), c)
                for c in sources)[1]
-    return False, sorted(v for v in range(P.n) if comp[v] == best)
+    return False, sorted(v for v in range(n) if comp[v] == best)
 
 
 def complete_to_strong(P):
@@ -257,23 +238,26 @@ def complete_to_strong(P):
     if len(comps) > 1:
         return Certificate("DirectedCut",
                            {"side": [P.names[v] for v in comps[0]]})
-    bridge = _ug_bridge(P)
+    bridge = next((pair for pair in sorted(P.und_pairs)
+                   if _separates(P.adj.__getitem__, *pair)), None)
     if bridge is not None:
-        return Certificate("Bridge", {"edge": [P.names[bridge[0]],
-                                               P.names[bridge[1]]]})
-    ok, side = _bidirected_strong(P)
+        return Certificate("Bridge", {"edge": [P.names[v] for v in bridge]})
+    succ = [set(P.out_nbrs[v]) for v in range(P.n)]
+    for i, j in P.edges:
+        succ[i].add(j)
+        succ[j].add(i)
+    ok, side = _bidirected_strong(succ)
     if not ok:
         return Certificate("DirectedCut", {"side": [P.names[v] for v in side]})
-    cur = P
+    # UG(P) is bridgeless and the doubled digraph strong, so either
+    # direction of any one edge keeps it strong (Boesch-Tindell): keep
+    # u -> v when v still reaches u without the pair, else take v -> u
+    chosen = []
     for u, v in sorted(P.edges):
-        for arc in ((u, v), (v, u)):
-            nxt = cur.orient([arc])
-            if _bidirected_strong(nxt)[0]:
-                cur = nxt
-                break
-        else:
-            raise InvariantError("no orientation of %s,%s keeps strongness"
-                                 % (P.names[u], P.names[v]))
+        arc = (v, u) if _separates(succ.__getitem__, v, u) else (u, v)
+        succ[arc[1]].discard(arc[0])
+        chosen.append(arc)
+    cur = P.orient(chosen)
     if not classify(cur).strong:
         raise InvariantError("completion is not strong")
     return cur
@@ -288,18 +272,29 @@ def find_cycle_factor(D):
     successor function."""
     require_oriented(D)
     n = D.n
+    out = [sorted(s) for s in D.out_nbrs]
     match_r = [-1] * n  # in-copy -> out-copy
-    def augment(u, seen):
-        for w in sorted(D.out_nbrs[u]):
-            if w in seen:
+    for root in range(n):
+        # depth-first augmenting path search; a frame is [out-copy,
+        # its untried in-copies, the in-copy it is trying]
+        seen = set()
+        stack = [[root, iter(out[root]), None]]
+        while stack:
+            frame = stack[-1]
+            for w in frame[1]:
+                if w not in seen:
+                    break
+            else:
+                stack.pop()
                 continue
             seen.add(w)
-            if match_r[w] < 0 or augment(match_r[w], seen):
-                match_r[w] = u
-                return True
-        return False
-    for u in range(n):
-        if not augment(u, set()):
+            frame[2] = w
+            if match_r[w] < 0:
+                for u, _, w in stack:
+                    match_r[w] = u
+                break
+            stack.append([match_r[w], iter(out[match_r[w]]), None])
+        else:
             return None
     succ = {match_r[w]: w for w in range(n)}
     cycles, left = [], set(range(n))
@@ -336,18 +331,15 @@ def complete_to_cycle_factor_bruteforce(P, limit_edges=20):
 
 
 def is_k_arc_strong(D, k):
-    """True when D stays strong after deleting any k-1 arcs (unit
-    capacity max-flow at least k between every ordered pair)."""
+    """True when D stays strong after deleting any k-1 arcs: unit
+    capacity max-flow at least k from vertex 0 to every t and back.
+    That suffices because every s-t arc cut also separates s from 0 or
+    0 from t (Menger)."""
     require_oriented(D)
     if k < 1:
         raise ValueError("k must be positive")
-    if D.n <= 1:
-        return True
-    for s in range(D.n):
-        for t in range(D.n):
-            if s != t and _max_flow(D, s, t, k) < k:
-                return False
-    return True
+    return all(_max_flow(D, s, t, k) >= k
+               for v in range(1, D.n) for s, t in ((0, v), (v, 0)))
 
 
 def _max_flow(D, s, t, cap):

@@ -16,10 +16,12 @@ from .auxgraph import (_arc_classes, _complete_via_aux, build_aux,
                        consentaneous_closure, two_colour)
 from .errors import (InvariantError, NotFriendlyError, NotInClassError,
                      UnsupportedInstanceError)
-from .interval import representation_from_orientation, validate_representation, \
-    orientation_from_representation
-from .pog import Certificate, Pog, _norm, classify, find_directed_cycle, \
-    topological_order
+from .interval import (complete_to_acyclic_lt,
+                       orientation_from_representation,
+                       representation_from_orientation,
+                       validate_representation)
+from .pog import Certificate, Pog, _components, _norm, classify, \
+    find_directed_cycle, topological_order
 from .rounds import merge_ltt
 
 
@@ -42,23 +44,18 @@ def cells(P):
 
 
 def complement_components(P):
-    """Connected components of the complement of UG(P)."""
-    seen = [False] * P.n
-    comps = []
-    for s in range(P.n):
-        if seen[s]:
-            continue
-        comp, q = [], deque([s])
-        seen[s] = True
-        while q:
-            v = q.popleft()
-            comp.append(v)
-            for w in range(P.n):
-                if w != v and not seen[w] and not P.adjacent(v, w):
-                    seen[w] = True
-                    q.append(w)
-        comps.append(sorted(comp))
-    return comps
+    """Connected components of the complement of UG(P), each sorted,
+    listed by smallest member."""
+    left = set(range(P.n))
+
+    def nbrs(v):
+        # complement neighbours not handed out yet: each vertex leaves
+        # `left` once, so the search costs O(n + m), not O(n^2)
+        out = left - P.adj[v]
+        left.difference_update(out)
+        return out
+
+    return _components(range(P.n), nbrs)
 
 
 def bad_triples(P, aux=None):
@@ -134,7 +131,9 @@ def complete_cells(P):
             return Certificate("DirectedCycle", {
                 "cycle": [P.names[v] for v in cyc],
                 "location": {"kind": "cell"}})
-        order = topological_order(P, within=cell)
+        order = topological_order(cell, P.out_nbrs.__getitem__)
+        if order is None:
+            raise InvariantError("cell digraph is not acyclic")
         for s in range(len(order)):
             for t in range(s + 1, len(order)):
                 if _norm(order[s], order[t]) in P.edges:
@@ -177,20 +176,7 @@ def _merge_arc_parts(P):
     if P.n == 0:
         return P
     # arc-connectivity parts; friendliness makes each a tournament
-    part_of = list(range(P.n))
-
-    def find(v):
-        while part_of[v] != v:
-            part_of[v] = part_of[part_of[v]]
-            v = part_of[v]
-        return v
-
-    for i, j in P.arcs:
-        part_of[find(i)] = find(j)
-    groups = {}
-    for v in range(P.n):
-        groups.setdefault(find(v), []).append(v)
-    parts = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    parts = Pog(P.names, frozenset(), P.arcs).ug_components()
     for g in parts:
         for s in range(len(g)):
             for t in range(s + 1, len(g)):
@@ -324,8 +310,12 @@ def _complete_split_complement(P, P1, X, col, bar):
 
 
 def proper_circular_arc_representation(G):
-    """Recognition: circular representation of UG(G), or a certificate."""
-    D = complete_friendly(G.underlying_graph())
+    """Recognition: circular representation of UG(G), or a certificate.
+    A disconnected graph is proper circular-arc exactly when every
+    component is proper interval (see representation_from_orientation)."""
+    U = G.underlying_graph()
+    D = complete_to_acyclic_lt(U) if len(G.ug_components()) > 1 \
+        else complete_friendly(U)
     if isinstance(D, Certificate):
         return D
     return representation_from_orientation(D, "circular")
@@ -356,18 +346,21 @@ def extend_circular_arc_representation(G, partial=None):
     arcs = {(G.index[oriented.names[i]], G.index[oriented.names[j]])
             for i, j in oriented.arcs}
     P0 = G.underlying_graph().orient(arcs)
-    P1 = complete_cells(P0)
-    if isinstance(P1, Certificate):
-        return P1
-    X = build_aux(P1)
-    P2 = consentaneous_closure(P1, aux=X)
-    if isinstance(P2, Certificate):
-        return P2
-    try:
-        D = _complete_friendly(P2, X)
-    except NotFriendlyError as exc:
-        raise InvariantError("extension pog is not friendly: %s"
-                             % exc.certificate.tag) from None
+    if len(G.ug_components()) > 1:
+        D = complete_to_acyclic_lt(P0)  # as in recognition
+    else:
+        P1 = complete_cells(P0)
+        if isinstance(P1, Certificate):
+            return P1
+        X = build_aux(P1)
+        P2 = consentaneous_closure(P1, aux=X)
+        if isinstance(P2, Certificate):
+            return P2
+        try:
+            D = _complete_friendly(P2, X)
+        except NotFriendlyError as exc:
+            raise InvariantError("extension pog is not friendly: %s"
+                                 % exc.certificate.tag) from None
     if isinstance(D, Certificate):
         return D
     if not frozenset(arcs) <= D.arcs:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from .errors import (InvariantError, NotInClassError, NotSatisfyingError,
                      ParseError, SizeGuardError, UnsupportedInstanceError)
-from .pog import (Certificate, Ordering, Pog, classify, complete_closure,
-                  find_directed_cycle, require_oriented)
+from .pog import (Certificate, Ordering, Pog, _reach, classify,
+                  complete_closure, find_directed_cycle, require_oriented,
+                  topological_order)
 from .rounds import (check_ordering, complete_under_excellent,
                      find_round_ordering, round_to_ltt, saturate_to_round_lt)
 
@@ -285,23 +286,6 @@ def orient_by_assignment(R, t):
     return D
 
 
-def _kahn(nodes, succ):
-    indeg = {v: 0 for v in nodes}
-    for v in nodes:
-        for w in succ.get(v, ()):
-            indeg[w] += 1
-    queue = sorted((v for v in nodes if indeg[v] == 0), reverse=True)
-    order = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for w in sorted(succ.get(v, ()), reverse=True):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return order if len(order) == len(nodes) else None
-
-
 def _ordering_for_assignment(R, D, t):
     """Excellent cyclic ordering of D = orient_by_assignment(R, t), or
     None when none exists.
@@ -345,7 +329,7 @@ def _ordering_for_assignment(R, D, t):
         if t[i]:
             for o in outs[i]:
                 succ[o].update(ins[i])
-    order = _kahn(nodes, succ)
+    order = topological_order(nodes, succ.__getitem__)
     if order is None:
         return None
     pos = {v: k for k, v in enumerate(order)}
@@ -358,7 +342,7 @@ def _ordering_for_assignment(R, D, t):
         for y in true_idx:
             if y != x and any(pos[o] > floor for o in outs[y]):
                 asucc[x].add(y)
-    ablock = _kahn(set(true_idx), asucc)
+    ablock = topological_order(true_idx, asucc.__getitem__)
     if ablock is None:
         raise InvariantError("alpha block precedence is cyclic")
 
@@ -476,7 +460,7 @@ def _search_completions(P, target, want_all, limit):
             for w in inn[u]:
                 if w != v and not adj(w, v):
                     return False
-        if needs_acyclic and _reaches(out, v, u):
+        if needs_acyclic and u in _reach(out.__getitem__, v):
             return False
         if needs_tri and _triangle_in_neighbourhood(out, inn, u, v):
             return False
@@ -531,22 +515,6 @@ def _search_completions(P, target, want_all, limit):
 
     rec()
     return sorted(found, key=lambda a: sorted(a))
-
-
-def _reaches(out, s, t):
-    if s == t:
-        return True
-    seen = {s}
-    stack = [s]
-    while stack:
-        v = stack.pop()
-        for w in out[v]:
-            if w == t:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
 
 
 def _triangle_in_neighbourhood(out, inn, u, v):

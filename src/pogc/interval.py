@@ -15,7 +15,7 @@ from functools import cached_property
 from .auxgraph import _orient_classes, build_aux, consentaneous_closure
 from .errors import (InvariantError, NotInClassError, NoZeroOutdegreeStartError,
                      ParseError, RepresentationError)
-from .pog import Certificate, Ordering, Pog, _reach, bfs_path, classify, \
+from .pog import Certificate, Ordering, Pog, _components, bfs_path, classify, \
     find_directed_cycle, require_oriented
 from .rounds import find_round_ordering
 
@@ -228,9 +228,8 @@ def _find_hole(G):
         closed = G.adj[x] | {x}
         rest = {v: G.adj[v] - closed for v in range(G.n) if v not in closed}
         comp = {}  # vertex of G - N[x] -> first vertex of its component
-        for r in rest:
-            if r not in comp:
-                comp.update(dict.fromkeys(_reach(rest, r), r))
+        for members in _components(rest, rest.__getitem__):
+            comp.update(dict.fromkeys(members, members[0]))
         touch = {y: {comp[w] for w in G.adj[y] - closed} for y in G.adj[x]}
         na = sorted(G.adj[x])
         for s in range(len(na)):
@@ -391,8 +390,9 @@ def representation_from_orientation(D, kind):
     """Unit-style representation realizing an oriented graph.
 
     `interval` needs an acyclic local tournament, `circular` a locally
-    transitive local tournament.  Vertex v starts at twice its position
-    and runs to just past its last out-neighbour.
+    transitive local tournament, acyclic when its underlying graph is
+    disconnected.  Vertex v starts at twice its position and runs to
+    just past its last out-neighbour.
     """
     require_oriented(D)
     rep = classify(D)
@@ -410,20 +410,20 @@ def representation_from_orientation(D, kind):
     elif kind == "circular":
         if not rep.locally_transitive:
             raise NotInClassError("not a locally transitive local tournament")
-        O = find_round_ordering(D)
-        if O is None:
-            raise NotInClassError("digraph is not round")
-        names, spans, offset = [], [], 0
-        for part in D.ug_parts(O.seq):
-            k = len(part)
-            pos = {v: t for t, v in enumerate(part)}
-            for v in part:
-                d = len(D.out_nbrs[v])
-                names.append(D.names[v])
-                spans.append((offset + 2 * pos[v],
-                              offset + 2 * ((pos[v] + d) % k) + 1))
-            offset += 2 * k
-        R = Representation("circular", tuple(names), tuple(spans), 2 * D.n)
+        if len(D.ug_components()) > 1:
+            # the arcs of a component that covers the circle meet every
+            # other arc, so every component must be laid out as intervals
+            R = representation_from_orientation(D, "interval")
+            R = Representation("circular", R.names, R.spans, 2 * D.n)
+        else:
+            O = find_round_ordering(D)
+            if O is None:
+                raise NotInClassError("digraph is not round")
+            spans = [(2 * O.pos[v],
+                      2 * ((O.pos[v] + len(D.out_nbrs[v])) % D.n) + 1)
+                     for v in O.seq]
+            R = Representation("circular", tuple(D.names[v] for v in O.seq),
+                               tuple(spans), 2 * D.n)
     else:
         raise ValueError("kind must be interval or circular")
     try:

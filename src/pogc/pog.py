@@ -147,22 +147,7 @@ class Pog:
     def ug_components(self):
         """Connected components of the underlying graph, each sorted,
         listed by smallest member."""
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        return _components(range(self.n), self.adj.__getitem__)
 
     def ug_parts(self, seq):
         """The vertices of seq split by underlying component, one list
@@ -385,25 +370,27 @@ def bfs_path(nbrs, s, t):
     return None
 
 
-def topological_order(P, within=None):
-    """Topological order of the arc digraph, restricted to the vertex
-    subset `within`, taking the smallest ready vertex first."""
-    verts = set(within) if within is not None else set(range(P.n))
-    indeg = {v: len(P.in_nbrs[v] & verts) for v in verts}
-    ready = [v for v in verts if indeg[v] == 0]
+def topological_order(verts, succ):
+    """Topological order of the digraph that `succ(v)` spans on verts,
+    taking the smallest ready vertex first, or None on a directed
+    cycle.  Successors outside verts are ignored."""
+    indeg = dict.fromkeys(verts, 0)
+    for v in indeg:
+        for w in succ(v):
+            if w in indeg:
+                indeg[w] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for w in P.out_nbrs[v]:
+        for w in succ(v):
             if w in indeg:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     heapq.heappush(ready, w)
-    if len(order) != len(verts):
-        raise InvariantError("arc digraph is not acyclic")
-    return order
+    return order if len(order) == len(indeg) else None
 
 
 def _first_nonadjacent_pair(P, members):
@@ -496,14 +483,38 @@ def classify(P):
 
 
 def _reach(nbrs, s):
+    """The set of vertices reachable from s; `nbrs(v)` lists the
+    neighbours (or successors) of v."""
     seen = {s}
     stack = [s]
     while stack:
-        for w in nbrs[stack.pop()]:
+        for w in nbrs(stack.pop()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def _components(verts, nbrs):
+    """Connected components of the graph `nbrs` (as for _reach) spans,
+    each sorted, listed in the order of their first vertex in verts."""
+    comps, seen = [], set()
+    for s in verts:
+        if s not in seen:
+            comp = _reach(nbrs, s)
+            seen |= comp
+            comps.append(sorted(comp))
+    return comps
+
+
+def _separates(nbrs, u, v):
+    """True when u cannot reach v without using the pair uv in either
+    direction; `nbrs` is as for _reach.  On UG(P), with `nbrs` =
+    P.adj.__getitem__, that makes uv a bridge."""
+    pair = {u, v}
+    return v not in _reach(
+        lambda x: [y for y in nbrs(x) if y not in pair] if x in pair
+        else nbrs(x), u)
 
 
 def _strong_witness(P):
@@ -514,10 +525,10 @@ def _strong_witness(P):
     if P.n <= 1:
         return True, None
     everyone = set(range(P.n))
-    missed = everyone - _reach(P.out_nbrs, 0)
+    missed = everyone - _reach(P.out_nbrs.__getitem__, 0)
     if missed:
         return False, (P.names[0], P.names[min(missed)])
-    stuck = everyone - _reach(P.in_nbrs, 0)
+    stuck = everyone - _reach(P.in_nbrs.__getitem__, 0)
     if stuck:
         return False, (P.names[min(stuck)], P.names[0])
     return True, None
@@ -601,19 +612,7 @@ def _verify(P, cert):
         ids = _ids(P, pay["edge"])
         if ids is None or len(ids) != 2 or not P.adjacent(ids[0], ids[1]):
             return False
-        u, v = ids
-        # BFS from u avoiding the pair uv; bridge iff v is not reached
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in P.adj[x]:
-                if (x, y) in ((u, v), (v, u)):
-                    continue
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return v not in seen
+        return _separates(P.adj.__getitem__, *ids)
 
     if tag == "DirectedCut":
         ids = _ids(P, pay["side"])

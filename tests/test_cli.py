@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from pogc import cli
 from pogc.cli import run
+from pogc.errors import InvariantError
 from pogc.pog import Certificate, parse_pog, verify_certificate
 
 C4 = """\
@@ -114,6 +116,33 @@ def test_complete_size_guard(w, capsys):
     f = w("g", "\n".join(lines) + "\n")
     assert run(["complete", "--class", "ltt-exact", f]) == 3
     assert "unsupported:" in capsys.readouterr().err
+
+
+def test_complete_cycle_factor_long_augmenting_path(w, capsys):
+    # arcs i -> i+1, i -> i+2 and v2999 -> v1, declared in path order:
+    # the matching search augments along a path of ~3,000 in-copies
+    n = 3000
+    arcs = ([(i, i + 1) for i in range(n - 1)]
+            + [(i, i + 2) for i in range(n - 2)] + [(n - 1, 1)])
+    decl = "".join("v v%d\n" % i for i in range(n))
+    no_factor = decl + "".join("arc v%d v%d\n" % a for a in arcs)
+    factor = no_factor + "arc v%d v0\n" % (n - 2)
+    assert run(["complete", "--class", "cycle-factor", w("f", factor)]) == 0
+    D = parse_pog(capsys.readouterr().out)
+    assert D.n == n and D.arcs == parse_pog(factor).arcs
+    assert run(["complete", "--class", "cycle-factor", w("g", no_factor)]) == 1
+    cert = Certificate.from_json(capsys.readouterr().out)
+    assert verify_certificate(parse_pog(no_factor), cert)
+
+
+def test_internal_error_exit_code(w, capsys, monkeypatch):
+    def broken(P):
+        raise InvariantError("completion is not strong")
+    monkeypatch.setitem(cli._COMPLETERS, "strong", broken)
+    assert run(["complete", "--class", "strong", w("g", C4)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: InvariantError: completion is not strong\n"
 
 
 # -- recognize ----------------------------------------------------------------

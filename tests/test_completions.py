@@ -7,10 +7,11 @@ from pogc.completions import (complete_to_cycle_factor_bruteforce,
                               complete_to_in_tournament, complete_to_strong,
                               complete_to_transitive_tournament,
                               find_cycle_factor, has_cycle_factor,
-                              is_k_arc_strong, two_sat)
+                              _bidirected_strong, _max_flow, is_k_arc_strong,
+                              two_sat)
 from pogc.pog import Certificate, Pog, classify, verify_certificate
-from util import (all_graphs, brute_force_completion, names, orientations,
-                  random_pog)
+from util import (all_graphs, all_pogs, brute_force_completion, names,
+                  orientations, random_pog)
 
 
 def _complete_pog(n, arcs):
@@ -100,6 +101,63 @@ def test_strong_exhaustive_n5_vs_brute_force():
             assert want is not None
             assert classify(res).strong
             assert P.arcs <= res.arcs
+
+
+def _strong_reference(P):
+    """complete_to_strong as an orient-and-SCC loop: the smallest bridge
+    by one search per pair, then each edge in sorted order oriented
+    u -> v when the digraph with the remaining edges doubled stays
+    strong, else v -> u."""
+    def doubled(Q):
+        succ = [set(Q.out_nbrs[v]) for v in range(Q.n)]
+        for i, j in Q.edges:
+            succ[i].add(j)
+            succ[j].add(i)
+        return succ
+
+    if P.n <= 1:
+        return P
+    comps = P.ug_components()
+    if len(comps) > 1:
+        return Certificate("DirectedCut",
+                           {"side": [P.names[v] for v in comps[0]]})
+    for u, v in sorted(P.und_pairs):
+        seen, stack = {u}, [u]
+        while stack:
+            x = stack.pop()
+            for y in P.adj[x]:
+                if {x, y} != {u, v} and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if v not in seen:
+            return Certificate("Bridge", {"edge": [P.names[u], P.names[v]]})
+    ok, side = _bidirected_strong(doubled(P))
+    if not ok:
+        return Certificate("DirectedCut", {"side": [P.names[v] for v in side]})
+    cur = P
+    for u, v in sorted(P.edges):
+        nxt = cur.orient([(u, v)])
+        cur = nxt if _bidirected_strong(doubled(nxt))[0] else cur.orient([(v, u)])
+    return cur
+
+
+def test_strong_matches_orient_and_scc_loop():
+    pogs = [P for n in range(5) for P in all_pogs(n)]
+    rng = random.Random(29)
+    for _ in range(1500):
+        pogs.append(random_pog(rng, rng.randint(2, 10),
+                               p_adj=rng.choice((0.3, 0.5, 0.7, 0.9)),
+                               p_arc=rng.choice((0.0, 0.2, 0.5))))
+    completed = 0
+    for P in pogs:
+        got, want = complete_to_strong(P), _strong_reference(P)
+        assert type(got) is type(want), (P.edges, P.arcs)
+        if isinstance(got, Certificate):
+            assert got == want, (P.edges, P.arcs)
+        else:
+            assert got.arcs == want.arcs, (P.edges, P.arcs)
+            completed += bool(P.edges)
+    assert completed > 300
 
 
 # -- 2-SAT -----------------------------------------------------------------
@@ -248,3 +306,22 @@ def test_k_arc_strong():
     D = Pog(names(5), frozenset(), frozenset(arcs))
     assert is_k_arc_strong(D, 2)
     assert not is_k_arc_strong(D, 3)
+
+
+def test_k_arc_strong_matches_all_pairs_definition():
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        p = rng.choice((0.4, 0.6, 0.8))
+        arcs = set()
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                arcs.add((i, j) if rng.random() < 0.5 else (j, i))
+        D = Pog(names(n), frozenset(), frozenset(arcs))
+        for k in (1, 2, 3):
+            want = all(_max_flow(D, s, t, k) >= k
+                       for s in range(n) for t in range(n) if s != t)
+            assert is_k_arc_strong(D, k) == want, (sorted(arcs), k)
+            verdicts.add((k, want))
+    assert verdicts == {(k, b) for k in (1, 2, 3) for b in (True, False)}

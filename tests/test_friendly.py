@@ -9,7 +9,9 @@ from pogc.friendly import (bad_triples, cells, complement_components,
                            extend_circular_arc_representation,
                            friendly_complete_graph, is_friendly,
                            proper_circular_arc_representation)
-from pogc.interval import orientation_from_representation
+from pogc.interval import (Representation, complete_to_acyclic_lt,
+                           orientation_from_representation,
+                           validate_representation)
 from pogc.pog import Certificate, Pog, _norm, classify, verify_certificate
 from util import (all_graphs, all_pogs, brute_force_completion, names,
                   random_graph, random_pog)
@@ -257,3 +259,77 @@ def test_is_friendly_matches_definition():
             refuted += 1
             assert verify_certificate(P, cert), (P.edges, P.arcs, cert)
     assert 0 < refuted < len(corpus)
+
+
+def _window(R, keep):
+    """The spans of R on the vertex names in keep, R's order kept."""
+    sub = [nm for nm in R.names if nm in keep]
+    return Representation(R.kind, tuple(sub),
+                          tuple(R.spans[R.index[nm]] for nm in sub),
+                          R.modulus)
+
+
+def _rotate(R, shift):
+    M = R.modulus
+    return Representation(R.kind, R.names, tuple(
+        ((l + shift) % M, (r + shift) % M) for l, r in R.spans), M)
+
+
+def _check_disconnected_circular(G, out, partial=None):
+    """A yes is a valid circular representation of G that keeps the
+    orientation of the partial one; a no verifies against G with that
+    orientation as arcs."""
+    P0 = G
+    if partial is not None:
+        sub = G.induced([G.index[nm] for nm in partial.names])
+        oriented = orientation_from_representation(sub, partial)
+        P0 = G.orient([(G.index[oriented.names[i]], G.index[oriented.names[j]])
+                       for i, j in oriented.arcs])
+    if isinstance(out, Certificate):
+        assert verify_certificate(P0, out), out
+        return False
+    assert out.kind == "circular"
+    validate_representation(G, out)
+    assert P0.arcs <= orientation_from_representation(G, out).arcs
+    return True
+
+
+def test_circular_on_disconnected_graphs():
+    # a component whose round order wraps, and C4 plus an isolated vertex
+    G = Pog.build(names(5), edges=[("v0", "v2"), ("v0", "v4"), ("v1", "v2")])
+    assert _check_disconnected_circular(
+        G, proper_circular_arc_representation(G))
+    c4e = Pog.build(("a", "b", "c", "d", "e"),
+                    edges=_c4().name_pairs(_c4().edges))
+    cert = proper_circular_arc_representation(c4e)
+    assert not _check_disconnected_circular(c4e, cert)
+    # a triangle laid cyclically round the circle cannot sit beside an
+    # isolated vertex
+    k3e = Pog.build(("a", "b", "c", "d"),
+                    edges=[("a", "b"), ("b", "c"), ("a", "c")])
+    cyclic = Representation("circular", ("a", "b", "c"),
+                            ((0, 3), (2, 5), (4, 1)), 6)
+    out = extend_circular_arc_representation(k3e, cyclic)
+    assert not _check_disconnected_circular(k3e, out, cyclic)
+    rng = random.Random(61)
+    seen = {True: 0, False: 0}
+    extended = 0
+    for _ in range(400):
+        G = random_graph(rng, rng.randint(2, 8), p=rng.choice((0.2, 0.35, 0.5)))
+        if len(G.ug_components()) < 2:
+            continue
+        full = proper_circular_arc_representation(G)
+        yes = _check_disconnected_circular(G, full)
+        seen[yes] += 1
+        # no exactly when some component is not proper interval
+        assert yes == all(
+            not isinstance(complete_to_acyclic_lt(G.induced(C)), Certificate)
+            for C in G.ug_components())
+        if not yes:
+            continue
+        for R in (full, _rotate(full, rng.randrange(full.modulus))):
+            keep = set(rng.sample(G.names, rng.randint(1, G.n)))
+            partial = _window(R, keep)
+            out = extend_circular_arc_representation(G, partial)
+            extended += _check_disconnected_circular(G, out, partial)
+    assert seen[True] > 50 and seen[False] > 20 and extended > 100

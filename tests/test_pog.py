@@ -7,7 +7,7 @@ import pytest
 from pogc.errors import InvariantError, ParseError
 from pogc.pog import (Certificate, Ordering, Pog, classify, complete_closure,
                       find_directed_cycle, parse_ordering, parse_pog,
-                      render_pog, verify_certificate)
+                      render_pog, topological_order, verify_certificate)
 from util import names, random_pog
 
 
@@ -133,6 +133,18 @@ def test_find_directed_cycle():
     assert cyc is not None and len(cyc) == 3
     D2 = Pog.build(("a", "b", "c"), arcs=[("a", "b"), ("b", "c")])
     assert find_directed_cycle(D2) is None
+
+
+def test_topological_order_smallest_ready_first():
+    succ = {0: [3], 1: [3], 2: [0], 3: [], 4: [1], 5: [2]}
+    assert topological_order(range(6), succ.__getitem__) == [4, 1, 5, 2, 0, 3]
+    # successors outside the vertex set are ignored
+    assert topological_order([3, 0, 1], succ.__getitem__) == [0, 1, 3]
+    assert topological_order([], succ.__getitem__) == []
+    succ[3] = [5]  # 5 -> 2 -> 0 -> 3 -> 5
+    assert topological_order(range(6), succ.__getitem__) is None
+    # ... but only on verts: without 5 and 2 the cycle is gone
+    assert topological_order([0, 1, 3, 4], succ.__getitem__) == [0, 4, 1, 3]
 
 
 def test_complete_closure():
