@@ -250,8 +250,6 @@ def _complete_via_aux(P, X):
         return D
     if D.edges:
         raise InvariantError("aux completion left an edge unoriented")
-    rep = classify(D)
-    ok = rep.local_tournament if X.mode == "local_tournament" else rep.quasi_transitive
-    if not ok:
+    if not getattr(classify(D), X.mode):  # modes are named after their class
         raise InvariantError("aux completion fell outside the target class")
     return D

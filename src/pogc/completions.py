@@ -9,8 +9,9 @@ bounded exhaustive search with a bipartite matching oracle.
 from __future__ import annotations
 
 from .errors import InvariantError, SizeGuardError
-from .pog import (Certificate, _norm, _separates, bfs_path, classify,
-                  find_directed_cycle, require_oriented, topological_order)
+from .pog import (Certificate, _first_nonadjacent_pair, _norm, _separates,
+                  bfs_path, classify, find_directed_cycle, require_oriented,
+                  topological_order)
 
 
 # -- transitive tournaments --------------------------------------------
@@ -19,21 +20,17 @@ from .pog import (Certificate, _norm, _separates, bfs_path, classify,
 def complete_to_transitive_tournament(P):
     """Complete a partially oriented complete graph to a transitive
     tournament, or return a certificate."""
-    for u in range(P.n):
-        for v in range(u + 1, P.n):
-            if not P.adjacent(u, v):
-                return Certificate("NonAdjacentPair",
-                                   {"pair": [P.names[u], P.names[v]]})
-    cyc = find_directed_cycle(P)
-    if cyc is not None:
-        return Certificate("DirectedCycle", {"cycle": [P.names[v] for v in cyc]})
+    pair = _first_nonadjacent_pair(P, range(P.n))
+    if pair is not None:
+        return Certificate("NonAdjacentPair",
+                           {"pair": [P.names[v] for v in pair]})
     order = topological_order(range(P.n), P.out_nbrs.__getitem__)
     if order is None:
-        raise InvariantError("arc digraph is not acyclic")
+        cyc = find_directed_cycle(P)
+        return Certificate("DirectedCycle", {"cycle": [P.names[v] for v in cyc]})
     pos = {v: k for k, v in enumerate(order)}
     D = P.orient([(u, v) if pos[u] < pos[v] else (v, u) for u, v in P.edges])
-    rep = classify(D)
-    if not rep.transitive_tournament:
+    if not classify(D).transitive_tournament:
         raise InvariantError("completion is not a transitive tournament")
     return D
 

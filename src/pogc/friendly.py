@@ -16,12 +16,11 @@ from .auxgraph import (_arc_classes, _complete_via_aux, build_aux,
                        consentaneous_closure, two_colour)
 from .errors import (InvariantError, NotFriendlyError, NotInClassError,
                      UnsupportedInstanceError)
-from .interval import (complete_to_acyclic_lt,
-                       orientation_from_representation,
-                       representation_from_orientation,
-                       validate_representation)
-from .pog import Certificate, Pog, _components, _norm, classify, \
-    find_directed_cycle, topological_order
+from .interval import (_orient_window, complete_to_acyclic_lt,
+                       representation_from_orientation)
+from .pog import Certificate, Pog, _components, _first_nonadjacent_pair, \
+    _neighbourhood_cycle, _norm, classify, find_directed_cycle, \
+    topological_order
 from .rounds import merge_ltt
 
 
@@ -107,14 +106,13 @@ def forbidden_cycle(P):
             return Certificate("DirectedCycle", {
                 "cycle": [P.names[v] for v in cyc],
                 "location": {"kind": "cell"}})
-    for v in range(P.n):
-        for side, hood in (("out", P.out_nbrs[v]), ("in", P.in_nbrs[v])):
-            cyc = find_directed_cycle(P, within=hood)
-            if cyc is not None:
-                return Certificate("DirectedCycle", {
-                    "cycle": [P.names[x] for x in cyc],
-                    "location": {"kind": side, "vertex": P.names[v]}})
-    return None
+    found = _neighbourhood_cycle(P)
+    if found is None:
+        return None
+    cyc, v, side = found
+    return Certificate("DirectedCycle", {
+        "cycle": [P.names[x] for x in cyc],
+        "location": {"kind": side, "vertex": P.names[v]}})
 
 
 def complete_cells(P):
@@ -126,14 +124,12 @@ def complete_cells(P):
     for k, cell in enumerate(cs):
         if k == universal or len(cell) < 2:
             continue
-        cyc = find_directed_cycle(P, within=cell)
-        if cyc is not None:
+        order = topological_order(cell, P.out_nbrs.__getitem__)
+        if order is None:
+            cyc = find_directed_cycle(P, within=cell)
             return Certificate("DirectedCycle", {
                 "cycle": [P.names[v] for v in cyc],
                 "location": {"kind": "cell"}})
-        order = topological_order(cell, P.out_nbrs.__getitem__)
-        if order is None:
-            raise InvariantError("cell digraph is not acyclic")
         for s in range(len(order)):
             for t in range(s + 1, len(order)):
                 if _norm(order[s], order[t]) in P.edges:
@@ -145,8 +141,7 @@ def complete_cells(P):
 
 
 def _verified(P, D):
-    rep = classify(D)
-    if not (D.is_oriented() and rep.locally_transitive):
+    if not (D.is_oriented() and classify(D).locally_transitive):
         raise InvariantError("completion is not locally transitive")
     if not P.arcs <= D.arcs:
         raise InvariantError("completion dropped an input arc")
@@ -160,10 +155,8 @@ def friendly_complete_graph(P):
     ok, cert = is_friendly(P)
     if not ok:
         raise NotFriendlyError("pog is not friendly", cert)
-    for u in range(P.n):
-        for v in range(u + 1, P.n):
-            if not P.adjacent(u, v):
-                raise NotInClassError("underlying graph is not complete")
+    if _first_nonadjacent_pair(P, range(P.n)) is not None:
+        raise NotInClassError("underlying graph is not complete")
     cert = forbidden_cycle(P)
     if cert is not None:
         return cert
@@ -176,12 +169,10 @@ def _merge_arc_parts(P):
     if P.n == 0:
         return P
     # arc-connectivity parts; friendliness makes each a tournament
-    parts = Pog(P.names, frozenset(), P.arcs).ug_components()
-    for g in parts:
-        for s in range(len(g)):
-            for t in range(s + 1, len(g)):
-                if _norm(g[s], g[t]) in P.edges:
-                    raise InvariantError("arc part is not a tournament")
+    A = Pog(P.names, frozenset(), P.arcs)
+    parts = A.ug_components()
+    if any(_first_nonadjacent_pair(A, g) is not None for g in parts):
+        raise InvariantError("arc part is not a tournament")
     T = P.induced(parts[0])
     for g in parts[1:]:
         T = merge_ltt(T, P.induced(g))
@@ -217,7 +208,7 @@ def _complete_friendly(P, X):
     col = two_colour(X)
     if isinstance(col, Certificate):
         return col
-    if all(P.adjacent(u, v) for u in range(P.n) for v in range(u + 1, P.n)):
+    if _first_nonadjacent_pair(P, range(P.n)) is None:
         return _merge_arc_parts(P)
 
     P1 = complete_cells(P)
@@ -330,22 +321,13 @@ def extend_circular_arc_representation(G, partial=None):
     is plain recognition."""
     if partial is None or not partial.names:
         return proper_circular_arc_representation(G)
-    missing = set(partial.names) - set(G.names)
-    if missing:
-        raise InvariantError("unknown vertex %s" % sorted(missing)[0])
-    hverts = [G.index[v] for v in partial.names]
-    hset = set(hverts)
+    P0 = _orient_window(G, partial)
+    hset = {G.index[v] for v in partial.names}
     for C in complement_components(G):
         if not (set(C) & hset):
             raise UnsupportedInstanceError(
                 "complement component containing %s has no represented vertex"
                 % G.names[C[0]])
-    sub = G.underlying_graph().induced(hverts)
-    validate_representation(sub, partial)
-    oriented = orientation_from_representation(sub, partial)
-    arcs = {(G.index[oriented.names[i]], G.index[oriented.names[j]])
-            for i, j in oriented.arcs}
-    P0 = G.underlying_graph().orient(arcs)
     if len(G.ug_components()) > 1:
         D = complete_to_acyclic_lt(P0)  # as in recognition
     else:
@@ -363,6 +345,6 @@ def extend_circular_arc_representation(G, partial=None):
                                  % exc.certificate.tag) from None
     if isinstance(D, Certificate):
         return D
-    if not frozenset(arcs) <= D.arcs:
+    if not P0.arcs <= D.arcs:
         raise InvariantError("completion dropped an induced-orientation arc")
     return representation_from_orientation(D, "circular")

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .errors import (InvariantError, NotInClassError, NotSatisfyingError,
                      ParseError, SizeGuardError, UnsupportedInstanceError)
-from .pog import (Certificate, Ordering, Pog, _reach, classify,
-                  complete_closure, find_directed_cycle, require_oriented,
-                  topological_order)
+from .pog import (Certificate, Ordering, Pog, _first_nonadjacent_pair,
+                  _neighbourhood_cycle, _reach, classify, complete_closure,
+                  require_oriented, topological_order)
 from .rounds import (check_ordering, complete_under_excellent,
                      find_round_ordering, round_to_ltt, saturate_to_round_lt)
 
@@ -262,11 +262,10 @@ def _check_reduction(R, n, m):
     for wa, wb in itertools.combinations(wheels, 2):
         if wa & wb:
             raise InvariantError("wheels share a vertex after identification")
-    for v in range(H.n):
-        for side in (H.out_nbrs[v], H.in_nbrs[v]):
-            if find_directed_cycle(H, within=side) is not None:
-                raise InvariantError("neighbourhood of %s is not acyclic"
-                                     % H.names[v])
+    found = _neighbourhood_cycle(H)
+    if found is not None:
+        raise InvariantError("neighbourhood of %s is not acyclic"
+                             % H.names[found[1]])
 
 
 def orient_by_assignment(R, t):
@@ -407,28 +406,26 @@ def _assignments_near(t, n):
 # -- exact backtracking solver -------------------------------------------
 
 
-def _leaf_ok(target, rep):
-    if target == "ltt":
-        return rep.tournament and rep.locally_transitive
-    if target == "ltlt":
-        return rep.local_tournament and rep.locally_transitive
-    if target == "local_tournament":
-        return rep.local_tournament
-    if target == "acyclic_local_tournament":
-        return rep.acyclic_local_tournament
-    if target == "in_tournament":
-        return rep.in_tournament
-    if target == "quasi_transitive":
-        return rep.quasi_transitive
-    raise ValueError("unknown target %r" % target)
+# exact-search target -> the PropertyReport property every completion it
+# finds must have ("locally_transitive" already implies "local_tournament")
+_LEAF_PROPERTY = {
+    "ltt": "locally_transitive_tournament",
+    "ltlt": "locally_transitive",
+    "local_tournament": "local_tournament",
+    "acyclic_local_tournament": "acyclic_local_tournament",
+    "in_tournament": "in_tournament",
+    "quasi_transitive": "quasi_transitive",
+}
 
 
 def _search_completions(P, target, want_all, limit):
     """All (or the first `limit`) orientations of P's edges inside the
     target class, as sorted arc frozensets.  Exhaustive backtracking,
     most-constrained edge first, leaf-verified by classify."""
-    if target == "ltt" and P.und_pairs != frozenset(
-            (i, j) for i in range(P.n) for j in range(i + 1, P.n)):
+    prop = _LEAF_PROPERTY.get(target)
+    if prop is None:
+        raise ValueError("unknown target %r" % target)
+    if target == "ltt" and _first_nonadjacent_pair(P, range(P.n)) is not None:
         return []
     n = P.n
     out = [set(P.out_nbrs[v]) for v in range(n)]
@@ -490,7 +487,7 @@ def _search_completions(P, target, want_all, limit):
         if len(chosen) == len(edges):
             D = Pog(P.names, frozenset(),
                     P.arcs | frozenset(chosen))
-            if _leaf_ok(target, classify(D)):
+            if getattr(classify(D), prop):
                 found.append(frozenset(D.arcs))
                 if not want_all and limit is None:
                     return True
@@ -611,8 +608,7 @@ def ordering_to_ltt(P, O):
 
 def ltt_to_ordering(T):
     """Excellent ordering read off a locally transitive tournament."""
-    rep = classify(T)
-    if not (rep.tournament and rep.locally_transitive):
+    if not classify(T).locally_transitive_tournament:
         raise NotInClassError("not a locally transitive tournament")
     O = find_round_ordering(T)
     if O is None:

@@ -354,8 +354,7 @@ def complete_to_acyclic_lt(P):
     # first by the positions of both endpoints
     D = _orient_classes(closed, X,
                         fill=lambda pair: (O.pos[pair[0]], O.pos[pair[1]]))
-    rep = classify(D)
-    if not (rep.acyclic and rep.local_tournament):
+    if not classify(D).acyclic_local_tournament:
         cert = find_proper_interval_obstruction(P)
         if cert is None:
             raise InvariantError("colouring failed on a proper interval graph")
@@ -397,7 +396,7 @@ def representation_from_orientation(D, kind):
     require_oriented(D)
     rep = classify(D)
     if kind == "interval":
-        if not (rep.acyclic and rep.local_tournament):
+        if not rep.acyclic_local_tournament:
             raise NotInClassError("not an acyclic local tournament")
         seq = _linear_order(D)
         pos = {v: t for t, v in enumerate(seq)}
@@ -427,30 +426,34 @@ def representation_from_orientation(D, kind):
     else:
         raise ValueError("kind must be interval or circular")
     try:
-        validate_representation(D, R)
+        back = orientation_from_representation(D, R)
     except RepresentationError as exc:
         raise InvariantError("constructed representation is invalid: %s" % exc)
-    back = orientation_from_representation(D, R)
     if back.arcs != D.arcs:
         raise InvariantError("representation does not induce the orientation")
     return R
+
+
+def _orient_window(G, partial):
+    """UG(G) with, as arcs, the orientation that a partial representation
+    induces on the vertices it names.  Raises RepresentationError when it
+    names an unknown vertex or does not represent the subgraph they
+    induce."""
+    missing = set(partial.names) - set(G.names)
+    if missing:
+        raise RepresentationError("unknown vertex %s" % sorted(missing)[0])
+    U = G.underlying_graph()
+    window = orientation_from_representation(
+        U.induced([G.index[v] for v in partial.names]), partial)
+    return U.orient([(G.index[window.names[i]], G.index[window.names[j]])
+                     for i, j in window.arcs])
 
 
 def extend_interval_representation(G, partial):
     """Extend a proper interval representation of an induced subgraph to
     the whole graph, matching it at the orientation level.  Returns a
     Representation or a refuting certificate."""
-    missing = set(partial.names) - set(G.names)
-    if missing:
-        raise RepresentationError("unknown vertex %s" % sorted(missing)[0])
-    hverts = [G.index[v] for v in partial.names]
-    sub = G.underlying_graph().induced(hverts)
-    validate_representation(sub, partial)
-    oriented = orientation_from_representation(sub, partial)
-    arcs = {(G.index[oriented.names[i]], G.index[oriented.names[j]])
-            for i, j in oriented.arcs}
-    P = G.underlying_graph().orient(arcs)
-    D = complete_to_acyclic_lt(P)
+    D = complete_to_acyclic_lt(_orient_window(G, partial))
     if isinstance(D, Certificate):
         return D
     return representation_from_orientation(D, "interval")

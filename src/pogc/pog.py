@@ -297,27 +297,6 @@ def render_ordering(O, P):
 # -- classification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    oriented: bool
-    tournament: bool
-    local_tournament: bool
-    locally_transitive: bool   # locally transitive local tournament
-    in_tournament: bool
-    quasi_transitive: bool
-    acyclic: bool
-    strong: bool
-    witnesses: dict
-
-    @property
-    def transitive_tournament(self):
-        return self.tournament and self.acyclic
-
-    @property
-    def acyclic_local_tournament(self):
-        return self.local_tournament and self.acyclic
-
-
 def find_directed_cycle(P, within=None):
     """Return a directed cycle of the arc digraph as a vertex list, or
     None.  `within` restricts to an induced vertex subset."""
@@ -394,92 +373,154 @@ def topological_order(verts, succ):
 
 
 def _first_nonadjacent_pair(P, members):
-    for x in sorted(members):
-        for y in sorted(members):
-            if x < y and not P.adjacent(x, y):
+    """The lexicographically smallest pair x < y of members that is not
+    adjacent in UG(P), or None."""
+    ms = sorted(members)
+    for s, x in enumerate(ms):
+        for y in ms[s + 1:]:
+            if y not in P.adj[x]:
                 return x, y
     return None
 
 
-def classify(P):
-    """One-pass membership report with lexicographically smallest
-    witnesses for every failed property.
+def _neighbourhoods(P):
+    """(v, side, N^side(v)) for every vertex v in order, out side first."""
+    for v in range(P.n):
+        yield v, "out", P.out_nbrs[v]
+        yield v, "in", P.in_nbrs[v]
 
-    Neighbourhood checks use underlying-graph adjacency; strongness is
-    judged on the arcs alone.
+
+def _neighbourhood_cycle(P):
+    """The first directed cycle inside an out- or in-neighbourhood (in
+    _neighbourhoods order) as (cycle, v, side), or None."""
+    for v, side, hood in _neighbourhoods(P):
+        cyc = find_directed_cycle(P, within=hood)
+        if cyc is not None:
+            return cyc, v, side
+    return None
+
+
+class _Check:
+    """A PropertyReport property: True when `check(report)` finds no
+    witness.  The check runs on the first read and its witness is kept."""
+
+    def __init__(self, check):
+        self.check, self.name = check, check.__name__
+
+    def __get__(self, rep, owner=None):
+        return self if rep is None else rep._witness(self.name) is None
+
+
+class PropertyReport:
+    """Class membership of one pog, each property judged on first read.
+
+    Each check returns the lexicographically smallest witness against
+    its property (vertex names), or None.  Neighbourhood checks use
+    underlying-graph adjacency; strongness is judged on the arcs alone.
     """
-    wit = {}
-    oriented = P.is_oriented()
-    if not oriented:
-        i, j = min(P.edges)
-        wit["oriented"] = (P.names[i], P.names[j])
 
-    tournament = oriented
-    if oriented:
-        pair = _first_nonadjacent_pair(P, range(P.n))
-        if pair is not None:
-            tournament = False
-            wit["tournament"] = (P.names[pair[0]], P.names[pair[1]])
-    else:
-        wit["tournament"] = wit["oriented"]
+    __slots__ = ("P", "_found")
+    PROPERTIES = ("oriented", "tournament", "local_tournament",
+                  "locally_transitive", "in_tournament", "quasi_transitive",
+                  "acyclic", "strong")
 
-    local_tournament = True
-    for v in range(P.n):
-        for side, members in (("out", P.out_nbrs[v]), ("in", P.in_nbrs[v])):
-            pair = _first_nonadjacent_pair(P, members)
+    def __init__(self, P):
+        self.P = P
+        self._found = {}  # property name -> witness or None
+
+    def _witness(self, name):
+        if name not in self._found:
+            self._found[name] = getattr(PropertyReport, name).check(self)
+        return self._found[name]
+
+    def _names(self, verts):
+        return tuple(self.P.names[v] for v in verts)
+
+    @property
+    def witnesses(self):
+        """Witness against every failed property; runs every check."""
+        return {name: self._witness(name) for name in self.PROPERTIES
+                if not getattr(self, name)}
+
+    @_Check
+    def oriented(self):
+        return self._names(min(self.P.edges)) if self.P.edges else None
+
+    @_Check
+    def tournament(self):
+        if not self.oriented:
+            return self._witness("oriented")
+        pair = _first_nonadjacent_pair(self.P, range(self.P.n))
+        return None if pair is None else self._names(pair)
+
+    @_Check
+    def local_tournament(self):
+        for v, side, hood in _neighbourhoods(self.P):
+            pair = _first_nonadjacent_pair(self.P, hood)
             if pair is not None:
-                local_tournament = False
-                wit["local_tournament"] = (
-                    P.names[pair[0]], P.names[pair[1]], P.names[v], side)
-                break
-        if not local_tournament:
-            break
+                return self._names(pair + (v,)) + (side,)
+        return None
 
-    locally_transitive = local_tournament
-    if not local_tournament:
-        wit["locally_transitive"] = wit["local_tournament"]
-    else:
-        for v in range(P.n):
-            for side, members in (("out", P.out_nbrs[v]), ("in", P.in_nbrs[v])):
-                cyc = find_directed_cycle(P, within=members)
-                if cyc is not None:
-                    locally_transitive = False
-                    wit["locally_transitive"] = (
-                        tuple(P.names[x] for x in cyc), P.names[v], side)
-                    break
-            if not locally_transitive:
-                break
+    @_Check
+    def locally_transitive(self):  # locally transitive local tournament
+        if not self.local_tournament:
+            return self._witness("local_tournament")
+        found = _neighbourhood_cycle(self.P)
+        if found is None:
+            return None
+        cyc, v, side = found
+        return self._names(cyc), self.P.names[v], side
 
-    in_tournament = True
-    for v in range(P.n):
-        pair = _first_nonadjacent_pair(P, P.in_nbrs[v])
-        if pair is not None:
-            in_tournament = False
-            wit["in_tournament"] = (P.names[pair[0]], P.names[pair[1]], P.names[v])
-            break
+    @_Check
+    def in_tournament(self):
+        for v in range(self.P.n):
+            pair = _first_nonadjacent_pair(self.P, self.P.in_nbrs[v])
+            if pair is not None:
+                return self._names(pair + (v,))
+        return None
 
-    quasi_transitive = True
-    for x, y in sorted(P.arcs):
-        for z in sorted(P.out_nbrs[y]):
-            if z != x and not P.adjacent(x, z):
-                quasi_transitive = False
-                wit["quasi_transitive"] = (P.names[x], P.names[y], P.names[z])
-                break
-        if not quasi_transitive:
-            break
+    @_Check
+    def quasi_transitive(self):
+        P = self.P
+        for x, y in sorted(P.arcs):
+            for z in sorted(P.out_nbrs[y]):
+                if z != x and not P.adjacent(x, z):
+                    return self._names((x, y, z))
+        return None
 
-    cyc = find_directed_cycle(P)
-    acyclic = cyc is None
-    if not acyclic:
-        wit["acyclic"] = tuple(P.names[x] for x in cyc)
+    @_Check
+    def acyclic(self):
+        cyc = find_directed_cycle(self.P)
+        return None if cyc is None else self._names(cyc)
 
-    strong, sw = _strong_witness(P)
-    if sw is not None:
-        wit["strong"] = sw
+    @_Check
+    def strong(self):
+        """The smallest pair (s, t) such that s does not reach t.  A
+        vertex that reaches 0 reaches everything 0 does, so s is 0 or
+        else the smallest vertex that cannot reach 0, and then t is 0."""
+        P = self.P
+        if P.n <= 1:
+            return None
+        everyone = set(range(P.n))
+        missed = everyone - _reach(P.out_nbrs.__getitem__, 0)
+        if missed:
+            return self._names((0, min(missed)))
+        stuck = everyone - _reach(P.in_nbrs.__getitem__, 0)
+        if stuck:
+            return self._names((min(stuck), 0))
+        return None
 
-    return PropertyReport(oriented, tournament, local_tournament,
-                          locally_transitive, in_tournament,
-                          quasi_transitive, acyclic, strong, wit)
+    transitive_tournament = property(lambda r: r.tournament and r.acyclic)
+    locally_transitive_tournament = property(
+        lambda r: r.tournament and r.locally_transitive)
+    acyclic_local_tournament = property(
+        lambda r: r.local_tournament and r.acyclic)
+
+
+def classify(P):
+    """Membership report of P; each property is judged when first read
+    and `witnesses` runs them all."""
+    return PropertyReport(P)
 
 
 def _reach(nbrs, s):
@@ -515,23 +556,6 @@ def _separates(nbrs, u, v):
     return v not in _reach(
         lambda x: [y for y in nbrs(x) if y not in pair] if x in pair
         else nbrs(x), u)
-
-
-def _strong_witness(P):
-    """Strongness on the arcs alone, with the lexicographically smallest
-    pair (s, t) such that s does not reach t.  A vertex that reaches 0
-    reaches everything 0 does, so s is 0 or else the smallest vertex
-    that cannot reach 0, and then t is 0."""
-    if P.n <= 1:
-        return True, None
-    everyone = set(range(P.n))
-    missed = everyone - _reach(P.out_nbrs.__getitem__, 0)
-    if missed:
-        return False, (P.names[0], P.names[min(missed)])
-    stuck = everyone - _reach(P.in_nbrs.__getitem__, 0)
-    if stuck:
-        return False, (P.names[min(stuck)], P.names[0])
-    return True, None
 
 
 def require_oriented(P):
@@ -692,8 +716,8 @@ def _verify(P, cert):
                 from .completions import complete_to_cycle_factor_bruteforce
                 res = complete_to_cycle_factor_bruteforce(P)
                 return isinstance(res, Certificate)
-            from .hardness import exact_complete
-            return exact_complete(P, target) is None
+            from .hardness import _LEAF_PROPERTY, exact_complete
+            return target in _LEAF_PROPERTY and exact_complete(P, target) is None
         return False
 
     return False

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, NotInClassError, NotRoundError
-from .pog import Ordering, Pog, classify, require_oriented
+from .pog import Ordering, Pog, _first_nonadjacent_pair, classify, \
+    require_oriented
 
 ORDER_KINDS = ("round", "excellent", "nice")
 
@@ -267,14 +268,13 @@ def _complete_component_to_ltt(sub):
     a non-neighbour to its nearest one and re-saturating."""
     cur = sub
     while True:
-        missing = [(v, w) for v in range(cur.n) for w in range(cur.n)
-                   if v < w and not cur.adjacent(v, w)]
-        if not missing:
+        missing = _first_nonadjacent_pair(cur, range(cur.n))
+        if missing is None:
             return cur
         O = find_round_ordering(cur)
         if O is None:
             raise InvariantError("intermediate digraph lost roundness")
-        v1 = min(v for v, w in missing)
+        v1 = missing[0]
         rot = O.seq[O.seq.index(v1):] + O.seq[:O.seq.index(v1)]
         target = next(w for w in rot if w != v1 and not cur.adjacent(v1, w))
         nxt = Pog(cur.names, cur.edges, cur.arcs | {(v1, target)})
@@ -297,8 +297,7 @@ def round_to_ltt(D):
         T = merge_ltt(T, nxt)
     arcs = frozenset((D.index[T.names[i]], D.index[T.names[j]]) for i, j in T.arcs)
     out = Pog(D.names, frozenset(), arcs)
-    rep = classify(out)
-    if not (rep.tournament and rep.locally_transitive):
+    if not classify(out).locally_transitive_tournament:
         raise InvariantError("completion is not a locally transitive tournament")
     if not D.arcs <= out.arcs:
         raise InvariantError("completion dropped an input arc")
@@ -315,8 +314,7 @@ class MoonDecomposition:
 
 
 def _require_ltt(T, what):
-    rep = classify(T)
-    if not (rep.tournament and rep.locally_transitive):
+    if not classify(T).locally_transitive_tournament:
         raise NotInClassError("%s is not a locally transitive tournament" % what)
 
 
@@ -432,8 +430,7 @@ def _frame_cycle(dec):
 
 
 def _require_merge_ok(T, T1, T2):
-    rep = classify(T)
-    if not (rep.tournament and rep.locally_transitive):
+    if not classify(T).locally_transitive_tournament:
         raise InvariantError("merge is not a locally transitive tournament")
     for part in (T1, T2):
         sub = T.induced([T.index[v] for v in part.names])

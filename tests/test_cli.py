@@ -259,6 +259,14 @@ def test_extend_rep_circular(w, capsys):
         assert verify_certificate(parse_pog(C4), cert)
 
 
+def test_extend_rep_unknown_vertex(w, capsys):
+    g = w("g", C4)
+    for kind, line in (("interval", "iv zz 0 1\n"), ("circular", "ca zz 0 1 8\n")):
+        assert run(["extend-rep", "--kind", kind, g, w("p", line)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: unknown vertex zz\n"
+
+
 # -- reduce-3sat -------------------------------------------------------------------
 
 
@@ -323,3 +331,9 @@ def test_verify_cert_garbage(w, capsys):
             "witness": None}}))
         assert run(["verify-cert", g, c]) == 1
         assert capsys.readouterr().out.strip() == "invalid"
+    # an exhausted search for a target the exact search does not take
+    g = w("g3", "edge a b\nedge b c\narc c a\n")
+    c = w("cert3", json.dumps({"tag": "NoCompletion", "payload": {
+        "kind": "exhausted", "target": "excellent_ordering"}}))
+    assert run(["verify-cert", g, c]) == 1
+    assert capsys.readouterr().out.strip() == "invalid"

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from pogc import pog as pog_module
 from pogc.errors import InvariantError, ParseError
 from pogc.pog import (Certificate, Ordering, Pog, classify, complete_closure,
                       find_directed_cycle, parse_ordering, parse_pog,
                       render_pog, topological_order, verify_certificate)
-from util import names, random_pog
+from util import all_pogs, names, random_pog
 
 
 def test_parse_single_edge():
@@ -235,3 +236,136 @@ def test_classify_strong_witness_matches_all_roots_scan():
         assert rep.strong == (want is None)
         strong += rep.strong
     assert strong > 100
+
+
+def _pair_reference(P, members):
+    for x in sorted(members):
+        for y in sorted(members):
+            if x < y and not P.adjacent(x, y):
+                return x, y
+    return None
+
+
+def _eager_classify(P):
+    """The one-pass classify that computed every property and witness on
+    each call, kept as the reference for the lazy report."""
+    wit = {}
+    oriented = P.is_oriented()
+    if not oriented:
+        i, j = min(P.edges)
+        wit["oriented"] = (P.names[i], P.names[j])
+
+    tournament = oriented
+    if oriented:
+        pair = _pair_reference(P, range(P.n))
+        if pair is not None:
+            tournament = False
+            wit["tournament"] = (P.names[pair[0]], P.names[pair[1]])
+    else:
+        wit["tournament"] = wit["oriented"]
+
+    local_tournament = True
+    for v in range(P.n):
+        for side, members in (("out", P.out_nbrs[v]), ("in", P.in_nbrs[v])):
+            pair = _pair_reference(P, members)
+            if pair is not None:
+                local_tournament = False
+                wit["local_tournament"] = (
+                    P.names[pair[0]], P.names[pair[1]], P.names[v], side)
+                break
+        if not local_tournament:
+            break
+
+    locally_transitive = local_tournament
+    if not local_tournament:
+        wit["locally_transitive"] = wit["local_tournament"]
+    else:
+        for v in range(P.n):
+            for side, members in (("out", P.out_nbrs[v]), ("in", P.in_nbrs[v])):
+                cyc = find_directed_cycle(P, within=members)
+                if cyc is not None:
+                    locally_transitive = False
+                    wit["locally_transitive"] = (
+                        tuple(P.names[x] for x in cyc), P.names[v], side)
+                    break
+            if not locally_transitive:
+                break
+
+    in_tournament = True
+    for v in range(P.n):
+        pair = _pair_reference(P, P.in_nbrs[v])
+        if pair is not None:
+            in_tournament = False
+            wit["in_tournament"] = (P.names[pair[0]], P.names[pair[1]], P.names[v])
+            break
+
+    quasi_transitive = True
+    for x, y in sorted(P.arcs):
+        for z in sorted(P.out_nbrs[y]):
+            if z != x and not P.adjacent(x, z):
+                quasi_transitive = False
+                wit["quasi_transitive"] = (P.names[x], P.names[y], P.names[z])
+                break
+        if not quasi_transitive:
+            break
+
+    cyc = find_directed_cycle(P)
+    acyclic = cyc is None
+    if not acyclic:
+        wit["acyclic"] = tuple(P.names[x] for x in cyc)
+
+    sw = _strong_reference(P)
+    if sw is not None:
+        wit["strong"] = sw
+
+    return {"oriented": oriented, "tournament": tournament,
+            "local_tournament": local_tournament,
+            "locally_transitive": locally_transitive,
+            "in_tournament": in_tournament,
+            "quasi_transitive": quasi_transitive, "acyclic": acyclic,
+            "strong": sw is None,
+            "transitive_tournament": tournament and acyclic,
+            "locally_transitive_tournament": tournament and locally_transitive,
+            "acyclic_local_tournament": local_tournament and acyclic,
+            "witnesses": wit}
+
+
+def test_lazy_report_matches_eager_reference():
+    rng = random.Random(61)
+    pogs = [P for n in range(5) for P in all_pogs(n)]
+    assert len(pogs) == 4166
+    for _ in range(5000):
+        pogs.append(random_pog(rng, rng.randint(5, 9),
+                               p_adj=rng.choice((0.5, 0.8, 1.0)),
+                               p_arc=rng.choice((0.7, 0.9, 1.0))))
+    for P in pogs:
+        want = _eager_classify(P)
+        rep = classify(P)
+        keys = list(want)
+        rng.shuffle(keys)
+        for key in keys:
+            assert getattr(rep, key) == want[key], (key, P)
+        assert list(rep.witnesses) == list(want["witnesses"])
+
+
+def test_report_reads_only_what_it_asks_for(monkeypatch):
+    calls = []
+    real = pog_module.find_directed_cycle
+
+    def counting(P, within=None):
+        calls.append(within)
+        return real(P, within)
+
+    monkeypatch.setattr(pog_module, "find_directed_cycle", counting)
+    # transitive tournament on 4 vertices: every check but strong passes
+    T = Pog.build(names(4), arcs=[("v%d" % i, "v%d" % j)
+                                  for i in range(4) for j in range(i + 1, 4)])
+    rep = classify(T)
+    assert rep.local_tournament and rep.tournament and rep.strong is False
+    assert calls == []
+    assert rep.acyclic and rep.acyclic  # the second read is cached
+    assert calls == [None]
+    assert rep.locally_transitive_tournament
+    assert len(calls) == 1 + 2 * T.n
+    assert rep.witnesses == {"strong": ("v1", "v0")}
+    assert len(calls) == 1 + 2 * T.n
