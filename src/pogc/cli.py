@@ -18,15 +18,13 @@ from .completions import (complete_to_cycle_factor_bruteforce,
 from .errors import (NotFriendlyError, NotInClassError, NotRoundError,
                      NotSatisfyingError, ParseError, RepresentationError,
                      SizeGuardError, UnsupportedInstanceError)
-from .friendly import (extend_circular_arc_representation,
-                       proper_circular_arc_representation)
+from .friendly import extend_circular_arc_representation
 from .hardness import (assignment_to_ordering, build_reduction,
                        exact_complete, no_completion_certificate,
                        parse_dimacs)
 from .interval import (_find_hole, check_peo, complete_to_acyclic_lt,
                        extend_interval_representation, lbfs,
-                       parse_representation, render_representation,
-                       representation_from_orientation)
+                       parse_representation, render_representation)
 from .pog import (Certificate, parse_pog, parse_ordering, render_ordering,
                   render_pog, verify_certificate)
 from .rounds import check_ordering
@@ -59,9 +57,19 @@ def _arc_names(D):
     return sorted([D.names[i], D.names[j]] for i, j in D.arcs)
 
 
-def _rep_obj(R):
-    return {"kind": R.kind, "modulus": R.modulus,
-            "spans": {nm: list(sp) for nm, sp in zip(R.names, R.spans)}}
+_REPRESENTERS = {"interval": extend_interval_representation,
+                 "circular": extend_circular_arc_representation}
+
+
+def _emit_representation(args, obj, res):
+    if isinstance(res, Certificate):
+        return _emit_certificate(args, obj, res)
+    obj["status"] = "yes"
+    obj["representation"] = {
+        "kind": res.kind, "modulus": res.modulus,
+        "spans": {nm: list(sp) for nm, sp in zip(res.names, res.spans)}}
+    _emit(args, obj, render_representation(res))
+    return 0
 
 
 # -- complete -------------------------------------------------------------
@@ -109,9 +117,10 @@ def _cmd_complete(args):
 
 
 def _cmd_recognize(args):
-    G = parse_pog(_read(args.file)).underlying_graph()
+    P = parse_pog(_read(args.file))
     obj = {"class": args.cls}
     if args.cls == "chordal":
+        G = P.underlying_graph()
         O = lbfs(G)
         ok, _ = check_peo(G, O)
         if ok:
@@ -122,20 +131,8 @@ def _cmd_recognize(args):
         cert = Certificate("NotChordal", {
             "kind": "hole", "vertices": [G.names[v] for v in hole]})
         return _emit_certificate(args, obj, cert)
-    if args.cls == "proper-interval":
-        res = complete_to_acyclic_lt(G)
-        if isinstance(res, Certificate):
-            return _emit_certificate(args, obj, res)
-        R = representation_from_orientation(res, "interval")
-    else:  # proper-circular-arc
-        res = proper_circular_arc_representation(G)
-        if isinstance(res, Certificate):
-            return _emit_certificate(args, obj, res)
-        R = res
-    obj["status"] = "yes"
-    obj["representation"] = _rep_obj(R)
-    _emit(args, obj, render_representation(R))
-    return 0
+    kind = "interval" if args.cls == "proper-interval" else "circular"
+    return _emit_representation(args, obj, _REPRESENTERS[kind](P))
 
 
 # -- check-ordering -------------------------------------------------------
@@ -166,17 +163,8 @@ def _cmd_check_ordering(args):
 def _cmd_extend_rep(args):
     G = parse_pog(_read(args.graph))
     partial = parse_representation(_read(args.partial))
-    if args.kind == "interval":
-        res = extend_interval_representation(G, partial)
-    else:
-        res = extend_circular_arc_representation(G, partial)
-    obj = {"class": args.kind}
-    if isinstance(res, Certificate):
-        return _emit_certificate(args, obj, res)
-    obj["status"] = "yes"
-    obj["representation"] = _rep_obj(res)
-    _emit(args, obj, render_representation(res))
-    return 0
+    return _emit_representation(args, {"class": args.kind},
+                                _REPRESENTERS[args.kind](G, partial))
 
 
 # -- reduce-3sat ----------------------------------------------------------

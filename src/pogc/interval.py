@@ -35,6 +35,10 @@ class Representation:
             raise RepresentationError("kind must be interval or circular")
         if len(self.names) != len(self.spans):
             raise RepresentationError("one span per vertex required")
+        if len(self.index) != len(self.names):
+            dup = next(v for k, v in enumerate(self.names)
+                       if self.index[v] != k)
+            raise RepresentationError("duplicate span for %s" % dup)
         if self.kind == "interval":
             for l, r in self.spans:
                 if l > r:
@@ -50,36 +54,31 @@ class Representation:
     def index(self):
         return {v: k for k, v in enumerate(self.names)}
 
+    def _off(self, k, x):
+        """Distance from the start of span k to point x: along the line,
+        or clockwise round the circle."""
+        d = x - self.spans[k][0]
+        return d % self.modulus if self.kind == "circular" else d
+
     def length(self, k):
-        l, r = self.spans[k]
-        return (r - l) % self.modulus if self.kind == "circular" else r - l
+        return self._off(k, self.spans[k][1])
 
     def covers(self, k, point):
-        l, r = self.spans[k]
-        if self.kind == "interval":
-            return l <= point <= r
-        return (point - l) % self.modulus <= (r - l) % self.modulus
+        return 0 <= self._off(k, point) <= self.length(k)
 
     def intersects(self, k, m):
-        if self.kind == "interval":
-            (a, b), (c, d) = self.spans[k], self.spans[m]
-            return max(a, c) <= min(b, d)
         return (self.covers(k, self.spans[m][0])
                 or self.covers(m, self.spans[k][0]))
 
     def contains_strictly(self, k, m):
         """Span m strictly inside span k (no shared endpoint)."""
-        if self.kind == "interval":
-            (a, b), (c, d) = self.spans[k], self.spans[m]
-            return a < c and d < b
-        a = (self.spans[m][0] - self.spans[k][0]) % self.modulus
-        b = (self.spans[m][1] - self.spans[k][0]) % self.modulus
-        return 0 < a <= b < self.length(k)
+        c, d = self.spans[m]
+        return 0 < self._off(k, c) <= self._off(k, d) < self.length(k)
 
 
 def parse_representation(text):
     kind = None
-    names, spans, modulus = [], [], 0
+    spans, modulus = {}, 0
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -94,7 +93,7 @@ def parse_representation(text):
         if kind not in (None, want):
             raise ParseError("mixed interval and circular lines", ln)
         kind = want
-        if parts[1] in names:
+        if parts[1] in spans:
             raise ParseError("duplicate span for %s" % parts[1], ln)
         try:
             vals = [int(x) for x in vals]
@@ -104,12 +103,12 @@ def parse_representation(text):
             if modulus and vals[2] != modulus:
                 raise ParseError("inconsistent modulus", ln)
             modulus = vals[2]
-        names.append(parts[1])
-        spans.append((vals[0], vals[1]))
+        spans[parts[1]] = (vals[0], vals[1])
     if kind is None:
         raise ParseError("no representation found")
     try:
-        return Representation(kind, tuple(names), tuple(spans), modulus)
+        return Representation(kind, tuple(spans), tuple(spans.values()),
+                              modulus)
     except RepresentationError as exc:
         raise ParseError(str(exc))
 
@@ -128,40 +127,37 @@ def validate_representation(G, R):
     """Check R is a proper representation of UG(G) usable for
     orientation: correct intersection graph, no strict containment,
     pairwise distinct start points, and (circular) no two spans
-    covering the whole circle."""
+    covering the whole circle.  Returns the arcs R induces on UG(G):
+    u -> v exactly when the span of u covers the start point of the
+    span of v."""
     if set(R.names) != set(G.names):
         raise RepresentationError("representation names do not match the graph")
-    starts = [R.spans[k][0] for k in range(len(R.names))]
+    starts = [l for l, _ in R.spans]
     if len(set(starts)) != len(starts):
         raise RepresentationError("start points must be pairwise distinct")
-    for k in range(len(R.names)):
-        for m in range(k + 1, len(R.names)):
-            u, v = G.index[R.names[k]], G.index[R.names[m]]
-            if R.intersects(k, m) != G.adjacent(u, v):
+    at = [G.index[v] for v in R.names]
+    arcs = set()
+    for k in range(len(at)):
+        for m in range(k + 1, len(at)):
+            km, mk = R.covers(k, starts[m]), R.covers(m, starts[k])
+            if (km or mk) != G.adjacent(at[k], at[m]):
                 raise RepresentationError(
                     "intersection mismatch on %s,%s" % (R.names[k], R.names[m]))
             if R.contains_strictly(k, m) or R.contains_strictly(m, k):
                 raise RepresentationError(
                     "strict containment on %s,%s" % (R.names[k], R.names[m]))
-            if R.kind == "circular" and R.intersects(k, m) \
-                    and R.covers(k, R.spans[m][0]) and R.covers(m, R.spans[k][0]):
+            # only arcs can: intervals with distinct starts never do
+            if km and mk:
                 raise RepresentationError(
                     "%s,%s cover the whole circle" % (R.names[k], R.names[m]))
+            if km or mk:
+                arcs.add((at[k], at[m]) if km else (at[m], at[k]))
+    return arcs
 
 
 def orientation_from_representation(G, R):
-    """Orient UG(G): u points at v exactly when the span of u covers the
-    start point of the span of v."""
-    validate_representation(G, R)
-    arcs = set()
-    for k in range(len(R.names)):
-        for m in range(len(R.names)):
-            if k == m:
-                continue
-            u, v = G.index[R.names[k]], G.index[R.names[m]]
-            if G.adjacent(u, v) and R.covers(k, R.spans[m][0]):
-                arcs.add((u, v))
-    return Pog(G.names, frozenset(), frozenset(arcs))
+    """Orient UG(G) as R induces it (see validate_representation)."""
+    return Pog(G.names, frozenset(), frozenset(validate_representation(G, R)))
 
 
 # -- search order and elimination --------------------------------------
@@ -365,23 +361,15 @@ def complete_to_acyclic_lt(P):
 # -- building representations ------------------------------------------
 
 
-def _linear_order(D):
-    """Concatenation of per-component round orderings, each rotated so
-    that no arc points backwards."""
-    O = find_round_ordering(D)
-    if O is None:
-        raise NotInClassError("digraph is not round")
+def _linear_order(D, O):
+    """The round ordering O of an acyclic D with each component rotated
+    to start at its first vertex without in-arcs.  Out-neighbours follow
+    their tail directly, so an arc across that cut would make its tail
+    an in-neighbour of that vertex: every arc points forwards."""
     seq = []
     for part in D.ug_parts(O.seq):
-        k = len(part)
-        for shift in range(k):
-            rot = part[shift:] + part[:shift]
-            pos = {v: t for t, v in enumerate(rot)}
-            if all(pos[u] < pos[v] for u in part for v in D.out_nbrs[u]):
-                seq.extend(rot)
-                break
-        else:
-            raise NotInClassError("component admits no forward rotation")
+        s = next(t for t, v in enumerate(part) if not D.in_nbrs[v])
+        seq.extend(part[s:] + part[:s])
     return seq
 
 
@@ -390,41 +378,29 @@ def representation_from_orientation(D, kind):
 
     `interval` needs an acyclic local tournament, `circular` a locally
     transitive local tournament, acyclic when its underlying graph is
-    disconnected.  Vertex v starts at twice its position and runs to
-    just past its last out-neighbour.
+    disconnected: the arcs of a component that covers the circle meet
+    every other arc, so then every component is laid out as intervals.
+    The vertex at position t of a round ordering starts at 2t and runs
+    to just past its last out-neighbour, the next d+(v) positions.
     """
     require_oriented(D)
-    rep = classify(D)
-    if kind == "interval":
-        if not rep.acyclic_local_tournament:
-            raise NotInClassError("not an acyclic local tournament")
-        seq = _linear_order(D)
-        pos = {v: t for t, v in enumerate(seq)}
-        spans = {}
-        for v in range(D.n):
-            last = max([pos[v]] + [pos[w] for w in D.out_nbrs[v]])
-            spans[v] = (2 * pos[v], 2 * last + 1)
-        R = Representation("interval", tuple(D.names[v] for v in seq),
-                           tuple(spans[v] for v in seq))
-    elif kind == "circular":
-        if not rep.locally_transitive:
-            raise NotInClassError("not a locally transitive local tournament")
-        if len(D.ug_components()) > 1:
-            # the arcs of a component that covers the circle meet every
-            # other arc, so every component must be laid out as intervals
-            R = representation_from_orientation(D, "interval")
-            R = Representation("circular", R.names, R.spans, 2 * D.n)
-        else:
-            O = find_round_ordering(D)
-            if O is None:
-                raise NotInClassError("digraph is not round")
-            spans = [(2 * O.pos[v],
-                      2 * ((O.pos[v] + len(D.out_nbrs[v])) % D.n) + 1)
-                     for v in O.seq]
-            R = Representation("circular", tuple(D.names[v] for v in O.seq),
-                               tuple(spans), 2 * D.n)
-    else:
+    if kind not in ("interval", "circular"):
         raise ValueError("kind must be interval or circular")
+    rep = classify(D)
+    if kind == "circular" and not rep.locally_transitive:
+        raise NotInClassError("not a locally transitive local tournament")
+    linear = kind == "interval" or len(D.ug_components()) > 1
+    if linear and not rep.acyclic_local_tournament:
+        raise NotInClassError("not an acyclic local tournament")
+    O = find_round_ordering(D)
+    if O is None:
+        raise NotInClassError("digraph is not round")
+    seq = _linear_order(D, O) if linear else O.seq
+    n = D.n
+    R = Representation(kind, tuple(D.names[v] for v in seq),
+                       tuple((2 * t, 2 * ((t + len(D.out_nbrs[v])) % n) + 1)
+                             for t, v in enumerate(seq)),
+                       2 * n if kind == "circular" else 0)
     try:
         back = orientation_from_representation(D, R)
     except RepresentationError as exc:
@@ -449,11 +425,13 @@ def _orient_window(G, partial):
                      for i, j in window.arcs])
 
 
-def extend_interval_representation(G, partial):
+def extend_interval_representation(G, partial=None):
     """Extend a proper interval representation of an induced subgraph to
     the whole graph, matching it at the orientation level.  Returns a
-    Representation or a refuting certificate."""
-    D = complete_to_acyclic_lt(_orient_window(G, partial))
+    Representation or a refuting certificate.  With no partial
+    representation this is plain recognition."""
+    D = complete_to_acyclic_lt(G.underlying_graph() if partial is None
+                               else _orient_window(G, partial))
     if isinstance(D, Certificate):
         return D
     return representation_from_orientation(D, "interval")
