@@ -9,12 +9,11 @@ the components, so orientability reduces to bipartiteness.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError
-from .pog import Certificate, Pog, _components, _norm, bfs_path, classify
+from .pog import Certificate, Pog, _bfs_colouring, _norm, bfs_path, classify
 
 MODES = ("local_tournament", "quasi_transitive")
 
@@ -47,6 +46,10 @@ class AuxGraph:
     verts: tuple          # ordered pairs, sorted
     adj: tuple            # tuple of sorted tuples of vertex ids
     comp: tuple           # component id per vertex, numbered by smallest pair
+    comp_members: tuple   # sorted vertex ids per component
+    colours: tuple        # 0 (red) / 1 (blue) per vertex; smallest pair red
+    odd: tuple            # per component, the odd closed walk through its
+                          # first conflict edge, or None when bipartite
 
     @cached_property
     def vid(self):
@@ -54,14 +57,7 @@ class AuxGraph:
 
     @property
     def ncomp(self):
-        return max(self.comp) + 1 if self.comp else 0
-
-    @cached_property
-    def comp_members(self):
-        out = [[] for _ in range(self.ncomp)]
-        for k, c in enumerate(self.comp):
-            out[c].append(k)
-        return tuple(tuple(m) for m in out)
+        return len(self.comp_members)
 
     def is_thin(self, c):
         """A thin component is just an edge pair {(u, v), (v, u)}."""
@@ -71,33 +67,10 @@ class AuxGraph:
         i, j = self.verts[vidx]
         return [self.P.names[i], self.P.names[j]]
 
-    @cached_property
-    def _colouring(self):
-        """One BFS per component from its smallest pair, coloured red:
-        the colour of every vertex, and per component the closed odd
-        walk through its first conflict edge (None when bipartite)."""
-        colours = [-1] * len(self.verts)
-        parent = [-1] * len(self.verts)
-        odd = []
-        for members in self.comp_members:
-            root = members[0]  # verts are sorted, so this is the smallest pair
-            colours[root] = 0
-            walk = None
-            q = deque([root])
-            while q:
-                v = q.popleft()
-                for w in self.adj[v]:
-                    if colours[w] < 0:
-                        colours[w] = 1 - colours[v]
-                        parent[w] = v
-                        q.append(w)
-                    elif colours[w] == colours[v] and walk is None:
-                        walk = _odd_closed_walk(parent, v, w)
-            odd.append(walk)
-        return tuple(colours), tuple(odd)
-
 
 def build_aux(P, mode="local_tournament"):
+    """The aux graph of UG(P) in `mode`, each component labelled and
+    2-coloured by one BFS from its smallest pair."""
     verts = sorted(p for i, j in P.und_pairs for p in ((i, j), (j, i)))
     m = len(verts)
     adj = [[] for _ in range(m)]
@@ -106,12 +79,18 @@ def build_aux(P, mode="local_tournament"):
             if aux_adjacent(P, verts[x], verts[y], mode):
                 adj[x].append(y)
                 adj[y].append(x)
-    comp = [-1] * m
-    for c, members in enumerate(_components(range(m), adj.__getitem__)):
-        for v in members:
-            comp[v] = c
+    comp, colours = [-1] * m, [-1] * m
+    members, odd = [], []
+    for root in range(m):
+        if comp[root] >= 0:
+            continue
+        colour, parent, clash = _bfs_colouring(adj.__getitem__, root)
+        for v, c in colour.items():
+            comp[v], colours[v] = len(members), c
+        members.append(tuple(sorted(colour)))
+        odd.append(None if clash is None else _odd_closed_walk(parent, *clash))
     return AuxGraph(P, mode, tuple(verts), tuple(tuple(a) for a in adj),
-                    tuple(comp))
+                    tuple(comp), tuple(members), tuple(colours), tuple(odd))
 
 
 @dataclass(frozen=True)
@@ -125,17 +104,16 @@ class TwoColouring:
 
 
 def two_colour(X):
-    """2-colour every component, the lexicographically smallest pair of
-    each component red.  Returns a TwoColouring, or an OddClosedWalkAux
-    certificate for the first component that is not bipartite."""
-    colours, odd = X._colouring
-    for walk in odd:
+    """The 2-colouring of X, the lexicographically smallest pair of each
+    component red, as a TwoColouring, or an OddClosedWalkAux certificate
+    for the first component that is not bipartite."""
+    for walk in X.odd:
         if walk is not None:
             return Certificate("OddClosedWalkAux", {
                 "walk": [X.pair_names(k) for k in walk],
                 "mode": X.mode,
             })
-    return TwoColouring(X, colours)
+    return TwoColouring(X, X.colours)
 
 
 def _odd_closed_walk(parent, v, w):
@@ -143,7 +121,7 @@ def _odd_closed_walk(parent, v, w):
     the meeting point of the tree paths of v and w down to v, across to
     w and back up."""
     up_v, up_w = [v], [w]
-    while parent[up_v[-1]] >= 0:
+    while parent[up_v[-1]] is not None:
         up_v.append(parent[up_v[-1]])
     at = {x: t for t, x in enumerate(up_v)}
     while up_w[-1] not in at:
@@ -167,7 +145,7 @@ def _arc_classes(P, X, mates=False):
     `mates`, an unoriented pair shares the arcs' colour
     (`unoriented_mate`).  A walk starts at the component's first arc; an
     `odd_pair` walk runs from its first red arc to its first blue one."""
-    colours, odd = X._colouring
+    colours, odd = X.colours, X.odd
     fixed = []
     for c, members in enumerate(X.comp_members):
         arcs = [k for k in members if X.verts[k] in P.arcs]

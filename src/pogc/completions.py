@@ -9,7 +9,8 @@ bounded exhaustive search with a bipartite matching oracle.
 from __future__ import annotations
 
 from .errors import InvariantError, SizeGuardError
-from .pog import (Certificate, _first_nonadjacent_pair, _norm, _separates,
+from .hardness import MAX_CYCLE_FACTOR_EDGES
+from .pog import (Certificate, _nonadjacent_pairs, _norm, _separates,
                   bfs_path, classify, find_directed_cycle, require_oriented,
                   topological_order)
 
@@ -20,7 +21,7 @@ from .pog import (Certificate, _first_nonadjacent_pair, _norm, _separates,
 def complete_to_transitive_tournament(P):
     """Complete a partially oriented complete graph to a transitive
     tournament, or return a certificate."""
-    pair = _first_nonadjacent_pair(P, range(P.n))
+    pair = next(_nonadjacent_pairs(P, range(P.n)), None)
     if pair is not None:
         return Certificate("NonAdjacentPair",
                            {"pair": [P.names[v] for v in pair]})
@@ -148,14 +149,10 @@ def _in_tournament_clauses(P, var_of):
     for u, v in sorted(P.arcs):
         clauses.append((_pair_literal(var_of, u, v),))
     for v in range(P.n):
-        na = sorted(P.adj[v])
-        for s in range(len(na)):
-            for t in range(s + 1, len(na)):
-                x, y = na[s], na[t]
-                if not P.adjacent(x, y):
-                    # x -> v and y -> v would break the in-neighbourhood
-                    clauses.append((-_pair_literal(var_of, x, v),
-                                    -_pair_literal(var_of, y, v)))
+        for x, y in _nonadjacent_pairs(P, P.adj[v]):
+            # x -> v and y -> v would break the in-neighbourhood
+            clauses.append((-_pair_literal(var_of, x, v),
+                            -_pair_literal(var_of, y, v)))
     return clauses
 
 
@@ -213,17 +210,10 @@ def _bidirected_strong(succ):
     comp = _sccs([sorted(s) for s in succ])
     if max(comp, default=0) == 0:
         return True, None
-    # source components have no incoming arcs; pick the one with the
-    # smallest vertex
-    incoming = set()
-    for v in range(n):
-        for w in succ[v]:
-            if comp[v] != comp[w]:
-                incoming.add(comp[w])
-    sources = [c for c in set(comp) if c not in incoming]
-    best = min((min(v for v in range(n) if comp[v] == c), c)
-               for c in sources)[1]
-    return False, sorted(v for v in range(n) if comp[v] == best)
+    # the component of the smallest vertex whose component no arc enters
+    entered = {comp[w] for v in range(n) for w in succ[v] if comp[v] != comp[w]}
+    side = next(comp[v] for v in range(n) if comp[v] not in entered)
+    return False, [v for v in range(n) if comp[v] == side]
 
 
 def complete_to_strong(P):
@@ -310,13 +300,13 @@ def has_cycle_factor(D):
     return find_cycle_factor(D) is not None
 
 
-def complete_to_cycle_factor_bruteforce(P, limit_edges=20):
+def complete_to_cycle_factor_bruteforce(P):
     """Exhaustive search over edge orientations, first completion (in
     lexicographic orientation order) with a directed cycle factor."""
     edges = sorted(P.edges)
-    if len(edges) > limit_edges:
+    if len(edges) > MAX_CYCLE_FACTOR_EDGES:
         raise SizeGuardError("too many edges for exhaustive search (%d > %d)"
-                             % (len(edges), limit_edges))
+                             % (len(edges), MAX_CYCLE_FACTOR_EDGES))
     for mask in range(1 << len(edges)):
         arcs = [(u, v) if not (mask >> k) & 1 else (v, u)
                 for k, (u, v) in enumerate(edges)]

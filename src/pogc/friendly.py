@@ -10,17 +10,15 @@ class and cross edges by a tournament on component representatives.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .auxgraph import (_arc_classes, _complete_via_aux, build_aux,
                        consentaneous_closure, two_colour)
 from .errors import (InvariantError, NotFriendlyError, NotInClassError,
                      UnsupportedInstanceError)
 from .interval import (_orient_window, complete_to_acyclic_lt,
                        representation_from_orientation)
-from .pog import Certificate, Pog, _components, _first_nonadjacent_pair, \
-    _neighbourhood_cycle, _norm, classify, find_directed_cycle, \
-    topological_order
+from .pog import Certificate, Pog, _bfs_colouring, _components, \
+    _neighbourhood_cycle, _nonadjacent_pairs, _norm, _triangles, classify, \
+    find_directed_cycle, topological_order
 from .rounds import merge_ltt
 
 
@@ -62,18 +60,12 @@ def bad_triples(P, aux=None):
     exactly two of them oriented."""
     X = aux if aux is not None else build_aux(P)
     out = []
-    for x in range(P.n):
-        for y in sorted(P.adj[x]):
-            if y <= x:
-                continue
-            for z in sorted(P.adj[x] & P.adj[y]):
-                if z <= y:
-                    continue
-                pairs = [(x, y), (y, z), (x, z)]
-                if len({X.comp[X.vid[p]] for p in pairs}) != 3:
-                    continue
-                if sum(1 for p in pairs if p not in P.edges) == 2:
-                    out.append((x, y, z))
+    for x, y, z in _triangles(P):
+        pairs = [(x, y), (y, z), (x, z)]
+        if len({X.comp[X.vid[p]] for p in pairs}) != 3:
+            continue
+        if sum(1 for p in pairs if p not in P.edges) == 2:
+            out.append((x, y, z))
     return out
 
 
@@ -155,7 +147,7 @@ def friendly_complete_graph(P):
     ok, cert = is_friendly(P)
     if not ok:
         raise NotFriendlyError("pog is not friendly", cert)
-    if _first_nonadjacent_pair(P, range(P.n)) is not None:
+    if any(_nonadjacent_pairs(P, range(P.n))):
         raise NotInClassError("underlying graph is not complete")
     cert = forbidden_cycle(P)
     if cert is not None:
@@ -171,7 +163,7 @@ def _merge_arc_parts(P):
     # arc-connectivity parts; friendliness makes each a tournament
     A = Pog(P.names, frozenset(), P.arcs)
     parts = A.ug_components()
-    if any(_first_nonadjacent_pair(A, g) is not None for g in parts):
+    if any(any(_nonadjacent_pairs(A, g)) for g in parts):
         raise InvariantError("arc part is not a tournament")
     T = P.induced(parts[0])
     for g in parts[1:]:
@@ -208,7 +200,7 @@ def _complete_friendly(P, X):
     col = two_colour(X)
     if isinstance(col, Certificate):
         return col
-    if _first_nonadjacent_pair(P, range(P.n)) is None:
+    if not any(_nonadjacent_pairs(P, range(P.n))):
         return _merge_arc_parts(P)
 
     P1 = complete_cells(P)
@@ -223,23 +215,14 @@ def _complete_friendly(P, X):
     return _complete_split_complement(P, P1, X, col, bar)
 
 
-def _bipartition(P, comp, anchor):
-    """Bipartition of the complement restricted to comp, anchor on the
-    first side."""
-    colour = {anchor: 0}
-    q = deque([anchor])
-    cset = set(comp)
-    while q:
-        v = q.popleft()
-        for w in comp:
-            if w == v or P.adjacent(v, w):
-                continue
-            if w not in colour:
-                colour[w] = 1 - colour[v]
-                q.append(w)
-            elif colour[w] == colour[v]:
-                raise InvariantError("complement component is not bipartite")
-    if len(colour) != len(cset):
+def _bipartition(P, comp):
+    """Bipartition of the complement restricted to comp, in comp order,
+    comp[0] on the first side."""
+    colour, _, clash = _bfs_colouring(
+        lambda v: [w for w in comp if w != v and not P.adjacent(v, w)], comp[0])
+    if clash is not None:
+        raise InvariantError("complement component is not bipartite")
+    if len(colour) != len(comp):
         raise InvariantError("complement component fell apart")
     return (tuple(v for v in comp if colour[v] == 0),
             tuple(v for v in comp if colour[v] == 1))
@@ -267,12 +250,7 @@ def _complete_split_complement(P, P1, X, col, bar):
     R = friendly_complete_graph(K)
     if isinstance(R, Certificate):
         raise InvariantError("representative tournament hit a forbidden triangle")
-    sides = {}
-    for k, C in enumerate(bar):
-        if len(C) > 1:
-            sides[k] = _bipartition(P, C, C[0])
-        else:
-            sides[k] = ((C[0],), ())
+    sides = [_bipartition(P, C) for C in bar]
     adds = []
     for a in range(len(bar)):
         for b in range(len(bar)):

@@ -15,14 +15,16 @@ from dataclasses import dataclass
 
 from .errors import (InvariantError, NotInClassError, NotSatisfyingError,
                      ParseError, SizeGuardError, UnsupportedInstanceError)
-from .pog import (Certificate, Ordering, Pog, _first_nonadjacent_pair,
-                  _neighbourhood_cycle, _reach, classify, complete_closure,
+from .pog import (Certificate, Ordering, Pog, _neighbourhood_cycle,
+                  _nonadjacent_pairs, _reach, classify, complete_closure,
                   require_oriented, topological_order)
 from .rounds import (check_ordering, complete_under_excellent,
                      find_round_ordering, round_to_ltt, saturate_to_round_lt)
 
 MAX_SEARCH_EDGES = 22
 MAX_EXCELLENT_VERTICES = 12
+MAX_CYCLE_FACTOR_EDGES = 20
+MAX_NICE_VERTICES = 10
 
 
 # -- CNF formulas --------------------------------------------------------
@@ -418,14 +420,15 @@ _LEAF_PROPERTY = {
 }
 
 
-def _search_completions(P, target, want_all, limit):
-    """All (or the first `limit`) orientations of P's edges inside the
-    target class, as sorted arc frozensets.  Exhaustive backtracking,
-    most-constrained edge first, leaf-verified by classify."""
+def _search_completions(P, target, want_all):
+    """All orientations of P's edges inside the target class (only the
+    first unless `want_all`), as sorted arc frozensets.  Exhaustive
+    backtracking, most-constrained edge first, leaf-verified by
+    classify."""
     prop = _LEAF_PROPERTY.get(target)
     if prop is None:
         raise ValueError("unknown target %r" % target)
-    if target == "ltt" and _first_nonadjacent_pair(P, range(P.n)) is not None:
+    if target == "ltt" and any(_nonadjacent_pairs(P, range(P.n))):
         return []
     n = P.n
     out = [set(P.out_nbrs[v]) for v in range(n)]
@@ -482,16 +485,13 @@ def _search_completions(P, target, want_all, limit):
                                   + len(out[edges[k][1]]) + len(inn[edges[k][1]])))
 
     def rec():
-        if limit is not None and len(found) >= limit:
-            return True
         if len(chosen) == len(edges):
             D = Pog(P.names, frozenset(),
                     P.arcs | frozenset(chosen))
             if getattr(classify(D), prop):
                 found.append(frozenset(D.arcs))
-                if not want_all and limit is None:
-                    return True
-            return limit is not None and len(found) >= limit
+                return not want_all
+            return False
         k = pick()
         i, j = edges[k]
         edges[k] = None
@@ -535,7 +535,7 @@ def _triangle_in_neighbourhood(out, inn, u, v):
     return False
 
 
-def exact_complete(P, target, enumerate_all=False, limit=None):
+def exact_complete(P, target, enumerate_all=False):
     """Exhaustive completion search on small instances.
 
     Returns a list of completions (Pogs) when enumerate_all is set,
@@ -544,26 +544,24 @@ def exact_complete(P, target, enumerate_all=False, limit=None):
     non-adjacency closure and returns cyclic orderings instead.
     """
     if target == "excellent_ordering":
-        return _excellent_search(P, enumerate_all, limit)
+        return _excellent_search(P, enumerate_all)
     if len(P.edges) > MAX_SEARCH_EDGES:
         raise SizeGuardError("instance has %d unoriented edges, guard is %d"
                              % (len(P.edges), MAX_SEARCH_EDGES))
-    arcsets = _search_completions(P, target, enumerate_all,
-                                  limit if enumerate_all else 1)
+    arcsets = _search_completions(P, target, enumerate_all)
     sols = [Pog(P.names, frozenset(), a) for a in arcsets]
     if enumerate_all:
         return sols
     return sols[0] if sols else None
 
 
-def _excellent_search(P, enumerate_all, limit):
+def _excellent_search(P, enumerate_all):
     require_oriented(P)
     if P.n > MAX_EXCELLENT_VERTICES:
         raise SizeGuardError("excellent-ordering search is limited to %d "
                              "vertices" % MAX_EXCELLENT_VERTICES)
     closed = complete_closure(P)
-    arcsets = _search_completions(closed, "ltt", enumerate_all,
-                                  limit if enumerate_all else 1)
+    arcsets = _search_completions(closed, "ltt", enumerate_all)
     orderings = []
     seen = set()
     for a in arcsets:
@@ -617,12 +615,12 @@ def ltt_to_ordering(T):
     return O
 
 
-def search_nice_ordering(D, limit=10):
+def search_nice_ordering(D):
     """First nice cyclic ordering by brute force, or None."""
     require_oriented(D)
-    if D.n > limit:
+    if D.n > MAX_NICE_VERTICES:
         raise SizeGuardError("nice-ordering search is limited to %d vertices"
-                             % limit)
+                             % MAX_NICE_VERTICES)
     if D.n == 0:
         return Ordering("cyclic", ())
     for perm in itertools.permutations(range(1, D.n)):

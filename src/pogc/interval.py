@@ -15,8 +15,8 @@ from functools import cached_property
 from .auxgraph import _orient_classes, build_aux, consentaneous_closure
 from .errors import (InvariantError, NotInClassError, NoZeroOutdegreeStartError,
                      ParseError, RepresentationError)
-from .pog import Certificate, Ordering, Pog, _components, bfs_path, classify, \
-    find_directed_cycle, require_oriented
+from .pog import Certificate, Ordering, Pog, _components, _nonadjacent_pairs, \
+    _triangles, bfs_path, classify, find_directed_cycle, require_oriented
 from .rounds import find_round_ordering
 
 
@@ -227,12 +227,8 @@ def _find_hole(G):
         for members in _components(rest, rest.__getitem__):
             comp.update(dict.fromkeys(members, members[0]))
         touch = {y: {comp[w] for w in G.adj[y] - closed} for y in G.adj[x]}
-        na = sorted(G.adj[x])
-        for s in range(len(na)):
-            for t in range(s + 1, len(na)):
-                y, z = na[s], na[t]
-                if G.adjacent(y, z) or not touch[y] & touch[z]:
-                    continue
+        for y, z in _nonadjacent_pairs(G, G.adj[x]):
+            if touch[y] & touch[z]:
                 banned = closed - {y, z}
                 return [x] + bfs_path(lambda a: [b for b in sorted(G.adj[a])
                                                  if b not in banned], y, z)
@@ -242,24 +238,11 @@ def _find_hole(G):
 def _find_claw(G):
     for c in range(G.n):
         na = sorted(G.adj[c])
-        for s in range(len(na)):
-            for t in range(s + 1, len(na)):
-                if G.adjacent(na[s], na[t]):
-                    continue
-                for u in range(t + 1, len(na)):
-                    if not G.adjacent(na[s], na[u]) and not G.adjacent(na[t], na[u]):
-                        return [c, na[s], na[t], na[u]]
+        for a, b in _nonadjacent_pairs(G, na):
+            for d in na:
+                if d > b and not G.adjacent(a, d) and not G.adjacent(b, d):
+                    return [c, a, b, d]
     return None
-
-
-def _triangles(G):
-    for a in range(G.n):
-        for b in sorted(G.adj[a]):
-            if b <= a:
-                continue
-            for c in sorted(G.adj[a] & G.adj[b]):
-                if c > b:
-                    yield a, b, c
 
 
 def _find_net(G):

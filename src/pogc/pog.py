@@ -349,6 +349,26 @@ def bfs_path(nbrs, s, t):
     return None
 
 
+def _bfs_colouring(nbrs, s):
+    """2-colour the component of s by BFS from s, which gets colour 0;
+    `nbrs` is as for bfs_path.  Returns (colour, parent, clash): the
+    colour and the BFS parent (None for s) of every vertex reached, in
+    visiting order, and the first edge (v, w) scanned with both ends of
+    one colour, or None when the component is bipartite."""
+    colour, parent, clash = {s: 0}, {s: None}, None
+    q = deque([s])
+    while q:
+        v = q.popleft()
+        for w in nbrs(v):
+            if w not in colour:
+                colour[w] = 1 - colour[v]
+                parent[w] = v
+                q.append(w)
+            elif clash is None and colour[w] == colour[v]:
+                clash = v, w
+    return colour, parent, clash
+
+
 def topological_order(verts, succ):
     """Topological order of the digraph that `succ(v)` spans on verts,
     taking the smallest ready vertex first, or None on a directed
@@ -372,15 +392,25 @@ def topological_order(verts, succ):
     return order if len(order) == len(indeg) else None
 
 
-def _first_nonadjacent_pair(P, members):
-    """The lexicographically smallest pair x < y of members that is not
-    adjacent in UG(P), or None."""
+def _nonadjacent_pairs(P, members):
+    """The pairs x < y of members that are not adjacent in UG(P), in
+    lexicographic order."""
     ms = sorted(members)
     for s, x in enumerate(ms):
         for y in ms[s + 1:]:
             if y not in P.adj[x]:
-                return x, y
-    return None
+                yield x, y
+
+
+def _triangles(P):
+    """The triangles a < b < c of UG(P), in lexicographic order."""
+    for a in range(P.n):
+        for b in sorted(P.adj[a]):
+            if b <= a:
+                continue
+            for c in sorted(P.adj[a] & P.adj[b]):
+                if c > b:
+                    yield a, b, c
 
 
 def _neighbourhoods(P):
@@ -450,13 +480,13 @@ class PropertyReport:
     def tournament(self):
         if not self.oriented:
             return self._witness("oriented")
-        pair = _first_nonadjacent_pair(self.P, range(self.P.n))
+        pair = next(_nonadjacent_pairs(self.P, range(self.P.n)), None)
         return None if pair is None else self._names(pair)
 
     @_Check
     def local_tournament(self):
         for v, side, hood in _neighbourhoods(self.P):
-            pair = _first_nonadjacent_pair(self.P, hood)
+            pair = next(_nonadjacent_pairs(self.P, hood), None)
             if pair is not None:
                 return self._names(pair + (v,)) + (side,)
         return None
@@ -474,7 +504,7 @@ class PropertyReport:
     @_Check
     def in_tournament(self):
         for v in range(self.P.n):
-            pair = _first_nonadjacent_pair(self.P, self.P.in_nbrs[v])
+            pair = next(_nonadjacent_pairs(self.P, self.P.in_nbrs[v]), None)
             if pair is not None:
                 return self._names(pair + (v,))
         return None
@@ -569,9 +599,8 @@ def require_oriented(P):
 def complete_closure(D):
     """Add an edge between every non-adjacent pair of an oriented graph."""
     require_oriented(D)
-    missing = [(i, j) for i in range(D.n) for j in range(i + 1, D.n)
-               if not D.adjacent(i, j)]
-    return Pog(D.names, D.edges | frozenset(missing), D.arcs)
+    missing = frozenset(_nonadjacent_pairs(D, range(D.n)))
+    return Pog(D.names, D.edges | missing, D.arcs)
 
 
 # -- certificate verification ------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, NotInClassError, NotRoundError
-from .pog import Ordering, Pog, _first_nonadjacent_pair, classify, \
+from .pog import Ordering, Pog, _nonadjacent_pairs, classify, \
     require_oriented
 
 ORDER_KINDS = ("round", "excellent", "nice")
@@ -79,13 +79,12 @@ def _check_excellent(P, O):
 
 
 def _check_nice(P, O):
-    n = P.n
-    arcs = sorted(P.arcs, key=lambda a: (O.pos[a[0]], O.pos[a[1]]))
+    n, pos = P.n, O.pos
+    arcs = sorted(P.arcs, key=lambda a: (pos[a[0]], pos[a[1]]))
     for i, k in arcs:          # arc (v_i, v_k)
-        base = O.pos[k]
-        r = lambda x: (O.pos[x] - base) % n
-        for j, i2 in arcs:     # arc (v_j, v_i)
-            if i2 == i and j != k and 0 < r(i) < r(j):
+        r = lambda x: (pos[x] - pos[k]) % n
+        for j in sorted(P.in_nbrs[i], key=pos.__getitem__):  # arc (v_j, v_i)
+            if j != k and r(i) < r(j):
                 return False, (P.names[k], P.names[i], P.names[j])
     return True, None
 
@@ -268,7 +267,7 @@ def _complete_component_to_ltt(sub):
     a non-neighbour to its nearest one and re-saturating."""
     cur = sub
     while True:
-        missing = _first_nonadjacent_pair(cur, range(cur.n))
+        missing = next(_nonadjacent_pairs(cur, range(cur.n)), None)
         if missing is None:
             return cur
         O = find_round_ordering(cur)

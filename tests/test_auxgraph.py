@@ -1,14 +1,17 @@
 """Auxiliary graph, 2-colouring, closures, completion via colour classes."""
 
 import random
+from collections import deque
 
 from pogc import auxgraph, friendly, interval
 from pogc.auxgraph import (aux_adjacent, build_aux, complete_via_aux,
                            consentaneous_closure, two_colour)
 from pogc.errors import NotFriendlyError
 from pogc.interval import Representation
-from pogc.pog import Certificate, Pog, classify, verify_certificate
-from util import all_graphs, brute_force_completion, names, random_pog
+from pogc.pog import (Certificate, Pog, _components, classify,
+                      verify_certificate)
+from util import (all_graphs, all_pogs, brute_force_completion, names,
+                  random_pog)
 
 
 def _triangle():
@@ -237,3 +240,60 @@ def test_one_aux_build_per_underlying_graph(monkeypatch):
         built += len(keys)
         assert len(keys) == len(set(keys)), (name, args)
     assert built >= len(calls)
+
+
+def _two_pass_reference(P, mode):
+    """The aux graph labelled in two passes: components by reachability,
+    then one BFS per component from its smallest pair that colours it
+    and keeps the odd closed walk through its first conflict edge."""
+    verts = sorted(p for i, j in P.und_pairs for p in ((i, j), (j, i)))
+    adj = [tuple(y for y in range(len(verts)) if y != x
+                 and aux_adjacent(P, verts[x], verts[y], mode))
+           for x in range(len(verts))]
+    members = [tuple(c) for c in _components(range(len(verts)), adj.__getitem__)]
+    comp = [-1] * len(verts)
+    for c, ms in enumerate(members):
+        for v in ms:
+            comp[v] = c
+    colours, parent, odd = [-1] * len(verts), [-1] * len(verts), []
+    for ms in members:
+        colours[ms[0]], walk = 0, None
+        q = deque([ms[0]])
+        while q:
+            v = q.popleft()
+            for w in adj[v]:
+                if colours[w] < 0:
+                    colours[w], parent[w] = 1 - colours[v], v
+                    q.append(w)
+                elif colours[w] == colours[v] and walk is None:
+                    up_v, up_w = [v], [w]
+                    while parent[up_v[-1]] >= 0:
+                        up_v.append(parent[up_v[-1]])
+                    at = {x: t for t, x in enumerate(up_v)}
+                    while up_w[-1] not in at:
+                        up_w.append(parent[up_w[-1]])
+                    walk = up_v[at[up_w[-1]]::-1] + up_w
+        odd.append(walk)
+    return tuple(adj), tuple(comp), tuple(members), tuple(colours), tuple(odd)
+
+
+def test_one_pass_labels_match_two_pass_reference():
+    """build_aux's single BFS per component gives the labels, colours and
+    odd walks of the separate component pass plus colouring pass."""
+    rng = random.Random(67)
+    corpus = [P for n in range(1, 5) for P in all_pogs(n)]
+    corpus += [random_pog(rng, rng.randint(1, 9), p_adj=rng.choice((0.4, 0.7, 0.9)))
+               for _ in range(400)]
+    odd = 0
+    for P in corpus:
+        for mode in auxgraph.MODES:
+            X = build_aux(P, mode)
+            adj, comp, members, colours, walks = _two_pass_reference(P, mode)
+            assert (X.adj, X.comp, X.comp_members, X.ncomp, X.colours, X.odd) \
+                == (adj, comp, members, len(members), colours, walks), (P, mode)
+            col = two_colour(X)
+            if isinstance(col, Certificate):
+                odd += 1
+            else:
+                assert col.colours == colours
+    assert odd > 0

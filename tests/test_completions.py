@@ -103,18 +103,20 @@ def test_strong_exhaustive_n5_vs_brute_force():
             assert P.arcs <= res.arcs
 
 
+def _doubled(Q):
+    """Successor sets of Q's arcs plus both directions of each edge."""
+    succ = [set(Q.out_nbrs[v]) for v in range(Q.n)]
+    for i, j in Q.edges:
+        succ[i].add(j)
+        succ[j].add(i)
+    return succ
+
+
 def _strong_reference(P):
     """complete_to_strong as an orient-and-SCC loop: the smallest bridge
     by one search per pair, then each edge in sorted order oriented
     u -> v when the digraph with the remaining edges doubled stays
     strong, else v -> u."""
-    def doubled(Q):
-        succ = [set(Q.out_nbrs[v]) for v in range(Q.n)]
-        for i, j in Q.edges:
-            succ[i].add(j)
-            succ[j].add(i)
-        return succ
-
     if P.n <= 1:
         return P
     comps = P.ug_components()
@@ -131,13 +133,13 @@ def _strong_reference(P):
                     stack.append(y)
         if v not in seen:
             return Certificate("Bridge", {"edge": [P.names[u], P.names[v]]})
-    ok, side = _bidirected_strong(doubled(P))
+    ok, side = _bidirected_strong(_doubled(P))
     if not ok:
         return Certificate("DirectedCut", {"side": [P.names[v] for v in side]})
     cur = P
     for u, v in sorted(P.edges):
         nxt = cur.orient([(u, v)])
-        cur = nxt if _bidirected_strong(doubled(nxt))[0] else cur.orient([(v, u)])
+        cur = nxt if _bidirected_strong(_doubled(nxt))[0] else cur.orient([(v, u)])
     return cur
 
 
@@ -158,6 +160,35 @@ def test_strong_matches_orient_and_scc_loop():
             assert got.arcs == want.arcs, (P.edges, P.arcs)
             completed += bool(P.edges)
     assert completed > 300
+
+
+def test_bidirected_strong_side_is_the_first_source_component():
+    """The side is, by definition, the strong component (vertices that
+    reach each other) that no arc enters and that holds the smallest
+    vertex among such components."""
+    rng = random.Random(73)
+    cuts = 0
+    for _ in range(1500):
+        P = random_pog(rng, rng.randint(1, 10), p_adj=rng.choice((0.2, 0.4, 0.7)),
+                       p_arc=rng.choice((0.3, 0.6, 0.9)))
+        succ = _doubled(P)
+        reach = []
+        for s in range(P.n):
+            seen, stack = {s}, [s]
+            while stack:
+                for w in succ[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            reach.append(seen)
+        scc = [{w for w in reach[v] if v in reach[w]} for v in range(P.n)]
+        sources = [v for v in range(P.n)
+                   if not any(w in scc[v] for u in range(P.n) if u not in scc[v]
+                              for w in succ[u])]
+        want = (True, None) if len(scc[0]) == P.n else (False, sorted(scc[sources[0]]))
+        assert _bidirected_strong(succ) == want, (P.edges, P.arcs)
+        cuts += not want[0]
+    assert 300 < cuts < 1400
 
 
 # -- 2-SAT -----------------------------------------------------------------

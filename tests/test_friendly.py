@@ -2,9 +2,12 @@
 
 import itertools
 import random
+from collections import deque
 
-from pogc.auxgraph import aux_adjacent
-from pogc.friendly import (bad_triples, cells, complement_components,
+from pogc.auxgraph import aux_adjacent, build_aux
+from pogc.errors import InvariantError
+from pogc.friendly import (_bipartition, bad_triples, cells,
+                           complement_components,
                            complete_cells, complete_friendly,
                            extend_circular_arc_representation,
                            friendly_complete_graph, is_friendly,
@@ -49,6 +52,72 @@ def test_bad_triples_need_two_arcs():
             frozenset((i, j) for i in range(5) for j in range(i + 1, 5)),
             frozenset())
     assert bad_triples(G) == []
+
+
+def _old_bipartition(P, comp, anchor):
+    """The complement bipartition by its own BFS, as it was written
+    before the shared colouring search."""
+    colour = {anchor: 0}
+    q = deque([anchor])
+    while q:
+        v = q.popleft()
+        for w in comp:
+            if w == v or P.adjacent(v, w):
+                continue
+            if w not in colour:
+                colour[w] = 1 - colour[v]
+                q.append(w)
+            elif colour[w] == colour[v]:
+                raise InvariantError("complement component is not bipartite")
+    if len(colour) != len(set(comp)):
+        raise InvariantError("complement component fell apart")
+    return (tuple(v for v in comp if colour[v] == 0),
+            tuple(v for v in comp if colour[v] == 1))
+
+
+def _old_bad_triples(P, X):
+    out = []
+    for x in range(P.n):
+        for y in sorted(P.adj[x]):
+            if y <= x:
+                continue
+            for z in sorted(P.adj[x] & P.adj[y]):
+                if z <= y:
+                    continue
+                pairs = [(x, y), (y, z), (x, z)]
+                if len({X.comp[X.vid[p]] for p in pairs}) != 3:
+                    continue
+                if sum(1 for p in pairs if p not in P.edges) == 2:
+                    out.append((x, y, z))
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except InvariantError as exc:
+        return str(exc)
+
+
+def test_bipartition_and_bad_triples_match_their_old_loops():
+    rng = random.Random(71)
+    corpus = [P for n in range(1, 5) for P in all_pogs(n)]
+    corpus += [random_pog(rng, rng.randint(1, 9), p_adj=rng.choice((0.4, 0.7, 0.9)))
+               for _ in range(400)]
+    outcomes, bad = set(), 0
+    for P in corpus:
+        got = bad_triples(P)
+        assert got == _old_bad_triples(P, build_aux(P))
+        bad += bool(got)
+        # complement components, and vertex sets that are not one
+        parts = complement_components(P)
+        parts += [sorted(rng.sample(range(P.n), rng.randint(1, P.n))) for _ in range(2)]
+        for C in parts:
+            got = _outcome(_bipartition, P, C)
+            assert got == _outcome(_old_bipartition, P, C, C[0]), (P, C)
+            outcomes.add(got if isinstance(got, str) else "ok")
+    assert len(outcomes) == 3  # bipartite, not bipartite, fell apart
+    assert 0 < bad < len(corpus)
 
 
 def test_is_friendly_p3_with_one_arc():

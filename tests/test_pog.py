@@ -1,6 +1,8 @@
 """Data model, text formats, classification, certificates."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -369,3 +371,26 @@ def test_report_reads_only_what_it_asks_for(monkeypatch):
     assert len(calls) == 1 + 2 * T.n
     assert rep.witnesses == {"strong": ("v1", "v0")}
     assert len(calls) == 1 + 2 * T.n
+
+
+def _imported_names(tree):
+    """Every module, `module.name` and `name.attr` the syntax tree imports
+    or reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from ("%s.%s" % (node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield "%s.%s" % (node.value.id, node.attr)
+
+
+def test_only_pog_holds_search_queues():
+    """BFS and heap-ordered searches live in pog's primitives: no other
+    module of the package imports collections.deque or heapq."""
+    queues = {"collections.deque", "heapq"}
+    package = Path(pog_module.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        used = queues & set(_imported_names(ast.parse(path.read_text())))
+        assert used == (queues if path.name == "pog.py" else set()), path.name
