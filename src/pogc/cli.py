@@ -20,8 +20,7 @@ from .errors import (NotFriendlyError, NotInClassError, NotRoundError,
                      SizeGuardError, UnsupportedInstanceError)
 from .friendly import extend_circular_arc_representation
 from .hardness import (assignment_to_ordering, build_reduction,
-                       exact_complete, no_completion_certificate,
-                       parse_dimacs)
+                       exact_complete, parse_dimacs)
 from .interval import (_find_hole, check_peo, complete_to_acyclic_lt,
                        extend_interval_representation, lbfs,
                        parse_representation, render_representation)
@@ -85,7 +84,8 @@ def _complete_ltlt(P):
 
 def _complete_ltt_exact(P):
     D = exact_complete(P, "ltt")
-    return D if D is not None else no_completion_certificate(P, "ltt")
+    return D if D is not None else Certificate(
+        "NoCompletion", {"kind": "exhausted", "target": "ltt"})
 
 
 _COMPLETERS = {

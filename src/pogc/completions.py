@@ -305,8 +305,8 @@ def complete_to_cycle_factor_bruteforce(P):
     lexicographic orientation order) with a directed cycle factor."""
     edges = sorted(P.edges)
     if len(edges) > MAX_CYCLE_FACTOR_EDGES:
-        raise SizeGuardError("too many edges for exhaustive search (%d > %d)"
-                             % (len(edges), MAX_CYCLE_FACTOR_EDGES))
+        raise SizeGuardError("MAX_CYCLE_FACTOR_EDGES", MAX_CYCLE_FACTOR_EDGES,
+                             len(edges), "unoriented edges")
     for mask in range(1 << len(edges)):
         arcs = [(u, v) if not (mask >> k) & 1 else (v, u)
                 for k, (u, v) in enumerate(edges)]

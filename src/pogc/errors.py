@@ -48,7 +48,13 @@ class UnsupportedInstanceError(PogError):
 
 
 class SizeGuardError(PogError):
-    """Exhaustive search refused: instance exceeds the size guard."""
+    """Exhaustive search refused: the instance exceeds a size guard.
+    The message names the guard constant, its limit and the instance
+    size."""
+
+    def __init__(self, guard, limit, size, unit):
+        super().__init__("%s: instance has %d %s, limit is %d"
+                         % (guard, size, unit, limit))
 
 
 class NoZeroOutdegreeStartError(PogError):

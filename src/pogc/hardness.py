@@ -2,9 +2,10 @@
 
 The reduction turns a 3-CNF formula into a partially oriented graph
 whose oriented part has an excellent cyclic ordering exactly when the
-formula is satisfiable.  The exact solver enumerates completions of
-small instances by backtracking and doubles as the oracle used to
-validate everything else at desk scale.
+formula is satisfiable.  The exact solver enumerates the locally
+transitive tournament completions of small instances by backtracking:
+the one target with no polynomial decider in the package, which also
+decides whether an oriented graph has an excellent cyclic ordering.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 from .errors import (InvariantError, NotInClassError, NotSatisfyingError,
                      ParseError, SizeGuardError, UnsupportedInstanceError)
-from .pog import (Certificate, Ordering, Pog, _neighbourhood_cycle,
-                  _nonadjacent_pairs, _reach, classify, complete_closure,
+from .pog import (Ordering, Pog, _neighbourhood_cycle,
+                  _nonadjacent_pairs, classify, complete_closure,
                   require_oriented, topological_order)
 from .rounds import (check_ordering, complete_under_excellent,
                      find_round_ordering, round_to_ltt, saturate_to_round_lt)
@@ -408,68 +409,24 @@ def _assignments_near(t, n):
 # -- exact backtracking solver -------------------------------------------
 
 
-# exact-search target -> the PropertyReport property every completion it
-# finds must have ("locally_transitive" already implies "local_tournament")
-_LEAF_PROPERTY = {
-    "ltt": "locally_transitive_tournament",
-    "ltlt": "locally_transitive",
-    "local_tournament": "local_tournament",
-    "acyclic_local_tournament": "acyclic_local_tournament",
-    "in_tournament": "in_tournament",
-    "quasi_transitive": "quasi_transitive",
-}
-
-
-def _search_completions(P, target, want_all):
-    """All orientations of P's edges inside the target class (only the
+def _search_completions(P, want_all):
+    """All locally transitive tournament completions of P (only the
     first unless `want_all`), as sorted arc frozensets.  Exhaustive
     backtracking, most-constrained edge first, leaf-verified by
     classify."""
-    prop = _LEAF_PROPERTY.get(target)
-    if prop is None:
-        raise ValueError("unknown target %r" % target)
-    if target == "ltt" and any(_nonadjacent_pairs(P, range(P.n))):
+    if any(_nonadjacent_pairs(P, range(P.n))):
         return []
     n = P.n
     out = [set(P.out_nbrs[v]) for v in range(n)]
     inn = [set(P.in_nbrs[v]) for v in range(n)]
-    adj = P.adjacent
-    needs_lt = target in ("ltt", "ltlt", "local_tournament",
-                          "acyclic_local_tournament")
-    needs_tri = target in ("ltt", "ltlt")
-    needs_acyclic = target == "acyclic_local_tournament"
 
-    def arc_ok(u, v):
-        # soundness only matters: a rejected arc must genuinely
-        # contradict the target given the decided arcs
-        if needs_lt:
-            for w in out[u]:
-                if w != v and not adj(v, w):
-                    return False
-            for w in inn[v]:
-                if w != u and not adj(u, w):
-                    return False
-        if target == "in_tournament":
-            for w in inn[v]:
-                if w != u and not adj(u, w):
-                    return False
-        if target == "quasi_transitive":
-            for w in out[v]:
-                if w != u and not adj(u, w):
-                    return False
-            for w in inn[u]:
-                if w != v and not adj(w, v):
-                    return False
-        if needs_acyclic and u in _reach(out.__getitem__, v):
-            return False
-        if needs_tri and _triangle_in_neighbourhood(out, inn, u, v):
-            return False
-        return True
-
+    # every pair is adjacent, so each orientation is a local tournament
+    # and an arc is pruned only when it closes a directed triangle
+    # inside a neighbourhood
     for u, v in P.arcs:
         out[u].discard(v)
         inn[v].discard(u)
-        if not arc_ok(u, v):
+        if _triangle_in_neighbourhood(out, inn, u, v):
             return []
         out[u].add(v)
         inn[v].add(u)
@@ -488,7 +445,7 @@ def _search_completions(P, target, want_all):
         if len(chosen) == len(edges):
             D = Pog(P.names, frozenset(),
                     P.arcs | frozenset(chosen))
-            if getattr(classify(D), prop):
+            if classify(D).locally_transitive_tournament:
                 found.append(frozenset(D.arcs))
                 return not want_all
             return False
@@ -496,7 +453,7 @@ def _search_completions(P, target, want_all):
         i, j = edges[k]
         edges[k] = None
         for u, v in ((i, j), (j, i)):
-            if arc_ok(u, v):
+            if not _triangle_in_neighbourhood(out, inn, u, v):
                 out[u].add(v)
                 inn[v].add(u)
                 chosen.append((u, v))
@@ -538,17 +495,21 @@ def _triangle_in_neighbourhood(out, inn, u, v):
 def exact_complete(P, target, enumerate_all=False):
     """Exhaustive completion search on small instances.
 
-    Returns a list of completions (Pogs) when enumerate_all is set,
-    otherwise the first completion or None.  Target excellent_ordering
-    searches locally transitive tournament completions of the
-    non-adjacency closure and returns cyclic orderings instead.
+    Target "ltt" searches locally transitive tournament completions of
+    P and returns a list of them (Pogs) when enumerate_all is set,
+    otherwise the first one or None.  Target "excellent_ordering" runs
+    the same search on the non-adjacency closure of an oriented P and
+    returns cyclic orderings instead.  Any other target raises
+    ValueError: the other classes have polynomial deciders.
     """
     if target == "excellent_ordering":
         return _excellent_search(P, enumerate_all)
+    if target != "ltt":
+        raise ValueError("unknown target %r" % (target,))
     if len(P.edges) > MAX_SEARCH_EDGES:
-        raise SizeGuardError("instance has %d unoriented edges, guard is %d"
-                             % (len(P.edges), MAX_SEARCH_EDGES))
-    arcsets = _search_completions(P, target, enumerate_all)
+        raise SizeGuardError("MAX_SEARCH_EDGES", MAX_SEARCH_EDGES,
+                             len(P.edges), "unoriented edges")
+    arcsets = _search_completions(P, enumerate_all)
     sols = [Pog(P.names, frozenset(), a) for a in arcsets]
     if enumerate_all:
         return sols
@@ -558,10 +519,10 @@ def exact_complete(P, target, enumerate_all=False):
 def _excellent_search(P, enumerate_all):
     require_oriented(P)
     if P.n > MAX_EXCELLENT_VERTICES:
-        raise SizeGuardError("excellent-ordering search is limited to %d "
-                             "vertices" % MAX_EXCELLENT_VERTICES)
+        raise SizeGuardError("MAX_EXCELLENT_VERTICES", MAX_EXCELLENT_VERTICES,
+                             P.n, "vertices")
     closed = complete_closure(P)
-    arcsets = _search_completions(closed, "ltt", enumerate_all)
+    arcsets = _search_completions(closed, enumerate_all)
     orderings = []
     seen = set()
     for a in arcsets:
@@ -580,13 +541,6 @@ def _excellent_search(P, enumerate_all):
     if enumerate_all:
         return orderings
     return orderings[0] if orderings else None
-
-
-def no_completion_certificate(P, target):
-    """Certificate for an exhausted exact search. Verification re-runs
-    the same bounded search."""
-    return Certificate("NoCompletion", {"kind": "exhausted",
-                                        "target": target})
 
 
 # -- ordering / tournament bridges ---------------------------------------
@@ -619,8 +573,8 @@ def search_nice_ordering(D):
     """First nice cyclic ordering by brute force, or None."""
     require_oriented(D)
     if D.n > MAX_NICE_VERTICES:
-        raise SizeGuardError("nice-ordering search is limited to %d vertices"
-                             % MAX_NICE_VERTICES)
+        raise SizeGuardError("MAX_NICE_VERTICES", MAX_NICE_VERTICES, D.n,
+                             "vertices")
     if D.n == 0:
         return Ordering("cyclic", ())
     for perm in itertools.permutations(range(1, D.n)):

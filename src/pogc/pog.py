@@ -745,8 +745,9 @@ def _verify(P, cert):
                 from .completions import complete_to_cycle_factor_bruteforce
                 res = complete_to_cycle_factor_bruteforce(P)
                 return isinstance(res, Certificate)
-            from .hardness import _LEAF_PROPERTY, exact_complete
-            return target in _LEAF_PROPERTY and exact_complete(P, target) is None
+            if target == "ltt":
+                from .hardness import exact_complete
+                return exact_complete(P, "ltt") is None
         return False
 
     return False

@@ -28,8 +28,8 @@ from pogc.pog import (Certificate, Ordering, Pog, classify, complete_closure,
 from pogc.rounds import (check_ordering, complete_under_excellent,
                          find_round_ordering, round_to_ltt,
                          saturate_to_round_lt)
-from util import (all_graphs, all_pogs, brute_force_completion, names,
-                  random_graph, random_pog)
+from util import (all_graphs, all_pogs, brute_force_completion, exact_oracle,
+                  names, random_graph, random_pog)
 
 
 def _report(num, detail):
@@ -102,7 +102,7 @@ def test_criterion_03_local_tournament_vs_brute_force():
     for _ in range(100000):
         P = random_pog(rng, 5)
         res = complete_via_aux(P)
-        want = exact_complete(P, "local_tournament")
+        want = exact_oracle(P, "local_tournament")
         if isinstance(res, Certificate):
             assert want is None, (P.edges, P.arcs)
             assert verify_certificate(P, res)
@@ -119,7 +119,7 @@ def test_criterion_04_acyclic_lt_proper_interval():
     for n in range(1, 7):
         for G in all_graphs(n):
             res = complete_to_acyclic_lt(G)
-            want = exact_complete(G, "acyclic_local_tournament")
+            want = exact_oracle(G, "acyclic_local_tournament")
             if isinstance(res, Certificate):
                 assert want is None, G.edges
                 assert verify_certificate(G, res)
@@ -234,7 +234,7 @@ def test_criterion_08_friendly():
         if not is_friendly(P)[0]:
             continue
         res = complete_friendly(P)
-        want = exact_complete(P, "ltlt")
+        want = exact_oracle(P, "ltlt")
         if isinstance(res, Certificate):
             assert want is None, (P.edges, P.arcs)
             assert verify_certificate(P, res)
@@ -278,7 +278,7 @@ def test_criterion_09_strong_in_quasi():
             if target is None:
                 want = brute_force_completion(P, pred)
             else:
-                want = exact_complete(P, target)
+                want = exact_oracle(P, target)
             if isinstance(res, Certificate):
                 assert want is None, (P.edges, P.arcs)
                 assert verify_certificate(P, res)

@@ -1,6 +1,7 @@
 """End-to-end command line tests: exit codes, certificates, JSON output."""
 
 import json
+import time
 
 import pytest
 
@@ -115,7 +116,12 @@ def test_complete_size_guard(w, capsys):
              for i in range(n) for j in range(i + 1, n)]
     f = w("g", "\n".join(lines) + "\n")
     assert run(["complete", "--class", "ltt-exact", f]) == 3
-    assert "unsupported:" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("unsupported: MAX_SEARCH_EDGES: instance "
+                                       "has 66 unoriented edges, limit is 22\n")
+    assert run(["complete", "--class", "cycle-factor", f]) == 3
+    assert capsys.readouterr().err == (
+        "unsupported: MAX_CYCLE_FACTOR_EDGES: instance has 66 unoriented "
+        "edges, limit is 20\n")
 
 
 def test_complete_cycle_factor_long_augmenting_path(w, capsys):
@@ -331,9 +337,24 @@ def test_verify_cert_garbage(w, capsys):
             "witness": None}}))
         assert run(["verify-cert", g, c]) == 1
         assert capsys.readouterr().out.strip() == "invalid"
-    # an exhausted search for a target the exact search does not take
-    g = w("g3", "edge a b\nedge b c\narc c a\n")
-    c = w("cert3", json.dumps({"tag": "NoCompletion", "payload": {
-        "kind": "exhausted", "target": "excellent_ordering"}}))
-    assert run(["verify-cert", g, c]) == 1
-    assert capsys.readouterr().out.strip() == "invalid"
+    # an exhausted search for any target but ltt and cycle_factor is
+    # rejected without a search, even where the pog has no completion in
+    # the class; the last pog has 22 edges, and a search would try all
+    # 2^19 orientations of its matching before failing on its claw
+    matching = "".join("edge a%d b%d\n" % (k, k) for k in range(19))
+    for target, text in (
+            ("excellent_ordering", "edge a b\nedge b c\narc c a\n"),
+            ("local_tournament", CLAW),
+            ("acyclic_local_tournament", DIRECTED_C3),
+            ("in_tournament", "arc a c\narc b c\n"),
+            ("quasi_transitive", "arc a b\narc b c\n"),
+            ("ltlt", CLAW),
+            (["ltt"], CLAW),
+            ("local_tournament", matching + CLAW)):
+        g = w("g3", text)
+        c = w("cert3", json.dumps({"tag": "NoCompletion", "payload": {
+            "kind": "exhausted", "target": target}}))
+        t0 = time.perf_counter()
+        assert run(["verify-cert", g, c]) == 1, target
+        assert time.perf_counter() - t0 < 1, target
+        assert capsys.readouterr().out.strip() == "invalid"

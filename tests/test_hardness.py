@@ -14,7 +14,7 @@ from pogc.hardness import (CnfFormula, assignment_to_ordering,
                            search_nice_ordering)
 from pogc.pog import Ordering, Pog, classify
 from pogc.rounds import check_ordering
-from util import names, random_pog
+from util import exact_oracle, names, random_pog
 
 
 # -- formulas ----------------------------------------------------------------
@@ -240,14 +240,20 @@ def test_random_satisfiable_formulas():
 
 
 def test_exact_complete_guards():
-    big = Pog(names(10),
-              frozenset((i, j) for i in range(10) for j in range(i + 1, 10)),
-              frozenset())
-    with pytest.raises(SizeGuardError):
-        exact_complete(big, "local_tournament")
+    k8 = Pog(names(8),
+             frozenset((i, j) for i in range(8) for j in range(i + 1, 8)),
+             frozenset())
+    with pytest.raises(SizeGuardError, match="MAX_SEARCH_EDGES: instance "
+                       "has 28 unoriented edges, limit is 22"):
+        exact_complete(k8, "ltt")
     huge = Pog(names(13), frozenset(), frozenset())
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match="MAX_EXCELLENT_VERTICES: "
+                       "instance has 13 vertices, limit is 12"):
         exact_complete(huge, "excellent_ordering")
+    # the polynomial classes are not searched
+    with pytest.raises(ValueError):
+        exact_complete(Pog(names(3), frozenset({(0, 1), (1, 2)}),
+                           frozenset()), "local_tournament")
 
 
 def test_exact_complete_vs_aux_oracle():
@@ -255,7 +261,7 @@ def test_exact_complete_vs_aux_oracle():
     rng = random.Random(67)
     for _ in range(200):
         P = random_pog(rng, rng.randint(1, 5))
-        exact = exact_complete(P, "local_tournament")
+        exact = exact_oracle(P, "local_tournament")
         aux = complete_via_aux(P)
         from pogc.pog import Certificate
         assert (exact is not None) == (not isinstance(aux, Certificate))
@@ -335,7 +341,8 @@ def test_search_nice_ordering():
     c4 = Pog(names(4), frozenset(),
              frozenset((k, (k + 1) % 4) for k in range(4)))
     assert search_nice_ordering(c4) is not None
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match="MAX_NICE_VERTICES: instance "
+                       "has 11 vertices, limit is 10"):
         search_nice_ordering(Pog(names(11), frozenset(), frozenset()))
 
 

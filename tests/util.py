@@ -2,7 +2,7 @@
 
 import itertools
 
-from pogc.pog import Pog, classify
+from pogc.pog import Pog, _reach, classify
 
 
 def names(n):
@@ -67,6 +67,65 @@ def brute_force_completion(P, pred):
         if pred(classify(D)):
             return D
     return None
+
+
+def _lt_ok(adj, out, inn, u, v):
+    """Out(u) and in(v) stay adjacent to the new end of arc u->v."""
+    return out[u] <= adj[v] and inn[v] <= adj[u]
+
+
+# exact_oracle target -> (classify property every completion must have,
+# a necessary condition of the class on a new arc u->v given the arcs
+# already decided)
+_ORACLE = {
+    "local_tournament": ("local_tournament", _lt_ok),
+    "ltlt": ("locally_transitive", _lt_ok),
+    "in_tournament": ("in_tournament",
+                      lambda adj, out, inn, u, v: inn[v] <= adj[u]),
+    "quasi_transitive": ("quasi_transitive",
+                         lambda adj, out, inn, u, v: (out[v] <= adj[u]
+                                                      and inn[u] <= adj[v])),
+    "acyclic_local_tournament": (
+        "acyclic_local_tournament",
+        lambda adj, out, inn, u, v: (_lt_ok(adj, out, inn, u, v)
+                                     and u not in _reach(out.__getitem__, v))),
+}
+
+
+def exact_oracle(P, target):
+    """First completion of P in the target class, or None.
+
+    Reference for the polynomial completers: backtracks over P's arcs
+    and then over sorted(P.edges), each edge both ways round, prunes an
+    arc that breaks the target's rule on the arcs already decided, and
+    judges every leaf with classify."""
+    prop, ok = _ORACLE[target]
+    adj = P.adj
+    out = [set() for _ in range(P.n)]
+    inn = [set() for _ in range(P.n)]
+    steps = [[a] for a in sorted(P.arcs)]
+    steps += [[(i, j), (j, i)] for i, j in sorted(P.edges)]
+    chosen = []
+
+    def rec(k):
+        if k == len(steps):
+            D = Pog(P.names, frozenset(), frozenset(chosen))
+            return D if getattr(classify(D), prop) else None
+        for u, v in steps[k]:
+            if not ok(adj, out, inn, u, v):
+                continue
+            out[u].add(v)
+            inn[v].add(u)
+            chosen.append((u, v))
+            D = rec(k + 1)
+            chosen.pop()
+            out[u].discard(v)
+            inn[v].discard(u)
+            if D is not None:
+                return D
+        return None
+
+    return rec(0)
 
 
 def assert_extends(P, D):
