@@ -1,0 +1,149 @@
+"""Scaling ladder: time pogc kernels on band graphs of growing size.
+
+Standard library only.  From the repository root:
+
+    python3 bench/ladder.py                  # writes bench/BENCH_<commit>.json
+    python3 bench/ladder.py --sizes 400 --out -
+
+The package is imported from `src/` of the checkout this script lives
+in.  Each kernel runs on band-4 (v_i ~ v_j iff |i - j| <= 4, no arcs) at
+n = 10^2, 10^2.5, ..., 10^4.  A point is the fastest of a few runs, each
+on a freshly built pog so that no cached view is shared between runs.
+A run longer than CAP_S is stopped by SIGALRM; that point
+is recorded with `"seconds": null` and the kernel's larger sizes are
+skipped.  The
+exponent of a kernel is the least-squares slope of log(time) against
+log(n) over its measured points.  Times are raw `perf_counter` seconds
+on the host named in the output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import signal
+import subprocess
+import sys
+from time import perf_counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from pogc.auxgraph import build_aux  # noqa: E402
+from pogc.interval import complete_to_acyclic_lt  # noqa: E402
+from pogc.pog import Pog  # noqa: E402
+
+WIDTH = 4
+SIZES = tuple(round(10 ** (2 + k / 2)) for k in range(5))
+KERNELS = {
+    "build_aux.local_tournament": lambda P: build_aux(P, "local_tournament"),
+    "build_aux.quasi_transitive": lambda P: build_aux(P, "quasi_transitive"),
+    "complete_to_acyclic_lt": complete_to_acyclic_lt,
+}
+CAP_S = 30.0            # longest run allowed at one point
+REPEAT_BUDGET_S = 0.5   # repeat a point while its runs total less than this
+MAX_REPEATS = 5
+
+
+class Capped(Exception):
+    pass
+
+
+def band(n, w=WIDTH):
+    return Pog(tuple("v%d" % i for i in range(n)),
+               frozenset((i, j) for i in range(n)
+                         for j in range(i + 1, min(n, i + w + 1))),
+               frozenset())
+
+
+def _alarm(signum, frame):
+    raise Capped
+
+
+def time_point(kernel, n):
+    """Fastest of up to MAX_REPEATS runs of kernel on band(n), or None
+    when a run exceeds CAP_S."""
+    best, total = math.inf, 0.0
+    for _ in range(MAX_REPEATS):
+        P = band(n)
+        signal.setitimer(signal.ITIMER_REAL, CAP_S)
+        try:
+            t0 = perf_counter()
+            kernel(P)
+            dt = perf_counter() - t0
+        except Capped:
+            return None
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        best, total = min(best, dt), total + dt
+        if total >= REPEAT_BUDGET_S:
+            break
+    return best
+
+
+def exponent(points):
+    """Least-squares slope of log t on log n, or None below two points."""
+    xy = [(math.log(p["n"]), math.log(p["seconds"]))
+          for p in points if p["seconds"]]
+    if len(xy) < 2:
+        return None
+    mx = sum(x for x, _ in xy) / len(xy)
+    my = sum(y for _, y in xy) / len(xy)
+    sxx = sum((x - mx) ** 2 for x, _ in xy)
+    return round(sum((x - mx) * (y - my) for x, y in xy) / sxx, 3)
+
+
+def short_commit():
+    try:
+        return subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--sizes", type=int, nargs="+", default=SIZES)
+    ap.add_argument("--commit", default=None,
+                    help="label of the measured code (default: git HEAD)")
+    ap.add_argument("--out", default=None,
+                    help="output file, '-' for stdout "
+                         "(default: bench/BENCH_<commit>.json)")
+    args = ap.parse_args(argv)
+    commit = args.commit or short_commit()
+    signal.signal(signal.SIGALRM, _alarm)
+    kernels = {}
+    for name, kernel in KERNELS.items():
+        points = []
+        for n in sorted(args.sizes):
+            t = time_point(kernel, n)
+            points.append({"n": n, "seconds": None if t is None else round(t, 6)})
+            print("%-28s n=%-6d %s" % (name, n, "capped" if t is None
+                                       else "%.4f s" % t), file=sys.stderr)
+            if t is None:
+                break
+        kernels[name] = {"points": points, "exponent": exponent(points)}
+    result = {
+        "commit": commit,
+        "family": "band-%d, no arcs" % WIDTH,
+        "cap_s": CAP_S,
+        "host": {"python": platform.python_version(),
+                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "kernels": kernels,
+    }
+    text = json.dumps(result, indent=1) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+        return
+    out = args.out or os.path.join(ROOT, "bench", "BENCH_%s.json" % commit)
+    with open(out, "w") as fh:
+        fh.write(text)
+    print("wrote %s" % out, file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError
-from .pog import Certificate, Pog, _bfs_colouring, _norm, bfs_path, classify
+from .pog import (Certificate, Pog, _bfs_colouring, _nonadjacent_pairs, _norm,
+                  bfs_path, classify)
 
 MODES = ("local_tournament", "quasi_transitive")
 
@@ -70,15 +71,33 @@ class AuxGraph:
 
 def build_aux(P, mode="local_tournament"):
     """The aux graph of UG(P) in `mode`, each component labelled and
-    2-coloured by one BFS from its smallest pair."""
+    2-coloured by one BFS from its smallest pair.
+
+    Every pair (u, v) is adjacent to its reverse (v, u).  Besides, for
+    every vertex u and non-adjacent a, b in N(u): in local_tournament
+    mode (u, a) ~ (u, b) and (a, u) ~ (b, u); in quasi_transitive mode
+    (a, u) ~ (u, b) and (b, u) ~ (u, a).  These are exactly the pairs
+    `aux_adjacent` accepts, enumerated per neighbourhood in
+    O(m + sum of deg(v)^2)."""
+    if mode not in MODES:
+        raise ValueError("unknown aux mode %r" % mode)
     verts = sorted(p for i, j in P.und_pairs for p in ((i, j), (j, i)))
     m = len(verts)
-    adj = [[] for _ in range(m)]
-    for x in range(m):
-        for y in range(x + 1, m):
-            if aux_adjacent(P, verts[x], verts[y], mode):
+    vid = {p: k for k, p in enumerate(verts)}
+    adj = [[vid[j, i]] for i, j in verts]
+    lt = mode == "local_tournament"
+    for u in range(P.n):
+        for a, b in _nonadjacent_pairs(P, P.adj[u]):
+            if lt:
+                links = ((u, a), (u, b)), ((a, u), (b, u))
+            else:
+                links = ((a, u), (u, b)), ((b, u), (u, a))
+            for p, q in links:
+                x, y = vid[p], vid[q]
                 adj[x].append(y)
                 adj[y].append(x)
+    for nbrs in adj:
+        nbrs.sort()
     comp, colours = [-1] * m, [-1] * m
     members, odd = [], []
     for root in range(m):

@@ -3,6 +3,8 @@
 import random
 from collections import deque
 
+import pytest
+
 from pogc import auxgraph, friendly, interval
 from pogc.auxgraph import (aux_adjacent, build_aux, complete_via_aux,
                            consentaneous_closure, two_colour)
@@ -188,6 +190,15 @@ def _partial(n, w, circular, window):
                           2 * n if circular else 0)
 
 
+def _band_pog(rng, n, w, circular, p_arc):
+    """_band(n, w, circular) with each forward edge revealed as an arc
+    with probability p_arc."""
+    G = _band(n, w, circular)
+    forward = sorted(G.edges) if not circular else \
+        [(i, j) if (j - i) % n <= w else (j, i) for i, j in sorted(G.edges)]
+    return G.orient(a for a in forward if rng.random() < p_arc)
+
+
 def test_one_aux_build_per_underlying_graph(monkeypatch):
     """No operation builds the aux graph of one underlying graph twice."""
     keys = []
@@ -215,10 +226,8 @@ def test_one_aux_build_per_underlying_graph(monkeypatch):
     pogs, extensions = [], []
     for _ in range(12):
         n, w, circular = rng.randint(7, 14), rng.randint(1, 3), rng.random() < 0.5
-        G = _band(n, w, circular)
-        forward = sorted(G.edges) if not circular else \
-            [(i, j) if (j - i) % n <= w else (j, i) for i, j in sorted(G.edges)]
-        pogs.append(G.orient(a for a in forward if rng.random() < 0.3))
+        pogs.append(_band_pog(rng, n, w, circular, 0.3))
+        G = pogs[-1].underlying_graph()
         start = rng.randrange(n - 3)
         extensions.append((G, _partial(n, w, circular, range(start, start + 3))))
     pogs += [random_pog(rng, rng.randint(2, 8)) for _ in range(60)]
@@ -240,6 +249,32 @@ def test_one_aux_build_per_underlying_graph(monkeypatch):
         built += len(keys)
         assert len(keys) == len(set(keys)), (name, args)
     assert built >= len(calls)
+
+
+def test_unknown_mode_rejected_without_pairs():
+    """The mode is checked even when no pair of pairs is ever compared."""
+    for P in (Pog.build(()), Pog.build(["a"]), Pog.build(["a", "b"])):
+        with pytest.raises(ValueError, match="unknown aux mode"):
+            build_aux(P, "bogus")
+        with pytest.raises(ValueError, match="unknown aux mode"):
+            complete_via_aux(P, "bogus")
+
+
+def test_build_aux_makes_no_pair_tests(monkeypatch):
+    """build_aux enumerates neighbourhoods; it never tests pairs of
+    ordered pairs with aux_adjacent."""
+    calls = []
+    real = auxgraph.aux_adjacent
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(auxgraph, "aux_adjacent", counting)
+    P = _band_pog(random.Random(3), 30, 4, False, 0.2)
+    for mode in auxgraph.MODES:
+        assert any(len(nbrs) > 1 for nbrs in build_aux(P, mode).adj)
+    assert calls == []
 
 
 def _two_pass_reference(P, mode):
@@ -284,6 +319,10 @@ def test_one_pass_labels_match_two_pass_reference():
     corpus = [P for n in range(1, 5) for P in all_pogs(n)]
     corpus += [random_pog(rng, rng.randint(1, 9), p_adj=rng.choice((0.4, 0.7, 0.9)))
                for _ in range(400)]
+    # neighbourhoods with many non-adjacent pairs
+    corpus += [_band_pog(rng, rng.randint(3, 40), rng.randint(2, 4),
+                         rng.random() < 0.5, rng.uniform(0, 0.3))
+               for _ in range(30)]
     odd = 0
     for P in corpus:
         for mode in auxgraph.MODES:
