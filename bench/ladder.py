@@ -1,4 +1,4 @@
-"""Scaling ladder: time pogc kernels on band graphs of growing size.
+"""Scaling ladder: time pogc kernels on graph families of growing size.
 
 Standard library only.  From the repository root:
 
@@ -6,8 +6,10 @@ Standard library only.  From the repository root:
     python3 bench/ladder.py --sizes 400 --out -
 
 The package is imported from `src/` of the checkout this script lives
-in.  Each kernel runs on band-4 (v_i ~ v_j iff |i - j| <= 4, no arcs) at
-n = 10^2, 10^2.5, ..., 10^4.  A point is the fastest of a few runs, each
+in.  Each kernel runs on one family at n = 10^2, 10^2.5, ..., 10^4:
+band-4 (v_i ~ v_j iff |i - j| <= 4, no arcs) or the strong all-arc
+digraph (arcs i -> i+1 and i -> i+2 plus v[n-1] -> v[1] and
+v[n-2] -> v[0], no edges).  A point is the fastest of a few runs, each
 on a freshly built pog so that no cached view is shared between runs.
 A run longer than CAP_S is stopped by SIGALRM; that point
 is recorded with `"seconds": null` and the kernel's larger sizes are
@@ -33,16 +35,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from pogc.auxgraph import build_aux  # noqa: E402
+from pogc.completions import complete_to_strong  # noqa: E402
 from pogc.interval import complete_to_acyclic_lt  # noqa: E402
-from pogc.pog import Pog  # noqa: E402
+from pogc.pog import Pog, _bridges  # noqa: E402
 
 WIDTH = 4
 SIZES = tuple(round(10 ** (2 + k / 2)) for k in range(5))
-KERNELS = {
-    "build_aux.local_tournament": lambda P: build_aux(P, "local_tournament"),
-    "build_aux.quasi_transitive": lambda P: build_aux(P, "quasi_transitive"),
-    "complete_to_acyclic_lt": complete_to_acyclic_lt,
-}
 CAP_S = 30.0            # longest run allowed at one point
 REPEAT_BUDGET_S = 0.5   # repeat a point while its runs total less than this
 MAX_REPEATS = 5
@@ -59,16 +57,34 @@ def band(n, w=WIDTH):
                frozenset())
 
 
+def all_arc(n):
+    arcs = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+    return Pog(tuple("v%d" % i for i in range(n)), frozenset(),
+               frozenset(arcs + [(n - 1, 1), (n - 2, 0)]))
+
+
+BAND = "band-%d, no arcs" % WIDTH
+ALL_ARC = "all-arc, strong, no edges"
+FAMILIES = {BAND: band, ALL_ARC: all_arc}
+KERNELS = {  # name: (family, kernel)
+    "build_aux.local_tournament": (BAND, lambda P: build_aux(P, "local_tournament")),
+    "build_aux.quasi_transitive": (BAND, lambda P: build_aux(P, "quasi_transitive")),
+    "complete_to_acyclic_lt": (BAND, complete_to_acyclic_lt),
+    "bridges": (BAND, _bridges),
+    "complete_to_strong.all_arc": (ALL_ARC, complete_to_strong),
+}
+
+
 def _alarm(signum, frame):
     raise Capped
 
 
-def time_point(kernel, n):
-    """Fastest of up to MAX_REPEATS runs of kernel on band(n), or None
+def time_point(family, kernel, n):
+    """Fastest of up to MAX_REPEATS runs of kernel on family(n), or None
     when a run exceeds CAP_S."""
     best, total = math.inf, 0.0
     for _ in range(MAX_REPEATS):
-        P = band(n)
+        P = family(n)
         signal.setitimer(signal.ITIMER_REAL, CAP_S)
         try:
             t0 = perf_counter()
@@ -117,19 +133,19 @@ def main(argv=None):
     commit = args.commit or short_commit()
     signal.signal(signal.SIGALRM, _alarm)
     kernels = {}
-    for name, kernel in KERNELS.items():
+    for name, (family, kernel) in KERNELS.items():
         points = []
         for n in sorted(args.sizes):
-            t = time_point(kernel, n)
+            t = time_point(FAMILIES[family], kernel, n)
             points.append({"n": n, "seconds": None if t is None else round(t, 6)})
             print("%-28s n=%-6d %s" % (name, n, "capped" if t is None
                                        else "%.4f s" % t), file=sys.stderr)
             if t is None:
                 break
-        kernels[name] = {"points": points, "exponent": exponent(points)}
+        kernels[name] = {"family": family, "points": points,
+                         "exponent": exponent(points)}
     result = {
         "commit": commit,
-        "family": "band-%d, no arcs" % WIDTH,
         "cap_s": CAP_S,
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},

@@ -1,18 +1,20 @@
 """Completions outside the local tournament family.
 
 Transitive tournaments reduce to acyclicity, in-tournaments to 2-SAT
-over edge orientations, strong completions to a bridge test plus a
-strongness test on the bidirected relaxation, and cycle factors to a
-bounded exhaustive search with a bipartite matching oracle.
+over edge orientations, strong completions to a bridge test (one
+O(n + m) lowpoint DFS) plus a strongness test on the bidirected
+relaxation, then the per-edge Boesch-Tindell greedy orientation, and
+cycle factors to a bounded exhaustive search with a bipartite matching
+oracle.
 """
 
 from __future__ import annotations
 
 from .errors import InvariantError, SizeGuardError
 from .hardness import MAX_CYCLE_FACTOR_EDGES
-from .pog import (Certificate, _nonadjacent_pairs, _norm, _separates,
-                  bfs_path, classify, find_directed_cycle, require_oriented,
-                  topological_order)
+from .pog import (Certificate, _bridges, _lowlink, _nonadjacent_pairs, _norm,
+                  _separates, bfs_path, classify, find_directed_cycle,
+                  require_oriented, topological_order)
 
 
 # -- transitive tournaments --------------------------------------------
@@ -62,58 +64,11 @@ def _implications(nvars, clauses):
     return adj
 
 
-def _sccs(adj):
-    """Iterative Tarjan; returns component ids (sinks numbered first)."""
-    n = len(adj)
-    comp = [-1] * n
-    low = [0] * n
-    num = [-1] * n
-    stack, on = [], [False] * n
-    counter = [0]
-    ncomp = [0]
-    for root in range(n):
-        if num[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                num[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if num[w] < 0:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on[w]:
-                    low[v] = min(low[v], num[w])
-            if advanced:
-                continue
-            if low[v] == num[v]:
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    comp[w] = ncomp[0]
-                    if w == v:
-                        break
-                ncomp[0] += 1
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[v])
-    return comp
-
-
 def two_sat(nvars, clauses):
     """Solve 1-or-2 literal clauses.  Returns ('sat', assignment dict)
     or ('unsat', literal cycle through x and -x)."""
     adj = _implications(nvars, clauses)
-    comp = _sccs(adj)
+    comp, _ = _lowlink(len(adj), adj.__getitem__)
     for x in range(1, nvars + 1):
         if comp[_lit_node(x)] == comp[_lit_node(-x)]:
             cycle = _lit_cycle(adj, _lit_node(x), _lit_node(-x))
@@ -207,7 +162,7 @@ def _bidirected_strong(succ):
     """Strongness of the digraph `succ` (a list of successor sets, every
     edge doubled); returns (True, None) or (False, source component)."""
     n = len(succ)
-    comp = _sccs([sorted(s) for s in succ])
+    comp, _ = _lowlink(n, succ.__getitem__)
     if max(comp, default=0) == 0:
         return True, None
     # the component of the smallest vertex whose component no arc enters
@@ -225,10 +180,10 @@ def complete_to_strong(P):
     if len(comps) > 1:
         return Certificate("DirectedCut",
                            {"side": [P.names[v] for v in comps[0]]})
-    bridge = next((pair for pair in sorted(P.und_pairs)
-                   if _separates(P.adj.__getitem__, *pair)), None)
-    if bridge is not None:
-        return Certificate("Bridge", {"edge": [P.names[v] for v in bridge]})
+    bridges = _bridges(P)
+    if bridges:
+        return Certificate("Bridge",
+                           {"edge": [P.names[v] for v in min(bridges)]})
     succ = [set(P.out_nbrs[v]) for v in range(P.n)]
     for i, j in P.edges:
         succ[i].add(j)

@@ -578,6 +578,53 @@ def _components(verts, nbrs):
     return comps
 
 
+def _lowlink(n, nbrs, undirected=False):
+    """Tarjan's lowlink DFS over vertices 0..n-1, roots in order and the
+    neighbours of v in `nbrs(v)` order.  Returns (comp, cut): comp[v]
+    numbers v's component in the order components close (strong
+    components, sinks first), and cut lists the tree edges (parent,
+    root) that enter a component root.  With `undirected`, `nbrs` is a
+    simple graph and the search never steps back along the tree edge it
+    came in on, so the components are the 2-edge-connected components
+    and cut is the bridges."""
+    num, low, comp = [-1] * n, [0] * n, [-1] * n
+    stack, cut, count, ncomp = [], [], 0, 0
+    for root in range(n):
+        if num[root] >= 0:
+            continue
+        num[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, None, iter(nbrs(root)))]
+        while work:
+            v, p, it = work[-1]
+            for w in it:
+                if num[w] < 0:
+                    num[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, v, iter(nbrs(w))))
+                    break
+                if comp[w] < 0 and not (undirected and w == p):
+                    low[v] = min(low[v], num[w])
+            else:
+                work.pop()
+                if low[v] < num[v]:
+                    low[p] = min(low[p], low[v])
+                    continue
+                while comp[v] < 0:
+                    comp[stack.pop()] = ncomp
+                ncomp += 1
+                if p is not None:
+                    cut.append((p, v))
+    return comp, cut
+
+
+def _bridges(P):
+    """The bridges of UG(P), as pairs (i, j) with i < j."""
+    return {_norm(*e) for e in _lowlink(P.n, P.adj.__getitem__, True)[1]}
+
+
 def _separates(nbrs, u, v):
     """True when u cannot reach v without using the pair uv in either
     direction; `nbrs` is as for _reach.  On UG(P), with `nbrs` =

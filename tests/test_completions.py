@@ -3,13 +3,15 @@
 import itertools
 import random
 
+from pogc import completions
 from pogc.completions import (complete_to_cycle_factor_bruteforce,
                               complete_to_in_tournament, complete_to_strong,
                               complete_to_transitive_tournament,
                               find_cycle_factor, has_cycle_factor,
-                              _bidirected_strong, _max_flow, is_k_arc_strong,
-                              two_sat)
-from pogc.pog import Certificate, Pog, classify, verify_certificate
+                              _bidirected_strong, _implications,
+                              _in_tournament_clauses, _max_flow, _pair_vars,
+                              is_k_arc_strong, two_sat)
+from pogc.pog import Certificate, Pog, _lowlink, classify, verify_certificate
 from util import (all_graphs, all_pogs, brute_force_completion, names,
                   orientations, random_pog)
 
@@ -221,6 +223,117 @@ def test_two_sat_vs_truth_table():
         if status == "sat":
             assert all(any((l > 0) == res[abs(l)] for l in cl)
                        for cl in clauses)
+
+
+def _sccs_reference(adj):
+    """Iterative Tarjan over the successor lists adj, kept as the
+    reference for pog._lowlink; returns component ids (sinks numbered
+    first)."""
+    n = len(adj)
+    comp = [-1] * n
+    low = [0] * n
+    num = [-1] * n
+    stack, on = [], [False] * n
+    counter = [0]
+    ncomp = [0]
+    for root in range(n):
+        if num[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                num[v] = low[v] = counter[0]
+                counter[0] += 1
+                stack.append(v)
+                on[v] = True
+            advanced = False
+            for k in range(pi, len(adj[v])):
+                w = adj[v][k]
+                if num[w] < 0:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on[w]:
+                    low[v] = min(low[v], num[w])
+            if advanced:
+                continue
+            if low[v] == num[v]:
+                while True:
+                    w = stack.pop()
+                    on[w] = False
+                    comp[w] = ncomp[0]
+                    if w == v:
+                        break
+                ncomp[0] += 1
+            work.pop()
+            if work:
+                p = work[-1][0]
+                low[p] = min(low[p], low[v])
+    return comp
+
+
+def _ring_chord_pog(rng, n):
+    """Ring 0..n-1 plus a matching of chords, part of it revealed as arcs."""
+    pairs = {(i, (i + 1) % n) for i in range(n)}
+    free = list(range(n))
+    rng.shuffle(free)
+    for a, b in zip(free[:n // 4], free[n // 4:n // 2]):
+        if min((a - b) % n, (b - a) % n) >= 2:
+            pairs.add((a, b))
+    edges, arcs = set(), set()
+    for a, b in pairs:
+        if rng.random() < 0.3:
+            arcs.add((a, b) if rng.random() < 0.5 else (b, a))
+        else:
+            edges.add((min(a, b), max(a, b)))
+    return Pog(names(n), frozenset(edges), frozenset(arcs))
+
+
+def _clause_sets():
+    """Seeded random 2-SAT instances and the in-tournament clauses of
+    seeded ring-and-chord pogs, as (nvars, clauses)."""
+    rng = random.Random(17)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        yield n, [tuple(rng.randint(1, n) * rng.choice((1, -1))
+                        for _ in range(rng.randint(1, 2)))
+                  for _ in range(rng.randint(1, 3 * n))]
+    for _ in range(200):
+        P = _ring_chord_pog(rng, rng.randint(4, 30))
+        pairs, var_of = _pair_vars(P)
+        yield len(pairs), _in_tournament_clauses(P, var_of)
+
+
+def test_lowlink_sccs_match_reference():
+    rng = random.Random(23)
+    digraphs = []
+    for _ in range(2000):
+        n = rng.randint(0, 12)
+        p = rng.choice((0.05, 0.15, 0.3, 0.6))
+        # self-loops and repeated successors occur in implication graphs
+        digraphs.append([[w for w in range(n) for _ in range(rng.choice((1, 1, 2)))
+                          if rng.random() < p] for _ in range(n)])
+    digraphs += [_implications(n, clauses) for n, clauses in _clause_sets()]
+    n = 20000  # a long directed path, then a long directed cycle
+    digraphs += [[[v + 1] for v in range(n - 1)] + [[]],
+                 [[(v + 1) % n] for v in range(n)]]
+    for adj in digraphs:
+        assert _lowlink(len(adj), adj.__getitem__)[0] == _sccs_reference(adj)
+
+
+def test_two_sat_unchanged_by_lowlink(monkeypatch):
+    """two_sat gives the same assignments and implication cycles as with
+    the reference SCC routine."""
+    instances = list(_clause_sets())
+    got = [two_sat(n, clauses) for n, clauses in instances]
+    monkeypatch.setattr(completions, "_lowlink", lambda n, nbrs: (
+        _sccs_reference([nbrs(v) for v in range(n)]), None))
+    want = [two_sat(n, clauses) for n, clauses in instances]
+    assert got == want
+    statuses = [status for status, _ in got]
+    assert statuses.count("sat") > 100 and statuses.count("unsat") > 100
 
 
 # -- in-tournaments ----------------------------------------------------------
