@@ -35,7 +35,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from pogc.auxgraph import build_aux  # noqa: E402
-from pogc.completions import complete_to_strong  # noqa: E402
+from pogc.completions import complete_to_strong, find_cycle_factor  # noqa: E402
 from pogc.interval import complete_to_acyclic_lt  # noqa: E402
 from pogc.pog import Pog, _bridges  # noqa: E402
 
@@ -72,6 +72,7 @@ KERNELS = {  # name: (family, kernel)
     "complete_to_acyclic_lt": (BAND, complete_to_acyclic_lt),
     "bridges": (BAND, _bridges),
     "complete_to_strong.all_arc": (ALL_ARC, complete_to_strong),
+    "find_cycle_factor.all_arc": (ALL_ARC, find_cycle_factor),
 }
 
 

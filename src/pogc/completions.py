@@ -4,17 +4,17 @@ Transitive tournaments reduce to acyclicity, in-tournaments to 2-SAT
 over edge orientations, strong completions to a bridge test (one
 O(n + m) lowpoint DFS) plus a strongness test on the bidirected
 relaxation, then the per-edge Boesch-Tindell greedy orientation, and
-cycle factors to a bounded exhaustive search with a bipartite matching
-oracle.
+cycle factors to a bounded exhaustive search whose oracle matches
+out-copies to in-copies (`pog._matching`).
 """
 
 from __future__ import annotations
 
 from .errors import InvariantError, SizeGuardError
 from .hardness import MAX_CYCLE_FACTOR_EDGES
-from .pog import (Certificate, _bridges, _lowlink, _nonadjacent_pairs, _norm,
-                  _separates, bfs_path, classify, find_directed_cycle,
-                  require_oriented, topological_order)
+from .pog import (Certificate, _bridges, _lowlink, _matching,
+                  _nonadjacent_pairs, _norm, _separates, bfs_path, classify,
+                  find_directed_cycle, require_oriented, topological_order)
 
 
 # -- transitive tournaments --------------------------------------------
@@ -211,43 +211,19 @@ def complete_to_strong(P):
 def find_cycle_factor(D):
     """Spanning collection of disjoint directed cycles, or None.
     A perfect matching between out-copies and in-copies is exactly a
-    successor function."""
+    successor function; each cycle starts at its smallest vertex."""
     require_oriented(D)
-    n = D.n
     out = [sorted(s) for s in D.out_nbrs]
-    match_r = [-1] * n  # in-copy -> out-copy
-    for root in range(n):
-        # depth-first augmenting path search; a frame is [out-copy,
-        # its untried in-copies, the in-copy it is trying]
-        seen = set()
-        stack = [[root, iter(out[root]), None]]
-        while stack:
-            frame = stack[-1]
-            for w in frame[1]:
-                if w not in seen:
-                    break
-            else:
-                stack.pop()
-                continue
-            seen.add(w)
-            frame[2] = w
-            if match_r[w] < 0:
-                for u, _, w in stack:
-                    match_r[w] = u
-                break
-            stack.append([match_r[w], iter(out[match_r[w]]), None])
-        else:
-            return None
-    succ = {match_r[w]: w for w in range(n)}
-    cycles, left = [], set(range(n))
-    while left:
-        v = min(left)
-        cyc = [v]
-        left.discard(v)
-        while succ[cyc[-1]] != v:
-            cyc.append(succ[cyc[-1]])
-            left.discard(cyc[-1])
-        cycles.append(cyc)
+    match, unmatched = _matching(range(D.n), out.__getitem__)
+    if unmatched is not None:
+        return None
+    succ = {u: w for w, u in match.items()}
+    cycles = []
+    for v in range(D.n):
+        if v in succ:
+            cycles.append([v])
+            while (w := succ.pop(cycles[-1][-1])) != v:
+                cycles[-1].append(w)
     return cycles
 
 

@@ -67,7 +67,6 @@ def as_assignment(t, n_vars):
 
 def parse_dimacs(text):
     n_vars = None
-    n_clauses = None
     lits = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -75,14 +74,12 @@ def parse_dimacs(text):
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not all(p.isdecimal() for p in parts[2:])):
                 raise ParseError("bad problem line", lineno)
             if n_vars is not None:
                 raise ParseError("duplicate problem line", lineno)
-            try:
-                n_vars, n_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("bad problem line", lineno) from None
+            n_vars, n_clauses = int(parts[2]), int(parts[3])
             continue
         if n_vars is None:
             raise ParseError("clause before problem line", lineno)
@@ -102,7 +99,7 @@ def parse_dimacs(text):
             cur.append(l)
     if cur:
         raise ParseError("last clause not terminated by 0")
-    if n_clauses is not None and len(clauses) != n_clauses:
+    if len(clauses) != n_clauses:
         raise ParseError("expected %d clauses, found %d"
                          % (n_clauses, len(clauses)))
     return CnfFormula(n_vars, tuple(clauses))

@@ -369,6 +369,32 @@ def _bfs_colouring(nbrs, s):
     return colour, parent, clash
 
 
+def _matching(left, nbrs):
+    """Bipartite matching by augmenting paths (Kuhn): each vertex u of
+    `left` takes its first free right vertex in `nbrs(u)` order, then each
+    one still free gets one bfs_path search.  Returns (match, unmatched):
+    match maps matched right vertices to left vertices; unmatched is None
+    or the first left vertex no augmenting path reaches (the search stops)."""
+    match, free, sink = {}, [], object()
+    for u in left:
+        for w in nbrs(u):
+            if w not in match:
+                match[w] = u
+                break
+        else:
+            free.append(u)
+
+    def residual(x):  # left vertex u is ~u; a free right vertex leads to sink
+        return nbrs(~x) if x < 0 else (~match[x],) if x in match else (sink,)
+
+    for u in free:
+        path = bfs_path(residual, ~u, sink)
+        if path is None:
+            return match, u
+        match.update((w, ~x) for x, w in zip(path[::2], path[1::2]))
+    return match, None
+
+
 def topological_order(verts, succ):
     """Topological order of the digraph that `succ(v)` spans on verts,
     taking the smallest ready vertex first, or None on a directed

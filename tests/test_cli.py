@@ -308,6 +308,15 @@ def test_reduce_3sat_bad_dimacs(w, capsys):
     assert run(["reduce-3sat", w("f", "p cnf 2 1\n1 2 0\n")]) == 2
 
 
+def test_reduce_3sat_negative_counts(w, capsys):
+    # a negative variable count once reached the reduction and exited 4
+    for header in ("p cnf -1 0\n", "p cnf 3 -1\n", "p cnf -2 -1\n"):
+        assert run(["reduce-3sat", w("f", header)]) == 2, header
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 1: bad problem line\n"
+
+
 # -- verify-cert --------------------------------------------------------------------
 
 

@@ -397,13 +397,104 @@ def test_cycle_factor_examples():
     assert has_cycle_factor(two)
 
 
+def _assert_cycle_factor(D, cycles):
+    """The cycles use arcs of D and partition its vertex set."""
+    assert sorted(v for cyc in cycles for v in cyc) == list(range(D.n))
+    for cyc in cycles:
+        assert all((u, w) in D.arcs for u, w in zip(cyc, cyc[1:] + cyc[:1]))
+
+
 def test_cycle_factor_vs_exhaustive():
     rng = random.Random(19)
     for _ in range(300):
         P = random_pog(rng, rng.randint(1, 6), p_adj=0.6, p_arc=1.0)
-        got = has_cycle_factor(P)
+        got = find_cycle_factor(P)
         want = _cycle_cover_exists(P)
-        assert got == want, P.arcs
+        assert (got is not None) == want, P.arcs
+        if got is not None:
+            _assert_cycle_factor(P, got)
+
+
+def _kuhn_reference(D):
+    """The depth-first augmenting-path matching find_cycle_factor ran
+    before it called pog._matching, kept as the reference: a cycle
+    factor of the oriented graph D as a list of cycles, or None."""
+    n = D.n
+    out = [sorted(s) for s in D.out_nbrs]
+    match_r = [-1] * n  # in-copy -> out-copy
+    for root in range(n):
+        # depth-first augmenting path search; a frame is [out-copy,
+        # its untried in-copies, the in-copy it is trying]
+        seen = set()
+        stack = [[root, iter(out[root]), None]]
+        while stack:
+            frame = stack[-1]
+            for w in frame[1]:
+                if w not in seen:
+                    break
+            else:
+                stack.pop()
+                continue
+            seen.add(w)
+            frame[2] = w
+            if match_r[w] < 0:
+                for u, _, w in stack:
+                    match_r[w] = u
+                break
+            stack.append([match_r[w], iter(out[match_r[w]]), None])
+        else:
+            return None
+    succ = {match_r[w]: w for w in range(n)}
+    cycles, left = [], set(range(n))
+    while left:
+        v = min(left)
+        cyc = [v]
+        left.discard(v)
+        while succ[cyc[-1]] != v:
+            cyc.append(succ[cyc[-1]])
+            left.discard(cyc[-1])
+        cycles.append(cyc)
+    return cycles
+
+
+def _all_arc(n, factor):
+    """Arcs i -> i+1, i -> i+2 and v[n-1] -> v[1]; with `factor` also
+    v[n-2] -> v[0], the one arc into v0 and the only cycle factor."""
+    arcs = ([(i, i + 1) for i in range(n - 1)]
+            + [(i, i + 2) for i in range(n - 2)] + [(n - 1, 1)])
+    if factor:
+        arcs.append((n - 2, 0))
+    return Pog(names(n), frozenset(), frozenset(arcs))
+
+
+def _cycle_factor_corpus():
+    """Every oriented graph on <= 4 vertices, 6,000 seeded random ones
+    on <= 10 vertices and the all-arc digraphs at n = 400, 1,200 and
+    3,000, with and without their cycle factor."""
+    for n in range(5):
+        yield from (P for P in all_pogs(n) if not P.edges)
+    rng = random.Random(23)
+    for _ in range(6000):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.5, 0.7, 0.9, 1.0))
+        arcs = {(i, j) if rng.random() < 0.5 else (j, i)
+                for i, j in itertools.combinations(range(n), 2)
+                if rng.random() < p}
+        yield Pog(names(n), frozenset(), frozenset(arcs))
+    for n in (400, 1200, 3000):
+        yield _all_arc(n, True)
+        yield _all_arc(n, False)
+
+
+def test_cycle_factor_matches_kuhn_reference():
+    verdicts = {True: 0, False: 0}
+    for D in _cycle_factor_corpus():
+        got = find_cycle_factor(D)
+        assert (got is not None) == (_kuhn_reference(D) is not None), D.arcs
+        if got is not None:
+            _assert_cycle_factor(D, got)
+        verdicts[got is not None] += 1
+    assert min(verdicts.values()) >= 1000, verdicts
 
 
 def _cycle_cover_exists(D):

@@ -1,6 +1,7 @@
 """Data model, text formats, classification, certificates."""
 
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -8,8 +9,8 @@ import pytest
 
 from pogc import pog as pog_module
 from pogc.errors import InvariantError, ParseError
-from pogc.pog import (Certificate, Ordering, Pog, _bridges, _separates,
-                      classify, complete_closure, find_directed_cycle,
+from pogc.pog import (Certificate, Ordering, Pog, _bridges, _matching,
+                      _separates, classify, complete_closure, find_directed_cycle,
                       parse_ordering, parse_pog, render_pog,
                       topological_order, verify_certificate)
 from util import all_graphs, all_pogs, names, random_graph, random_pog
@@ -212,6 +213,45 @@ def test_bridges_of_long_path_and_cycle():
     assert _bridges(path) == set(path.edges)
     cycle = Pog(names(n), path.edges | {(0, n - 1)}, frozenset())
     assert _bridges(cycle) == set()
+
+
+def test_matching_greedy_then_augmenting_path():
+    nbrs = {0: [0], 1: [0]}.__getitem__
+    assert _matching([0, 1], nbrs) == ({0: 0}, 1)
+    # 5 takes right 0 greedily; 3 then augments along 3-0-5-1
+    nbrs = {5: [0, 1], 3: [0], 8: [2]}.__getitem__
+    assert _matching([5, 3, 8], nbrs) == ({0: 3, 1: 5, 2: 8}, None)
+    assert _matching([], nbrs) == ({}, None)
+
+
+def _saturable(lefts, nbrs):
+    """Whether some matching covers every vertex of lefts (brute force)."""
+    rights = sorted({w for u in lefts for w in nbrs[u]})
+    return any(all(w in nbrs[u] for u, w in zip(lefts, pick))
+               for pick in itertools.permutations(rights, len(lefts)))
+
+
+def test_matching_matches_brute_force():
+    """On 3,000 seeded bipartite graphs: the matching uses edges, and it
+    covers every left vertex exactly when brute force finds a matching
+    that does; a reported unmatched vertex cannot be added to the
+    matched ones."""
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(3000):
+        left = rng.sample(range(8), rng.randint(0, 5))
+        nbrs = {u: rng.sample(range(6), rng.randint(0, 3)) for u in left}
+        match, unmatched = _matching(left, nbrs.__getitem__)
+        assert all(w in nbrs[u] for w, u in match.items())
+        assert len(set(match.values())) == len(match)
+        assert (unmatched is None) == _saturable(left, nbrs)
+        if unmatched is None:
+            assert sorted(match.values()) == sorted(left)
+        else:
+            assert unmatched in left and unmatched not in match.values()
+            assert not _saturable(list(match.values()) + [unmatched], nbrs)
+        verdicts.add(unmatched is None)
+    assert verdicts == {True, False}
 
 
 def test_verify_certificate_bridge():
@@ -466,3 +506,32 @@ def test_only_pog_holds_lowlink_dfs():
             assert low, "pog.py lost its lowlink DFS"
         else:
             assert {(path.name, n) for n in low} <= LOWLINK_ALLOWED, path.name
+
+
+def _worklist_loops(tree):
+    """The name x of every `while x:` loop in the syntax tree whose body
+    pops x: the shape of a DFS or BFS worklist."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.While) and isinstance(node.test, ast.Name)):
+            continue
+        x = node.test.id
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if (isinstance(f, ast.Attribute) and f.attr in ("pop", "popleft")
+                    and isinstance(f.value, ast.Name) and f.value.id == x):
+                yield x
+                break
+
+
+def test_only_pog_runs_search_loops():
+    """DFS, BFS and augmenting-path searches run in pog's primitives: no
+    other module of the package has a `while x:` loop that pops x."""
+    package = Path(pog_module.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        loops = set(_worklist_loops(ast.parse(path.read_text())))
+        if path.name == "pog.py":
+            assert loops, "pog.py lost its search loops"
+        else:
+            assert loops == set(), path.name
