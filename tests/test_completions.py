@@ -459,7 +459,7 @@ def _kuhn_reference(D):
 
 def _all_arc(n, factor):
     """Arcs i -> i+1, i -> i+2 and v[n-1] -> v[1]; with `factor` also
-    v[n-2] -> v[0], the one arc into v0 and the only cycle factor."""
+    v[n-2] -> v[0].  Without it v0 has no in-arc, so no cycle factor."""
     arcs = ([(i, i + 1) for i in range(n - 1)]
             + [(i, i + 2) for i in range(n - 2)] + [(n - 1, 1)])
     if factor:

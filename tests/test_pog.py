@@ -512,17 +512,13 @@ def _worklist_loops(tree):
     """The name x of every `while x:` loop in the syntax tree whose body
     pops x: the shape of a DFS or BFS worklist."""
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.While) and isinstance(node.test, ast.Name)):
-            continue
-        x = node.test.id
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
-                continue
-            f = call.func
-            if (isinstance(f, ast.Attribute) and f.attr in ("pop", "popleft")
-                    and isinstance(f.value, ast.Name) and f.value.id == x):
+        if isinstance(node, ast.While) and isinstance(node.test, ast.Name):
+            x = node.test.id
+            if any(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                   and c.func.attr in ("pop", "popleft")
+                   and isinstance(c.func.value, ast.Name)
+                   and c.func.value.id == x for c in ast.walk(node)):
                 yield x
-                break
 
 
 def test_only_pog_runs_search_loops():
