@@ -37,7 +37,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from pogc.auxgraph import build_aux  # noqa: E402
 from pogc.completions import complete_to_strong, find_cycle_factor  # noqa: E402
 from pogc.interval import complete_to_acyclic_lt  # noqa: E402
-from pogc.pog import Pog, _bridges  # noqa: E402
+from pogc.pog import Ordering, Pog, _bridges  # noqa: E402
+from pogc.rounds import check_ordering  # noqa: E402
 
 WIDTH = 4
 SIZES = tuple(round(10 ** (2 + k / 2)) for k in range(5))
@@ -57,6 +58,11 @@ def band(n, w=WIDTH):
                frozenset())
 
 
+def identity_excellent(P):
+    """Check the identity cyclic ordering, which is excellent on all-arc."""
+    return check_ordering(P, Ordering("cyclic", tuple(range(P.n))), "excellent")
+
+
 def all_arc(n):
     arcs = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
     return Pog(tuple("v%d" % i for i in range(n)), frozenset(),
@@ -73,6 +79,7 @@ KERNELS = {  # name: (family, kernel)
     "bridges": (BAND, _bridges),
     "complete_to_strong.all_arc": (ALL_ARC, complete_to_strong),
     "find_cycle_factor.all_arc": (ALL_ARC, find_cycle_factor),
+    "check_ordering.excellent.all_arc": (ALL_ARC, identity_excellent),
 }
 
 

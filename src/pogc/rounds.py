@@ -4,9 +4,12 @@ A round ordering places the out-neighbours of every vertex immediately
 after it and the in-neighbours immediately before it (cyclically,
 within each connected component of the underlying graph).  Excellence
 forbids an arc running backwards inside the cyclic span of another
-arc.  Round digraphs extend to locally transitive tournaments, which
-in turn decompose into a highly regular frame of transitive parts;
-that decomposition drives the merge of two such tournaments.
+arc; `check_ordering` decides it, and `maximal_arcs` lists the arcs
+inside no other arc's span, in O((n + arcs) log n) with one
+range-maximum query per arc.  Round digraphs extend to locally
+transitive tournaments, which in turn decompose into a highly regular
+frame of transitive parts; that decomposition drives the merge of two
+such tournaments.
 """
 
 from __future__ import annotations
@@ -68,19 +71,57 @@ def _excellent_violation(P, O, a, b):
     return r(t) < r(s) <= r(j)
 
 
+def _range_max(v):
+    """Sparse table over v (Bender and Farach-Colton, LATIN 2000): an
+    O(len(v) log len(v)) build, then query(lo, hi) = max(v[lo..hi]) for
+    lo <= hi in O(1)."""
+    table = [v]
+    width = 1
+    while 2 * width <= len(v):
+        prev = table[-1]
+        table.append([x if x > y else y for x, y in zip(prev, prev[width:])])
+        width *= 2
+
+    def query(lo, hi):
+        level = (hi - lo + 1).bit_length() - 1
+        row = table[level]
+        x, y = row[lo], row[hi - (1 << level) + 1]
+        return x if x > y else y
+    return query
+
+
+def _by_position(P, O):
+    return sorted(P.arcs, key=lambda a: (O.pos[a[0]], O.pos[a[1]]))
+
+
 def _check_excellent(P, O):
-    arcs = sorted(P.arcs, key=lambda a: (O.pos[a[0]], O.pos[a[1]]))
+    """Unroll the cycle twice.  An arc (s, t) with tail at unrolled
+    position x lands at x - ((pos s - pos t) mod n), and arc (i, j) has
+    a backward arc inside its span exactly when some tail in
+    [pos i, pos i + span] lands at or after pos i: one range-maximum
+    query per arc, O((n + arcs) log n).  The witness b is then named by
+    one scan over the arcs."""
+    n, pos = P.n, O.pos
+    arcs = _by_position(P, O)
+    reach = [-1] * (2 * n)      # rightmost landing head per tail position
+    for s, t in arcs:
+        d = (pos[s] - pos[t]) % n
+        for x in (pos[s], pos[s] + n):
+            if x - d > reach[x]:
+                reach[x] = x - d
+    query = _range_max(reach)
     for a in arcs:
-        for b in arcs:
-            if _excellent_violation(P, O, a, b):
-                return False, ((P.names[a[0]], P.names[a[1]]),
-                               (P.names[b[0]], P.names[b[1]]))
+        lo = pos[a[0]]
+        if query(lo, lo + (pos[a[1]] - lo) % n) >= lo:
+            b = next(b for b in arcs if _excellent_violation(P, O, a, b))
+            return False, ((P.names[a[0]], P.names[a[1]]),
+                           (P.names[b[0]], P.names[b[1]]))
     return True, None
 
 
 def _check_nice(P, O):
     n, pos = P.n, O.pos
-    arcs = sorted(P.arcs, key=lambda a: (pos[a[0]], pos[a[1]]))
+    arcs = _by_position(P, O)
     for i, k in arcs:          # arc (v_i, v_k)
         r = lambda x: (pos[x] - pos[k]) % n
         for j in sorted(P.in_nbrs[i], key=pos.__getitem__):  # arc (v_j, v_i)
@@ -160,23 +201,26 @@ def find_round_ordering(D):
 
 
 def maximal_arcs(P, O):
-    """Arcs not lying inside the cyclic span of any other arc."""
-    n = P.n
-    arcs = sorted(P.arcs, key=lambda a: (O.pos[a[0]], O.pos[a[1]]))
+    """Arcs not lying inside the cyclic span of any other arc.
+
+    Arc (i, j) lies in another arc's span exactly when a longer arc
+    leaves i, or an arc whose tail is 1 to n - 1 positions before i
+    reaches at least as far as j.  With the cycle unrolled twice and
+    far[x] the furthest head end of the arcs with tail at x, the second
+    test is one range-maximum query per arc, O((n + arcs) log n)."""
+    n, pos = P.n, O.pos
+    arcs = _by_position(P, O)
+    longest = [0] * n
+    for i, j in arcs:
+        longest[pos[i]] = max(longest[pos[i]], (pos[j] - pos[i]) % n)
+    far = [x + longest[x % n] if longest[x % n] else -1 for x in range(2 * n)]
+    query = _range_max(far)
     out = []
-    for a in arcs:
-        ia, ja = a
-        dominated = False
-        for b in arcs:
-            if b == a:
-                continue
-            base = O.pos[b[0]]
-            r = lambda x: (O.pos[x] - base) % n
-            if r(ia) < r(ja) <= r(b[1]):
-                dominated = True
-                break
-        if not dominated:
-            out.append(a)
+    for i, j in arcs:
+        span = (pos[j] - pos[i]) % n
+        x = pos[i] + n
+        if span == longest[pos[i]] and query(x - n + 1, x - 1) < x + span:
+            out.append((i, j))
     return out
 
 

@@ -1,6 +1,9 @@
 """End-to-end command line tests: exit codes, certificates, JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -232,6 +235,29 @@ def test_check_ordering_bad_ordering_file(w, capsys):
     assert run(["check-ordering", "--kind", "round", g, o]) == 2
 
 
+def test_check_ordering_excellent_all_arc_is_fast(w, capsys):
+    # the strong all-arc digraph on 3,000 vertices (6,000 arcs) with its
+    # identity ordering, which is excellent; a check over all pairs of
+    # arcs took about 50 s for the first command on a 2-vCPU host
+    n = 3000
+    arcs = [(k, k + 1) for k in range(n - 1)] + \
+        [(k, k + 2) for k in range(n - 2)] + [(n - 1, 1), (n - 2, 0)]
+    g = w("g", "".join("arc v%d v%d\n" % a for a in arcs))
+    seq = ["v%d" % k for k in range(n)]
+    o = w("o", "order cyclic %s\n" % " ".join(seq))
+    t0 = time.perf_counter()
+    assert run(["check-ordering", "--kind", "excellent", g, o]) == 0
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr().out.strip() == "yes"
+    c = w("cert", json.dumps({"tag": "OrderingViolation", "payload": {
+        "kind": "excellent", "ordering": {"kind": "cyclic", "seq": seq},
+        "witness": [["v0", "v2"], ["v1", "v0"]]}}))
+    t0 = time.perf_counter()
+    assert run(["verify-cert", g, c]) == 1
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr().out.strip() == "invalid"
+
+
 # -- extend-rep --------------------------------------------------------------------
 
 
@@ -367,3 +393,22 @@ def test_verify_cert_garbage(w, capsys):
         assert run(["verify-cert", g, c]) == 1, target
         assert time.perf_counter() - t0 < 1, target
         assert capsys.readouterr().out.strip() == "invalid"
+
+
+# -- python -m pogc -----------------------------------------------------------------
+
+
+def test_python_m_pogc_keeps_exit_codes(w):
+    # `python -m pogc` runs the same command line as the `pogc` script
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    g = w("g", DIRECTED_C3)
+    for cert, code, out in (
+            ('{"tag": "DirectedCycle", "payload": {"cycle": ["a", "b", "c"]}}',
+             0, "valid"),
+            ("not json", 2, "")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pogc", "verify-cert", g, w("cert", cert)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.strip() == out

@@ -8,9 +8,9 @@ import pytest
 from pogc.errors import NotInClassError, NotRoundError
 from pogc.pog import Ordering, Pog, classify
 from pogc.rounds import (check_ordering, complete_under_excellent,
-                         find_round_ordering, merge_ltt, moon_decompose,
-                         round_to_ltt, saturate_to_round_lt)
-from util import names, random_pog
+                         find_round_ordering, maximal_arcs, merge_ltt,
+                         moon_decompose, round_to_ltt, saturate_to_round_lt)
+from util import all_pogs, names, random_pog
 
 
 def _cycle(n):
@@ -57,6 +57,79 @@ def _excellent_literal(P, O):
             if r(t) < r(s) <= r(j):
                 return False
     return True
+
+
+def _excellent_reference(P, O):
+    """The pairwise scan: the first arc a in (pos tail, pos head) order
+    with an arc b running backwards inside its span, and the first such
+    b in the same order."""
+    n = P.n
+    arcs = sorted(P.arcs, key=lambda a: (O.pos[a[0]], O.pos[a[1]]))
+    for a in arcs:
+        for b in arcs:
+            if a == b:
+                continue
+            (i, j), (s, t) = a, b
+            r = lambda x: (O.pos[x] - O.pos[i]) % n
+            if r(t) < r(s) <= r(j):
+                return False, ((P.names[i], P.names[j]),
+                               (P.names[s], P.names[t]))
+    return True, None
+
+
+def _maximal_arcs_reference(P, O):
+    """The pairwise scan: arcs, in (pos tail, pos head) order, that lie
+    inside the cyclic span of no other arc."""
+    n = P.n
+    arcs = sorted(P.arcs, key=lambda a: (O.pos[a[0]], O.pos[a[1]]))
+    out = []
+    for ia, ja in arcs:
+        for b in arcs:
+            if b == (ia, ja):
+                continue
+            r = lambda x: (O.pos[x] - O.pos[b[0]]) % n
+            if r(ia) < r(ja) <= r(b[1]):
+                break
+        else:
+            out.append((ia, ja))
+    return out
+
+
+def _assert_matches_references(P, O):
+    assert check_ordering(P, O, "excellent") == _excellent_reference(P, O), \
+        (sorted(P.arcs), O.seq)
+    assert maximal_arcs(P, O) == _maximal_arcs_reference(P, O), \
+        (sorted(P.arcs), O.seq)
+
+
+def test_excellent_and_maximal_arcs_match_reference_all_small():
+    # every oriented graph on <= 4 vertices under every vertex sequence,
+    # so every cyclic ordering in every rotation
+    for n in range(5):
+        orders = [Ordering("cyclic", seq)
+                  for seq in itertools.permutations(range(n))]
+        for P in all_pogs(n):
+            if P.edges:
+                continue
+            for O in orders:
+                _assert_matches_references(P, O)
+
+
+def test_excellent_and_maximal_arcs_match_reference_random():
+    # random pogs with edges and arcs under random orderings, most of
+    # them not excellent
+    rng = random.Random(53)
+    verdicts = {True: 0, False: 0}
+    for _ in range(5000):
+        n = rng.randint(1, 10)
+        P = random_pog(rng, n, p_adj=rng.choice((0.2, 0.4, 0.7, 1.0)),
+                       p_arc=rng.choice((0.3, 0.6, 1.0)))
+        seq = list(range(n))
+        rng.shuffle(seq)
+        O = Ordering("cyclic", tuple(seq))
+        _assert_matches_references(P, O)
+        verdicts[check_ordering(P, O, "excellent")[0]] += 1
+    assert min(verdicts.values()) >= 1000, verdicts
 
 
 def test_excellent_spanning_pattern_cases():
