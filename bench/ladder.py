@@ -7,10 +7,12 @@ Standard library only.  From the repository root:
 
 The package is imported from `src/` of the checkout this script lives
 in.  Each kernel runs on one family at n = 10^2, 10^2.5, ..., 10^4:
-band-4 (v_i ~ v_j iff |i - j| <= 4, no arcs) or the strong all-arc
+band-4 (v_i ~ v_j iff |i - j| <= 4, no arcs), the strong all-arc
 digraph (arcs i -> i+1 and i -> i+2 plus v[n-1] -> v[1] and
-v[n-2] -> v[0], no edges).  A point is the fastest of a few runs, each
-on a freshly built pog so that no cached view is shared between runs.
+v[n-2] -> v[0], no edges) or the circulant C_n(1,2) (arcs i -> i+1
+and i -> i+2 mod n, no edges).  A point is the fastest of a few runs,
+each on a freshly built pog so that no cached view is shared between
+runs.
 A run longer than CAP_S is stopped by SIGALRM; that point
 is recorded with `"seconds": null` and the kernel's larger sizes are
 skipped.  The
@@ -38,7 +40,7 @@ from pogc.auxgraph import build_aux  # noqa: E402
 from pogc.completions import complete_to_strong, find_cycle_factor  # noqa: E402
 from pogc.interval import complete_to_acyclic_lt  # noqa: E402
 from pogc.pog import Ordering, Pog, _bridges  # noqa: E402
-from pogc.rounds import check_ordering  # noqa: E402
+from pogc.rounds import check_ordering, round_to_ltt  # noqa: E402
 
 WIDTH = 4
 SIZES = tuple(round(10 ** (2 + k / 2)) for k in range(5))
@@ -69,9 +71,15 @@ def all_arc(n):
                frozenset(arcs + [(n - 1, 1), (n - 2, 0)]))
 
 
+def circulant(n):
+    return Pog(tuple("v%d" % i for i in range(n)), frozenset(),
+               frozenset((i, (i + s) % n) for i in range(n) for s in (1, 2)))
+
+
 BAND = "band-%d, no arcs" % WIDTH
 ALL_ARC = "all-arc, strong, no edges"
-FAMILIES = {BAND: band, ALL_ARC: all_arc}
+CIRCULANT = "circulant C_n(1,2), no edges"
+FAMILIES = {BAND: band, ALL_ARC: all_arc, CIRCULANT: circulant}
 KERNELS = {  # name: (family, kernel)
     "build_aux.local_tournament": (BAND, lambda P: build_aux(P, "local_tournament")),
     "build_aux.quasi_transitive": (BAND, lambda P: build_aux(P, "quasi_transitive")),
@@ -80,6 +88,7 @@ KERNELS = {  # name: (family, kernel)
     "complete_to_strong.all_arc": (ALL_ARC, complete_to_strong),
     "find_cycle_factor.all_arc": (ALL_ARC, find_cycle_factor),
     "check_ordering.excellent.all_arc": (ALL_ARC, identity_excellent),
+    "round_to_ltt.circulant": (CIRCULANT, round_to_ltt),
 }
 
 

@@ -24,8 +24,7 @@ from .friendly import (bad_triples, cells, complement_components,
 from .hardness import (CnfFormula, ReductionInstance, assignment_to_ordering,
                        build_reduction, exact_complete, gadget,
                        ltt_to_ordering, orient_by_assignment,
-                       ordering_to_ltt, parse_dimacs, render_dimacs,
-                       search_nice_ordering)
+                       ordering_to_ltt, parse_dimacs, render_dimacs)
 from .interval import (Representation, complete_to_acyclic_lt,
                        extend_interval_representation,
                        find_proper_interval_obstruction, lbfs,

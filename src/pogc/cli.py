@@ -8,6 +8,7 @@ one ``internal error:`` line on stderr, nothing on stdout).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -220,7 +221,9 @@ def _cmd_verify_cert(args):
 # -- wiring ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")

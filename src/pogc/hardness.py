@@ -19,13 +19,12 @@ from .errors import (InvariantError, NotInClassError, NotSatisfyingError,
 from .pog import (Ordering, Pog, _neighbourhood_cycle,
                   _nonadjacent_pairs, classify, complete_closure,
                   require_oriented, topological_order)
-from .rounds import (check_ordering, complete_under_excellent,
-                     find_round_ordering, round_to_ltt, saturate_to_round_lt)
+from .rounds import (_require_excellent, _round_tournament, check_ordering,
+                     find_round_ordering)
 
 MAX_SEARCH_EDGES = 22
 MAX_EXCELLENT_VERTICES = 12
 MAX_CYCLE_FACTOR_EDGES = 20
-MAX_NICE_VERTICES = 10
 
 
 # -- CNF formulas --------------------------------------------------------
@@ -545,14 +544,16 @@ def _excellent_search(P, enumerate_all):
 
 def ordering_to_ltt(P, O):
     """Locally transitive tournament containing P, from an excellent
-    ordering: orient leftover edges under O, saturate to a round local
-    tournament, then complete."""
-    ok, wit = check_ordering(P, O, "excellent")
-    if not ok:
-        raise NotInClassError("ordering is not excellent: %r" % (wit,))
-    D = complete_under_excellent(P, O) if P.edges else P
-    R = saturate_to_round_lt(D, O)
-    return round_to_ltt(R)
+    ordering: the round tournament on O that contains P's arcs, found
+    by one 2-SAT over the pairs of positions (see
+    `rounds._round_tournament`), then re-checked by classify."""
+    _require_excellent(P, O)
+    T = _round_tournament(P, O)
+    if T is None:
+        raise InvariantError("excellent ordering has no round tournament")
+    if not classify(T).locally_transitive_tournament:
+        raise InvariantError("completion is not a locally transitive tournament")
+    return T
 
 
 def ltt_to_ordering(T):
@@ -564,18 +565,3 @@ def ltt_to_ordering(T):
         raise InvariantError("locally transitive tournament has no round "
                              "ordering")
     return O
-
-
-def search_nice_ordering(D):
-    """First nice cyclic ordering by brute force, or None."""
-    require_oriented(D)
-    if D.n > MAX_NICE_VERTICES:
-        raise SizeGuardError("MAX_NICE_VERTICES", MAX_NICE_VERTICES, D.n,
-                             "vertices")
-    if D.n == 0:
-        return Ordering("cyclic", ())
-    for perm in itertools.permutations(range(1, D.n)):
-        O = Ordering("cyclic", (0,) + perm)
-        if check_ordering(D, O, "nice")[0]:
-            return O
-    return None

@@ -834,15 +834,14 @@ def _verify_obstruction(P, pay):
     kind = pay["kind"]
     adj = lambda a, b: P.adjacent(a, b)
     if kind == "hole":
+        # each hole vertex sees exactly its two cycle neighbours in the
+        # hole: O(k + sum of degrees)
         k = len(ids)
         if k < 4:
             return False
-        for s in range(k):
-            for t in range(s + 1, k):
-                want = (t - s == 1) or (s == 0 and t == k - 1)
-                if adj(ids[s], ids[t]) != want:
-                    return False
-        return True
+        hole = set(ids)
+        return all(P.adj[v] & hole == {ids[s - 1], ids[(s + 1) % k]}
+                   for s, v in enumerate(ids))
     if kind == "claw":
         if len(ids) != 4:
             return False

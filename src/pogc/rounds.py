@@ -6,10 +6,18 @@ within each connected component of the underlying graph).  Excellence
 forbids an arc running backwards inside the cyclic span of another
 arc; `check_ordering` decides it, and `maximal_arcs` lists the arcs
 inside no other arc's span, in O((n + arcs) log n) with one
-range-maximum query per arc.  Round digraphs extend to locally
-transitive tournaments, which in turn decompose into a highly regular
-frame of transitive parts; that decomposition drives the merge of two
-such tournaments.
+range-maximum query per arc.
+
+A tournament is round on a cyclic ordering O when every vertex beats
+a run of the vertices right after it, and the round tournaments are
+the locally transitive ones (Huang, JCTB 63, 1995).  `_round_tournament`
+builds one that contains a pog's arcs by one 2-SAT over the pairs of
+positions of O; it exists exactly when O is excellent for the arcs.
+Completion under an excellent ordering, `ordering_to_ltt` and
+`round_to_ltt` (per component, on its round ordering) all read their
+tournament off it.  Locally transitive tournaments decompose into a
+highly regular frame of transitive parts; that decomposition drives
+the merge of two such tournaments.
 """
 
 from __future__ import annotations
@@ -17,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, NotInClassError, NotRoundError
-from .pog import Ordering, Pog, _nonadjacent_pairs, classify, \
-    require_oriented
+from .pog import Ordering, Pog, classify, require_oriented
 
 ORDER_KINDS = ("round", "excellent", "nice")
 
@@ -224,117 +231,94 @@ def maximal_arcs(P, O):
     return out
 
 
-def _spanned_orientation(P, O, pair):
-    """Forced orientation of an unoriented pair under a maximal arc, or
-    None.  Conflicting spans would contradict excellence."""
-    n = P.n
-    p, q = pair
-    forced = None
-    for i, j in maximal_arcs(P, O):
-        base = O.pos[i]
-        r = lambda x: (O.pos[x] - base) % n
-        if r(p) <= r(j) and r(q) <= r(j):
-            cand = (p, q) if r(p) < r(q) else (q, p)
-            if forced is not None and forced != cand:
-                raise InvariantError("conflicting arc spans over %s,%s"
-                                     % (P.names[p], P.names[q]))
-            forced = cand
-    return forced
+def _round_tournament(P, O):
+    """The locally transitive tournament that has round ordering O and
+    contains P's arcs, or None; None exactly when O is not excellent
+    for P.
+
+    A tournament is round on O when every vertex beats a run of the
+    vertices right after it, and the round tournaments are the locally
+    transitive ones (Huang, JCTB 63, 1995).  So this is one 2-SAT
+    instance (Aspvall, Plass and Tarjan, IPL 8, 1979): a variable per
+    pair of positions, "i beats i+k implies i beats i+k-1" for every i
+    and k >= 2, and a unit clause per arc of P.  The numbering of the
+    pairs decides which round tournament comes back; each position's
+    pairs farthest first gives the directed 4-cycle 0 -> 2 and 1 -> 3."""
+    from .completions import two_sat
+    n, seq, pos = P.n, O.seq, O.pos
+    var = {}
+    for i in range(n):
+        for j in range(n - 1, i, -1):
+            var[i, j] = len(var) + 1
+
+    def beats(i, j):
+        return var[i, j] if i < j else -var[j, i]
+    clauses = [(-beats(i, (i + k) % n), beats(i, (i + k - 1) % n))
+               for i in range(n) for k in range(2, n)]
+    clauses += [(beats(pos[u], pos[v]),) for u, v in sorted(P.arcs)]
+    status, value = two_sat(len(var), clauses)
+    if status == "unsat":
+        return None
+    return Pog(P.names, frozenset(),
+               frozenset((seq[i], seq[j]) if value[x] else (seq[j], seq[i])
+                         for (i, j), x in var.items()))
 
 
-def complete_under_excellent(P, O):
-    """Orient every edge of P so that O stays excellent."""
+def _require_excellent(P, O):
     ok, wit = check_ordering(P, O, "excellent")
     if not ok:
         raise NotInClassError("ordering is not excellent: %r" % (wit,))
-    cur = P
-    while cur.edges:
-        pair = min(cur.edges, key=lambda e: (min(O.pos[e[0]], O.pos[e[1]]),
-                                             max(O.pos[e[0]], O.pos[e[1]])))
-        arc = _spanned_orientation(cur, O, pair)
-        if arc is not None:
-            nxt = cur.orient([arc])
-            ok, _ = check_ordering(nxt, O, "excellent")
-            if not ok:
-                raise InvariantError("forced orientation broke excellence")
-        else:
-            p, q = sorted(pair, key=lambda v: O.pos[v])
-            for arc in ((p, q), (q, p)):
-                nxt = cur.orient([arc])
-                ok, _ = check_ordering(nxt, O, "excellent")
-                if ok:
-                    break
-            else:
-                raise InvariantError("edge %s,%s cannot keep the ordering excellent"
-                                     % (P.names[p], P.names[q]))
-        cur = nxt
-    return cur
+
+
+def complete_under_excellent(P, O):
+    """Orient every edge of P so that O stays excellent: each edge goes
+    the way the round tournament on O orients it."""
+    _require_excellent(P, O)
+    T = _round_tournament(P, O)
+    if T is None:
+        raise InvariantError("excellent ordering has no round tournament")
+    return P.orient([e if e in T.arcs else e[::-1] for e in sorted(P.edges)])
 
 
 def saturate_to_round_lt(D, O):
-    """Add arcs between non-adjacent pairs inside spans of maximal arcs
-    until none remain.  The result is round with ordering O."""
+    """Add arcs between non-adjacent pairs inside spans of maximal arcs,
+    in one pass: every added arc lies inside a maximal span, so the
+    maximal arcs stay the same, and excellence keeps two spans from
+    ordering a pair both ways.  The result is round with ordering O."""
     require_oriented(D)
-    ok, wit = check_ordering(D, O, "excellent")
-    if not ok:
-        raise NotInClassError("ordering is not excellent: %r" % (wit,))
+    _require_excellent(D, O)
     n = D.n
-    cur = D
-    changed = True
-    while changed:
-        changed = False
-        for i, j in maximal_arcs(cur, O):
-            base = O.pos[i]
-            r = lambda x: (O.pos[x] - base) % n
-            span = sorted((x for x in range(n) if r(x) <= r(j)), key=r)
-            add = []
-            for s in range(len(span)):
-                for t in range(s + 1, len(span)):
-                    p, q = span[s], span[t]
-                    if not cur.adjacent(p, q):
-                        add.append((p, q))
-            if add:
-                cur = Pog(cur.names, cur.edges, cur.arcs | frozenset(add))
-                changed = True
-    ok, wit = check_ordering(cur, O, "round")
+    add = set()
+    for i, j in maximal_arcs(D, O):
+        base = O.pos[i]
+        r = lambda x: (O.pos[x] - base) % n
+        span = sorted((x for x in range(n) if r(x) <= r(j)), key=r)
+        add.update((p, q) for s, p in enumerate(span) for q in span[s + 1:]
+                   if not D.adjacent(p, q))
+    R = Pog(D.names, D.edges, D.arcs | frozenset(add))
+    ok, wit = check_ordering(R, O, "round")
     if not ok:
         raise InvariantError("saturation did not reach a round digraph: %r" % (wit,))
-    return cur
+    return R
 
 
 # -- completion to locally transitive tournaments ----------------------
 
 
-def _complete_component_to_ltt(sub):
-    """Extend a connected round digraph to a locally transitive
-    tournament by repeatedly attaching the first vertex that still has
-    a non-neighbour to its nearest one and re-saturating."""
-    cur = sub
-    while True:
-        missing = next(_nonadjacent_pairs(cur, range(cur.n)), None)
-        if missing is None:
-            return cur
-        O = find_round_ordering(cur)
-        if O is None:
-            raise InvariantError("intermediate digraph lost roundness")
-        v1 = missing[0]
-        rot = O.seq[O.seq.index(v1):] + O.seq[:O.seq.index(v1)]
-        target = next(w for w in rot if w != v1 and not cur.adjacent(v1, w))
-        nxt = Pog(cur.names, cur.edges, cur.arcs | {(v1, target)})
-        ok, wit = check_ordering(nxt, O, "excellent")
-        if not ok:
-            raise InvariantError("attachment arc broke excellence: %r" % (wit,))
-        cur = saturate_to_round_lt(nxt, O)
-
-
 def round_to_ltt(D):
-    """Complete a round digraph to a locally transitive tournament."""
+    """Complete a round digraph to a locally transitive tournament: the
+    round tournament of each component on its round ordering, merged."""
     require_oriented(D)
-    if find_round_ordering(D) is None:
-        raise NotRoundError("digraph has no round ordering")
     parts = []
     for comp in D.ug_components():
-        parts.append(_complete_component_to_ltt(D.induced(comp)))
+        sub = D.induced(comp)
+        O = find_round_ordering(sub)
+        if O is None:
+            raise NotRoundError("digraph has no round ordering")
+        T = _round_tournament(sub, O)
+        if T is None:
+            raise InvariantError("round ordering is not excellent")
+        parts.append(T)
     T = parts[0]
     for nxt in parts[1:]:
         T = merge_ltt(T, nxt)

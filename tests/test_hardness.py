@@ -10,11 +10,10 @@ from pogc.errors import (NotSatisfyingError, ParseError, SizeGuardError,
 from pogc.hardness import (CnfFormula, assignment_to_ordering,
                            build_reduction, exact_complete, gadget,
                            ltt_to_ordering, ordering_to_ltt,
-                           orient_by_assignment, parse_dimacs, render_dimacs,
-                           search_nice_ordering)
+                           orient_by_assignment, parse_dimacs, render_dimacs)
 from pogc.pog import Ordering, Pog, classify
 from pogc.rounds import check_ordering
-from util import exact_oracle, names, random_pog
+from util import exact_oracle, names, random_pog, search_nice_ordering
 
 
 # -- formulas ----------------------------------------------------------------
@@ -341,9 +340,6 @@ def test_search_nice_ordering():
     c4 = Pog(names(4), frozenset(),
              frozenset((k, (k + 1) % 4) for k in range(4)))
     assert search_nice_ordering(c4) is not None
-    with pytest.raises(SizeGuardError, match="MAX_NICE_VERTICES: instance "
-                       "has 11 vertices, limit is 10"):
-        search_nice_ordering(Pog(names(11), frozenset(), frozenset()))
 
 
 def test_excellent_implies_nice_orderable():

@@ -280,6 +280,32 @@ def test_verify_certificate_rejects_garbage():
         P, Certificate("DirectedCycle", {"cycle": ["a", "zzz"]}))
 
 
+def _hole_reference(G, ids):
+    """The pairwise hole test: consecutive vertices adjacent, all other
+    pairs not."""
+    k = len(ids)
+    return k >= 4 and len(set(ids)) == k and all(
+        G.adjacent(ids[s], ids[t]) == (t - s == 1 or (s, t) == (0, k - 1))
+        for s in range(k) for t in range(s + 1, k))
+
+
+def test_verify_hole_certificate_matches_pairwise_check():
+    # every graph on 5 vertices, every vertex sequence of length 3 to 5
+    # that starts at its smallest vertex
+    valid = 0
+    for G in all_graphs(5):
+        for k in (3, 4, 5):
+            for ids in itertools.permutations(range(5), k):
+                if ids[0] != min(ids):
+                    continue
+                cert = Certificate("NotChordal", {
+                    "kind": "hole", "vertices": [G.names[v] for v in ids]})
+                got = verify_certificate(G, cert)
+                assert got == _hole_reference(G, ids), (G.edges, ids)
+                valid += got
+    assert valid > 0
+
+
 def test_certificate_json_round_trip():
     c = Certificate("Bridge", {"edge": ["a", "b"]})
     c2 = Certificate.from_json(c.to_json())

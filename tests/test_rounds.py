@@ -7,9 +7,10 @@ import pytest
 
 from pogc.errors import NotInClassError, NotRoundError
 from pogc.pog import Ordering, Pog, classify
-from pogc.rounds import (check_ordering, complete_under_excellent,
-                         find_round_ordering, maximal_arcs, merge_ltt,
-                         moon_decompose, round_to_ltt, saturate_to_round_lt)
+from pogc.rounds import (_round_tournament, check_ordering,
+                         complete_under_excellent, find_round_ordering,
+                         maximal_arcs, merge_ltt, moon_decompose,
+                         round_to_ltt, saturate_to_round_lt)
 from util import all_pogs, names, random_pog
 
 
@@ -218,6 +219,83 @@ def _assert_round_iff_ltlt(D):
         sorted(D.arcs)
     if O is not None:
         assert check_ordering(D, O, "round")[0]
+
+
+def _saturate_reference(D, O):
+    """The fixpoint loop: add the missing arcs inside the span of each
+    maximal arc, recompute the maximal arcs, and repeat until nothing
+    changes."""
+    n = D.n
+    cur = D
+    changed = True
+    while changed:
+        changed = False
+        for i, j in maximal_arcs(cur, O):
+            base = O.pos[i]
+            r = lambda x: (O.pos[x] - base) % n
+            span = sorted((x for x in range(n) if r(x) <= r(j)), key=r)
+            add = [(p, q) for s, p in enumerate(span) for q in span[s + 1:]
+                   if not cur.adjacent(p, q)]
+            if add:
+                cur = Pog(cur.names, cur.edges, cur.arcs | frozenset(add))
+                changed = True
+    return cur
+
+
+def _assert_round_tournament(P, O):
+    """_round_tournament answers exactly on excellent orderings, with a
+    locally transitive tournament that contains P and is round on O;
+    returns the excellence verdict."""
+    ok = check_ordering(P, O, "excellent")[0]
+    T = _round_tournament(P, O)
+    assert (T is not None) == ok, (sorted(P.arcs), O.seq)
+    if T is not None:
+        assert classify(T).locally_transitive_tournament
+        assert P.arcs <= T.arcs and T.names == P.names
+        assert check_ordering(T, O, "round")[0], (sorted(P.arcs), O.seq)
+    return ok
+
+
+def test_round_tournament_iff_excellent_all_small():
+    # every oriented graph on <= 4 vertices under every cyclic ordering
+    # (the vertex sequences that start at vertex 0); the one-pass
+    # saturation must equal the fixpoint loop on the excellent ones
+    verdicts = {True: 0, False: 0}
+    for n in range(5):
+        orders = [Ordering("cyclic", seq)
+                  for seq in itertools.permutations(range(n))
+                  if not seq or seq[0] == 0]
+        for P in all_pogs(n):
+            if P.edges:
+                continue
+            for O in orders:
+                ok = _assert_round_tournament(P, O)
+                verdicts[ok] += 1
+                if ok:
+                    assert saturate_to_round_lt(P, O).arcs == \
+                        _saturate_reference(P, O).arcs, (sorted(P.arcs), O.seq)
+    assert min(verdicts.values()) >= 1000, verdicts
+
+
+def test_round_tournament_iff_excellent_random():
+    # random pogs with edges and arcs on <= 8 vertices under random
+    # orderings; the arcs alone go to the saturation comparison
+    rng = random.Random(59)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        P = random_pog(rng, n, p_adj=rng.choice((0.3, 0.6, 1.0)),
+                       p_arc=rng.choice((0.3, 0.6, 1.0)))
+        seq = list(range(n))
+        rng.shuffle(seq)
+        O = Ordering("cyclic", tuple(seq))
+        ok = _assert_round_tournament(P, O)
+        verdicts[ok] += 1
+        if ok:
+            D = Pog(P.names, frozenset(), P.arcs)
+            assert saturate_to_round_lt(D, O).arcs == \
+                _saturate_reference(D, O).arcs, (sorted(P.arcs), O.seq)
+    assert min(verdicts.values()) >= 500, verdicts
 
 
 def test_complete_under_excellent_dominated_edge():

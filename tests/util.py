@@ -2,7 +2,10 @@
 
 import itertools
 
-from pogc.pog import Pog, _reach, classify
+from pogc.pog import Ordering, Pog, _reach, classify
+from pogc.rounds import check_ordering
+
+MAX_NICE_VERTICES = 10
 
 
 def names(n):
@@ -132,3 +135,16 @@ def assert_extends(P, D):
     assert D.is_oriented()
     assert P.arcs <= D.arcs
     assert D.und_pairs == P.und_pairs
+
+
+def search_nice_ordering(D):
+    """First nice cyclic ordering by brute force over the (n - 1)!
+    cyclic orderings, or None."""
+    assert D.is_oriented() and D.n <= MAX_NICE_VERTICES
+    if D.n == 0:
+        return Ordering("cyclic", ())
+    for perm in itertools.permutations(range(1, D.n)):
+        O = Ordering("cyclic", (0,) + perm)
+        if check_ordering(D, O, "nice")[0]:
+            return O
+    return None
