@@ -15,7 +15,8 @@ each on a freshly built pog so that no cached view is shared between
 runs.
 A run longer than CAP_S is stopped by SIGALRM; that point
 is recorded with `"seconds": null` and the kernel's larger sizes are
-skipped.  The
+skipped.  A kernel named in LARGEST_N stops at that n (recorded as
+`"largest_n"`), where its memory, not its time, would be the limit.  The
 exponent of a kernel is the least-squares slope of log(time) against
 log(n) over its measured points.  Times are raw `perf_counter` seconds
 on the host named in the output.
@@ -90,6 +91,9 @@ KERNELS = {  # name: (family, kernel)
     "check_ordering.excellent.all_arc": (ALL_ARC, identity_excellent),
     "round_to_ltt.circulant": (CIRCULANT, round_to_ltt),
 }
+# The 2-SAT of rounds._round_tournament holds about 1.1 KB per pair of
+# vertices: about 0.5 GB at n = 1,000 and 5.5 GB at n = 3,162.
+LARGEST_N = {"round_to_ltt.circulant": 1000}
 
 
 def _alarm(signum, frame):
@@ -152,7 +156,10 @@ def main(argv=None):
     kernels = {}
     for name, (family, kernel) in KERNELS.items():
         points = []
+        largest = LARGEST_N.get(name)
         for n in sorted(args.sizes):
+            if largest is not None and n > largest:
+                break
             t = time_point(FAMILIES[family], kernel, n)
             points.append({"n": n, "seconds": None if t is None else round(t, 6)})
             print("%-28s n=%-6d %s" % (name, n, "capped" if t is None
@@ -161,6 +168,8 @@ def main(argv=None):
                 break
         kernels[name] = {"family": family, "points": points,
                          "exponent": exponent(points)}
+        if largest is not None:
+            kernels[name]["largest_n"] = largest
     result = {
         "commit": commit,
         "cap_s": CAP_S,

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from .errors import (InvariantError, NotInClassError, NotSatisfyingError,
                      ParseError, SizeGuardError, UnsupportedInstanceError)
 from .pog import (Ordering, Pog, _neighbourhood_cycle,
-                  _nonadjacent_pairs, classify, complete_closure,
-                  require_oriented, topological_order)
-from .rounds import (_require_excellent, _round_tournament, check_ordering,
-                     find_round_ordering)
+                  _nonadjacent_pairs, complete_closure, require_oriented,
+                  topological_order)
+from .rounds import (_ltt_ordering, _require_excellent, _require_round,
+                     _round_tournament, check_ordering)
 
 MAX_SEARCH_EDGES = 22
 MAX_EXCELLENT_VERTICES = 12
@@ -408,8 +408,10 @@ def _assignments_near(t, n):
 def _search_completions(P, want_all):
     """All locally transitive tournament completions of P (only the
     first unless `want_all`), as sorted arc frozensets.  Exhaustive
-    backtracking, most-constrained edge first, leaf-verified by
-    classify."""
+    backtracking, most-constrained edge first.  A leaf is kept when it
+    has a round ordering (`rounds._ltt_ordering`): the round tournaments
+    are the locally transitive ones, and the runs of twins of that
+    ordering are their Moon parts."""
     if any(_nonadjacent_pairs(P, range(P.n))):
         return []
     n = P.n
@@ -441,7 +443,7 @@ def _search_completions(P, want_all):
         if len(chosen) == len(edges):
             D = Pog(P.names, frozenset(),
                     P.arcs | frozenset(chosen))
-            if classify(D).locally_transitive_tournament:
+            if _ltt_ordering(D) is not None:
                 found.append(frozenset(D.arcs))
                 return not want_all
             return False
@@ -523,10 +525,7 @@ def _excellent_search(P, enumerate_all):
     seen = set()
     for a in arcsets:
         T = Pog(P.names, frozenset(), a)
-        O = find_round_ordering(T)
-        if O is None:
-            raise InvariantError("locally transitive tournament has no "
-                                 "round ordering")
+        O = _ltt_ordering(T)    # not None: the leaf check found it
         ok, wit = check_ordering(P, O, "excellent")
         if not ok:
             raise InvariantError("derived ordering is not excellent: %r"
@@ -546,22 +545,19 @@ def ordering_to_ltt(P, O):
     """Locally transitive tournament containing P, from an excellent
     ordering: the round tournament on O that contains P's arcs, found
     by one 2-SAT over the pairs of positions (see
-    `rounds._round_tournament`), then re-checked by classify."""
+    `rounds._round_tournament`), then re-checked to be round on O."""
     _require_excellent(P, O)
     T = _round_tournament(P, O)
     if T is None:
         raise InvariantError("excellent ordering has no round tournament")
-    if not classify(T).locally_transitive_tournament:
-        raise InvariantError("completion is not a locally transitive tournament")
+    _require_round(T, O, P.arcs, "completion")
     return T
 
 
 def ltt_to_ordering(T):
-    """Excellent ordering read off a locally transitive tournament."""
-    if not classify(T).locally_transitive_tournament:
-        raise NotInClassError("not a locally transitive tournament")
-    O = find_round_ordering(T)
+    """Excellent ordering read off a locally transitive tournament:
+    its round ordering."""
+    O = _ltt_ordering(T)
     if O is None:
-        raise InvariantError("locally transitive tournament has no round "
-                             "ordering")
+        raise NotInClassError("not a locally transitive tournament")
     return O

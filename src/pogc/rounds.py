@@ -15,17 +15,24 @@ builds one that contains a pog's arcs by one 2-SAT over the pairs of
 positions of O; it exists exactly when O is excellent for the arcs.
 Completion under an excellent ordering, `ordering_to_ltt` and
 `round_to_ltt` (per component, on its round ordering) all read their
-tournament off it.  Locally transitive tournaments decompose into a
-highly regular frame of transitive parts; that decomposition drives
-the merge of two such tournaments.
+tournament off it; the last two re-check that O is round for it.
+
+The round ordering also decides membership: a pog is a locally
+transitive tournament exactly when it is an oriented tournament with a
+round ordering (`_ltt_ordering`).  Its Moon parts are the maximal runs
+of consecutive twins on that ordering; they are transitive, and the
+frame on one vertex per part is highly regular.  `merge_ltt` reads
+both tournaments' parts off their orderings and interleaves them into
+one round tournament.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .errors import InvariantError, NotInClassError, NotRoundError
-from .pog import Ordering, Pog, classify, require_oriented
+from .pog import Ordering, Pog, require_oriented
 
 ORDER_KINDS = ("round", "excellent", "nice")
 
@@ -305,29 +312,44 @@ def saturate_to_round_lt(D, O):
 # -- completion to locally transitive tournaments ----------------------
 
 
+def _ltt_ordering(T):
+    """A round ordering of T when T is a locally transitive tournament,
+    else None: a tournament is locally transitive exactly when it is
+    round (Huang, JCTB 63, 1995).  T is a tournament with no edge left
+    exactly when every pair is an arc; that is tested first because
+    `find_round_ordering` rejects edges."""
+    if len(T.arcs) != T.n * (T.n - 1) // 2:
+        return None
+    return find_round_ordering(T)
+
+
+def _require_round(T, O, arcs, what):
+    """Self-check of a tournament T built round on O: O is a round
+    ordering of T, and T contains the input arcs."""
+    if not check_ordering(T, O, "round")[0]:
+        raise InvariantError("%s is not a locally transitive tournament" % what)
+    if not arcs <= T.arcs:
+        raise InvariantError("%s dropped an input arc" % what)
+
+
 def round_to_ltt(D):
     """Complete a round digraph to a locally transitive tournament: the
     round tournament of each component on its round ordering, merged."""
     require_oriented(D)
-    parts = []
+    T, O = Pog((), frozenset(), frozenset()), Ordering("cyclic", ())
     for comp in D.ug_components():
         sub = D.induced(comp)
-        O = find_round_ordering(sub)
-        if O is None:
+        Oc = find_round_ordering(sub)
+        if Oc is None:
             raise NotRoundError("digraph has no round ordering")
-        T = _round_tournament(sub, O)
-        if T is None:
+        Tc = _round_tournament(sub, Oc)
+        if Tc is None:
             raise InvariantError("round ordering is not excellent")
-        parts.append(T)
-    T = parts[0]
-    for nxt in parts[1:]:
-        T = merge_ltt(T, nxt)
-    arcs = frozenset((D.index[T.names[i]], D.index[T.names[j]]) for i, j in T.arcs)
-    out = Pog(D.names, frozenset(), arcs)
-    if not classify(out).locally_transitive_tournament:
-        raise InvariantError("completion is not a locally transitive tournament")
-    if not D.arcs <= out.arcs:
-        raise InvariantError("completion dropped an input arc")
+        T, O = _merge(T, O, Tc, Oc)
+    at = [D.index[v] for v in T.names]
+    out = Pog(D.names, frozenset(), frozenset((at[i], at[j]) for i, j in T.arcs))
+    _require_round(out, Ordering("cyclic", tuple(at[v] for v in O.seq)),
+                   D.arcs, "completion")
     return out
 
 
@@ -341,36 +363,35 @@ class MoonDecomposition:
 
 
 def _require_ltt(T, what):
-    if not classify(T).locally_transitive_tournament:
+    O = _ltt_ordering(T)
+    if O is None:
         raise NotInClassError("%s is not a locally transitive tournament" % what)
+    return O
+
+
+def _moon_runs(T, O):
+    """The Moon parts of T as vertex lists: O split into maximal runs
+    of consecutive twins (u -> v with out(u) = out(v) + {v}), each in
+    O's order, listed cyclically from the run with the smallest first
+    vertex.  Each run is a transitive module and no two runs are twins.
+    Out-degrees fall along a run, so some run starts for n > 0."""
+    seq, out = O.seq, T.out_nbrs
+    n = len(seq)
+    if not n:
+        return []
+    starts = [k for k in range(n) if out[seq[k - 1]] != out[seq[k]] | {seq[k]}]
+    runs = [[seq[x % n] for x in range(s, e)]
+            for s, e in zip(starts, starts[1:] + [starts[0] + n])]
+    low = min(range(len(runs)), key=lambda r: runs[r][0])
+    return runs[low:] + runs[:low]
 
 
 def moon_decompose(T):
     """Partition a locally transitive tournament into transitive parts
-    whose quotient (the frame) is highly regular."""
-    _require_ltt(T, "input")
-    parts = [[v] for v in range(T.n)]
-    merged = True
-    while merged:
-        merged = False
-        for x in range(len(parts)):
-            for y in range(len(parts)):
-                if x == y:
-                    continue
-                A, B = parts[x], parts[y]
-                if (A[0], B[0]) not in T.arcs:
-                    continue
-                rest = [p[0] for k, p in enumerate(parts) if k not in (x, y)]
-                if all(((r, A[0]) in T.arcs) == ((r, B[0]) in T.arcs)
-                       and ((A[0], r) in T.arcs) == ((B[0], r) in T.arcs)
-                       for r in rest):
-                    parts[x] = A + B
-                    del parts[y]
-                    merged = True
-                    break
-            if merged:
-                break
-    parts.sort(key=lambda p: p[0])
+    whose quotient (the frame) is highly regular: the runs of twins of
+    its round ordering."""
+    runs = _moon_runs(T, _require_ltt(T, "input"))
+    parts = sorted(runs, key=lambda p: p[0])
     frame = Pog(tuple(T.names[p[0]] for p in parts), frozenset(),
                 frozenset((x, y) for x in range(len(parts))
                           for y in range(len(parts))
@@ -378,12 +399,8 @@ def moon_decompose(T):
     q = len(parts)
     if q > 1 and any(len(frame.out_nbrs[x]) != (q - 1) // 2 for x in range(q)):
         raise InvariantError("frame is not highly regular")
-    # parts listed in their internal transitive order
-    named = []
-    for p in parts:
-        p = sorted(p, key=lambda v: -len([w for w in p if (v, w) in T.arcs]))
-        named.append(tuple(T.names[v] for v in p))
-    dec = MoonDecomposition(frame, tuple(named))
+    dec = MoonDecomposition(frame, tuple(tuple(T.names[v] for v in p)
+                                         for p in parts))
     if _rebuild(T.names, dec).arcs != T.arcs:
         raise InvariantError("decomposition does not rebuild the tournament")
     return dec
@@ -391,15 +408,12 @@ def moon_decompose(T):
 
 def _rebuild(names, dec):
     idx = {v: i for i, v in enumerate(names)}
+    parts = [[idx[v] for v in part] for part in dec.parts]
     arcs = set()
-    for k, part in enumerate(dec.parts):
-        for s in range(len(part)):
-            for t in range(s + 1, len(part)):
-                arcs.add((idx[part[s]], idx[part[t]]))
+    for k, part in enumerate(parts):
+        arcs.update(combinations(part, 2))
         for l in dec.frame.out_nbrs[k]:
-            for u in part:
-                for w in dec.parts[l]:
-                    arcs.add((idx[u], idx[w]))
+            arcs.update(product(part, parts[l]))
     return Pog(tuple(names), frozenset(), frozenset(arcs))
 
 
@@ -408,60 +422,38 @@ def merge_ltt(T1, T2):
     into one locally transitive tournament containing both."""
     if set(T1.names) & set(T2.names):
         raise InvariantError("vertex names are not disjoint")
-    _require_ltt(T1, "first tournament")
-    _require_ltt(T2, "second tournament")
-    d1, d2 = moon_decompose(T1), moon_decompose(T2)
-    if len(d2.parts) > len(d1.parts):
-        d1, d2 = d2, d1
-    a = (len(d1.parts) - 1) // 2
-    b = (len(d2.parts) - 1) // 2
+    O1 = _require_ltt(T1, "first tournament")
+    O2 = _require_ltt(T2, "second tournament")
+    return _merge(T1, O1, T2, O2)[0]
 
-    X = _frame_cycle(d1)
-    Y = _frame_cycle(d2)
-    cells = []
-    for k in range(b + 1):                      # X_0..X_b merged with Y_0..Y_b
-        cells.append(X[k] + Y[k])
-    cells.extend(X[k] for k in range(b + 1, a + 1))
-    for k in range(1, b + 1):                   # X_{a+k} merged with Y_{b+k}
-        cells.append(X[a + k] + Y[b + k])
-    cells.extend(X[k] for k in range(a + b + 1, 2 * a + 1))
 
-    names = T1.names + T2.names
-    idx = {v: i for i, v in enumerate(names)}
+def _merge(T1, O1, T2, O2):
+    """merge_ltt on tournaments with known round orderings; returns the
+    merged tournament and the round ordering it is built on."""
+    if not T1.n:
+        return T2, O2
+    if not T2.n:
+        return T1, O1
+    n1 = T1.n                   # T2's vertex v is n1 + v in the merge
+    X = _moon_runs(T1, O1)
+    Y = [[n1 + v for v in run] for run in _moon_runs(T2, O2)]
+    if len(Y) > len(X):
+        X, Y = Y, X
+    a = (len(X) - 1) // 2
+    b = (len(Y) - 1) // 2
+
+    # X_0..X_b with Y_0..Y_b, then X_{a+1}..X_{a+b} with Y_{b+1}..Y_{2b}
+    cells = [X[k] + Y[k] for k in range(b + 1)] + X[b + 1:a + 1]
+    cells += [X[a + k] + Y[b + k] for k in range(1, b + 1)] + X[a + b + 1:]
+
     q = len(cells)
     arcs = set()
     for c, cell in enumerate(cells):
-        for s in range(len(cell)):
-            for t in range(s + 1, len(cell)):
-                arcs.add((idx[cell[s]], idx[cell[t]]))
+        arcs.update(combinations(cell, 2))
         for step in range(1, (q - 1) // 2 + 1):
-            for u in cell:
-                for w in cells[(c + step) % q]:
-                    arcs.add((idx[u], idx[w]))
-    T = Pog(names, frozenset(), frozenset(arcs))
-    _require_merge_ok(T, T1, T2)
-    return T
-
-
-def _frame_cycle(dec):
-    """Parts in round frame order, each flattened to its name tuple,
-    starting at the part holding the lexicographically first frame name."""
-    if len(dec.parts) == 1:
-        return [list(dec.parts[0])]
-    O = find_round_ordering(dec.frame)
-    if O is None:
-        raise InvariantError("frame has no round ordering")
-    start = O.seq.index(0)
-    order = O.seq[start:] + O.seq[:start]
-    return [list(dec.parts[k]) for k in order]
-
-
-def _require_merge_ok(T, T1, T2):
-    if not classify(T).locally_transitive_tournament:
-        raise InvariantError("merge is not a locally transitive tournament")
-    for part in (T1, T2):
-        sub = T.induced([T.index[v] for v in part.names])
-        want = {(part.names[i], part.names[j]) for i, j in part.arcs}
-        got = {(sub.names[i], sub.names[j]) for i, j in sub.arcs}
-        if want != got:
-            raise InvariantError("merge does not restrict to an input tournament")
+            arcs.update(product(cell, cells[(c + step) % q]))
+    T = Pog(T1.names + T2.names, frozenset(), frozenset(arcs))
+    O = Ordering("cyclic", tuple(v for cell in cells for v in cell))
+    _require_round(T, O, T1.arcs | {(n1 + i, n1 + j) for i, j in T2.arcs},
+                   "merge")
+    return T, O

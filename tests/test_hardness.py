@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from pogc.errors import (NotSatisfyingError, ParseError, SizeGuardError,
-                         UnsupportedInstanceError)
+from pogc.errors import (NotInClassError, NotSatisfyingError, ParseError,
+                         SizeGuardError, UnsupportedInstanceError)
 from pogc.hardness import (CnfFormula, assignment_to_ordering,
                            build_reduction, exact_complete, gadget,
                            ltt_to_ordering, ordering_to_ltt,
@@ -334,6 +334,15 @@ def test_ordering_round_trip_random():
         assert check_ordering(T, O2, "round")[0]
         assert check_ordering(P, O2, "excellent")[0]
         done += 1
+
+
+def test_ltt_to_ordering_rejects_edges_and_non_tournaments():
+    edge = Pog(names(2), frozenset({(0, 1)}), frozenset())
+    path = Pog(names(3), frozenset(), frozenset({(0, 1), (1, 2)}))
+    for P in (edge, path):
+        with pytest.raises(NotInClassError,
+                           match="^not a locally transitive tournament$"):
+            ltt_to_ordering(P)
 
 
 def test_search_nice_ordering():

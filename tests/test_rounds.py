@@ -7,11 +7,12 @@ import pytest
 
 from pogc.errors import NotInClassError, NotRoundError
 from pogc.pog import Ordering, Pog, classify
-from pogc.rounds import (_round_tournament, check_ordering,
+from pogc.rounds import (_ltt_ordering, _round_tournament, check_ordering,
                          complete_under_excellent, find_round_ordering,
                          maximal_arcs, merge_ltt, moon_decompose,
                          round_to_ltt, saturate_to_round_lt)
-from util import all_pogs, names, random_pog
+from util import (all_pogs, all_tournaments, merge_ltt_reference,
+                  moon_decompose_reference, names, random_ltt, random_pog)
 
 
 def _cycle(n):
@@ -419,3 +420,142 @@ def test_merge_c3_with_vertex_and_c3():
     sub = T2.induced([T2.index[v] for v in c3.names])
     assert {(sub.names[i], sub.names[j]) for i, j in sub.arcs} == \
         {(c3.names[i], c3.names[j]) for i, j in c3.arcs}
+
+
+# -- the round ordering decides, decomposes and merges ------------------
+
+
+def _assert_ltt_ordering(T):
+    """_ltt_ordering answers exactly on the locally transitive
+    tournaments, with a round ordering of T; returns the verdict."""
+    O = _ltt_ordering(T)
+    ok = classify(T).locally_transitive_tournament
+    assert (O is not None) == ok, (sorted(T.edges), sorted(T.arcs))
+    if ok:
+        assert check_ordering(T, O, "round")[0]
+    return ok
+
+
+def test_ltt_ordering_matches_classify_all_small():
+    # every tournament on <= 5 vertices, and every pog on <= 4 (edges
+    # and non-adjacent pairs included)
+    verdicts = {True: 0, False: 0}
+    for n in range(6):
+        for T in all_tournaments(n):
+            verdicts[_assert_ltt_ordering(T)] += 1
+    for n in range(5):
+        for P in all_pogs(n):
+            _assert_ltt_ordering(P)
+    assert min(verdicts.values()) >= 400, verdicts
+
+
+def test_ltt_ordering_matches_classify_random():
+    # random tournaments, random locally transitive ones, and those with
+    # one arc reversed, on 6-8 vertices
+    rng = random.Random(89)
+    verdicts = {True: 0, False: 0}
+    for k in range(1500):
+        n = rng.randint(6, 8)
+        if k % 3 == 0:
+            T = random_pog(rng, n, p_adj=1.0, p_arc=1.0)
+        else:
+            T = random_ltt(rng, n)
+            if k % 3 == 2:
+                u, v = rng.choice(sorted(T.arcs))
+                T = Pog(T.names, frozenset(), T.arcs - {(u, v)} | {(v, u)})
+        verdicts[_assert_ltt_ordering(T)] += 1
+    assert min(verdicts.values()) >= 300, verdicts
+
+
+def _renamed(T, prefix):
+    return Pog(tuple(prefix + v for v in T.names), T.edges, T.arcs)
+
+
+def test_moon_and_merge_match_reference_all_small():
+    # every locally transitive tournament on <= 5 vertices: its
+    # decomposition, and its merges with a vertex and a directed
+    # triangle (both ways round) and with a renamed copy of itself
+    partners = [Pog.build(("p",)), _renamed(_cycle(3), "p")]
+    count = 0
+    for n in range(6):
+        for T in all_tournaments(n):
+            if not classify(T).locally_transitive_tournament:
+                continue
+            count += 1
+            assert moon_decompose(T) == moon_decompose_reference(T), sorted(T.arcs)
+            if not n:
+                continue
+            for S in partners:
+                assert merge_ltt(T, S).arcs == merge_ltt_reference(T, S).arcs
+                assert merge_ltt(S, T).arcs == merge_ltt_reference(S, T).arcs
+            S = _renamed(T, "c")
+            assert merge_ltt(T, S).arcs == merge_ltt_reference(T, S).arcs
+    assert count == 444
+
+
+def test_moon_and_merge_match_reference_random():
+    rng = random.Random(97)
+    for _ in range(2000):
+        T1 = random_ltt(rng, rng.randint(6, 9), "a")
+        T2 = random_ltt(rng, rng.randint(6, 9), "b")
+        assert moon_decompose(T1) == moon_decompose_reference(T1), sorted(T1.arcs)
+        assert merge_ltt(T1, T2).arcs == merge_ltt_reference(T1, T2).arcs, \
+            (sorted(T1.arcs), sorted(T2.arcs))
+
+
+def test_ltt_checks_reject_with_class_errors():
+    edge = Pog(names(2), frozenset({(0, 1)}), frozenset())
+    path = Pog(names(3), frozenset(), frozenset({(0, 1), (1, 2)}))
+    for P in (edge, path):
+        with pytest.raises(NotInClassError,
+                           match="^input is not a locally transitive tournament$"):
+            moon_decompose(P)
+        with pytest.raises(NotInClassError,
+                           match="^first tournament is not a locally"):
+            merge_ltt(P, Pog.build(("x",)))
+        with pytest.raises(NotInClassError,
+                           match="^second tournament is not a locally"):
+            merge_ltt(Pog.build(("x",)), P)
+
+
+def test_round_to_ltt_empty():
+    empty = Pog((), frozenset(), frozenset())
+    assert round_to_ltt(empty) == empty
+
+
+def test_merge_with_empty_returns_other():
+    empty = Pog((), frozenset(), frozenset())
+    c3 = _cycle(3)
+    assert merge_ltt(empty, c3) == c3
+    assert merge_ltt(c3, empty) == c3
+    assert merge_ltt(empty, empty) == empty
+
+
+def _regular(n):
+    return Pog(names(n), frozenset(),
+               frozenset((i, (i + s) % n) for i in range(n)
+                         for s in range(1, n // 2 + 1)))
+
+
+def _triangle_blow_up(n):
+    # three transitive parts of n // 3 vertices, each beating the next
+    k = n // 3
+    return Pog(names(n), frozenset(),
+               frozenset((i, j) for i in range(n) for j in range(n)
+                         if (i // k == j // k and i < j)
+                         or (j // k - i // k) % 3 == 1))
+
+
+@pytest.mark.parametrize("build, n, parts", [(_regular, 301, 301),
+                                             (_triangle_blow_up, 300, 3)])
+def test_moon_and_merge_large_are_fast(build, n, parts):
+    import time
+    T = build(n)
+    t0 = time.perf_counter()
+    dec = moon_decompose(T)
+    t1 = time.perf_counter()
+    M = merge_ltt(T, _renamed(_cycle(3), "p"))
+    t2 = time.perf_counter()
+    assert len(dec.parts) == parts and M.n == n + 3
+    assert t1 - t0 < 2.0, t1 - t0
+    assert t2 - t1 < 2.0, t2 - t1

@@ -3,7 +3,7 @@
 import itertools
 
 from pogc.pog import Ordering, Pog, _reach, classify
-from pogc.rounds import check_ordering
+from pogc.rounds import MoonDecomposition, check_ordering, find_round_ordering
 
 MAX_NICE_VERTICES = 10
 
@@ -148,3 +148,106 @@ def search_nice_ordering(D):
         if check_ordering(D, O, "nice")[0]:
             return O
     return None
+
+
+def all_tournaments(n):
+    """Every labelled tournament on n vertices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Pog(names(n), frozenset(),
+                  frozenset((j, i) if (mask >> k) & 1 else (i, j)
+                            for k, (i, j) in enumerate(pairs)))
+
+
+def random_ltt(rng, n, prefix="v"):
+    """A random locally transitive tournament on n vertices named
+    prefix0, prefix1, ...: shuffled vertices cut into an odd number q of
+    transitive parts, part k beating parts k+1 .. k+(q-1)/2 mod q."""
+    q = rng.choice(range(1, n + 1, 2))
+    cut = [0] + sorted(rng.sample(range(1, n), q - 1)) + [n]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    parts = [perm[cut[k]:cut[k + 1]] for k in range(q)]
+    arcs = set()
+    for k, part in enumerate(parts):
+        arcs.update(itertools.combinations(part, 2))
+        for step in range(1, (q - 1) // 2 + 1):
+            arcs.update(itertools.product(part, parts[(k + step) % q]))
+    return Pog(tuple("%s%d" % (prefix, k) for k in range(n)), frozenset(),
+               frozenset(arcs))
+
+
+def moon_decompose_reference(T):
+    """Moon decomposition by the greedy twin fixpoint: merge two parts
+    whose first vertices u -> v agree on every other part's first
+    vertex, until no pair merges."""
+    assert classify(T).locally_transitive_tournament
+    parts = [[v] for v in range(T.n)]
+    merged = True
+    while merged:
+        merged = False
+        for x in range(len(parts)):
+            for y in range(len(parts)):
+                if x == y:
+                    continue
+                A, B = parts[x], parts[y]
+                if (A[0], B[0]) not in T.arcs:
+                    continue
+                rest = [p[0] for k, p in enumerate(parts) if k not in (x, y)]
+                if all(((r, A[0]) in T.arcs) == ((r, B[0]) in T.arcs)
+                       and ((A[0], r) in T.arcs) == ((B[0], r) in T.arcs)
+                       for r in rest):
+                    parts[x] = A + B
+                    del parts[y]
+                    merged = True
+                    break
+            if merged:
+                break
+    parts.sort(key=lambda p: p[0])
+    frame = Pog(tuple(T.names[p[0]] for p in parts), frozenset(),
+                frozenset((x, y) for x in range(len(parts))
+                          for y in range(len(parts))
+                          if (parts[x][0], parts[y][0]) in T.arcs))
+    named = []
+    for p in parts:
+        p = sorted(p, key=lambda v: -len([w for w in p if (v, w) in T.arcs]))
+        named.append(tuple(T.names[v] for v in p))
+    return MoonDecomposition(frame, tuple(named))
+
+
+def frame_cycle_reference(dec):
+    """Parts in the frame's round order, each as a name list, from the
+    part holding frame vertex 0."""
+    if len(dec.parts) == 1:
+        return [list(dec.parts[0])]
+    O = find_round_ordering(dec.frame)
+    start = O.seq.index(0)
+    order = O.seq[start:] + O.seq[:start]
+    return [list(dec.parts[k]) for k in order]
+
+
+def merge_ltt_reference(T1, T2):
+    """merge_ltt on the greedy decompositions of two non-empty
+    locally transitive tournaments: the cells pair the larger frame's
+    parts X_0..X_b with Y_0..Y_b and X_{a+1}..X_{a+b} with
+    Y_{b+1}..Y_{2b}, and cell c beats cells c+1 .. c+(q-1)/2 mod q."""
+    d1, d2 = moon_decompose_reference(T1), moon_decompose_reference(T2)
+    if len(d2.parts) > len(d1.parts):
+        d1, d2 = d2, d1
+    a = (len(d1.parts) - 1) // 2
+    b = (len(d2.parts) - 1) // 2
+    X, Y = frame_cycle_reference(d1), frame_cycle_reference(d2)
+    cells = [X[k] + Y[k] for k in range(b + 1)]
+    cells += [X[k] for k in range(b + 1, a + 1)]
+    cells += [X[a + k] + Y[b + k] for k in range(1, b + 1)]
+    cells += [X[k] for k in range(a + b + 1, 2 * a + 1)]
+    names = T1.names + T2.names
+    idx = {v: i for i, v in enumerate(names)}
+    q = len(cells)
+    arcs = set()
+    for c, cell in enumerate(cells):
+        arcs.update((idx[u], idx[w]) for u, w in itertools.combinations(cell, 2))
+        for step in range(1, (q - 1) // 2 + 1):
+            arcs.update((idx[u], idx[w])
+                        for u, w in itertools.product(cell, cells[(c + step) % q]))
+    return Pog(names, frozenset(), frozenset(arcs))
