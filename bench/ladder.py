@@ -156,10 +156,7 @@ def main(argv=None):
     kernels = {}
     for name, (family, kernel) in KERNELS.items():
         points = []
-        largest = LARGEST_N.get(name)
-        for n in sorted(args.sizes):
-            if largest is not None and n > largest:
-                break
+        for n in sorted(n for n in args.sizes if n <= LARGEST_N.get(name, n)):
             t = time_point(FAMILIES[family], kernel, n)
             points.append({"n": n, "seconds": None if t is None else round(t, 6)})
             print("%-28s n=%-6d %s" % (name, n, "capped" if t is None
@@ -168,8 +165,8 @@ def main(argv=None):
                 break
         kernels[name] = {"family": family, "points": points,
                          "exponent": exponent(points)}
-        if largest is not None:
-            kernels[name]["largest_n"] = largest
+        if name in LARGEST_N:
+            kernels[name]["largest_n"] = LARGEST_N[name]
     result = {
         "commit": commit,
         "cap_s": CAP_S,

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -549,7 +550,6 @@ def _triangle_blow_up(n):
 @pytest.mark.parametrize("build, n, parts", [(_regular, 301, 301),
                                              (_triangle_blow_up, 300, 3)])
 def test_moon_and_merge_large_are_fast(build, n, parts):
-    import time
     T = build(n)
     t0 = time.perf_counter()
     dec = moon_decompose(T)
