@@ -7,12 +7,14 @@ Standard library only.  From the repository root:
 
 The package is imported from `src/` of the checkout this script lives
 in.  Each kernel runs on one family at n = 10^2, 10^2.5, ..., 10^4:
-band-4 (v_i ~ v_j iff |i - j| <= 4, no arcs), the strong all-arc
+band-4 (v_i ~ v_j iff |i - j| <= 4, no arcs), alone or with a proper
+representation of it (v_i on [2i, 2 min(i + 4, n - 1) + 1], on a line
+or turned half round a circle of length 2n), the strong all-arc
 digraph (arcs i -> i+1 and i -> i+2 plus v[n-1] -> v[1] and
 v[n-2] -> v[0], no edges) or the circulant C_n(1,2) (arcs i -> i+1
 and i -> i+2 mod n, no edges).  A point is the fastest of a few runs,
-each on a freshly built pog so that no cached view is shared between
-runs.
+each on a freshly built input so that no cached view is shared between
+runs; only the kernel call is timed.
 A run longer than CAP_S is stopped by SIGALRM; that point
 is recorded with `"seconds": null` and the kernel's larger sizes are
 skipped.  A kernel named in LARGEST_N stops at that n (recorded as
@@ -39,7 +41,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from pogc.auxgraph import build_aux  # noqa: E402
 from pogc.completions import complete_to_strong, find_cycle_factor  # noqa: E402
-from pogc.interval import complete_to_acyclic_lt  # noqa: E402
+from pogc.interval import (Representation, complete_to_acyclic_lt,  # noqa: E402
+                           validate_representation)
 from pogc.pog import Ordering, Pog, _bridges  # noqa: E402
 from pogc.rounds import check_ordering, round_to_ltt  # noqa: E402
 
@@ -61,6 +64,24 @@ def band(n, w=WIDTH):
                frozenset())
 
 
+def band_spans(n, w=WIDTH):
+    return [(2 * i, 2 * min(i + w, n - 1) + 1) for i in range(n)]
+
+
+def band_interval(n):
+    P = band(n)
+    return P, Representation("interval", P.names, tuple(band_spans(n)))
+
+
+def band_circular(n):
+    """Band-4 with its spans turned half round the circle, so that
+    those near the turn wrap."""
+    P, modulus = band(n), 2 * n
+    return P, Representation("circular", P.names,
+                             tuple(((l + n) % modulus, (r + n) % modulus)
+                                   for l, r in band_spans(n)), modulus)
+
+
 def identity_excellent(P):
     """Check the identity cyclic ordering, which is excellent on all-arc."""
     return check_ordering(P, Ordering("cyclic", tuple(range(P.n))), "excellent")
@@ -78,14 +99,21 @@ def circulant(n):
 
 
 BAND = "band-%d, no arcs" % WIDTH
+BAND_IV = "band-%d, interval representation" % WIDTH
+BAND_CA = "band-%d, circular representation turned by n" % WIDTH
 ALL_ARC = "all-arc, strong, no edges"
 CIRCULANT = "circulant C_n(1,2), no edges"
-FAMILIES = {BAND: band, ALL_ARC: all_arc, CIRCULANT: circulant}
+FAMILIES = {BAND: band, BAND_IV: band_interval, BAND_CA: band_circular,
+            ALL_ARC: all_arc, CIRCULANT: circulant}
 KERNELS = {  # name: (family, kernel)
     "build_aux.local_tournament": (BAND, lambda P: build_aux(P, "local_tournament")),
     "build_aux.quasi_transitive": (BAND, lambda P: build_aux(P, "quasi_transitive")),
     "complete_to_acyclic_lt": (BAND, complete_to_acyclic_lt),
     "bridges": (BAND, _bridges),
+    "validate_representation.interval":
+        (BAND_IV, lambda PR: validate_representation(*PR)),
+    "validate_representation.circular":
+        (BAND_CA, lambda PR: validate_representation(*PR)),
     "complete_to_strong.all_arc": (ALL_ARC, complete_to_strong),
     "find_cycle_factor.all_arc": (ALL_ARC, find_cycle_factor),
     "check_ordering.excellent.all_arc": (ALL_ARC, identity_excellent),
@@ -105,11 +133,11 @@ def time_point(family, kernel, n):
     when a run exceeds CAP_S."""
     best, total = math.inf, 0.0
     for _ in range(MAX_REPEATS):
-        P = family(n)
+        arg = family(n)
         signal.setitimer(signal.ITIMER_REAL, CAP_S)
         try:
             t0 = perf_counter()
-            kernel(P)
+            kernel(arg)
             dt = perf_counter() - t0
         except Capped:
             return None
@@ -159,7 +187,7 @@ def main(argv=None):
         for n in sorted(n for n in args.sizes if n <= LARGEST_N.get(name, n)):
             t = time_point(FAMILIES[family], kernel, n)
             points.append({"n": n, "seconds": None if t is None else round(t, 6)})
-            print("%-28s n=%-6d %s" % (name, n, "capped" if t is None
+            print("%-34s n=%-6d %s" % (name, n, "capped" if t is None
                                        else "%.4f s" % t), file=sys.stderr)
             if t is None:
                 break

@@ -9,6 +9,7 @@ point, which makes the induced orientation unambiguous.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,33 +124,90 @@ def render_representation(R):
     return "\n".join(out) + "\n"
 
 
+def _cover_counts(R):
+    """Per span k of a representation with distinct start points: how
+    many other start points span k covers, and how many other spans
+    cover the start point of span k.  Two bisections per span on the
+    sorted start points, and on the sorted ends of the spans that do
+    not wrap and of those that do (circular only)."""
+    starts = sorted(l for l, _ in R.spans)
+    flat = [s for s in R.spans if s[0] <= s[1]]
+    wrap = [s for s in R.spans if s[0] > s[1]]
+    flat_l, flat_r = sorted(l for l, _ in flat), sorted(r for _, r in flat)
+    wrap_l, wrap_r = sorted(l for l, _ in wrap), sorted(r for _, r in wrap)
+    n, nw = len(starts), len(wrap_r)
+    cov, stab = [], []
+    for l, r in R.spans:
+        if l <= r:
+            c = bisect_right(starts, r) - bisect_left(starts, l)
+        else:  # from l up round the circle, then from 0 to r
+            c = n - bisect_left(starts, l) + bisect_right(starts, r)
+        cov.append(c - 1)
+        # a flat span ending before l started before it; a wrapping
+        # span covers l from its start on or up to its end, never both
+        stab.append(bisect_right(flat_l, l) - bisect_left(flat_r, l)
+                    + bisect_right(wrap_l, l) + nw - bisect_left(wrap_r, l)
+                    - 1)
+    return cov, stab
+
+
+def _check_pair(G, R, at, k, m, km, mk):
+    """The checks of validate_representation on spans k and m, in
+    order, given whether each covers the start point of the other."""
+    if (km or mk) != G.adjacent(at[k], at[m]):
+        raise RepresentationError(
+            "intersection mismatch on %s,%s" % (R.names[k], R.names[m]))
+    if R.contains_strictly(k, m) or R.contains_strictly(m, k):
+        raise RepresentationError(
+            "strict containment on %s,%s" % (R.names[k], R.names[m]))
+    # only arcs can: intervals with distinct starts never do
+    if km and mk:
+        raise RepresentationError(
+            "%s,%s cover the whole circle" % (R.names[k], R.names[m]))
+
+
 def validate_representation(G, R):
     """Check R is a proper representation of UG(G) usable for
     orientation: correct intersection graph, no strict containment,
     pairwise distinct start points, and (circular) no two spans
     covering the whole circle.  Returns the arcs R induces on UG(G):
     u -> v exactly when the span of u covers the start point of the
-    span of v."""
+    span of v.  The first failing pair k < m in the order of R is the
+    one reported.
+
+    Rows k = 0, 1, ... are checked in turn, in O(n log n + m) overall.
+    Once rows before k have passed, span k meets an earlier span
+    exactly when they are adjacent, and spans that do not meet pass
+    every check (containment and covering the circle need a covered
+    start point).  So the counts of _cover_counts, less what the
+    earlier rows saw of span k, are what the later spans give.  When
+    k's later neighbours give as much, only they can meet k and need
+    checking; otherwise a later non-neighbour meets k, a failing pair,
+    and the whole row is checked to report the first."""
     if set(R.names) != set(G.names):
         raise RepresentationError("representation names do not match the graph")
     starts = [l for l, _ in R.spans]
     if len(set(starts)) != len(starts):
         raise RepresentationError("start points must be pairwise distinct")
     at = [G.index[v] for v in R.names]
+    row = {v: k for k, v in enumerate(at)}
+    cov, stab = _cover_counts(R)
+
+    def pairs(k, later):
+        return [(m, R.covers(k, starts[m]), R.covers(m, starts[k]))
+                for m in later]
+
     arcs = set()
     for k in range(len(at)):
-        for m in range(k + 1, len(at)):
-            km, mk = R.covers(k, starts[m]), R.covers(m, starts[k])
-            if (km or mk) != G.adjacent(at[k], at[m]):
-                raise RepresentationError(
-                    "intersection mismatch on %s,%s" % (R.names[k], R.names[m]))
-            if R.contains_strictly(k, m) or R.contains_strictly(m, k):
-                raise RepresentationError(
-                    "strict containment on %s,%s" % (R.names[k], R.names[m]))
-            # only arcs can: intervals with distinct starts never do
-            if km and mk:
-                raise RepresentationError(
-                    "%s,%s cover the whole circle" % (R.names[k], R.names[m]))
+        later = pairs(k, sorted(m for m in map(row.__getitem__, G.adj[at[k]])
+                                if m > k))
+        if cov[k] != sum(km for _, km, _ in later) or \
+                stab[k] != sum(mk for _, _, mk in later):
+            later = pairs(k, range(k + 1, len(at)))
+        for m, km, mk in later:
+            _check_pair(G, R, at, k, m, km, mk)
+            cov[m] -= mk
+            stab[m] -= km
             if km or mk:
                 arcs.add((at[k], at[m]) if km else (at[m], at[k]))
     return arcs

@@ -159,7 +159,7 @@ def _succ_map(P, comp):
             continue
         src = None
         for u in out:
-            if all(w == u or w in P.out_nbrs[u] for w in out):
+            if out - {u} <= P.out_nbrs[u]:
                 if src is not None:
                     raise LookupError
                 src = u

@@ -1,6 +1,7 @@
 """LBFS, elimination orderings, acyclic completions, representations."""
 
 import random
+import re
 import time
 
 import pytest
@@ -521,7 +522,128 @@ def test_span_tests_and_orientation_match_reference():
     assert valid > 4000 and oriented > 1500
 
 
-_EXTEND = {"interval": extend_interval_representation,
+def _band_spans(n, w, modulus=0, shift=0, ring=False):
+    """Spans of a width-w band: position t starts at 2t and runs to just
+    past position t + w, capped at the last position unless ring, and
+    turned by shift round a circle of length modulus when that is set."""
+    spans = [(2 * t, 2 * (t + w if ring else min(t + w, n - 1)) + 1)
+             for t in range(n)]
+    if modulus:
+        spans = [((l + shift) % modulus, (r + shift) % modulus)
+                 for l, r in spans]
+    return spans
+
+
+def _spoilt_band(rng):
+    """A 20-60 span band representation, listed in position order or
+    shuffled, with at most one defect, and the graph it is checked
+    against: the intersection graph of the band or of the spoilt spans,
+    sometimes with one pair toggled."""
+    kind = rng.choice(("interval", "circular"))
+    n = rng.randint(20, 60)
+    modulus = 2 * n if kind == "circular" else 0
+    ring = modulus and rng.random() < 0.5
+    # a ring as wide as half the circle has arcs that cover it in pairs
+    w = (n + 1) // 2 if ring and rng.random() < 0.2 else rng.randint(1, 5)
+    spans = _band_spans(n, w, modulus, rng.randrange(2 * n), ring)
+    order = list(range(n))
+    if rng.random() < 0.7:
+        rng.shuffle(order)
+    nm = tuple("v%d" % t for t in order)
+    spans = [spans[t] for t in order]
+    clean = Representation(kind, nm, tuple(spans), modulus)
+    k, j = rng.sample(range(n), 2)
+    (l, r), s = spans[k], spans[j][0]
+    change = rng.choice(("shift", "start", "circle", None))
+    if change == "shift":
+        l, r = l + rng.choice((-3, -1, 0, 1, 3)), r + rng.randint(-3, 3)
+        spans[k] = (l, max(l, r)) if not modulus else (l % modulus, r % modulus)
+    elif change == "start":
+        spans[k] = (s, max(s, r))
+    elif change == "circle" and modulus:
+        spans[k], spans[j] = (l, (s + 1) % modulus), (s, (l + 1) % modulus)
+    R = Representation(kind, nm, tuple(spans), modulus)
+    base = clean if rng.random() < 0.5 else R
+    edges = {(nm[a], nm[b]) for a in range(n) for b in range(a + 1, n)
+             if _ref_intersects(base, a, b)}
+    if rng.random() < 0.3:
+        edges ^= {(nm[k], nm[j]) if k < j else (nm[j], nm[k])}
+    shuffled = list(nm)
+    rng.shuffle(shuffled)
+    return Pog.build(tuple(shuffled), edges=edges), R
+
+
+def test_row_pass_matches_pairwise_reference(monkeypatch):
+    """The row pass of validate_representation gives the pairwise
+    reference's error or arcs, checks each adjacent pair once on a valid
+    representation and at most one extra row on an invalid one."""
+    checked = []
+    check_pair = pogc.interval._check_pair
+
+    def counted(*args):
+        checked.append(args)
+        return check_pair(*args)
+
+    monkeypatch.setattr(pogc.interval, "_check_pair", counted)
+    rng = random.Random(79)
+    seen = {"valid": 0, "cov": 0, "stab": 0, "late": 0}
+    for _ in range(600):
+        G, R = _spoilt_band(rng)
+        checked.clear()
+        got = _outcome(validate_representation, G, R)
+        want = _outcome(_ref_orientation, G, R)
+        if isinstance(want[1], frozenset):
+            assert got == sorted(want[1])
+            assert len(checked) == len(G.edges)
+            seen["valid"] += 1
+            continue
+        assert got == want
+        assert len(checked) <= len(G.edges) + len(R.names)
+        for what in ("mismatch", "containment", "whole circle", "distinct"):
+            seen[what] = seen.get(what, 0) + (what in want[1])
+        pair = re.search(r"(v\d+),(v\d+)", want[1])
+        if pair is None:
+            continue
+        # the first failing row, and the later spans not adjacent to it
+        # that meet it: what each count of the row pass sees
+        k, n = R.index[pair.group(1)], len(R.names)
+        seen["late"] += k > n // 2
+        far = [m for m in range(k + 1, n)
+               if not G.adjacent(G.index[R.names[k]], G.index[R.names[m]])]
+        seen["cov"] += any(_ref_covers(R, k, R.spans[m][0]) for m in far)
+        seen["stab"] += any(_ref_covers(R, m, R.spans[k][0]) for m in far)
+    assert seen["valid"] >= 100 and seen["late"] >= 20
+    assert seen["cov"] >= 15 and seen["stab"] >= 30
+    assert min(seen.get(w, 0) for w in ("mismatch", "containment",
+                                        "whole circle", "distinct")) >= 10
+
+
+def test_validate_representation_is_near_linear():
+    """Band-4 at n = 10^4 on a line and turned half round a circle, and
+    a window of 10^4 mutually overlapping intervals against a path."""
+    n = 10 ** 4
+    G = Pog(names(n), frozenset((i, j) for i in range(n)
+                                for j in range(i + 1, min(n, i + 5))),
+            frozenset())
+    for R in (Representation("interval", G.names, tuple(_band_spans(n, 4))),
+              Representation("circular", G.names,
+                             tuple(_band_spans(n, 4, 2 * n, n)), 2 * n)):
+        t0 = time.perf_counter()
+        arcs = validate_representation(G, R)
+        assert time.perf_counter() - t0 < 2.0
+        assert len(arcs) == len(G.edges)
+    path = Pog(G.names, frozenset((i, i + 1) for i in range(n - 1)),
+               frozenset())
+    window = Representation("interval", G.names,
+                            tuple((t, t + n) for t in range(n)))
+    t0 = time.perf_counter()
+    with pytest.raises(RepresentationError,
+                       match="^intersection mismatch on v0,v2$"):
+        extend_interval_representation(path, window)
+    assert time.perf_counter() - t0 < 2.0
+
+
+_EXTEND ={"interval": extend_interval_representation,
            "circular": extend_circular_arc_representation}
 
 
