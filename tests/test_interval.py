@@ -586,7 +586,8 @@ def test_row_pass_matches_pairwise_reference(monkeypatch):
 
     monkeypatch.setattr(pogc.interval, "_check_pair", counted)
     rng = random.Random(79)
-    seen = {"valid": 0, "cov": 0, "stab": 0, "late": 0}
+    messages = ("mismatch", "containment", "whole circle", "distinct")
+    seen = dict.fromkeys(("valid", "cov", "stab", "late") + messages, 0)
     for _ in range(600):
         G, R = _spoilt_band(rng)
         checked.clear()
@@ -599,8 +600,8 @@ def test_row_pass_matches_pairwise_reference(monkeypatch):
             continue
         assert got == want
         assert len(checked) <= len(G.edges) + len(R.names)
-        for what in ("mismatch", "containment", "whole circle", "distinct"):
-            seen[what] = seen.get(what, 0) + (what in want[1])
+        for what in messages:
+            seen[what] += what in want[1]
         pair = re.search(r"(v\d+),(v\d+)", want[1])
         if pair is None:
             continue
@@ -614,13 +615,13 @@ def test_row_pass_matches_pairwise_reference(monkeypatch):
         seen["stab"] += any(_ref_covers(R, m, R.spans[k][0]) for m in far)
     assert seen["valid"] >= 100 and seen["late"] >= 20
     assert seen["cov"] >= 15 and seen["stab"] >= 30
-    assert min(seen.get(w, 0) for w in ("mismatch", "containment",
-                                        "whole circle", "distinct")) >= 10
+    assert min(seen[what] for what in messages) >= 10
 
 
 def test_validate_representation_is_near_linear():
     """Band-4 at n = 10^4 on a line and turned half round a circle, and
-    a window of 10^4 mutually overlapping intervals against a path."""
+    two windows of 10^4 intervals against a path: one of mutually
+    overlapping intervals, one that fails only near its end."""
     n = 10 ** 4
     G = Pog(names(n), frozenset((i, j) for i in range(n)
                                 for j in range(i + 1, min(n, i + 5))),
@@ -641,9 +642,17 @@ def test_validate_representation_is_near_linear():
                        match="^intersection mismatch on v0,v2$"):
         extend_interval_representation(path, window)
     assert time.perf_counter() - t0 < 2.0
+    spans = _band_spans(n, 1)
+    spans[n - 3] = (spans[n - 3][0], 2 * (n - 1))
+    window = Representation("interval", G.names, tuple(spans))
+    t0 = time.perf_counter()
+    with pytest.raises(RepresentationError,
+                       match="^intersection mismatch on v9997,v9999$"):
+        validate_representation(path, window)
+    assert time.perf_counter() - t0 < 2.0
 
 
-_EXTEND ={"interval": extend_interval_representation,
+_EXTEND = {"interval": extend_interval_representation,
            "circular": extend_circular_arc_representation}
 
 
