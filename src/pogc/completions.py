@@ -241,9 +241,12 @@ def complete_to_cycle_factor_bruteforce(P):
     for mask in range(1 << len(edges)):
         arcs = [(u, v) if not (mask >> k) & 1 else (v, u)
                 for k, (u, v) in enumerate(edges)]
-        D = P.orient(arcs)
-        if has_cycle_factor(D):
-            return D
+        # one successor list per mask; a pog only for the completion found
+        succ = [list(s) for s in P.out_nbrs]
+        for u, v in arcs:
+            succ[u].append(v)
+        if _matching(range(P.n), succ.__getitem__)[1] is None:
+            return P.orient(arcs)
     return Certificate("NoCompletion", {"kind": "exhausted",
                                         "target": "cycle_factor"})
 

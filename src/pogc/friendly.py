@@ -6,14 +6,18 @@ completable exactly when no directed cycle sits inside a non-universal
 cell or inside a single in- or out-neighbourhood; the completion walks
 the complement components, orienting inner thick components by colour
 class and cross edges by a tournament on component representatives.
+
+Proper circular-arc recognition and representation extension are one
+pipeline: the window's induced orientation (no arcs for recognition)
+is completed to a locally transitive local tournament and laid out
+round the circle.
 """
 
 from __future__ import annotations
 
 from .auxgraph import (_arc_classes, _complete_via_aux, build_aux,
                        consentaneous_closure, two_colour)
-from .errors import (InvariantError, NotFriendlyError, NotInClassError,
-                     UnsupportedInstanceError)
+from .errors import InvariantError, NotFriendlyError, NotInClassError
 from .interval import (_orient_window, complete_to_acyclic_lt,
                        representation_from_orientation)
 from .pog import Certificate, Pog, _bfs_colouring, _components, \
@@ -280,34 +284,23 @@ def _complete_split_complement(P, P1, X, col, bar):
 
 def proper_circular_arc_representation(G):
     """Recognition: circular representation of UG(G), or a certificate.
-    A disconnected graph is proper circular-arc exactly when every
-    component is proper interval (see representation_from_orientation)."""
-    U = G.underlying_graph()
-    D = complete_to_acyclic_lt(U) if len(G.ug_components()) > 1 \
-        else complete_friendly(U)
-    if isinstance(D, Certificate):
-        return D
-    return representation_from_orientation(D, "circular")
+    This is extension from an empty window."""
+    return extend_circular_arc_representation(G)
 
 
 def extend_circular_arc_representation(G, partial=None):
     """Extend a proper circular-arc representation of an induced
     subgraph H to all of G, preserving the induced orientation on H.
+    Returns a Representation or a refuting certificate; with no partial
+    representation this is plain recognition.
 
-    Every complement component of G must contain an H-vertex (otherwise
-    the instance is unsupported).  With no partial representation this
-    is plain recognition."""
-    if partial is None or not partial.names:
-        return proper_circular_arc_representation(G)
-    P0 = _orient_window(G, partial)
-    hset = {G.index[v] for v in partial.names}
-    for C in complement_components(G):
-        if not (set(C) & hset):
-            raise UnsupportedInstanceError(
-                "complement component containing %s has no represented vertex"
-                % G.names[C[0]])
+    A disconnected graph is proper circular-arc exactly when every
+    component is proper interval (see representation_from_orientation).
+    A connected one orients its cells, closes under the aux graph and
+    completes the friendly pog that results."""
+    P0 = G.underlying_graph() if partial is None else _orient_window(G, partial)
     if len(G.ug_components()) > 1:
-        D = complete_to_acyclic_lt(P0)  # as in recognition
+        D = complete_to_acyclic_lt(P0)
     else:
         P1 = complete_cells(P0)
         if isinstance(P1, Certificate):

@@ -731,7 +731,7 @@ def _verify(P, cert):
             ref = closed[min(cell)]
             if any(nb != ref for nb in closed.values()):
                 return False
-            return ref != set(range(P.n))  # must not be the universal cell
+            return len(ref) < P.n  # must not be the universal cell
         return False
 
     if tag == "Bridge":

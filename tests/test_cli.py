@@ -11,6 +11,8 @@ import pytest
 from pogc import cli
 from pogc.cli import run
 from pogc.errors import InvariantError
+from pogc.interval import (orientation_from_representation,
+                           parse_representation, validate_representation)
 from pogc.pog import Certificate, parse_pog, verify_certificate
 
 C4 = """\
@@ -297,7 +299,6 @@ def test_extend_rep_interval_refuted(w, capsys):
 
 def test_extend_rep_circular(w, capsys):
     g = w("g", C4)
-    # the partial must meet both complement classes of C4: a and b do
     partial = w("p", "ca a 0 3 8\nca b 2 5 8\n")
     code = run(["extend-rep", "--kind", "circular", g, partial])
     out = capsys.readouterr()
@@ -307,6 +308,23 @@ def test_extend_rep_circular(w, capsys):
         assert code == 1
         cert = Certificate.from_json(out.out)
         assert verify_certificate(parse_pog(C4), cert)
+
+
+def test_extend_rep_circular_window_misses_hub(w, capsys):
+    """The wheel W4: the hub h is a complement component of its own and
+    the window leaves it out.  The window still extends."""
+    wheel = C4 + "".join("edge h %s\n" % v for v in "abcd")
+    window = "ca a 0 5 10\nca b 2 7 10\nca c 6 9 10\nca d 8 1 10\n"
+    assert run(["extend-rep", "--kind", "circular", w("g", wheel),
+                w("p", window)]) == 0
+    G = parse_pog(wheel)
+    R = parse_representation(capsys.readouterr().out)
+    validate_representation(G, R)
+    rim = [G.index[v] for v in "abcd"]
+    want = orientation_from_representation(G.induced(rim),
+                                           parse_representation(window))
+    got = orientation_from_representation(G, R).induced(rim)
+    assert got.names == want.names and got.arcs == want.arcs
 
 
 def test_extend_rep_unknown_vertex(w, capsys):

@@ -16,8 +16,8 @@ from pogc.interval import (Representation, complete_to_acyclic_lt,
                            orientation_from_representation,
                            validate_representation)
 from pogc.pog import Certificate, Pog, _norm, classify, verify_certificate
-from util import (all_graphs, all_pogs, brute_force_completion, names,
-                  random_graph, random_pog)
+from util import (all_graphs, all_pogs, brute_force_completion, exact_oracle,
+                  names, random_graph, random_pog)
 
 
 def _c4():
@@ -247,6 +247,9 @@ def test_extend_circular_none_is_recognition():
 
 
 def test_extend_circular_preserves_induced_orientation():
+    """A window of G's own representation always extends (that
+    representation is an extension), whichever complement components
+    it meets, and keeps the window's orientation."""
     rng = random.Random(53)
     done = 0
     while done < 60:
@@ -257,24 +260,10 @@ def test_extend_circular_preserves_induced_orientation():
         if isinstance(full, Certificate):
             continue
         D = orientation_from_representation(G, full)
-        keep = sorted(rng.sample(range(G.n), rng.randint(2, G.n)))
-        kset = set(keep)
-        # partial must meet every complement component
-        if any(not (set(C) & kset) for C in complement_components(G)):
-            continue
-        sub_names = [nm for nm in full.names if G.index[nm] in kset]
-        from pogc.interval import Representation
-        partial = Representation(
-            "circular", tuple(sub_names),
-            tuple(full.spans[full.index[nm]] for nm in sub_names),
-            full.modulus)
-        try:
-            out = extend_circular_arc_representation(G, partial)
-        except Exception:
-            continue  # partial spans may violate the premise; skip
-        if isinstance(out, Certificate):
-            assert verify_certificate(G, out)
-            continue
+        kset = set(rng.sample(range(G.n), rng.randint(2, G.n)))
+        partial = _window(full, {G.names[v] for v in kset})
+        out = extend_circular_arc_representation(G, partial)
+        assert not isinstance(out, Certificate), (G.edges, partial)
         done += 1
         got = orientation_from_representation(G, out)
         want = {(u, v) for u, v in D.arcs if u in kset and v in kset}
@@ -344,16 +333,33 @@ def _rotate(R, shift):
         ((l + shift) % M, (r + shift) % M) for l, r in R.spans), M)
 
 
-def _check_disconnected_circular(G, out, partial=None):
+def _reflect(R):
+    """Mirror image of a circular R.  Arcs that share an end point first
+    get distinct ends, the longer arc the earlier one, so that no arc
+    comes to contain another and the mirrored starts stay distinct."""
+    K = len(R.names) + 1
+    M = R.modulus * K
+    by_length = sorted(range(len(R.names)), key=lambda k: -R.length(k))
+    end = {k: R.spans[k][1] * K + t for t, k in enumerate(by_length)}
+    return Representation(R.kind, R.names, tuple(
+        ((-end[k]) % M, (-l * K) % M) for k, (l, _) in enumerate(R.spans)), M)
+
+
+def _windowed(G, partial):
+    """G with the orientation the partial representation induces as arcs."""
+    if partial is None:
+        return G
+    sub = G.induced([G.index[nm] for nm in partial.names])
+    oriented = orientation_from_representation(sub, partial)
+    return G.orient([(G.index[oriented.names[i]], G.index[oriented.names[j]])
+                     for i, j in oriented.arcs])
+
+
+def _check_circular(G, out, partial=None):
     """A yes is a valid circular representation of G that keeps the
     orientation of the partial one; a no verifies against G with that
     orientation as arcs."""
-    P0 = G
-    if partial is not None:
-        sub = G.induced([G.index[nm] for nm in partial.names])
-        oriented = orientation_from_representation(sub, partial)
-        P0 = G.orient([(G.index[oriented.names[i]], G.index[oriented.names[j]])
-                       for i, j in oriented.arcs])
+    P0 = _windowed(G, partial)
     if isinstance(out, Certificate):
         assert verify_certificate(P0, out), out
         return False
@@ -366,12 +372,12 @@ def _check_disconnected_circular(G, out, partial=None):
 def test_circular_on_disconnected_graphs():
     # a component whose round order wraps, and C4 plus an isolated vertex
     G = Pog.build(names(5), edges=[("v0", "v2"), ("v0", "v4"), ("v1", "v2")])
-    assert _check_disconnected_circular(
+    assert _check_circular(
         G, proper_circular_arc_representation(G))
     c4e = Pog.build(("a", "b", "c", "d", "e"),
                     edges=_c4().name_pairs(_c4().edges))
     cert = proper_circular_arc_representation(c4e)
-    assert not _check_disconnected_circular(c4e, cert)
+    assert not _check_circular(c4e, cert)
     # a triangle laid cyclically round the circle cannot sit beside an
     # isolated vertex
     k3e = Pog.build(("a", "b", "c", "d"),
@@ -379,7 +385,7 @@ def test_circular_on_disconnected_graphs():
     cyclic = Representation("circular", ("a", "b", "c"),
                             ((0, 3), (2, 5), (4, 1)), 6)
     out = extend_circular_arc_representation(k3e, cyclic)
-    assert not _check_disconnected_circular(k3e, out, cyclic)
+    assert not _check_circular(k3e, out, cyclic)
     rng = random.Random(61)
     seen = {True: 0, False: 0}
     extended = 0
@@ -388,7 +394,7 @@ def test_circular_on_disconnected_graphs():
         if len(G.ug_components()) < 2:
             continue
         full = proper_circular_arc_representation(G)
-        yes = _check_disconnected_circular(G, full)
+        yes = _check_circular(G, full)
         seen[yes] += 1
         # no exactly when some component is not proper interval
         assert yes == all(
@@ -400,5 +406,36 @@ def test_circular_on_disconnected_graphs():
             keep = set(rng.sample(G.names, rng.randint(1, G.n)))
             partial = _window(R, keep)
             out = extend_circular_arc_representation(G, partial)
-            extended += _check_disconnected_circular(G, out, partial)
+            extended += _check_circular(G, out, partial)
     assert seen[True] > 50 and seen[False] > 20 and extended > 100
+
+
+def test_extend_circular_rotated_and_reflected_windows():
+    """Windows that need not extend: a representation of the induced
+    subgraph, turned round the circle and sometimes mirrored.  Every
+    answer agrees with an exhaustive search over the orientations of G
+    that keep the window's arcs, also when a complement component of G
+    holds no window vertex."""
+    rng = random.Random(71)
+    seen = {True: 0, False: 0}
+    uncovered = 0
+    while seen[True] < 150 or seen[False] < 15:
+        G = random_graph(rng, rng.randint(2, 7), p=rng.choice((0.4, 0.6, 0.8)))
+        if len(G.edges) > 15:
+            continue
+        keep = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
+        sub = proper_circular_arc_representation(G.induced(keep))
+        if isinstance(sub, Certificate):
+            continue
+        partial = _rotate(sub, rng.randrange(sub.modulus))
+        if rng.random() < 0.5:
+            partial = _reflect(partial)
+        out = extend_circular_arc_representation(G, partial)
+        yes = _check_circular(G, out, partial)
+        seen[yes] += 1
+        target = "acyclic_local_tournament" if len(G.ug_components()) > 1 \
+            else "ltlt"
+        assert yes == (exact_oracle(_windowed(G, partial), target) is not None), \
+            (G.edges, partial)
+        uncovered += any(not set(C) & set(keep) for C in complement_components(G))
+    assert uncovered > 20

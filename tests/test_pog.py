@@ -272,6 +272,19 @@ def test_verify_certificate_directed_cut():
         P, Certificate("DirectedCut", {"side": ["b"]}))
 
 
+def test_verify_cell_cycle_outside_the_universal_cell():
+    """A cell cycle verifies in a non-universal cell only: here the
+    cyclic triangle a, b, c is a cell beside d, which also sees e."""
+    cyc = [("a", "b"), ("b", "c"), ("c", "a")]
+    cert = Certificate("DirectedCycle", {"cycle": ["a", "b", "c"],
+                                         "location": {"kind": "cell"}})
+    P = Pog.build(("a", "b", "c", "d", "e"), arcs=cyc,
+                  edges=[("a", "d"), ("b", "d"), ("c", "d"), ("d", "e")])
+    assert verify_certificate(P, cert)
+    assert not verify_certificate(P.induced(range(4)), cert)
+    assert not verify_certificate(Pog.build(("a", "b", "c"), arcs=cyc), cert)
+
+
 def test_verify_certificate_rejects_garbage():
     P = Pog.build(("a", "b"), edges=[("a", "b")])
     assert not verify_certificate(P, Certificate("Bridge", {"edge": ["a"]}))
@@ -532,6 +545,29 @@ def test_only_pog_holds_lowlink_dfs():
             assert low, "pog.py lost its lowlink DFS"
         else:
             assert {(path.name, n) for n in low} <= LOWLINK_ALLOWED, path.name
+
+
+def _raised_names(tree):
+    """The name of every exception class the syntax tree raises."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+def test_only_hardness_raises_unsupported():
+    """Exit 3 means a size guard or the one case hardness cannot yet
+    settle: no other module of the package raises
+    UnsupportedInstanceError, so no representation or completion code
+    can give up on a valid instance unnoticed."""
+    package = Path(pog_module.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        raised = "UnsupportedInstanceError" in set(
+            _raised_names(ast.parse(path.read_text())))
+        assert raised == (path.name == "hardness.py"), path.name
 
 
 def _worklist_loops(tree):
