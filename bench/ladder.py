@@ -12,9 +12,10 @@ representation of it (v_i on [2i, 2 min(i + 4, n - 1) + 1], on a line
 or turned half round a circle of length 2n), the strong all-arc
 digraph (arcs i -> i+1 and i -> i+2 plus v[n-1] -> v[1] and
 v[n-2] -> v[0], no edges) or the circulant C_n(1,2) (arcs i -> i+1
-and i -> i+2 mod n, no edges).  A point is the fastest of a few runs,
-each on a freshly built input so that no cached view is shared between
-runs; only the kernel call is timed.
+and i -> i+2 mod n, no edges); the `parse_pog` kernels read band-4 or
+all-arc as native text from `render_pog`.  A point is the fastest of a
+few runs, each on a freshly built input so that no cached view is
+shared between runs; only the kernel call is timed.
 A run longer than CAP_S is stopped by SIGALRM; that point
 is recorded with `"seconds": null` and the kernel's larger sizes are
 skipped.  A kernel named in LARGEST_N stops at that n (recorded as
@@ -43,7 +44,7 @@ from pogc.auxgraph import build_aux  # noqa: E402
 from pogc.completions import complete_to_strong, find_cycle_factor  # noqa: E402
 from pogc.interval import (Representation, complete_to_acyclic_lt,  # noqa: E402
                            validate_representation)
-from pogc.pog import Ordering, Pog, _bridges  # noqa: E402
+from pogc.pog import Ordering, Pog, _bridges, parse_pog, render_pog  # noqa: E402
 from pogc.rounds import check_ordering, round_to_ltt  # noqa: E402
 
 WIDTH = 4
@@ -98,13 +99,24 @@ def circulant(n):
                frozenset((i, (i + s) % n) for i in range(n) for s in (1, 2)))
 
 
+def band_text(n):
+    return render_pog(band(n))
+
+
+def all_arc_text(n):
+    return render_pog(all_arc(n))
+
+
 BAND = "band-%d, no arcs" % WIDTH
+BAND_TEXT = "band-%d, native text" % WIDTH
 BAND_IV = "band-%d, interval representation" % WIDTH
 BAND_CA = "band-%d, circular representation turned by n" % WIDTH
 ALL_ARC = "all-arc, strong, no edges"
+ALL_ARC_TEXT = "all-arc, native text"
 CIRCULANT = "circulant C_n(1,2), no edges"
 FAMILIES = {BAND: band, BAND_IV: band_interval, BAND_CA: band_circular,
-            ALL_ARC: all_arc, CIRCULANT: circulant}
+            ALL_ARC: all_arc, CIRCULANT: circulant, BAND_TEXT: band_text,
+            ALL_ARC_TEXT: all_arc_text}
 KERNELS = {  # name: (family, kernel)
     "build_aux.local_tournament": (BAND, lambda P: build_aux(P, "local_tournament")),
     "build_aux.quasi_transitive": (BAND, lambda P: build_aux(P, "quasi_transitive")),
@@ -118,6 +130,8 @@ KERNELS = {  # name: (family, kernel)
     "find_cycle_factor.all_arc": (ALL_ARC, find_cycle_factor),
     "check_ordering.excellent.all_arc": (ALL_ARC, identity_excellent),
     "round_to_ltt.circulant": (CIRCULANT, round_to_ltt),
+    "parse_pog.all_arc": (ALL_ARC_TEXT, parse_pog),
+    "parse_pog.band": (BAND_TEXT, parse_pog),
 }
 # The 2-SAT of rounds._round_tournament holds about 1.1 KB per pair of
 # vertices: about 0.5 GB at n = 1,000 and 5.5 GB at n = 3,162.

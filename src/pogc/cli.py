@@ -32,7 +32,10 @@ from .rounds import check_ordering
 
 def _read(path):
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from None
 
 
 def _emit(args, obj, human):

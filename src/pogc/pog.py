@@ -40,13 +40,13 @@ class Pog:
         for i, j in self.edges:
             if not (0 <= i < j < n):
                 raise InvariantError("bad edge %r" % ((i, j),))
-        seen = set(self.edges)
-        for i, j in self.arcs:
+        edges, arcs = self.edges, self.arcs
+        for i, j in arcs:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise InvariantError("bad arc %r" % ((i, j),))
-            if (j, i) in self.arcs:
+            if (j, i) in arcs:
                 raise InvariantError("2-cycle on %s,%s" % (self.names[i], self.names[j]))
-            if _norm(i, j) in seen:
+            if ((i, j) if i < j else (j, i)) in edges:
                 raise InvariantError(
                     "edge and arc on the same pair %s,%s" % (self.names[i], self.names[j]))
 
@@ -193,6 +193,8 @@ class Certificate:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError("invalid certificate JSON: %s" % exc)
+        except RecursionError:
+            raise ParseError("invalid certificate JSON: nested too deeply") from None
         if not isinstance(obj, dict) or "tag" not in obj:
             raise ParseError("certificate must be an object with a tag")
         payload = obj.get("payload", {})
@@ -209,45 +211,59 @@ def parse_pog(text):
 
     Lines: ``v NAME``, ``edge U V``, ``arc U V``; ``#`` starts a
     comment; blank lines are skipped.  Vertex order is first-mention
-    order; edge/arc lines may introduce vertices.
+    order; edge/arc lines may introduce vertices.  One pass over the
+    lines: a name is checked against NAME_RE when first seen and looked
+    up once per later mention, so parsing is O(lines + distinct names).
+    The first error in line order is the one reported.
     """
     names = []
     idx = {}
     edges = []
     arcs = []
-
-    def vid(name, ln):
-        if not NAME_RE.match(name):
-            raise ParseError("bad vertex name %r" % name, ln)
-        if name not in idx:
-            idx[name] = len(names)
-            names.append(name)
-        return idx[name]
-
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    match = NAME_RE.match
+    for ln, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[:line.index("#")]
         parts = line.split()
-        if parts[0] == "v":
+        if not parts:
+            continue
+        d = parts[0]
+        if d == "edge" or d == "arc":
+            if len(parts) != 3:
+                raise ParseError("expected '%s U V'" % d, ln)
+            _, a, b = parts
+            u = idx.get(a)
+            if u is None:
+                if not match(a):
+                    raise ParseError("bad vertex name %r" % a, ln)
+                u = idx[a] = len(names)
+                names.append(a)
+            v = idx.get(b)
+            if v is None:
+                if not match(b):
+                    raise ParseError("bad vertex name %r" % b, ln)
+                v = idx[b] = len(names)
+                names.append(b)
+            if u == v:
+                raise ParseError("loop on %s" % a, ln)
+            if d == "arc":
+                arcs.append((u, v))
+            else:
+                edges.append((u, v) if u < v else (v, u))
+        elif d == "v":
             if len(parts) != 2:
                 raise ParseError("expected 'v NAME'", ln)
-            if parts[1] in idx:
-                raise ParseError("vertex %s declared twice" % parts[1], ln)
-            vid(parts[1], ln)
-        elif parts[0] in ("edge", "arc"):
-            if len(parts) != 3:
-                raise ParseError("expected '%s U V'" % parts[0], ln)
-            u, v = vid(parts[1], ln), vid(parts[2], ln)
-            if u == v:
-                raise ParseError("loop on %s" % parts[1], ln)
-            (edges if parts[0] == "edge" else arcs).append((u, v))
+            a = parts[1]
+            if a in idx:
+                raise ParseError("vertex %s declared twice" % a, ln)
+            if not match(a):
+                raise ParseError("bad vertex name %r" % a, ln)
+            idx[a] = len(names)
+            names.append(a)
         else:
-            raise ParseError("unknown directive %r" % parts[0], ln)
+            raise ParseError("unknown directive %r" % d, ln)
     try:
-        return Pog(tuple(names),
-                   frozenset(_norm(u, v) for u, v in edges),
-                   frozenset(arcs))
+        return Pog(tuple(names), frozenset(edges), frozenset(arcs))
     except InvariantError as exc:
         raise ParseError(str(exc))
 

@@ -28,6 +28,7 @@ one round tournament.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -134,13 +135,19 @@ def _check_excellent(P, O):
 
 
 def _check_nice(P, O):
-    n, pos = P.n, O.pos
-    arcs = _by_position(P, O)
-    for i, k in arcs:          # arc (v_i, v_k)
-        r = lambda x: (pos[x] - pos[k]) % n
-        for j in sorted(P.in_nbrs[i], key=pos.__getitem__):  # arc (v_j, v_i)
-            if j != k and r(i) < r(j):
-                return False, (P.names[k], P.names[i], P.names[j])
+    """Arc (v_i, v_k) is violated by an arc (v_j, v_i) whose tail lies
+    in the cyclic interval (pos i, pos k); the witness is the first such
+    v_j by position.  Each vertex's in-neighbour positions are sorted
+    once and each arc makes one bisection, O((n + arcs) log n)."""
+    pos, seq = O.pos, O.seq
+    ins = [sorted(pos[j] for j in P.in_nbrs[v]) for v in range(P.n)]
+    for i, k in _by_position(P, O):     # arc (v_i, v_k)
+        at, a, b = ins[i], pos[i], pos[k]
+        x = bisect_right(at, a)
+        if b < a and at and at[0] < b:  # the interval wraps past the end
+            x = 0
+        if x < len(at) and (at[x] < b or b < a):
+            return False, (P.names[k], P.names[i], P.names[seq[at[x]]])
     return True, None
 
 

@@ -278,6 +278,37 @@ def test_verify_cert_long_hole_is_fast(w, capsys):
     assert capsys.readouterr().out.strip() == "invalid"
 
 
+def test_nice_hub_is_fast(w, capsys):
+    # a hub with 10,000 in-arcs and 10,000 out-arcs; sorting the hub's
+    # in-neighbours once per out-arc took 0.37 s at 1,000 and would take
+    # about 37 s here.  The ordering ins, hub, outs is nice; the
+    # certificate's swaps the hub and its last in-neighbour, so the arc
+    # from the hub to the first out-neighbour is violated by it.
+    k = 10000
+    ins = ["i%d" % t for t in range(k)]
+    outs = ["o%d" % t for t in range(k)]
+    g = w("g", "".join("arc %s h\n" % v for v in ins)
+          + "".join("arc h %s\n" % v for v in outs))
+    seq = ins + ["h"] + outs
+    o = w("o", "order cyclic %s\n" % " ".join(seq))
+    t0 = time.perf_counter()
+    assert run(["check-ordering", "--kind", "nice", g, o]) == 0
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr().out.strip() == "yes"
+    bad = ins[:-1] + ["h", ins[-1]] + outs
+    c = w("cert", json.dumps({"tag": "OrderingViolation", "payload": {
+        "kind": "nice", "ordering": {"kind": "cyclic", "seq": bad},
+        "witness": ["o0", "h", ins[-1]]}}))
+    t0 = time.perf_counter()
+    assert run(["verify-cert", g, c]) == 0
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr().out.strip() == "valid"
+    o = w("o2", "order cyclic %s\n" % " ".join(bad))
+    assert run(["check-ordering", "--kind", "nice", "--json", g, o]) == 1
+    assert _json_out(capsys)["certificate"]["payload"]["witness"] == \
+        ["o0", "h", ins[-1]]
+
+
 # -- extend-rep --------------------------------------------------------------------
 
 
@@ -429,6 +460,35 @@ def test_verify_cert_garbage(w, capsys):
         assert run(["verify-cert", g, c]) == 1, target
         assert time.perf_counter() - t0 < 1, target
         assert capsys.readouterr().out.strip() == "invalid"
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, w, capsys):
+    # one subcommand per kind of file argument: pog, ordering,
+    # representation, DIMACS and certificate
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"v a\n\xff\n")
+    bad = str(bad)
+    g = w("g", DIRECTED_C3)
+    for argv in (["complete", "--class", "lt", bad],
+                 ["check-ordering", "--kind", "round", g, bad],
+                 ["extend-rep", "--kind", "interval", g, bad],
+                 ["reduce-3sat", bad],
+                 ["verify-cert", g, bad]):
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: %s is not UTF-8 text" % bad), err
+
+
+def test_verify_cert_deeply_nested_json(w, capsys):
+    g = w("g", DIRECTED_C3)
+    for text in ("[" * 200000,
+                 '{"tag": "DirectedCycle", "payload": {"cycle": %s}}'
+                 % ("[" * 200000)):
+        assert run(["verify-cert", g, w("cert", text)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "nested too deeply" in err, err
 
 
 # -- python -m pogc -----------------------------------------------------------------

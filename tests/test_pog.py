@@ -13,7 +13,8 @@ from pogc.pog import (Certificate, Ordering, Pog, _bridges, _matching,
                       _separates, classify, complete_closure, find_directed_cycle,
                       parse_ordering, parse_pog, render_pog,
                       topological_order, verify_certificate)
-from util import all_graphs, all_pogs, names, random_graph, random_pog
+from util import (all_graphs, all_pogs, names, parse_pog_reference,
+                  random_graph, random_pog)
 
 
 def test_parse_single_edge():
@@ -64,6 +65,123 @@ def test_render_round_trip_random():
         assert Q.names == P.names
         assert Q.edges == P.edges
         assert Q.arcs == P.arcs
+
+
+def _family_pairs(rng):
+    """Edges and arcs, by index, of one perfbench-style pog: a band
+    (straight arcs revealed at random), a ring with chords, the strong
+    all-arc digraph or a random pog."""
+    family = rng.randrange(4)
+    n = rng.randint(3, 40)
+    if family == 0:
+        w, share = rng.randint(1, 4), rng.choice((0.0, 0.2, 1.0))
+        pairs = [(i, (i + d) % n) for i in range(n) for d in range(1, w + 1)
+                 if i + d < n or (n > 2 * w and rng.random() < 0.5)]
+        pairs = list(dict.fromkeys(pairs))
+        arcs = [p for p in pairs if rng.random() < share]
+        return n, [p for p in pairs if p not in arcs], arcs
+    if family == 1:
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        chords = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 3)}
+        return n, [c for c in chords if c not in ring and c[::-1] not in ring], ring
+    if family == 2:
+        arcs = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+        return n, [], arcs + [(n - 1, 1), (n - 2, 0)]
+    P = random_pog(rng, 2 + n % 10)
+    return P.n, sorted(P.edges), sorted(P.arcs)
+
+
+def _pog_lines(rng):
+    """Native text lines of a family pog, declarations and lines
+    shuffled, some vertices left to be introduced by edge/arc lines."""
+    n, edges, arcs = _family_pairs(rng)
+    label = ["%s%d" % (rng.choice("vrx"), k) for k in rng.sample(range(n), n)]
+    decl = ["v %s" % label[k] for k in range(n) if rng.random() < 0.8]
+    rng.shuffle(decl)
+    lines = []
+    for i, j in edges:
+        i, j = (j, i) if rng.random() < 0.5 else (i, j)
+        lines.append("edge %s %s" % (label[i], label[j]))
+    lines += ["arc %s %s" % (label[i], label[j]) for i, j in arcs]
+    rng.shuffle(lines)
+    return label, decl + lines
+
+
+def _mutate(rng, label, lines):
+    """One corruption of a pog's lines, or none."""
+    k = rng.randrange(len(lines) + 1)
+    kind = rng.randrange(12)
+    a, b = rng.choice(label), rng.choice(label)
+    arc_lines = [ln.split() for ln in lines if ln.startswith("arc ")]
+    arc_lines = [p for p in arc_lines if len(p) == 3]
+    parts = lines[k % len(lines)].split() if lines else []
+    if kind == 0 and parts:           # bad name
+        parts[rng.randrange(len(parts))] = rng.choice(("a$b", "\u00e9", "x:y", "!"))
+        lines[k % len(lines)] = " ".join(parts)
+    elif kind == 1 and parts:         # wrong token count
+        parts = parts[:-1] if rng.random() < 0.5 else parts + [b]
+        lines[k % len(lines)] = " ".join(parts)
+    elif kind == 2:                   # v declared twice
+        lines.insert(k, "v %s" % a)
+    elif kind == 3:                   # loop
+        lines.insert(k, "%s %s %s" % (rng.choice(("edge", "arc")), a, a))
+    elif kind == 4 and arc_lines:     # 2-cycle
+        _, u, v = rng.choice(arc_lines)
+        lines.insert(k, "arc %s %s" % (v, u))
+    elif kind == 5 and arc_lines:     # edge and arc on one pair
+        _, u, v = rng.choice(arc_lines)
+        lines.insert(k, "edge %s %s" % ((u, v) if rng.random() < 0.5 else (v, u)))
+    elif kind == 6:                   # unknown directive
+        lines.insert(k, "%s %s %s" % (rng.choice(("Edge", "e", "vertex", "#x")), a, b))
+    elif kind == 7 and lines:         # comment: whole line, tail, or mid-line
+        ln = lines[k % len(lines)]
+        cut = rng.randrange(len(ln) + 1)
+        lines[k % len(lines)] = ln[:cut] + "#" + rng.choice(("", " note", "#", " arc a b"))
+    elif kind == 8:                   # blank and whitespace-only lines
+        lines.insert(k, rng.choice(("", "   ", "\t", "# only a comment")))
+    return lines
+
+
+def _join(rng, lines):
+    """Lines joined by a mix of separators, tokens by spaces or tabs."""
+    seps = ("\n", "\r\n", "\x0c", "\r", "\x0b", "\u2028")
+    out = []
+    for ln in lines:
+        if rng.random() < 0.2:
+            ln = ln.replace(" ", rng.choice(("\t", "  ", " \t ")))
+        out.append(ln + (rng.choice(seps) if rng.random() < 0.2 else "\n"))
+    return "".join(out)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+
+
+def test_parse_matches_reference_parser():
+    """The one-pass parser gives the reference parser's Pog, or its
+    ParseError message and line, on valid family pogs and on texts
+    corrupted by one to three mutations."""
+    rng = random.Random(2020)
+    errors = set()
+    valid = 0
+    for case in range(3000):
+        label, lines = _pog_lines(rng)
+        for _ in range(0 if case % 4 == 0 else rng.randint(1, 3)):
+            lines = _mutate(rng, label, lines)
+        text = _join(rng, lines)
+        got, want = _outcome(parse_pog, text), _outcome(parse_pog_reference, text)
+        assert got == want, text
+        if isinstance(want, Pog):
+            assert got.names == want.names
+            valid += 1
+        else:
+            errors.add(want[1].split(": ", 1)[-1].split(" ")[0])
+    assert valid > 750
+    assert {"bad", "expected", "vertex", "loop", "2-cycle", "edge",
+            "unknown"} <= errors
 
 
 def test_render_dot():

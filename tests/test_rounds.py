@@ -166,6 +166,37 @@ def test_every_excellent_ordering_is_nice():
             assert check_ordering(P, O, "nice")[0]
 
 
+def _nice_reference(P, O):
+    """The per-arc scan: for each arc (v_i, v_k) in position order, the
+    in-neighbours v_j of v_i sorted by position, the first one lying
+    after v_i on the way round from v_k."""
+    n, pos = P.n, O.pos
+    for i, k in sorted(P.arcs, key=lambda a: (pos[a[0]], pos[a[1]])):
+        r = lambda x: (pos[x] - pos[k]) % n
+        for j in sorted(P.in_nbrs[i], key=pos.__getitem__):
+            if j != k and r(i) < r(j):
+                return False, (P.names[k], P.names[i], P.names[j])
+    return True, None
+
+
+def test_nice_matches_per_arc_reference():
+    # random pogs, sparse to complete, under random cyclic and linear
+    # orderings: the same verdict and the same witness
+    rng = random.Random(59)
+    verdicts = {True: 0, False: 0}
+    for _ in range(5000):
+        n = rng.randint(1, 12)
+        P = random_pog(rng, n, p_adj=rng.choice((0.15, 0.3, 0.6, 1.0)),
+                       p_arc=rng.choice((0.5, 1.0)))
+        seq = list(range(n))
+        rng.shuffle(seq)
+        O = Ordering(rng.choice(("cyclic", "linear")), tuple(seq))
+        got = check_ordering(P, O, "nice")
+        assert got == _nice_reference(P, O), (sorted(P.arcs), O.seq)
+        verdicts[got[0]] += 1
+    assert min(verdicts.values()) >= 1000, verdicts
+
+
 def test_find_round_ordering_cycle_and_transitive():
     assert find_round_ordering(_cycle(4)) is not None
     T = Pog(names(3), frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))

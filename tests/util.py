@@ -2,7 +2,8 @@
 
 import itertools
 
-from pogc.pog import Ordering, Pog, _reach, classify
+from pogc.errors import InvariantError, ParseError
+from pogc.pog import NAME_RE, Ordering, Pog, _norm, _reach, classify
 from pogc.rounds import MoonDecomposition, check_ordering, find_round_ordering
 
 MAX_NICE_VERTICES = 10
@@ -129,6 +130,52 @@ def exact_oracle(P, target):
         return None
 
     return rec(0)
+
+
+def parse_pog_reference(text):
+    """The native-format parser as it was before the one-pass rewrite:
+    every name mention is checked against NAME_RE, every line is split
+    on '#', and edges are normalised after the loop.  Reference for
+    pogc.pog.parse_pog."""
+    names = []
+    idx = {}
+    edges = []
+    arcs = []
+
+    def vid(name, ln):
+        if not NAME_RE.match(name):
+            raise ParseError("bad vertex name %r" % name, ln)
+        if name not in idx:
+            idx[name] = len(names)
+            names.append(name)
+        return idx[name]
+
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) != 2:
+                raise ParseError("expected 'v NAME'", ln)
+            if parts[1] in idx:
+                raise ParseError("vertex %s declared twice" % parts[1], ln)
+            vid(parts[1], ln)
+        elif parts[0] in ("edge", "arc"):
+            if len(parts) != 3:
+                raise ParseError("expected '%s U V'" % parts[0], ln)
+            u, v = vid(parts[1], ln), vid(parts[2], ln)
+            if u == v:
+                raise ParseError("loop on %s" % parts[1], ln)
+            (edges if parts[0] == "edge" else arcs).append((u, v))
+        else:
+            raise ParseError("unknown directive %r" % parts[0], ln)
+    try:
+        return Pog(tuple(names),
+                   frozenset(_norm(u, v) for u, v in edges),
+                   frozenset(arcs))
+    except InvariantError as exc:
+        raise ParseError(str(exc))
 
 
 def assert_extends(P, D):
