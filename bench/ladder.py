@@ -13,7 +13,11 @@ or turned half round a circle of length 2n), the strong all-arc
 digraph (arcs i -> i+1 and i -> i+2 plus v[n-1] -> v[1] and
 v[n-2] -> v[0], no edges) or the circulant C_n(1,2) (arcs i -> i+1
 and i -> i+2 mod n, no edges); the `parse_pog` kernels read band-4 or
-all-arc as native text from `render_pog`.  A point is the fastest of a
+all-arc as native text from `render_pog`; `classify.locally_transitive.band`
+reads band-4 oriented straight (every edge from its smaller end) and
+`build_reduction.planted` reduces a seeded 3-CNF with a planted satisfying
+assignment, sized so that its reduction has n = 2 vars + 7 clauses
+vertices.  A point is the fastest of a
 few runs, each on a freshly built input so that no cached view is
 shared between runs; only the kernel call is timed.
 A run longer than CAP_S is stopped by SIGALRM; that point
@@ -32,6 +36,7 @@ import json
 import math
 import os
 import platform
+import random
 import signal
 import subprocess
 import sys
@@ -42,9 +47,11 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from pogc.auxgraph import build_aux  # noqa: E402
 from pogc.completions import complete_to_strong, find_cycle_factor  # noqa: E402
+from pogc.hardness import CnfFormula, build_reduction  # noqa: E402
 from pogc.interval import (Representation, complete_to_acyclic_lt,  # noqa: E402
                            validate_representation)
-from pogc.pog import Ordering, Pog, _bridges, parse_pog, render_pog  # noqa: E402
+from pogc.pog import (Ordering, Pog, _bridges, classify, parse_pog,  # noqa: E402
+                      render_pog)
 from pogc.rounds import check_ordering, round_to_ltt  # noqa: E402
 
 WIDTH = 4
@@ -63,6 +70,31 @@ def band(n, w=WIDTH):
                frozenset((i, j) for i in range(n)
                          for j in range(i + 1, min(n, i + w + 1))),
                frozenset())
+
+
+def band_straight(n, w=WIDTH):
+    P = band(n, w)
+    return Pog(P.names, frozenset(), P.edges)
+
+
+def planted_cnf(n):
+    """3-CNF, seeded by n, that a planted assignment satisfies: about n / 9
+    clauses and as many variables, every variable occurring, so that
+    2 vars + 7 clauses = n."""
+    m = n // 9 + (n - 7 * (n // 9)) % 2
+    v = (n - 7 * m) // 2
+    rng = random.Random(n)
+    t = [rng.random() < 0.5 for _ in range(v + 1)]
+    order = rng.sample(range(1, v + 1), v)
+    clauses = []
+    for j in range(m):
+        vs = order[3 * j:3 * j + 3]  # the first clauses cover every variable
+        vs += rng.sample([x for x in range(1, v + 1) if x not in vs], 3 - len(vs))
+        cl = [x if rng.random() < 0.5 else -x for x in vs]
+        if not any((l > 0) == t[abs(l)] for l in cl):
+            cl[0] = -cl[0]
+        clauses.append(tuple(cl))
+    return CnfFormula(v, tuple(clauses))
 
 
 def band_spans(n, w=WIDTH):
@@ -114,9 +146,12 @@ BAND_CA = "band-%d, circular representation turned by n" % WIDTH
 ALL_ARC = "all-arc, strong, no edges"
 ALL_ARC_TEXT = "all-arc, native text"
 CIRCULANT = "circulant C_n(1,2), no edges"
+BAND_STRAIGHT = "band-%d oriented from the smaller end, no edges" % WIDTH
+PLANTED_CNF = "planted 3-CNF with 2 vars + 7 clauses = n"
 FAMILIES = {BAND: band, BAND_IV: band_interval, BAND_CA: band_circular,
             ALL_ARC: all_arc, CIRCULANT: circulant, BAND_TEXT: band_text,
-            ALL_ARC_TEXT: all_arc_text}
+            ALL_ARC_TEXT: all_arc_text, BAND_STRAIGHT: band_straight,
+            PLANTED_CNF: planted_cnf}
 KERNELS = {  # name: (family, kernel)
     "build_aux.local_tournament": (BAND, lambda P: build_aux(P, "local_tournament")),
     "build_aux.quasi_transitive": (BAND, lambda P: build_aux(P, "quasi_transitive")),
@@ -132,6 +167,9 @@ KERNELS = {  # name: (family, kernel)
     "round_to_ltt.circulant": (CIRCULANT, round_to_ltt),
     "parse_pog.all_arc": (ALL_ARC_TEXT, parse_pog),
     "parse_pog.band": (BAND_TEXT, parse_pog),
+    "build_reduction.planted": (PLANTED_CNF, build_reduction),
+    "classify.locally_transitive.band":
+        (BAND_STRAIGHT, lambda D: classify(D).locally_transitive),
 }
 # The 2-SAT of rounds._round_tournament holds about 1.1 KB per pair of
 # vertices: about 0.5 GB at n = 1,000 and 5.5 GB at n = 3,162.

@@ -112,7 +112,8 @@ def _cmd_complete(args):
     if isinstance(res, Certificate):
         return _emit_certificate(args, obj, res)
     obj["status"] = "completed"
-    obj["arcs"] = _arc_names(res)
+    if args.json:
+        obj["arcs"] = _arc_names(res)
     _emit(args, obj, render_pog(res))
     return 0
 
@@ -202,9 +203,10 @@ def _cmd_reduce_3sat(args):
                            "seq": [R.pog.names[v] for v in O.seq]}
         _emit(args, obj, render_ordering(O, R.pog))
         return 0
-    obj["arcs"] = _arc_names(R.pog)
-    obj["edges"] = sorted([R.pog.names[i], R.pog.names[j]]
-                          for i, j in R.pog.edges)
+    if args.json:
+        obj["arcs"] = _arc_names(R.pog)
+        obj["edges"] = sorted([R.pog.names[i], R.pog.names[j]]
+                              for i, j in R.pog.edges)
     _emit(args, obj, render_pog(R.pog))
     return 0
 

@@ -20,9 +20,9 @@ from .auxgraph import (_arc_classes, _complete_via_aux, build_aux,
 from .errors import InvariantError, NotFriendlyError, NotInClassError
 from .interval import (_orient_window, complete_to_acyclic_lt,
                        representation_from_orientation)
-from .pog import Certificate, Pog, _bfs_colouring, _components, \
-    _neighbourhood_cycle, _nonadjacent_pairs, _norm, _triangles, classify, \
-    find_directed_cycle, topological_order
+from .pog import Certificate, Pog, _acyclic_within, _bfs_colouring, \
+    _components, _neighbourhood_cycle, _nonadjacent_pairs, _norm, _triangles, \
+    classify, find_directed_cycle, topological_order
 from .rounds import merge_ltt
 
 
@@ -95,13 +95,11 @@ def forbidden_cycle(P):
     out-neighbourhood of a vertex, as a certificate, or None."""
     cs, universal = cells(P)
     for k, cell in enumerate(cs):
-        if k == universal or len(cell) < 3:
+        if k == universal or len(cell) < 3 or _acyclic_within(P, set(cell)):
             continue
-        cyc = find_directed_cycle(P, within=cell)
-        if cyc is not None:
-            return Certificate("DirectedCycle", {
-                "cycle": [P.names[v] for v in cyc],
-                "location": {"kind": "cell"}})
+        return Certificate("DirectedCycle", {
+            "cycle": [P.names[v] for v in find_directed_cycle(P, within=cell)],
+            "location": {"kind": "cell"}})
     found = _neighbourhood_cycle(P)
     if found is None:
         return None

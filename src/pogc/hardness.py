@@ -238,7 +238,7 @@ def build_reduction(F):
         clause_slots.append(tuple(slots))
 
     P = Pog.build(tuple(names), edges=edges, arcs=arcs)
-    H = Pog(P.names, frozenset(), P.arcs)
+    H = Pog._trusted(P.names, frozenset(), P.arcs)
     R = ReductionInstance(F, P, H, name_map, tuple(var_names),
                           tuple(pos_names), tuple(neg_names),
                           tuple(hub_names), tuple(clause_slots))
@@ -251,16 +251,15 @@ def _check_reduction(R, n, m):
     if P.n != 2 * n + 2 * (3 * m) + m:
         raise InvariantError("reduction has %d vertices, expected %d"
                              % (P.n, 2 * n + 7 * m))
-    wheels = []
+    seen = set()
     for j, slots in enumerate(R.clause_slots):
         w = {R.hub_names[j]}
         for c1, c2, _ in slots:
             w.add(c1)
             w.add(c2)
-        wheels.append(w)
-    for wa, wb in itertools.combinations(wheels, 2):
-        if wa & wb:
+        if not seen.isdisjoint(w):
             raise InvariantError("wheels share a vertex after identification")
+        seen |= w
     found = _neighbourhood_cycle(H)
     if found is not None:
         raise InvariantError("neighbourhood of %s is not acyclic"

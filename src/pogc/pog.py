@@ -31,12 +31,25 @@ class Pog:
     arcs: frozenset   # ordered pairs (i, j)
 
     def __post_init__(self):
-        n = len(self.names)
-        if len(set(self.names)) != n:
+        if len(set(self.names)) != len(self.names):
             raise InvariantError("duplicate vertex names")
         for name in self.names:
             if not NAME_RE.match(name):
                 raise InvariantError("bad vertex name %r" % (name,))
+        self._check_pairs()
+
+    @classmethod
+    def _trusted(cls, names, edges, arcs):
+        """A pog from parts the caller has already checked, such as the
+        parts of a checked pog; no invariant is checked again."""
+        P = cls.__new__(cls)
+        object.__setattr__(P, "names", names)
+        object.__setattr__(P, "edges", edges)
+        object.__setattr__(P, "arcs", arcs)
+        return P
+
+    def _check_pairs(self):
+        n = len(self.names)
         for i, j in self.edges:
             if not (0 <= i < j < n):
                 raise InvariantError("bad edge %r" % ((i, j),))
@@ -109,7 +122,7 @@ class Pog:
 
     def underlying_graph(self):
         """Forget orientations: every adjacency becomes an edge."""
-        return Pog(self.names, self.und_pairs, frozenset())
+        return Pog._trusted(self.names, self.und_pairs, frozenset())
 
     def orient(self, pairs):
         """Return a copy where each (i, j) in pairs becomes an arc.
@@ -127,9 +140,8 @@ class Pog:
                 raise InvariantError(
                     "conflicting orientations for edge %s,%s" % (self.names[i], self.names[j]))
             chosen[key] = (i, j)
-        return Pog(self.names,
-                   self.edges - set(chosen),
-                   self.arcs | set(chosen.values()))
+        return Pog._trusted(self.names, self.edges - set(chosen),
+                            self.arcs | set(chosen.values()))
 
     def induced(self, verts):
         """Sub-pog induced by a set of vertex indices (names preserved)."""
@@ -139,7 +151,7 @@ class Pog:
                       if i in remap and j in remap)
         a = frozenset((remap[i], remap[j]) for i, j in self.arcs
                       if i in remap and j in remap)
-        return Pog(tuple(self.names[v] for v in keep), e, a)
+        return Pog._trusted(tuple(self.names[v] for v in keep), e, a)
 
     def name_pairs(self, pairs):
         return [(self.names[i], self.names[j]) for i, j in pairs]
@@ -262,10 +274,12 @@ def parse_pog(text):
             names.append(a)
         else:
             raise ParseError("unknown directive %r" % d, ln)
+    P = Pog._trusted(tuple(names), frozenset(edges), frozenset(arcs))
     try:
-        return Pog(tuple(names), frozenset(edges), frozenset(arcs))
+        P._check_pairs()  # the names were checked as they were read
     except InvariantError as exc:
         raise ParseError(str(exc))
+    return P
 
 
 def render_pog(P, fmt="native"):
@@ -434,6 +448,27 @@ def topological_order(verts, succ):
     return order if len(order) == len(indeg) else None
 
 
+def _acyclic_within(P, S):
+    """True when the arcs of P inside the vertex set S span no directed
+    cycle.  Kahn's peeling from the sinks: every sink of S is found by
+    one set test, and a vertex's count of arcs into S is taken only
+    once one of its successors has been peeled."""
+    out, inn = P.out_nbrs, P.in_nbrs
+    peeled = [x for x in S if out[x].isdisjoint(S)]
+    if len(peeled) == len(S):
+        return True
+    left = {}
+    for v in peeled:  # grows while it is read
+        for u in inn[v] & S:
+            d = left.get(u)
+            if d is None:
+                d = len(out[u] & S)
+            left[u] = d = d - 1
+            if not d:
+                peeled.append(u)
+    return len(peeled) == len(S)
+
+
 def _nonadjacent_pairs(P, members):
     """The pairs x < y of members that are not adjacent in UG(P), in
     lexicographic order."""
@@ -442,6 +477,12 @@ def _nonadjacent_pairs(P, members):
         for y in ms[s + 1:]:
             if y not in P.adj[x]:
                 yield x, y
+
+
+def _is_clique(P, S):
+    """True when the vertices of the set S are pairwise adjacent in UG(P)."""
+    k = len(S) - 1
+    return all(len(P.adj[x] & S) == k for x in S)
 
 
 def _triangles(P):
@@ -464,11 +505,12 @@ def _neighbourhoods(P):
 
 def _neighbourhood_cycle(P):
     """The first directed cycle inside an out- or in-neighbourhood (in
-    _neighbourhoods order) as (cycle, v, side), or None."""
+    _neighbourhoods order) as (cycle, v, side), or None.  A pog has no
+    loops or 2-cycles, so only hoods of 3 or more vertices are tested;
+    the cycle search runs only on the first hood that fails."""
     for v, side, hood in _neighbourhoods(P):
-        cyc = find_directed_cycle(P, within=hood)
-        if cyc is not None:
-            return cyc, v, side
+        if len(hood) > 2 and not _acyclic_within(P, hood):
+            return find_directed_cycle(P, within=hood), v, side
     return None
 
 
@@ -528,8 +570,8 @@ class PropertyReport:
     @_Check
     def local_tournament(self):
         for v, side, hood in _neighbourhoods(self.P):
-            pair = next(_nonadjacent_pairs(self.P, hood), None)
-            if pair is not None:
+            if not _is_clique(self.P, hood):
+                pair = next(_nonadjacent_pairs(self.P, hood))
                 return self._names(pair + (v,)) + (side,)
         return None
 
@@ -545,9 +587,9 @@ class PropertyReport:
 
     @_Check
     def in_tournament(self):
-        for v in range(self.P.n):
-            pair = next(_nonadjacent_pairs(self.P, self.P.in_nbrs[v]), None)
-            if pair is not None:
+        for v, hood in enumerate(self.P.in_nbrs):
+            if not _is_clique(self.P, hood):
+                pair = next(_nonadjacent_pairs(self.P, hood))
                 return self._names(pair + (v,))
         return None
 

@@ -1,5 +1,6 @@
 """End-to-end command line tests: exit codes, certificates, JSON output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -376,6 +377,28 @@ def test_reduce_3sat_structure(w, capsys):
     # 2 variables' worth of alpha/beta pairs plus 7 per clause
     n_names = {nm for pair in obj["arcs"] + obj["edges"] for nm in pair}
     assert len(n_names) == 2 * 3 + 7 * 2
+
+
+def test_complete_and_reduce_3sat_stdout_bytes(w, capsys):
+    """The exact stdout of `complete` and `reduce-3sat`, plain and with
+    --json (which alone needs the arc and edge lists)."""
+    g = w("g", "edge a b\nedge b c\narc c d\n")
+    assert run(["complete", "--class", "acyclic-lt", g]) == 0
+    assert capsys.readouterr().out == (
+        "v a\nv b\nv c\nv d\narc a b\narc b c\narc c d\n")
+    assert run(["complete", "--class", "acyclic-lt", "--json", g]) == 0
+    assert capsys.readouterr().out == (
+        '{"arcs": [["a", "b"], ["b", "c"], ["c", "d"]], '
+        '"class": "acyclic-lt", "status": "completed"}\n')
+    f = w("f", "p cnf 3 1\n1 -2 3 0\n")
+    for flags, size, digest in (
+            ([], 645,
+             "3d65694cad7cef63113be90760bc1ef364bfc5aede1c9f7e3d0750912771858b"),
+            (["--json"], 690,
+             "a4bba9000268efcb6a43c0c2880edebb812674113896f03d0353da35aa79f4cf")):
+        assert run(["reduce-3sat"] + flags + [f]) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
 def test_reduce_3sat_witness_forms(w, capsys):

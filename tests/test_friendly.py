@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 from pogc.auxgraph import aux_adjacent, build_aux
 from pogc.errors import InvariantError
@@ -10,14 +10,14 @@ from pogc.friendly import (_bipartition, bad_triples, cells,
                            complement_components,
                            complete_cells, complete_friendly,
                            extend_circular_arc_representation,
-                           friendly_complete_graph, is_friendly,
+                           forbidden_cycle, friendly_complete_graph, is_friendly,
                            proper_circular_arc_representation)
 from pogc.interval import (Representation, complete_to_acyclic_lt,
                            orientation_from_representation,
                            validate_representation)
 from pogc.pog import Certificate, Pog, _norm, classify, verify_certificate
 from util import (all_graphs, all_pogs, brute_force_completion, exact_oracle,
-                  names, random_graph, random_pog)
+                  forbidden_cycle_reference, names, random_graph, random_pog)
 
 
 def _c4():
@@ -174,6 +174,43 @@ def test_friendly_complete_graph_forbidden_triangle():
     assert isinstance(cert, Certificate)
     assert cert.tag == "DirectedCycle"
     assert verify_certificate(P, cert)
+
+
+def _with_twins(rng, Q, k):
+    """Q with k - 1 twins of vertex 0 added: each copies 0's edges and
+    arcs to the rest of Q, and the k of them are pairwise adjacent, so
+    they lie in one cell."""
+    edges, arcs = set(Q.edges), set(Q.arcs)
+    group = [0] + list(range(Q.n, Q.n + k - 1))
+    for t in group[1:]:
+        edges.update(_norm(t, j) for i, j in Q.edges if i == 0)
+        arcs.update((t, j) for i, j in Q.arcs if i == 0)
+        arcs.update((i, t) for i, j in Q.arcs if j == 0)
+    for a, b in itertools.combinations(group, 2):
+        if rng.random() < 0.2:
+            edges.add((a, b))
+        else:
+            arcs.add((a, b) if rng.random() < 0.5 else (b, a))
+    return Pog(names(Q.n + k - 1), frozenset(edges), frozenset(arcs))
+
+
+def test_forbidden_cycle_matches_reference():
+    """Certificates equal to those of the cycle search on every cell and
+    hood: on every pog of at most 4 vertices and on random pogs with a
+    planted cell of 3 to 5 twins."""
+    rng = random.Random(73)
+    pogs = [P for n in range(5) for P in all_pogs(n)]
+    for _ in range(1500):
+        Q = random_pog(rng, rng.randint(2, 7), p_adj=rng.choice((0.5, 0.8)),
+                       p_arc=rng.choice((0.5, 0.9)))
+        pogs.append(_with_twins(rng, Q, rng.randint(3, 5)))
+    kinds = Counter()
+    for P in pogs:
+        want = forbidden_cycle_reference(P)
+        assert forbidden_cycle(P) == want, P
+        kinds[want and want.payload["location"]["kind"]] += 1
+    assert set(kinds) == {None, "cell", "out", "in"}
+    assert min(kinds.values()) >= 100, kinds
 
 
 def _ltlt(rep):

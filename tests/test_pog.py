@@ -9,12 +9,14 @@ import pytest
 
 from pogc import pog as pog_module
 from pogc.errors import InvariantError, ParseError
-from pogc.pog import (Certificate, Ordering, Pog, _bridges, _matching,
-                      _separates, classify, complete_closure, find_directed_cycle,
+from pogc.hardness import CnfFormula, build_reduction, orient_by_assignment
+from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _bridges, _matching,
+                      _neighbourhood_cycle, _separates, classify, complete_closure, find_directed_cycle,
                       parse_ordering, parse_pog, render_pog,
                       topological_order, verify_certificate)
-from util import (all_graphs, all_pogs, names, parse_pog_reference,
-                  random_graph, random_pog)
+from util import (all_graphs, all_pogs, names, neighbourhood_cycle_reference,
+                  parse_pog_reference, planted_formula, random_graph,
+                  random_pog)
 
 
 def test_parse_single_edge():
@@ -197,6 +199,43 @@ def test_pog_invariants():
         Pog(("a", "b"), frozenset({(0, 1)}), frozenset({(1, 0)}))
     with pytest.raises(InvariantError):
         Pog(("a", "b"), frozenset(), frozenset({(0, 1), (1, 0)}))
+
+
+def test_name_checks_run_once_per_path(monkeypatch):
+    """Parsing checks each name once; pogs derived from a checked pog
+    check no name again; Pog(...) and Pog.build keep every check."""
+    matches = []
+
+    class CountingNameRe:
+        def match(self, name):
+            matches.append(name)
+            return NAME_RE.match(name)
+
+    monkeypatch.setattr(pog_module, "NAME_RE", CountingNameRe())
+    n = 40
+    P = parse_pog("v v0\n" + "".join("edge v%d v%d\n" % (i, i + 1)
+                                     for i in range(n - 1)))
+    assert P.n == n and len(matches) == n
+    matches.clear()
+    D = P.orient([(i, i + 1) for i in range(n - 1)])
+    sub = D.induced(range(0, n, 2))
+    G = D.underlying_graph()
+    assert matches == []
+    assert (D.arcs, sub.n, G.edges) == (
+        frozenset((i, i + 1) for i in range(n - 1)), n // 2, P.edges)
+    R = build_reduction(CnfFormula(3, ((1, -2, 3),)))
+    assert len(matches) == R.pog.n == R.oriented.n
+    for args, message in (
+            ((("a", "a"), (), ()), "duplicate vertex names"),
+            ((("a", "b c"), (), ()), "bad vertex name 'b c'"),
+            ((("a", "b"), (), {(0, 1), (1, 0)}), "2-cycle on "),
+            ((("a", "b"), {(0, 1)}, {(1, 0)}), "edge and arc on the same pair b,a")):
+        names_, edges, arcs = args
+        with pytest.raises(InvariantError, match=message):
+            Pog(names_, frozenset(edges), frozenset(arcs))
+        with pytest.raises(InvariantError, match=message):
+            Pog.build(names_, [(names_[i], names_[j]) for i, j in edges],
+                      [(names_[i], names_[j]) for i, j in arcs])
 
 
 def test_orient_rejects_conflicts():
@@ -591,6 +630,38 @@ def test_lazy_report_matches_eager_reference():
         assert list(rep.witnesses) == list(want["witnesses"])
 
 
+def test_neighbourhood_checks_match_reference():
+    """(cycle, v, side) equal to the cycle search on every hood, and the
+    local tournament and in-tournament witnesses equal to the eager
+    reference's: on every pog of at most 4 vertices, on random partial
+    pogs of at most 10, and on planted 3-SAT reductions, oriented and by
+    a random assignment."""
+    rng = random.Random(71)
+    small = [P for n in range(5) for P in all_pogs(n)]
+    rand = [random_pog(rng, rng.randint(4, 10),
+                       p_adj=rng.choice((0.6, 0.8, 1.0)),
+                       p_arc=rng.choice((0.7, 0.9, 1.0))) for _ in range(1500)]
+    reductions = []
+    for _ in range(50):
+        n = rng.randint(3, 8)
+        R = build_reduction(planted_formula(rng, n, rng.randint(n, 2 * n))[0])
+        guess = {i: rng.random() < 0.5 for i in range(1, n + 1)}
+        reductions += [R.pog, R.oriented, orient_by_assignment(R, guess)]
+    failing = {}
+    for label, pogs in (("small", small), ("random", rand),
+                        ("reduction", reductions)):
+        failing[label] = 0
+        for P in pogs:
+            want = neighbourhood_cycle_reference(P)
+            assert _neighbourhood_cycle(P) == want, P
+            failing[label] += want is not None
+            rep, eager = classify(P), _eager_classify(P)["witnesses"]
+            for key in ("local_tournament", "in_tournament"):
+                assert rep._witness(key) == eager.get(key), (key, P)
+    assert failing["small"] >= 10 and failing["reduction"] >= 10
+    assert failing["random"] >= len(rand) // 3
+
+
 def test_report_reads_only_what_it_asks_for(monkeypatch):
     calls = []
     real = pog_module.find_directed_cycle
@@ -608,10 +679,17 @@ def test_report_reads_only_what_it_asks_for(monkeypatch):
     assert calls == []
     assert rep.acyclic and rep.acyclic  # the second read is cached
     assert calls == [None]
-    assert rep.locally_transitive_tournament
-    assert len(calls) == 1 + 2 * T.n
+    assert rep.locally_transitive_tournament  # no hood needs a cycle search
+    assert calls == [None]
     assert rep.witnesses == {"strong": ("v1", "v0")}
-    assert len(calls) == 1 + 2 * T.n
+    assert calls == [None]
+    # a tournament whose out-neighbourhood of v0 is a directed triangle:
+    # the failing read searches that one hood and nothing else
+    C = Pog.build(names(4), arcs=[("v0", "v1"), ("v0", "v2"), ("v0", "v3"),
+                                  ("v1", "v2"), ("v2", "v3"), ("v3", "v1")])
+    calls.clear()
+    assert not classify(C).locally_transitive_tournament
+    assert calls == [frozenset({1, 2, 3})]
 
 
 def _imported_names(tree):

@@ -3,7 +3,10 @@
 import itertools
 
 from pogc.errors import InvariantError, ParseError
-from pogc.pog import NAME_RE, Ordering, Pog, _norm, _reach, classify
+from pogc.friendly import cells
+from pogc.hardness import CnfFormula
+from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _neighbourhoods,
+                      _norm, _reach, classify, find_directed_cycle)
 from pogc.rounds import MoonDecomposition, check_ordering, find_round_ordering
 
 MAX_NICE_VERTICES = 10
@@ -298,3 +301,51 @@ def merge_ltt_reference(T1, T2):
             arcs.update((idx[u], idx[w])
                         for u, w in itertools.product(cell, cells[(c + step) % q]))
     return Pog(names, frozenset(), frozenset(arcs))
+
+
+def neighbourhood_cycle_reference(P):
+    """The first directed cycle inside an out- or in-neighbourhood (in
+    _neighbourhoods order) as (cycle, v, side), or None, by a cycle
+    search on every hood.  Reference for pogc.pog._neighbourhood_cycle."""
+    for v, side, hood in _neighbourhoods(P):
+        cyc = find_directed_cycle(P, within=hood)
+        if cyc is not None:
+            return cyc, v, side
+    return None
+
+
+def forbidden_cycle_reference(P):
+    """pogc.friendly.forbidden_cycle with a cycle search on every
+    non-universal cell of 3 or more vertices and on every hood."""
+    cs, universal = cells(P)
+    for k, cell in enumerate(cs):
+        if k == universal or len(cell) < 3:
+            continue
+        cyc = find_directed_cycle(P, within=cell)
+        if cyc is not None:
+            return Certificate("DirectedCycle", {
+                "cycle": [P.names[v] for v in cyc],
+                "location": {"kind": "cell"}})
+    found = neighbourhood_cycle_reference(P)
+    if found is None:
+        return None
+    cyc, v, side = found
+    return Certificate("DirectedCycle", {
+        "cycle": [P.names[x] for x in cyc],
+        "location": {"kind": side, "vertex": P.names[v]}})
+
+
+def planted_formula(rng, n, m):
+    """(F, t): a random 3-CNF on n >= 3 variables and m >= n / 3 clauses,
+    every variable occurring, and an assignment t that satisfies it."""
+    t = {i: rng.random() < 0.5 for i in range(1, n + 1)}
+    order = rng.sample(range(1, n + 1), n)
+    clauses = []
+    for j in range(m):
+        vs = order[3 * j:3 * j + 3]  # the first clauses cover every variable
+        vs += rng.sample([v for v in range(1, n + 1) if v not in vs], 3 - len(vs))
+        cl = [v if rng.random() < 0.5 else -v for v in vs]
+        if not any((l > 0) == t[abs(l)] for l in cl):
+            cl[0] = -cl[0]
+        clauses.append(tuple(cl))
+    return CnfFormula(n, tuple(clauses)), t
