@@ -11,9 +11,10 @@ from pogc import pog as pog_module
 from pogc.errors import InvariantError, ParseError
 from pogc.hardness import CnfFormula, build_reduction, orient_by_assignment
 from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _bridges, _matching,
-                      _neighbourhood_cycle, _separates, classify, complete_closure, find_directed_cycle,
-                      parse_ordering, parse_pog, render_pog,
-                      topological_order, verify_certificate)
+                      _neighbourhood_cycle, _separates, classify,
+                      complete_closure, find_directed_cycle, parse_ordering,
+                      parse_pog, render_pog, topological_order,
+                      verify_certificate)
 from util import (all_graphs, all_pogs, names, neighbourhood_cycle_reference,
                   parse_pog_reference, planted_formula, random_graph,
                   random_pog)
