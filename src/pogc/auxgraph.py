@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError
-from .pog import (Certificate, Pog, _bfs_colouring, _nonadjacent_pairs, _norm,
-                  bfs_path, classify)
+from .pog import Certificate, Pog, _bfs_colouring, _norm, bfs_path, classify
 
 MODES = ("local_tournament", "quasi_transitive")
 
@@ -78,24 +77,39 @@ def build_aux(P, mode="local_tournament"):
     mode (u, a) ~ (u, b) and (a, u) ~ (b, u); in quasi_transitive mode
     (a, u) ~ (u, b) and (b, u) ~ (u, a).  These are exactly the pairs
     `aux_adjacent` accepts, enumerated per neighbourhood in
-    O(m + sum of deg(v)^2)."""
+    O(m + sum of deg(v)^2).  The pairs (u, .) get the consecutive ids
+    from start[u] in neighbour order, which is the sorted order of all
+    pairs, so no pair is ever hashed; rev[x] is the id of the reverse
+    of pair x."""
     if mode not in MODES:
         raise ValueError("unknown aux mode %r" % mode)
-    verts = sorted(p for i, j in P.und_pairs for p in ((i, j), (j, i)))
+    nbr = [sorted(a) for a in P.adj]
+    start = [0]
+    for ns in nbr:
+        start.append(start[-1] + len(ns))
+    verts = [(u, v) for u, ns in enumerate(nbr) for v in ns]
     m = len(verts)
-    vid = {p: k for k, p in enumerate(verts)}
-    adj = [[vid[j, i]] for i, j in verts]
+    # the pairs (v, u) are met in increasing order of u, which is their
+    # id order, so a counter per v gives each one's id
+    rev, at = [], start[:-1]
+    for u, ns in enumerate(nbr):
+        for v in ns:
+            rev.append(at[v])
+            at[v] += 1
+    adj = [[y] for y in rev]
     lt = mode == "local_tournament"
-    for u in range(P.n):
-        for a, b in _nonadjacent_pairs(P, P.adj[u]):
-            if lt:
-                links = ((u, a), (u, b)), ((a, u), (b, u))
-            else:
-                links = ((a, u), (u, b)), ((b, u), (u, a))
-            for p, q in links:
-                x, y = vid[p], vid[q]
-                adj[x].append(y)
-                adj[y].append(x)
+    for u, ns in enumerate(nbr):
+        s, k = start[u], len(ns)
+        for i in range(k - 1):
+            na, x = P.adj[ns[i]], s + i
+            for j in range(i + 1, k):
+                if ns[j] not in na:  # link p ~ q and r ~ t
+                    y = s + j
+                    p, q, r, t = (x, y, rev[x], rev[y]) if lt else (rev[x], y, rev[y], x)
+                    adj[p].append(q)
+                    adj[q].append(p)
+                    adj[r].append(t)
+                    adj[t].append(r)
     for nbrs in adj:
         nbrs.sort()
     comp, colours = [-1] * m, [-1] * m
@@ -104,11 +118,12 @@ def build_aux(P, mode="local_tournament"):
         if comp[root] >= 0:
             continue
         colour, parent, clash = _bfs_colouring(adj.__getitem__, root)
+        c_id = len(members)
         for v, c in colour.items():
-            comp[v], colours[v] = len(members), c
+            comp[v], colours[v] = c_id, c
         members.append(tuple(sorted(colour)))
         odd.append(None if clash is None else _odd_closed_walk(parent, *clash))
-    return AuxGraph(P, mode, tuple(verts), tuple(tuple(a) for a in adj),
+    return AuxGraph(P, mode, tuple(verts), tuple(map(tuple, adj)),
                     tuple(comp), tuple(members), tuple(colours), tuple(odd))
 
 

@@ -440,8 +440,8 @@ def _search_completions(P, want_all):
 
     def rec():
         if len(chosen) == len(edges):
-            D = Pog(P.names, frozenset(),
-                    P.arcs | frozenset(chosen))
+            D = Pog._trusted(P.names, frozenset(),
+                             P.arcs | frozenset(chosen), like=P)
             if _ltt_ordering(D) is not None:
                 found.append(frozenset(D.arcs))
                 return not want_all
@@ -507,7 +507,7 @@ def exact_complete(P, target, enumerate_all=False):
         raise SizeGuardError("MAX_SEARCH_EDGES", MAX_SEARCH_EDGES,
                              len(P.edges), "unoriented edges")
     arcsets = _search_completions(P, enumerate_all)
-    sols = [Pog(P.names, frozenset(), a) for a in arcsets]
+    sols = [Pog._trusted(P.names, frozenset(), a, like=P) for a in arcsets]
     if enumerate_all:
         return sols
     return sols[0] if sols else None
@@ -523,7 +523,7 @@ def _excellent_search(P, enumerate_all):
     orderings = []
     seen = set()
     for a in arcsets:
-        T = Pog(P.names, frozenset(), a)
+        T = Pog._trusted(P.names, frozenset(), a, like=closed)
         O = _ltt_ordering(T)    # not None: the leaf check found it
         ok, wit = check_ordering(P, O, "excellent")
         if not ok:

@@ -24,6 +24,11 @@ def _norm(i, j):
     return (i, j) if i < j else (j, i)
 
 
+# the cached views of a pog that depend only on its names and its
+# underlying graph, which Pog._trusted may share between pogs
+_UG_VIEWS = frozenset({"index", "und_pairs", "adj"})
+
+
 @dataclass(frozen=True)
 class Pog:
     names: tuple
@@ -39,13 +44,17 @@ class Pog:
         self._check_pairs()
 
     @classmethod
-    def _trusted(cls, names, edges, arcs):
+    def _trusted(cls, names, edges, arcs, like=None):
         """A pog from parts the caller has already checked, such as the
-        parts of a checked pog; no invariant is checked again."""
+        parts of a checked pog; no invariant is checked again.  `like`
+        is a pog with the same names and the same underlying graph:
+        those of its underlying-graph views it has already computed are
+        shared, not computed again."""
         P = cls.__new__(cls)
-        object.__setattr__(P, "names", names)
-        object.__setattr__(P, "edges", edges)
-        object.__setattr__(P, "arcs", arcs)
+        d = P.__dict__  # frozen: fill __dict__ directly, as cached_property does
+        d["names"], d["edges"], d["arcs"] = names, edges, arcs
+        if like is not None:
+            d.update((k, v) for k, v in like.__dict__.items() if k in _UG_VIEWS)
         return P
 
     def _check_pairs(self):
@@ -122,7 +131,7 @@ class Pog:
 
     def underlying_graph(self):
         """Forget orientations: every adjacency becomes an edge."""
-        return Pog._trusted(self.names, self.und_pairs, frozenset())
+        return Pog._trusted(self.names, self.und_pairs, frozenset(), like=self)
 
     def orient(self, pairs):
         """Return a copy where each (i, j) in pairs becomes an arc.
@@ -141,7 +150,7 @@ class Pog:
                     "conflicting orientations for edge %s,%s" % (self.names[i], self.names[j]))
             chosen[key] = (i, j)
         return Pog._trusted(self.names, self.edges - set(chosen),
-                            self.arcs | set(chosen.values()))
+                            self.arcs | set(chosen.values()), like=self)
 
     def induced(self, verts):
         """Sub-pog induced by a set of vertex indices (names preserved)."""
@@ -564,8 +573,10 @@ class PropertyReport:
     def tournament(self):
         if not self.oriented:
             return self._witness("oriented")
-        pair = next(_nonadjacent_pairs(self.P, range(self.P.n)), None)
-        return None if pair is None else self._names(pair)
+        n = self.P.n
+        if all(len(a) == n - 1 for a in self.P.adj):
+            return None
+        return self._names(next(_nonadjacent_pairs(self.P, range(n))))
 
     @_Check
     def local_tournament(self):

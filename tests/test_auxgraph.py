@@ -278,9 +278,10 @@ def test_build_aux_makes_no_pair_tests(monkeypatch):
 
 
 def _two_pass_reference(P, mode):
-    """The aux graph labelled in two passes: components by reachability,
-    then one BFS per component from its smallest pair that colours it
-    and keeps the odd closed walk through its first conflict edge."""
+    """The aux graph on the sorted ordered pairs, labelled in two passes:
+    components by reachability, then one BFS per component from its
+    smallest pair that colours it and keeps the odd closed walk through
+    its first conflict edge."""
     verts = sorted(p for i, j in P.und_pairs for p in ((i, j), (j, i)))
     adj = [tuple(y for y in range(len(verts)) if y != x
                  and aux_adjacent(P, verts[x], verts[y], mode))
@@ -309,12 +310,14 @@ def _two_pass_reference(P, mode):
                         up_w.append(parent[up_w[-1]])
                     walk = up_v[at[up_w[-1]]::-1] + up_w
         odd.append(walk)
-    return tuple(adj), tuple(comp), tuple(members), tuple(colours), tuple(odd)
+    return (tuple(verts), tuple(adj), tuple(comp), tuple(members), tuple(colours),
+            tuple(odd))
 
 
 def test_one_pass_labels_match_two_pass_reference():
-    """build_aux's single BFS per component gives the labels, colours and
-    odd walks of the separate component pass plus colouring pass."""
+    """build_aux's pair ids are the sorted order of the ordered pairs, and
+    its single BFS per component gives the labels, colours and odd walks
+    of the separate component pass plus colouring pass."""
     rng = random.Random(67)
     corpus = [P for n in range(1, 5) for P in all_pogs(n)]
     corpus += [random_pog(rng, rng.randint(1, 9), p_adj=rng.choice((0.4, 0.7, 0.9)))
@@ -327,9 +330,9 @@ def test_one_pass_labels_match_two_pass_reference():
     for P in corpus:
         for mode in auxgraph.MODES:
             X = build_aux(P, mode)
-            adj, comp, members, colours, walks = _two_pass_reference(P, mode)
-            assert (X.adj, X.comp, X.comp_members, X.ncomp, X.colours, X.odd) \
-                == (adj, comp, members, len(members), colours, walks), (P, mode)
+            verts, adj, comp, members, colours, walks = _two_pass_reference(P, mode)
+            assert (X.verts, X.adj, X.comp, X.comp_members, X.ncomp, X.colours, X.odd) \
+                == (verts, adj, comp, members, len(members), colours, walks), (P, mode)
             col = two_colour(X)
             if isinstance(col, Certificate):
                 odd += 1

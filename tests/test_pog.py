@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pogc import cli, hardness
 from pogc import pog as pog_module
 from pogc.errors import InvariantError, ParseError
 from pogc.hardness import CnfFormula, build_reduction, orient_by_assignment
@@ -202,7 +203,7 @@ def test_pog_invariants():
         Pog(("a", "b"), frozenset(), frozenset({(0, 1), (1, 0)}))
 
 
-def test_name_checks_run_once_per_path(monkeypatch):
+def test_name_checks_run_once_per_path(monkeypatch, tmp_path, capsys):
     """Parsing checks each name once; pogs derived from a checked pog
     check no name again; Pog(...) and Pog.build keep every check."""
     matches = []
@@ -226,6 +227,13 @@ def test_name_checks_run_once_per_path(monkeypatch):
         frozenset((i, i + 1) for i in range(n - 1)), n // 2, P.edges)
     R = build_reduction(CnfFormula(3, ((1, -2, 3),)))
     assert len(matches) == R.pog.n == R.oriented.n
+    # an exact search checks the names of the pog it reads, not its leaves'
+    path = tmp_path / "k6.pog"
+    path.write_text("".join("edge v%d v%d\n" % (i, j)
+                            for i in range(6) for j in range(i + 1, 6)))
+    matches.clear()
+    assert cli.run(["complete", "--class", "ltt-exact", str(path)]) == 0
+    assert len(matches) == 6 and parse_pog(capsys.readouterr().out).arcs
     for args, message in (
             ((("a", "a"), (), ()), "duplicate vertex names"),
             ((("a", "b c"), (), ()), "bad vertex name 'b c'"),
@@ -237,6 +245,67 @@ def test_name_checks_run_once_per_path(monkeypatch):
         with pytest.raises(InvariantError, match=message):
             Pog.build(names_, [(names_[i], names_[j]) for i, j in edges],
                       [(names_[i], names_[j]) for i, j in arcs])
+
+
+def _ug_views(P):
+    return set(P.__dict__) & pog_module._UG_VIEWS
+
+
+def _assert_views_shared(parent, D, got, had):
+    """D had exactly the underlying-graph views (`got`) that its parent
+    had computed (`had`) when D was made, as the parent's own objects;
+    its arc views are its own; and all of D's views equal those of the
+    same pog built afresh."""
+    assert got == had
+    ref = Pog(D.names, D.edges, D.arcs)
+    for key in had:
+        assert getattr(D, key) is getattr(parent, key), key
+    for key in ("index", "und_pairs", "adj", "out_nbrs", "in_nbrs"):
+        assert getattr(D, key) == getattr(ref, key), key
+    for key in ("out_nbrs", "in_nbrs"):
+        assert getattr(D, key) is not getattr(parent, key), key
+
+
+def test_derived_pogs_share_underlying_graph_views(monkeypatch):
+    """orient, underlying_graph and exact-search leaves take the views of
+    their parent's underlying graph that the parent has computed, and
+    never its arc views."""
+    leaves, parent = [], None
+    real = hardness._ltt_ordering
+
+    def recording(T):
+        leaves.append((T, _ug_views(T), _ug_views(parent)))
+        return real(T)
+
+    monkeypatch.setattr(hardness, "_ltt_ordering", recording)
+    rng = random.Random(83)
+    corpus = [P for n in range(1, 5) for P in all_pogs(n)]
+    corpus += [random_pog(rng, rng.randint(2, 9), p_adj=rng.choice((0.5, 0.9, 1.0)))
+               for _ in range(300)]
+    searched = 0
+    for P in corpus:
+        for warm in (False, True):
+            parent = Pog(P.names, P.edges, P.arcs)
+            if warm:
+                for key in ("index", "und_pairs", "adj", "out_nbrs", "in_nbrs"):
+                    getattr(parent, key)
+            chosen = [(i, j) if rng.random() < 0.5 else (j, i)
+                      for i, j in sorted(parent.edges) if rng.random() < 0.6]
+            D = parent.orient(chosen)
+            _assert_views_shared(parent, D, _ug_views(D), _ug_views(parent))
+            G = parent.underlying_graph()
+            _assert_views_shared(parent, G, _ug_views(G), _ug_views(parent))
+            assert "und_pairs" in G.__dict__
+            if len(parent.edges) > 8:
+                continue
+            leaves.clear()
+            sols = hardness.exact_complete(parent, "ltt", enumerate_all=True)
+            sols = [(T, _ug_views(T), _ug_views(parent)) for T in sols]
+            for T, got, had in leaves + sols:
+                assert T.names == parent.names and T.und_pairs == parent.und_pairs
+                _assert_views_shared(parent, T, got, had)
+            searched += bool(leaves)
+    assert searched >= 200
 
 
 def test_orient_rejects_conflicts():
