@@ -46,6 +46,9 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      '_UG_VIEWS = frozenset({"index", "und_pairs", "adj"})',
      '_UG_VIEWS = frozenset({"index", "und_pairs", "adj", "out_nbrs"})',
      "tests/test_pog.py::test_derived_pogs_share_underlying_graph_views"),
+    ("excellent-leaves-like-input", "pogc/hardness.py",
+     "a, like=closed)", "a, like=P)",
+     "tests/test_hardness.py::test_exact_excellent_vs_brute_force"),
     ("tournament-degree-off-by-one", "pogc/pog.py",
      "if all(len(a) == n - 1 for a in self.P.adj):",
      "if all(len(a) >= n - 2 for a in self.P.adj):",
