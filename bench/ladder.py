@@ -49,7 +49,7 @@ from pogc.auxgraph import build_aux  # noqa: E402
 from pogc.completions import complete_to_strong, find_cycle_factor  # noqa: E402
 from pogc.hardness import CnfFormula, build_reduction  # noqa: E402
 from pogc.interval import (Representation, complete_to_acyclic_lt,  # noqa: E402
-                           validate_representation)
+                           lbfs, validate_representation)
 from pogc.pog import (Ordering, Pog, _bridges, classify, parse_pog,  # noqa: E402
                       render_pog)
 from pogc.rounds import check_ordering, round_to_ltt  # noqa: E402
@@ -156,6 +156,7 @@ KERNELS = {  # name: (family, kernel)
     "build_aux.local_tournament": (BAND, lambda P: build_aux(P, "local_tournament")),
     "build_aux.quasi_transitive": (BAND, lambda P: build_aux(P, "quasi_transitive")),
     "complete_to_acyclic_lt": (BAND, complete_to_acyclic_lt),
+    "lbfs.band": (BAND, lbfs),
     "bridges": (BAND, _bridges),
     "validate_representation.interval":
         (BAND_IV, lambda PR: validate_representation(*PR)),

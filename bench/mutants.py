@@ -33,6 +33,51 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 AUX = "tests/test_auxgraph.py::test_one_pass_labels_match_two_pass_reference"
 HOODS = "tests/test_pog.py::test_neighbourhood_checks_match_reference"
+LBFS = "tests/test_interval.py::test_lbfs_matches_reference"
+WITNESSES = "tests/test_pog.py::test_derived_pogs_never_inherit_witnesses"
+ROWS = "tests/test_interval.py::test_row_pass_matches_pairwise_reference"
+PARSE = "tests/test_pog.py::test_parse_matches_reference_parser"
+NICE = "tests/test_rounds.py::test_nice_matches_per_arc_reference"
+
+# the class a split creates placed before its old class, as LBFS needs,
+# and after it
+SPLIT_BEFORE = """\
+                d = split[c] = len(members)
+                p = prev[c]
+                members.append([])
+                prev.append(p)
+                nxt.append(c)
+                prev[c] = d
+                if p >= 0:
+                    nxt[p] = d
+                if c == head:
+                    head = d
+"""
+SPLIT_AFTER = """\
+                d = split[c] = len(members)
+                p = nxt[c]
+                members.append([])
+                prev.append(c)
+                nxt.append(p)
+                nxt[c] = d
+                if p >= 0:
+                    prev[p] = d
+"""
+# each bisection of interval._cover_counts flipped between left and right
+COVER_FLIPS = [
+    ("c = bisect_right(starts, r) - bisect_left(starts, l)",
+     "c = bisect_left(starts, r) - bisect_left(starts, l)"),
+    ("c = bisect_right(starts, r) - bisect_left(starts, l)",
+     "c = bisect_right(starts, r) - bisect_right(starts, l)"),
+    ("c = n - bisect_left(starts, l) + bisect_right(starts, r)",
+     "c = n - bisect_right(starts, l) + bisect_right(starts, r)"),
+    ("c = n - bisect_left(starts, l) + bisect_right(starts, r)",
+     "c = n - bisect_left(starts, l) + bisect_left(starts, r)"),
+    ("stab.append(bisect_right(flat_l, l)", "stab.append(bisect_left(flat_l, l)"),
+    ("- bisect_left(flat_r, l)", "- bisect_right(flat_r, l)"),
+    ("+ bisect_right(wrap_l, l)", "+ bisect_left(wrap_l, l)"),
+    ("nw - bisect_left(wrap_r, l)", "nw - bisect_right(wrap_r, l)"),
+]
 
 MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("aux-rev-counter-not-advanced", "pogc/auxgraph.py",
@@ -43,15 +88,14 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "    for nbrs in adj:\n        nbrs.sort()\n",
      "    for nbrs in adj:\n        pass\n", AUX),
     ("trusted-shares-out-nbrs", "pogc/pog.py",
-     '_UG_VIEWS = frozenset({"index", "und_pairs", "adj"})',
-     '_UG_VIEWS = frozenset({"index", "und_pairs", "adj", "out_nbrs"})',
+     '"ug_components"})', '"ug_components", "out_nbrs"})',
      "tests/test_pog.py::test_derived_pogs_share_underlying_graph_views"),
     ("excellent-leaves-like-input", "pogc/hardness.py",
      "a, like=closed)", "a, like=P)",
      "tests/test_hardness.py::test_exact_excellent_vs_brute_force"),
     ("tournament-degree-off-by-one", "pogc/pog.py",
-     "if all(len(a) == n - 1 for a in self.P.adj):",
-     "if all(len(a) >= n - 2 for a in self.P.adj):",
+     "    k = P.n - 1\n    return all(len(a) == k for a in P.adj)",
+     "    k = P.n - 2\n    return all(len(a) >= k for a in P.adj)",
      "tests/test_pog.py::test_lazy_report_matches_eager_reference"),
     ("hoods-skipped-below-4", "pogc/pog.py",
      "if len(hood) > 2 and not _acyclic_within(P, hood):",
@@ -71,6 +115,43 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "len(cell) < 3 or _acyclic_within(P, set(cell)):",
      "len(cell) < 3 or True:",
      "tests/test_friendly.py::test_forbidden_cycle_matches_reference"),
+    ("lbfs-split-after-old-class", "pogc/pog.py", SPLIT_BEFORE, SPLIT_AFTER, LBFS),
+    ("lbfs-quiet-preference-dropped", "pogc/pog.py",
+     "            if q:\n                v = heapq.heappop(q)",
+     "            if False:\n                v = heapq.heappop(q)", LBFS),
+    ("lbfs-largest-index-first", "pogc/pog.py",
+     "            ms.sort()\n", "            ms.sort(reverse=True)\n", LBFS),
+    ("trusted-shares-witnesses", "pogc/pog.py",
+     "if k in _UG_VIEWS)", 'if k in _UG_VIEWS or k == "_witnesses")', WITNESSES),
+    ("induced-shares-cells", "pogc/pog.py",
+     "        return Pog._trusted(tuple(self.names[v] for v in keep), e, a)\n",
+     "        Q = Pog._trusted(tuple(self.names[v] for v in keep), e, a)\n"
+     "        Q.__dict__.update((k, v) for k, v in self.__dict__.items() if k == 'cells')\n"
+     "        return Q\n", WITNESSES),
+] + [
+    ("cover-bisect-flip-%d" % (k + 1), "pogc/interval.py", old, new, ROWS)
+    for k, (old, new) in enumerate(COVER_FLIPS)
+] + [
+    ("row-cov-correction-dropped", "pogc/interval.py",
+     "            cov[m] -= mk\n", "", ROWS),
+    ("row-stab-correction-dropped", "pogc/interval.py",
+     "            stab[m] -= km\n", "", ROWS),
+    ("row-both-corrections-dropped", "pogc/interval.py",
+     "            cov[m] -= mk\n            stab[m] -= km\n", "", ROWS),
+    ("parse-edge-not-normalised", "pogc/pog.py",
+     "edges.append((u, v) if u < v else (v, u))", "edges.append((u, v))", PARSE),
+    ("parse-second-name-unchecked", "pogc/pog.py",
+     "                if not match(b):\n"
+     "                    raise ParseError(\"bad vertex name %r\" % b, ln)\n", "", PARSE),
+    ("parse-comment-cut-keeps-hash", "pogc/pog.py",
+     'line = line[:line.index("#")]', 'line = line[:line.index("#") + 1]', PARSE),
+    ("nice-wrap-branch-dropped", "pogc/rounds.py",
+     "        if b < a and at and at[0] < b:  # the interval wraps past the end\n"
+     "            x = 0\n", "", NICE),
+    ("nice-wrap-condition-dropped", "pogc/rounds.py",
+     "if x < len(at) and (at[x] < b or b < a):", "if x < len(at) and at[x] < b:", NICE),
+    ("nice-bisection-dropped", "pogc/rounds.py",
+     "x = bisect_right(at, a)", "x = 0", NICE),
 ]
 
 

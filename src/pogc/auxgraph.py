@@ -112,16 +112,17 @@ def build_aux(P, mode="local_tournament"):
                     adj[t].append(r)
     for nbrs in adj:
         nbrs.sort()
-    comp, colours = [-1] * m, [-1] * m
+    comp, colours, parent = [-1] * m, [-1] * m, [None] * m
     members, odd = [], []
     for root in range(m):
         if comp[root] >= 0:
             continue
-        colour, parent, clash = _bfs_colouring(adj.__getitem__, root)
+        order, clash = _bfs_colouring(adj.__getitem__, root, colours, parent)
         c_id = len(members)
-        for v, c in colour.items():
-            comp[v], colours[v] = c_id, c
-        members.append(tuple(sorted(colour)))
+        for v in order:
+            comp[v] = c_id
+        order.sort()
+        members.append(tuple(order))
         odd.append(None if clash is None else _odd_closed_walk(parent, *clash))
     return AuxGraph(P, mode, tuple(verts), tuple(map(tuple, adj)),
                     tuple(comp), tuple(members), tuple(colours), tuple(odd))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import InvariantError, SizeGuardError
 from .hardness import MAX_CYCLE_FACTOR_EDGES
-from .pog import (Certificate, _bridges, _lowlink, _matching,
+from .pog import (Certificate, _bridges, _is_complete, _lowlink, _matching,
                   _nonadjacent_pairs, _norm, _separates, bfs_path, classify,
                   find_directed_cycle, require_oriented, topological_order)
 
@@ -23,8 +23,8 @@ from .pog import (Certificate, _bridges, _lowlink, _matching,
 def complete_to_transitive_tournament(P):
     """Complete a partially oriented complete graph to a transitive
     tournament, or return a certificate."""
-    pair = next(_nonadjacent_pairs(P, range(P.n)), None)
-    if pair is not None:
+    if not _is_complete(P):
+        pair = next(_nonadjacent_pairs(P, range(P.n)))
         return Certificate("NonAdjacentPair",
                            {"pair": [P.names[v] for v in pair]})
     order = topological_order(range(P.n), P.out_nbrs.__getitem__)
@@ -176,7 +176,7 @@ def complete_to_strong(P):
     DirectedCut certificate."""
     if P.n <= 1:
         return P
-    comps = P.ug_components()
+    comps = P.ug_components
     if len(comps) > 1:
         return Certificate("DirectedCut",
                            {"side": [P.names[v] for v in comps[0]]})

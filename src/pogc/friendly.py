@@ -21,7 +21,7 @@ from .errors import InvariantError, NotFriendlyError, NotInClassError
 from .interval import (_orient_window, complete_to_acyclic_lt,
                        representation_from_orientation)
 from .pog import Certificate, Pog, _acyclic_within, _bfs_colouring, \
-    _components, _neighbourhood_cycle, _nonadjacent_pairs, _norm, _triangles, \
+    _components, _is_complete, _neighbourhood_cycle, _norm, _triangles, \
     classify, find_directed_cycle, topological_order
 from .rounds import merge_ltt
 
@@ -31,17 +31,9 @@ from .rounds import merge_ltt
 
 def cells(P):
     """Cells (maximal sets of vertices with equal closed neighbourhoods)
-    sorted by smallest member, plus the index of the universal cell."""
-    groups = {}
-    for v in range(P.n):
-        groups.setdefault(frozenset(P.adj[v] | {v}), []).append(v)
-    out = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-    universal = None
-    everything = frozenset(range(P.n))
-    for k, g in enumerate(out):
-        if frozenset(P.adj[g[0]] | {g[0]}) == everything and P.n > 1:
-            universal = k
-    return [tuple(g) for g in out], universal
+    sorted by smallest member, plus the index of the universal cell:
+    the pog's cached view `Pog.cells`."""
+    return P.cells
 
 
 def complement_components(P):
@@ -59,29 +51,32 @@ def complement_components(P):
     return _components(range(P.n), nbrs)
 
 
-def bad_triples(P, aux=None):
-    """Triangles whose edges live in three distinct aux components with
-    exactly two of them oriented."""
-    X = aux if aux is not None else build_aux(P)
-    out = []
+def _bad_triples(P, X):
+    """bad_triples on X, the aux graph of UG(P), in order, one at a time."""
     for x, y, z in _triangles(P):
         pairs = [(x, y), (y, z), (x, z)]
         if len({X.comp[X.vid[p]] for p in pairs}) != 3:
             continue
         if sum(1 for p in pairs if p not in P.edges) == 2:
-            out.append((x, y, z))
-    return out
+            yield x, y, z
+
+
+def bad_triples(P, aux=None):
+    """Triangles whose edges live in three distinct aux components with
+    exactly two of them oriented."""
+    return list(_bad_triples(P, aux if aux is not None else build_aux(P)))
 
 
 def is_friendly(P, aux=None):
-    """(True, None) or (False, certificate)."""
+    """(True, None) or (False, certificate); stops at the first bad
+    triple."""
     X = aux if aux is not None else build_aux(P)
     cert = _arc_classes(P, X, mates=True)
     if isinstance(cert, Certificate):
         return False, cert
-    bts = bad_triples(P, aux=X)
-    if bts:
-        x, y, z = bts[0]
+    bad = next(_bad_triples(P, X), None)
+    if bad is not None:
+        x, y, z = bad
         return False, Certificate("BadTriple", {
             "triple": [P.names[x], P.names[y], P.names[z]]})
     return True, None
@@ -93,7 +88,7 @@ def is_friendly(P, aux=None):
 def forbidden_cycle(P):
     """Directed cycle inside a non-universal cell or inside the in- or
     out-neighbourhood of a vertex, as a certificate, or None."""
-    cs, universal = cells(P)
+    cs, universal = P.cells
     for k, cell in enumerate(cs):
         if k == universal or len(cell) < 3 or _acyclic_within(P, set(cell)):
             continue
@@ -113,7 +108,7 @@ def complete_cells(P):
     """Orient the inside of every non-universal cell transitively,
     keeping existing arcs.  Returns a Certificate when a cell already
     holds a directed cycle."""
-    cs, universal = cells(P)
+    cs, universal = P.cells
     to_orient = []
     for k, cell in enumerate(cs):
         if k == universal or len(cell) < 2:
@@ -149,7 +144,7 @@ def friendly_complete_graph(P):
     ok, cert = is_friendly(P)
     if not ok:
         raise NotFriendlyError("pog is not friendly", cert)
-    if any(_nonadjacent_pairs(P, range(P.n))):
+    if not _is_complete(P):
         raise NotInClassError("underlying graph is not complete")
     cert = forbidden_cycle(P)
     if cert is not None:
@@ -163,9 +158,9 @@ def _merge_arc_parts(P):
     if P.n == 0:
         return P
     # arc-connectivity parts; friendliness makes each a tournament
-    A = Pog(P.names, frozenset(), P.arcs)
-    parts = A.ug_components()
-    if any(any(_nonadjacent_pairs(A, g)) for g in parts):
+    A = Pog._trusted(P.names, frozenset(), P.arcs)
+    parts = A.ug_components
+    if any(len(A.adj[v]) != len(g) - 1 for g in parts for v in g):
         raise InvariantError("arc part is not a tournament")
     T = P.induced(parts[0])
     for g in parts[1:]:
@@ -185,7 +180,7 @@ def _complete_friendly(P, X):
     ok, cert = is_friendly(P, aux=X)
     if not ok:
         raise NotFriendlyError("pog is not friendly", cert)
-    comps = P.ug_components()
+    comps = P.ug_components
     if len(comps) > 1:
         arcs = set()
         for comp in comps:
@@ -202,7 +197,7 @@ def _complete_friendly(P, X):
     col = two_colour(X)
     if isinstance(col, Certificate):
         return col
-    if not any(_nonadjacent_pairs(P, range(P.n))):
+    if _is_complete(P):
         return _merge_arc_parts(P)
 
     P1 = complete_cells(P)
@@ -220,11 +215,13 @@ def _complete_friendly(P, X):
 def _bipartition(P, comp):
     """Bipartition of the complement restricted to comp, in comp order,
     comp[0] on the first side."""
-    colour, _, clash = _bfs_colouring(
-        lambda v: [w for w in comp if w != v and not P.adjacent(v, w)], comp[0])
+    adj, colour = P.adj, [-1] * P.n
+    order, clash = _bfs_colouring(
+        lambda v: [w for w in comp if w != v and w not in adj[v]], comp[0],
+        colour, [None] * P.n)
     if clash is not None:
         raise InvariantError("complement component is not bipartite")
-    if len(colour) != len(comp):
+    if len(order) != len(comp):
         raise InvariantError("complement component fell apart")
     return (tuple(v for v in comp if colour[v] == 0),
             tuple(v for v in comp if colour[v] == 1))
@@ -296,8 +293,9 @@ def extend_circular_arc_representation(G, partial=None):
     component is proper interval (see representation_from_orientation).
     A connected one orients its cells, closes under the aux graph and
     completes the friendly pog that results."""
+    split = len(G.ug_components) > 1  # read before P0 is made, to share
     P0 = G.underlying_graph() if partial is None else _orient_window(G, partial)
-    if len(G.ug_components()) > 1:
+    if split:
         D = complete_to_acyclic_lt(P0)
     else:
         P1 = complete_cells(P0)

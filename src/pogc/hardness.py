@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 from .errors import (InvariantError, NotInClassError, NotSatisfyingError,
                      ParseError, SizeGuardError, UnsupportedInstanceError)
-from .pog import (Ordering, Pog, _neighbourhood_cycle,
-                  _nonadjacent_pairs, complete_closure, require_oriented,
-                  topological_order)
+from .pog import (Ordering, Pog, _is_complete, _neighbourhood_cycle,
+                  complete_closure, require_oriented, topological_order)
 from .rounds import (_ltt_ordering, _require_excellent, _require_round,
                      _round_tournament, check_ordering)
 
@@ -411,7 +410,7 @@ def _search_completions(P, want_all):
     has a round ordering (`rounds._ltt_ordering`): the round tournaments
     are the locally transitive ones, and the runs of twins of that
     ordering are their Moon parts."""
-    if any(_nonadjacent_pairs(P, range(P.n))):
+    if not _is_complete(P):
         return []
     n = P.n
     out = [set(P.out_nbrs[v]) for v in range(n)]

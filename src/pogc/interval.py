@@ -16,8 +16,9 @@ from functools import cached_property
 from .auxgraph import _orient_classes, build_aux, consentaneous_closure
 from .errors import (InvariantError, NotInClassError, NoZeroOutdegreeStartError,
                      ParseError, RepresentationError)
-from .pog import Certificate, Ordering, Pog, _components, _nonadjacent_pairs, \
-    _triangles, bfs_path, classify, find_directed_cycle, require_oriented
+from .pog import Certificate, Ordering, Pog, _components, _lex_bfs, \
+    _nonadjacent_pairs, _triangles, bfs_path, classify, find_directed_cycle, \
+    require_oriented
 from .rounds import find_round_ordering
 
 
@@ -151,13 +152,15 @@ def _cover_counts(R):
     return cov, stab
 
 
-def _check_pair(G, R, at, k, m, km, mk):
+def _check_pair(R, k, m, km, mk, adjacent, inside):
     """The checks of validate_representation on spans k and m, in
-    order, given whether each covers the start point of the other."""
-    if (km or mk) != G.adjacent(at[k], at[m]):
+    order, given whether each covers the start point of the other,
+    whether their vertices are adjacent and whether one lies strictly
+    inside the other."""
+    if (km or mk) != adjacent:
         raise RepresentationError(
             "intersection mismatch on %s,%s" % (R.names[k], R.names[m]))
-    if R.contains_strictly(k, m) or R.contains_strictly(m, k):
+    if inside:
         raise RepresentationError(
             "strict containment on %s,%s" % (R.names[k], R.names[m]))
     # only arcs can: intervals with distinct starts never do
@@ -183,29 +186,46 @@ def validate_representation(G, R):
     earlier rows saw of span k, are what the later spans give.  When
     k's later neighbours give as much, only they can meet k and need
     checking; otherwise a later non-neighbour meets k, a failing pair,
-    and the whole row is checked to report the first."""
+    and the whole row is checked to report the first.
+
+    The span tests are read off flat lists of starts, ends and lengths:
+    the offset of a point from the start of span k is taken modulo the
+    circle, and intervals lie on a circle too long to wrap (more than
+    twice the distance between any two endpoints), so that a point
+    before the start of an interval has an offset beyond every length."""
     if set(R.names) != set(G.names):
         raise RepresentationError("representation names do not match the graph")
     starts = [l for l, _ in R.spans]
     if len(set(starts)) != len(starts):
         raise RepresentationError("start points must be pairwise distinct")
+    ends = [r for _, r in R.spans]
+    if R.kind == "circular":
+        M = R.modulus
+    else:
+        M = 2 * (max(starts + ends, default=0) - min(starts + ends, default=0)) + 1
+    size = [(r - l) % M for l, r in R.spans]
     at = [G.index[v] for v in R.names]
     row = {v: k for k, v in enumerate(at)}
     cov, stab = _cover_counts(R)
 
     def pairs(k, later):
-        return [(m, R.covers(k, starts[m]), R.covers(m, starts[k]))
-                for m in later]
+        """(m, offset of m's start from k's, and of k's from m's) per m."""
+        s = starts[k]
+        return [(m, (starts[m] - s) % M, (s - starts[m]) % M) for m in later]
 
     arcs = set()
     for k in range(len(at)):
-        later = pairs(k, sorted(m for m in map(row.__getitem__, G.adj[at[k]])
-                                if m > k))
-        if cov[k] != sum(km for _, km, _ in later) or \
-                stab[k] != sum(mk for _, _, mk in later):
+        nbrs, s, e, z = G.adj[at[k]], starts[k], ends[k], size[k]
+        later = pairs(k, sorted(m for m in map(row.__getitem__, nbrs) if m > k))
+        if cov[k] != sum(a <= z for _, a, _ in later) or \
+                stab[k] != sum(b <= size[m] for m, _, b in later):
             later = pairs(k, range(k + 1, len(at)))
-        for m, km, mk in later:
-            _check_pair(G, R, at, k, m, km, mk)
+        for m, a, b in later:
+            km, mk = a <= z, b <= size[m]  # each covers the other's start
+            # m strictly inside k needs km, k inside m needs mk
+            _check_pair(R, k, m, km, mk, at[m] in nbrs,
+                        km and 0 < a <= (ends[m] - s) % M < z
+                        or mk and 0 < b <= (e - starts[m]) % M < size[m])
             cov[m] -= mk
             stab[m] -= km
             if km or mk:
@@ -215,7 +235,8 @@ def validate_representation(G, R):
 
 def orientation_from_representation(G, R):
     """Orient UG(G) as R induces it (see validate_representation)."""
-    return Pog(G.names, frozenset(), frozenset(validate_representation(G, R)))
+    return Pog._trusted(G.names, frozenset(),
+                        frozenset(validate_representation(G, R)), like=G)
 
 
 # -- search order and elimination --------------------------------------
@@ -223,38 +244,20 @@ def orientation_from_representation(G, R):
 
 def lbfs(G, arc_aware=None):
     """Lexicographic breadth-first search producing a linear ordering
-    (a perfect elimination ordering when UG(G) is chordal).
+    (a perfect elimination ordering when UG(G) is chordal), by partition
+    refinement in O((n + m) log n) (`pog._lex_bfs`).  The first vertex
+    numbered is the last of the ordering; ties go to the smallest index.
 
-    With `arc_aware`, the start vertex must have no out-arcs and ties
-    prefer vertices without out-arcs into the unlabelled set.
+    With `arc_aware`, a pog on the same vertices, the start vertex must
+    have no out-arcs and ties prefer vertices without out-arcs into the
+    unlabelled set.
     """
-    n = G.n
-    label = [() for _ in range(n)]
-    seq = [None] * n
-    unlabeled = set(range(n))
-    out = arc_aware.out_nbrs if arc_aware is not None else None
-    for i in range(n, 0, -1):
-        if i == n:
-            cand = sorted(unlabeled)
-            if out is not None:
-                cand = [v for v in cand if not out[v]]
-                if not cand:
-                    raise NoZeroOutdegreeStartError(
-                        "every vertex has an out-arc")
-        else:
-            best = max(label[v] for v in unlabeled)
-            cand = sorted(v for v in unlabeled if label[v] == best)
-            if out is not None:
-                quiet = [v for v in cand if not (out[v] & unlabeled)]
-                if quiet:
-                    cand = quiet
-        v = cand[0]
-        seq[i - 1] = v
-        unlabeled.discard(v)
-        for w in G.adj[v]:
-            if w in unlabeled:
-                label[w] = label[w] + (i,)
-    return Ordering("linear", tuple(seq))
+    if arc_aware is None or not arc_aware.arcs:  # then every tie is quiet
+        return Ordering("linear", tuple(_lex_bfs(G.adj)))
+    out = arc_aware.out_nbrs
+    if all(out):
+        raise NoZeroOutdegreeStartError("every vertex has an out-arc")
+    return Ordering("linear", tuple(_lex_bfs(G.adj, out)))
 
 
 def check_peo(G, O):
@@ -430,7 +433,7 @@ def representation_from_orientation(D, kind):
     rep = classify(D)
     if kind == "circular" and not rep.locally_transitive:
         raise NotInClassError("not a locally transitive local tournament")
-    linear = kind == "interval" or len(D.ug_components()) > 1
+    linear = kind == "interval" or len(D.ug_components) > 1
     if linear and not rep.acyclic_local_tournament:
         raise NotInClassError("not an acyclic local tournament")
     O = find_round_ordering(D)

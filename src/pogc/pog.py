@@ -26,7 +26,7 @@ def _norm(i, j):
 
 # the cached views of a pog that depend only on its names and its
 # underlying graph, which Pog._trusted may share between pogs
-_UG_VIEWS = frozenset({"index", "und_pairs", "adj"})
+_UG_VIEWS = frozenset({"index", "und_pairs", "adj", "cells", "ug_components"})
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ class Pog:
         parts of a checked pog; no invariant is checked again.  `like`
         is a pog with the same names and the same underlying graph:
         those of its underlying-graph views it has already computed are
-        shared, not computed again."""
+        shared, not computed again; its arc views and the witnesses of
+        its class reports never are."""
         P = cls.__new__(cls)
         d = P.__dict__  # frozen: fill __dict__ directly, as cached_property does
         d["names"], d["edges"], d["arcs"] = names, edges, arcs
@@ -165,15 +166,31 @@ class Pog:
     def name_pairs(self, pairs):
         return [(self.names[i], self.names[j]) for i, j in pairs]
 
+    @cached_property
     def ug_components(self):
-        """Connected components of the underlying graph, each sorted,
-        listed by smallest member."""
-        return _components(range(self.n), self.adj.__getitem__)
+        """Connected components of the underlying graph, each a sorted
+        tuple, listed by smallest member."""
+        return tuple(map(tuple, _components(range(self.n), self.adj.__getitem__)))
+
+    @cached_property
+    def cells(self):
+        """(cells, universal): the maximal sets of vertices with equal
+        closed neighbourhoods in UG, each a sorted tuple, listed by
+        smallest member, and the index of the universal cell (the one
+        adjacent to every other vertex) or None."""
+        groups = {}
+        for v, a in enumerate(self.adj):
+            groups.setdefault(a | {v}, []).append(v)
+        cs = tuple(sorted(map(tuple, groups.values())))
+        n = self.n
+        universal = next((k for k, g in enumerate(cs)
+                          if n > 1 and len(self.adj[g[0]]) == n - 1), None)
+        return cs, universal
 
     def ug_parts(self, seq):
         """The vertices of seq split by underlying component, one list
-        per component in ug_components() order, each in seq order."""
-        comps = self.ug_components()
+        per component in ug_components order, each in seq order."""
+        comps = self.ug_components
         part_of = {v: c for c, comp in enumerate(comps) for v in comp}
         parts = [[] for _ in comps]
         for v in seq:
@@ -388,24 +405,103 @@ def bfs_path(nbrs, s, t):
     return None
 
 
-def _bfs_colouring(nbrs, s):
+def _bfs_colouring(nbrs, s, colour, parent):
     """2-colour the component of s by BFS from s, which gets colour 0;
-    `nbrs` is as for bfs_path.  Returns (colour, parent, clash): the
-    colour and the BFS parent (None for s) of every vertex reached, in
+    `nbrs` is as for bfs_path.  `colour` and `parent` are the caller's
+    lists, indexed by vertex, with colour -1 on every vertex not yet
+    reached: each vertex reached gets its colour and its BFS parent
+    (None for s).  Returns (order, clash): the vertices reached in
     visiting order, and the first edge (v, w) scanned with both ends of
     one colour, or None when the component is bipartite."""
-    colour, parent, clash = {s: 0}, {s: None}, None
-    q = deque([s])
-    while q:
-        v = q.popleft()
+    colour[s], parent[s], clash = 0, None, None
+    order = [s]
+    for v in order:  # grows while it is read
+        c = colour[v]
         for w in nbrs(v):
-            if w not in colour:
-                colour[w] = 1 - colour[v]
+            if colour[w] < 0:
+                colour[w] = 1 - c
                 parent[w] = v
-                q.append(w)
-            elif clash is None and colour[w] == colour[v]:
+                order.append(w)
+            elif clash is None and colour[w] == c:
                 clash = v, w
-    return colour, parent, clash
+    return order, clash
+
+
+def _lex_bfs(adj, out=None):
+    """Lexicographic BFS by partition refinement (Habib, McConnell, Paul
+    and Viennot, TCS 234, 2000) on the graph whose neighbour sets are
+    `adj`.  Returns the vertices in reverse order of visit: the vertex
+    visited first is last.  The unvisited vertices are kept in classes
+    of equal label, in decreasing label order; visiting v moves its
+    unvisited neighbours out of each class into a new class just before
+    it.  The next vertex is the smallest in the first class.  With `out`
+    (the out-neighbour sets of a digraph on the same vertices), the
+    smallest vertex of the first class without an out-neighbour still
+    unvisited is taken when there is one.  Each class keeps its members
+    sorted as of its creation, read past the ones that have left, and
+    with `out` a heap of its members without unvisited out-neighbours,
+    so the search costs O((n + m) log n)."""
+    n = len(adj)
+    members, first, size, prev, nxt = [list(range(n))], [0], [n], [-1], [-1]
+    cls = [0] * n  # class of each unvisited vertex, -1 once visited
+    if out is not None:
+        left = [len(o) for o in out]  # out-neighbours not yet visited
+        quiet = [[v for v in range(n) if not left[v]]]  # sorted: a heap
+        inn = [[] for _ in range(n)]
+        for u, o in enumerate(out):
+            for w in o:
+                inn[w].append(u)
+    head, seq = 0, [0] * n
+    for i in range(n - 1, -1, -1):
+        while not size[head]:
+            head = nxt[head]
+        c, v = head, -1
+        if out is not None:
+            q = quiet[c]
+            while q and cls[q[0]] != c:
+                heapq.heappop(q)
+            if q:
+                v = heapq.heappop(q)
+        if v < 0:
+            ms, k = members[c], first[c]
+            while cls[ms[k]] != c:
+                k += 1
+            v, first[c] = ms[k], k + 1
+        seq[i], cls[v] = v, -1
+        size[c] -= 1
+        if out is not None:
+            for u in inn[v]:
+                left[u] -= 1
+                if not left[u] and cls[u] >= 0:
+                    heapq.heappush(quiet[cls[u]], u)
+        split = {}  # class -> the class split off it by v, just before it
+        for w in adj[v]:
+            c = cls[w]
+            if c < 0:
+                continue
+            d = split.get(c)
+            if d is None:
+                d = split[c] = len(members)
+                p = prev[c]
+                members.append([])
+                prev.append(p)
+                nxt.append(c)
+                prev[c] = d
+                if p >= 0:
+                    nxt[p] = d
+                if c == head:
+                    head = d
+            cls[w] = d
+            members[d].append(w)
+        for c, d in split.items():
+            ms = members[d]
+            ms.sort()
+            first.append(0)
+            size.append(len(ms))
+            size[c] -= len(ms)
+            if out is not None:
+                quiet.append([w for w in ms if not left[w]])
+    return seq
 
 
 def _matching(left, nbrs):
@@ -488,6 +584,12 @@ def _nonadjacent_pairs(P, members):
                 yield x, y
 
 
+def _is_complete(P):
+    """True when UG(P) is complete: every vertex has degree n - 1."""
+    k = P.n - 1
+    return all(len(a) == k for a in P.adj)
+
+
 def _is_clique(P, S):
     """True when the vertices of the set S are pairwise adjacent in UG(P)."""
     k = len(S) - 1
@@ -549,7 +651,9 @@ class PropertyReport:
 
     def __init__(self, P):
         self.P = P
-        self._found = {}  # property name -> witness or None
+        # property name -> witness or None, kept on P like its cached
+        # views, so every report on P runs each check at most once
+        self._found = P.__dict__.setdefault("_witnesses", {})
 
     def _witness(self, name):
         if name not in self._found:
@@ -573,10 +677,9 @@ class PropertyReport:
     def tournament(self):
         if not self.oriented:
             return self._witness("oriented")
-        n = self.P.n
-        if all(len(a) == n - 1 for a in self.P.adj):
+        if _is_complete(self.P):
             return None
-        return self._names(next(_nonadjacent_pairs(self.P, range(n))))
+        return self._names(next(_nonadjacent_pairs(self.P, range(self.P.n))))
 
     @_Check
     def local_tournament(self):
@@ -644,7 +747,8 @@ class PropertyReport:
 
 def classify(P):
     """Membership report of P; each property is judged when first read
-    and `witnesses` runs them all."""
+    and `witnesses` runs them all.  The witnesses found are kept on P,
+    so no check runs twice on one pog, whichever report reads it."""
     return PropertyReport(P)
 
 

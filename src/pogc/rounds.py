@@ -209,7 +209,7 @@ def find_round_ordering(D):
     """A round ordering of D (cyclic, componentwise), or None."""
     require_oriented(D)
     seq = []
-    for comp in D.ug_components():
+    for comp in D.ug_components:
         part = _component_round(D, comp)
         if part is None:
             return None
@@ -344,7 +344,7 @@ def round_to_ltt(D):
     round tournament of each component on its round ordering, merged."""
     require_oriented(D)
     T, O = Pog((), frozenset(), frozenset()), Ordering("cyclic", ())
-    for comp in D.ug_components():
+    for comp in D.ug_components:
         sub = D.induced(comp)
         Oc = find_round_ordering(sub)
         if Oc is None:

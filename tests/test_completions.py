@@ -92,7 +92,7 @@ def test_strong_exhaustive_n5_vs_brute_force():
     rng = random.Random(7)
     for _ in range(400):
         P = random_pog(rng, rng.randint(2, 5), p_adj=0.7, p_arc=0.4)
-        if len(P.ug_components()) > 1:
+        if len(P.ug_components) > 1:
             continue
         res = complete_to_strong(P)
         want = brute_force_completion(P, lambda rep: rep.strong)
@@ -121,7 +121,7 @@ def _strong_reference(P):
     strong, else v -> u."""
     if P.n <= 1:
         return P
-    comps = P.ug_components()
+    comps = P.ug_components
     if len(comps) > 1:
         return Certificate("DirectedCut",
                            {"side": [P.names[v] for v in comps[0]]})

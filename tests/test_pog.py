@@ -247,6 +247,10 @@ def test_name_checks_run_once_per_path(monkeypatch, tmp_path, capsys):
                       [(names_[i], names_[j]) for i, j in arcs])
 
 
+VIEWS = ("index", "und_pairs", "adj", "cells", "ug_components", "out_nbrs",
+         "in_nbrs")
+
+
 def _ug_views(P):
     return set(P.__dict__) & pog_module._UG_VIEWS
 
@@ -260,7 +264,7 @@ def _assert_views_shared(parent, D, got, had):
     ref = Pog(D.names, D.edges, D.arcs)
     for key in had:
         assert getattr(D, key) is getattr(parent, key), key
-    for key in ("index", "und_pairs", "adj", "out_nbrs", "in_nbrs"):
+    for key in VIEWS:
         assert getattr(D, key) == getattr(ref, key), key
     for key in ("out_nbrs", "in_nbrs"):
         assert getattr(D, key) is not getattr(parent, key), key
@@ -287,7 +291,7 @@ def test_derived_pogs_share_underlying_graph_views(monkeypatch):
         for warm in (False, True):
             parent = Pog(P.names, P.edges, P.arcs)
             if warm:
-                for key in ("index", "und_pairs", "adj", "out_nbrs", "in_nbrs"):
+                for key in VIEWS:
                     getattr(parent, key)
             chosen = [(i, j) if rng.random() < 0.5 else (j, i)
                       for i, j in sorted(parent.edges) if rng.random() < 0.6]
@@ -305,6 +309,84 @@ def test_derived_pogs_share_underlying_graph_views(monkeypatch):
                 assert T.names == parent.names and T.und_pairs == parent.und_pairs
                 _assert_views_shared(parent, T, got, had)
             searched += bool(leaves)
+    assert searched >= 200
+
+
+def test_class_checks_run_once_per_pog(monkeypatch):
+    """Two reports on one pog, each read in full and property by
+    property, run every check once; a report on an equal pog built
+    afresh runs them again."""
+    calls = []
+    for name in pog_module.PropertyReport.PROPERTIES:
+        check = getattr(pog_module.PropertyReport, name)
+
+        def counting(rep, real=check.check, name=name):
+            calls.append(name)
+            return real(rep)
+
+        monkeypatch.setattr(check, "check", counting)
+    rng = random.Random(97)
+    pogs = [P for n in range(4) for P in all_pogs(n)]
+    pogs += [random_pog(rng, rng.randint(4, 9), p_adj=rng.choice((0.5, 1.0)))
+             for _ in range(300)]
+    for P in pogs:
+        calls.clear()
+        first = classify(P).witnesses
+        for name in ("transitive_tournament", "locally_transitive_tournament",
+                     "acyclic_local_tournament") + classify(P).PROPERTIES:
+            getattr(classify(P), name)
+        assert classify(P).witnesses == first
+        assert sorted(calls) == sorted(pog_module.PropertyReport.PROPERTIES)
+        calls.clear()
+        assert classify(Pog(P.names, P.edges, P.arcs)).witnesses == first
+        assert len(calls) == len(pog_module.PropertyReport.PROPERTIES)
+
+
+def test_derived_pogs_never_inherit_witnesses(monkeypatch):
+    """orient, underlying_graph, induced and the exact-search leaves and
+    completions start without class witnesses, even from a parent whose
+    report has run every check, and their reports equal those of the
+    same pogs built afresh."""
+    leaves = []
+    real = hardness._ltt_ordering
+
+    def recording(T):
+        leaves.append((T, "_witnesses" in T.__dict__))
+        return real(T)
+
+    monkeypatch.setattr(hardness, "_ltt_ordering", recording)
+
+    def fresh(D, inherited):
+        assert not inherited
+        want = classify(Pog(D.names, D.edges, D.arcs)).witnesses
+        assert classify(D).witnesses == want
+
+    rng = random.Random(101)
+    corpus = [P for n in range(1, 5) for P in all_pogs(n)]
+    corpus += [random_pog(rng, rng.randint(2, 9), p_adj=rng.choice((0.5, 0.9, 1.0)))
+               for _ in range(300)]
+    searched = 0
+    for P in corpus:
+        parent = Pog(P.names, P.edges, P.arcs)
+        classify(parent).witnesses
+        for key in VIEWS:
+            getattr(parent, key)
+        chosen = [(i, j) if rng.random() < 0.5 else (j, i)
+                  for i, j in sorted(parent.edges) if rng.random() < 0.6]
+        keep = [v for v in range(parent.n) if rng.random() < 0.7]
+        for D in (parent.orient(chosen), parent.underlying_graph(),
+                  parent.induced(keep)):
+            fresh(D, "_witnesses" in D.__dict__)
+        sub = parent.induced(keep)
+        for key in ("cells", "ug_components"):
+            assert getattr(sub, key) == getattr(Pog(sub.names, sub.edges, sub.arcs), key)
+        if len(parent.edges) > 8:
+            continue
+        leaves.clear()
+        sols = hardness.exact_complete(parent, "ltt", enumerate_all=True)
+        for T, inherited in leaves + [(T, "_witnesses" in T.__dict__) for T in sols]:
+            fresh(T, inherited)
+        searched += bool(leaves)
     assert searched >= 200
 
 
@@ -427,7 +509,7 @@ def test_bridges_match_pairwise_separates():
         want = _pairwise_bridges(P)
         assert _bridges(P) == want, (P.edges, P.arcs)
         seen_bridges += bool(want)
-        disconnected += len(P.ug_components()) > 1
+        disconnected += len(P.ug_components) > 1
     assert seen_bridges > 1000 and disconnected > 1000
 
 

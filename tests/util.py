@@ -2,7 +2,7 @@
 
 import itertools
 
-from pogc.errors import InvariantError, ParseError
+from pogc.errors import InvariantError, NoZeroOutdegreeStartError, ParseError
 from pogc.friendly import cells
 from pogc.hardness import CnfFormula
 from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _neighbourhoods,
@@ -349,3 +349,39 @@ def planted_formula(rng, n, m):
             cl[0] = -cl[0]
         clauses.append(tuple(cl))
     return CnfFormula(n, tuple(clauses)), t
+
+
+def lbfs_reference(G, arc_aware=None):
+    """Lexicographic BFS by comparing label tuples: each step takes the
+    largest label over every unlabelled vertex and the smallest index
+    among the vertices that carry it.  With `arc_aware`, the start
+    vertex must have no out-arcs and ties prefer vertices without
+    out-arcs into the unlabelled set.  Reference for
+    pogc.interval.lbfs; quadratic."""
+    n = G.n
+    label = [() for _ in range(n)]
+    seq = [None] * n
+    unlabeled = set(range(n))
+    out = arc_aware.out_nbrs if arc_aware is not None else None
+    for i in range(n, 0, -1):
+        if i == n:
+            cand = sorted(unlabeled)
+            if out is not None:
+                cand = [v for v in cand if not out[v]]
+                if not cand:
+                    raise NoZeroOutdegreeStartError(
+                        "every vertex has an out-arc")
+        else:
+            best = max(label[v] for v in unlabeled)
+            cand = sorted(v for v in unlabeled if label[v] == best)
+            if out is not None:
+                quiet = [v for v in cand if not (out[v] & unlabeled)]
+                if quiet:
+                    cand = quiet
+        v = cand[0]
+        seq[i - 1] = v
+        unlabeled.discard(v)
+        for w in G.adj[v]:
+            if w in unlabeled:
+                label[w] = label[w] + (i,)
+    return Ordering("linear", tuple(seq))
