@@ -115,11 +115,11 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "len(cell) < 3 or _acyclic_within(P, set(cell)):",
      "len(cell) < 3 or True:",
      "tests/test_friendly.py::test_forbidden_cycle_matches_reference"),
-    ("lbfs-split-after-old-class", "pogc/pog.py", SPLIT_BEFORE, SPLIT_AFTER, LBFS),
-    ("lbfs-quiet-preference-dropped", "pogc/pog.py",
+    ("lbfs-split-after-old-class", "pogc/graph.py", SPLIT_BEFORE, SPLIT_AFTER, LBFS),
+    ("lbfs-quiet-preference-dropped", "pogc/graph.py",
      "            if q:\n                v = heapq.heappop(q)",
      "            if False:\n                v = heapq.heappop(q)", LBFS),
-    ("lbfs-largest-index-first", "pogc/pog.py",
+    ("lbfs-largest-index-first", "pogc/graph.py",
      "            ms.sort()\n", "            ms.sort(reverse=True)\n", LBFS),
     ("trusted-shares-witnesses", "pogc/pog.py",
      "if k in _UG_VIEWS)", 'if k in _UG_VIEWS or k == "_witnesses")', WITNESSES),
@@ -152,6 +152,13 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "if x < len(at) and (at[x] < b or b < a):", "if x < len(at) and at[x] < b:", NICE),
     ("nice-bisection-dropped", "pogc/rounds.py",
      "x = bisect_right(at, a)", "x = 0", NICE),
+    ("round-tournament-local-import", "pogc/rounds.py",
+     "    n, seq, pos = P.n, O.seq, O.pos\n",
+     "    from .completions import two_sat\n    n, seq, pos = P.n, O.seq, O.pos\n",
+     "tests/test_pog.py::test_package_imports_form_a_dag"),
+    ("chordal-site-searches-holes", "pogc/interval.py",
+     "cert = _chordal_obstruction(P)", "cert = find_proper_interval_obstruction(P)",
+     "tests/test_interval.py::test_tent_beside_a_band_is_refuted_fast"),
 ]
 
 

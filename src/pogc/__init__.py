@@ -33,8 +33,9 @@ from .interval import (Representation, complete_to_acyclic_lt,
                        validate_representation)
 from .pog import (Certificate, Ordering, Pog, classify, complete_closure,
                   find_directed_cycle, parse_ordering, parse_pog,
-                  render_ordering, render_pog, verify_certificate)
+                  render_ordering, render_pog)
 from .rounds import (check_ordering, find_round_ordering, merge_ltt,
                      moon_decompose, round_to_ltt, saturate_to_round_lt)
+from .verify import verify_certificate
 
 __version__ = "0.1.0"

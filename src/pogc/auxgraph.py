@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError
-from .pog import Certificate, Pog, _bfs_colouring, _norm, bfs_path, classify
+from .graph import _bfs_colouring, bfs_path
+from .pog import Certificate, Pog, _norm, classify
 
 MODES = ("local_tournament", "quasi_transitive")
 

@@ -19,15 +19,17 @@ from .completions import (complete_to_cycle_factor_bruteforce,
 from .errors import (NotFriendlyError, NotInClassError, NotRoundError,
                      NotSatisfyingError, ParseError, RepresentationError,
                      SizeGuardError, UnsupportedInstanceError)
-from .friendly import extend_circular_arc_representation
+from .friendly import complete_friendly, extend_circular_arc_representation
 from .hardness import (assignment_to_ordering, build_reduction,
                        exact_complete, parse_dimacs)
-from .interval import (_find_hole, check_peo, complete_to_acyclic_lt,
-                       extend_interval_representation, lbfs,
+from .interval import (check_peo, complete_to_acyclic_lt,
+                       extend_interval_representation,
+                       find_proper_interval_obstruction, lbfs,
                        parse_representation, render_representation)
 from .pog import (Certificate, parse_pog, parse_ordering, render_ordering,
-                  render_pog, verify_certificate)
+                  render_pog)
 from .rounds import check_ordering
+from .verify import verify_certificate
 
 
 def _read(path):
@@ -79,7 +81,6 @@ def _emit_representation(args, obj, res):
 
 
 def _complete_ltlt(P):
-    from .friendly import complete_friendly
     try:
         return complete_friendly(P)
     except NotFriendlyError as exc:
@@ -132,10 +133,7 @@ def _cmd_recognize(args):
             obj["status"] = "yes"
             _emit(args, obj, "yes")
             return 0
-        hole = _find_hole(G)
-        cert = Certificate("NotChordal", {
-            "kind": "hole", "vertices": [G.names[v] for v in hole]})
-        return _emit_certificate(args, obj, cert)
+        return _emit_certificate(args, obj, find_proper_interval_obstruction(G))
     kind = "interval" if args.cls == "proper-interval" else "circular"
     return _emit_representation(args, obj, _REPRESENTERS[kind](P))
 

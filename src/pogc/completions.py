@@ -5,16 +5,17 @@ over edge orientations, strong completions to a bridge test (one
 O(n + m) lowpoint DFS) plus a strongness test on the bidirected
 relaxation, then the per-edge Boesch-Tindell greedy orientation, and
 cycle factors to a bounded exhaustive search whose oracle matches
-out-copies to in-copies (`pog._matching`).
+out-copies to in-copies (`graph._matching`).
 """
 
 from __future__ import annotations
 
 from .errors import InvariantError, SizeGuardError
-from .hardness import MAX_CYCLE_FACTOR_EDGES
-from .pog import (Certificate, _bridges, _is_complete, _lowlink, _matching,
-                  _nonadjacent_pairs, _norm, _separates, bfs_path, classify,
-                  find_directed_cycle, require_oriented, topological_order)
+from .graph import _lowlink, _matching, _separates, bfs_path, topological_order
+from .pog import (Certificate, _bridges, _is_complete, _nonadjacent_pairs,
+                  _norm, classify, find_directed_cycle, require_oriented)
+
+MAX_CYCLE_FACTOR_EDGES = 20
 
 
 # -- transitive tournaments --------------------------------------------

@@ -20,9 +20,9 @@ from .auxgraph import (_arc_classes, _complete_via_aux, build_aux,
 from .errors import InvariantError, NotFriendlyError, NotInClassError
 from .interval import (_orient_window, complete_to_acyclic_lt,
                        representation_from_orientation)
-from .pog import Certificate, Pog, _acyclic_within, _bfs_colouring, \
-    _components, _is_complete, _neighbourhood_cycle, _norm, _triangles, \
-    classify, find_directed_cycle, topological_order
+from .graph import _bfs_colouring, _components, topological_order
+from .pog import Certificate, Pog, _acyclic_within, _is_complete, \
+    _neighbourhood_cycle, _norm, _triangles, classify, find_directed_cycle
 from .rounds import merge_ltt
 
 

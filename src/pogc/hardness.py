@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 from .errors import (InvariantError, NotInClassError, NotSatisfyingError,
                      ParseError, SizeGuardError, UnsupportedInstanceError)
+from .graph import topological_order
 from .pog import (Ordering, Pog, _is_complete, _neighbourhood_cycle,
-                  complete_closure, require_oriented, topological_order)
+                  complete_closure, require_oriented)
 from .rounds import (_ltt_ordering, _require_excellent, _require_round,
                      _round_tournament, check_ordering)
 
 MAX_SEARCH_EDGES = 22
 MAX_EXCELLENT_VERTICES = 12
-MAX_CYCLE_FACTOR_EDGES = 20
 
 
 # -- CNF formulas --------------------------------------------------------

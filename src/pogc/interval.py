@@ -16,9 +16,9 @@ from functools import cached_property
 from .auxgraph import _orient_classes, build_aux, consentaneous_closure
 from .errors import (InvariantError, NotInClassError, NoZeroOutdegreeStartError,
                      ParseError, RepresentationError)
-from .pog import Certificate, Ordering, Pog, _components, _lex_bfs, \
-    _nonadjacent_pairs, _triangles, bfs_path, classify, find_directed_cycle, \
-    require_oriented
+from .graph import _components, _lex_bfs, bfs_path
+from .pog import Certificate, Ordering, Pog, _nonadjacent_pairs, _triangles, \
+    classify, find_directed_cycle, require_oriented
 from .rounds import find_round_ordering
 
 
@@ -55,27 +55,6 @@ class Representation:
     @cached_property
     def index(self):
         return {v: k for k, v in enumerate(self.names)}
-
-    def _off(self, k, x):
-        """Distance from the start of span k to point x: along the line,
-        or clockwise round the circle."""
-        d = x - self.spans[k][0]
-        return d % self.modulus if self.kind == "circular" else d
-
-    def length(self, k):
-        return self._off(k, self.spans[k][1])
-
-    def covers(self, k, point):
-        return 0 <= self._off(k, point) <= self.length(k)
-
-    def intersects(self, k, m):
-        return (self.covers(k, self.spans[m][0])
-                or self.covers(m, self.spans[k][0]))
-
-    def contains_strictly(self, k, m):
-        """Span m strictly inside span k (no shared endpoint)."""
-        c, d = self.spans[m]
-        return 0 < self._off(k, c) <= self._off(k, d) < self.length(k)
 
 
 def parse_representation(text):
@@ -245,7 +224,7 @@ def orientation_from_representation(G, R):
 def lbfs(G, arc_aware=None):
     """Lexicographic breadth-first search producing a linear ordering
     (a perfect elimination ordering when UG(G) is chordal), by partition
-    refinement in O((n + m) log n) (`pog._lex_bfs`).  The first vertex
+    refinement in O((n + m) log n) (`graph._lex_bfs`).  The first vertex
     numbered is the last of the ordering; ties go to the smallest index.
 
     With `arc_aware`, a pog on the same vertices, the start vertex must
@@ -351,6 +330,11 @@ def find_proper_interval_obstruction(G):
     if hole is not None:
         return Certificate("NotChordal", {
             "kind": "hole", "vertices": [G.names[v] for v in hole]})
+    return _chordal_obstruction(G)
+
+
+def _chordal_obstruction(G):
+    """find_proper_interval_obstruction for a chordal UG(G): no hole."""
     for kind, find in (("claw", _find_claw), ("net", _find_net),
                        ("tent", _find_tent)):
         got = find(G)
@@ -395,7 +379,8 @@ def complete_to_acyclic_lt(P):
     D = _orient_classes(closed, X,
                         fill=lambda pair: (O.pos[pair[0]], O.pos[pair[1]]))
     if not classify(D).acyclic_local_tournament:
-        cert = find_proper_interval_obstruction(P)
+        # the elimination check passed, so UG(P) is chordal: no hole
+        cert = _chordal_obstruction(P)
         if cert is None:
             raise InvariantError("colouring failed on a proper interval graph")
         return cert

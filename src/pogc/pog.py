@@ -8,14 +8,13 @@ into a name tuple; all stored pairs use indices.
 
 from __future__ import annotations
 
-import heapq
 import json
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvariantError, ParseError
+from .graph import _components, _directed_cycle, _lowlink, _reach
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
@@ -162,9 +161,6 @@ class Pog:
         a = frozenset((remap[i], remap[j]) for i, j in self.arcs
                       if i in remap and j in remap)
         return Pog._trusted(tuple(self.names[v] for v in keep), e, a)
-
-    def name_pairs(self, pairs):
-        return [(self.names[i], self.names[j]) for i, j in pairs]
 
     @cached_property
     def ug_components(self):
@@ -357,200 +353,7 @@ def find_directed_cycle(P, within=None):
     """Return a directed cycle of the arc digraph as a vertex list, or
     None.  `within` restricts to an induced vertex subset."""
     verts = sorted(within) if within is not None else range(P.n)
-    allowed = set(verts)
-    colour = {}
-    stack_path = []
-    for s in verts:
-        if colour.get(s):
-            continue
-        stack = [(s, iter(sorted(P.out_nbrs[s] & allowed)))]
-        colour[s] = 1
-        stack_path.append(s)
-        while stack:
-            v, it = stack[-1]
-            adv = False
-            for w in it:
-                if colour.get(w) == 1:
-                    return stack_path[stack_path.index(w):]
-                if not colour.get(w):
-                    colour[w] = 1
-                    stack_path.append(w)
-                    stack.append((w, iter(sorted(P.out_nbrs[w] & allowed))))
-                    adv = True
-                    break
-            if not adv:
-                colour[v] = 2
-                stack_path.pop()
-                stack.pop()
-    return None
-
-
-def bfs_path(nbrs, s, t):
-    """Shortest path from s to t as a vertex list, or None.  `nbrs(v)`
-    lists the neighbours of v in the order the search tries them."""
-    prev = {s: None}
-    q = deque([s])
-    while q:
-        v = q.popleft()
-        if v == t:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = prev[v]
-            return path[::-1]
-        for w in nbrs(v):
-            if w not in prev:
-                prev[w] = v
-                q.append(w)
-    return None
-
-
-def _bfs_colouring(nbrs, s, colour, parent):
-    """2-colour the component of s by BFS from s, which gets colour 0;
-    `nbrs` is as for bfs_path.  `colour` and `parent` are the caller's
-    lists, indexed by vertex, with colour -1 on every vertex not yet
-    reached: each vertex reached gets its colour and its BFS parent
-    (None for s).  Returns (order, clash): the vertices reached in
-    visiting order, and the first edge (v, w) scanned with both ends of
-    one colour, or None when the component is bipartite."""
-    colour[s], parent[s], clash = 0, None, None
-    order = [s]
-    for v in order:  # grows while it is read
-        c = colour[v]
-        for w in nbrs(v):
-            if colour[w] < 0:
-                colour[w] = 1 - c
-                parent[w] = v
-                order.append(w)
-            elif clash is None and colour[w] == c:
-                clash = v, w
-    return order, clash
-
-
-def _lex_bfs(adj, out=None):
-    """Lexicographic BFS by partition refinement (Habib, McConnell, Paul
-    and Viennot, TCS 234, 2000) on the graph whose neighbour sets are
-    `adj`.  Returns the vertices in reverse order of visit: the vertex
-    visited first is last.  The unvisited vertices are kept in classes
-    of equal label, in decreasing label order; visiting v moves its
-    unvisited neighbours out of each class into a new class just before
-    it.  The next vertex is the smallest in the first class.  With `out`
-    (the out-neighbour sets of a digraph on the same vertices), the
-    smallest vertex of the first class without an out-neighbour still
-    unvisited is taken when there is one.  Each class keeps its members
-    sorted as of its creation, read past the ones that have left, and
-    with `out` a heap of its members without unvisited out-neighbours,
-    so the search costs O((n + m) log n)."""
-    n = len(adj)
-    members, first, size, prev, nxt = [list(range(n))], [0], [n], [-1], [-1]
-    cls = [0] * n  # class of each unvisited vertex, -1 once visited
-    if out is not None:
-        left = [len(o) for o in out]  # out-neighbours not yet visited
-        quiet = [[v for v in range(n) if not left[v]]]  # sorted: a heap
-        inn = [[] for _ in range(n)]
-        for u, o in enumerate(out):
-            for w in o:
-                inn[w].append(u)
-    head, seq = 0, [0] * n
-    for i in range(n - 1, -1, -1):
-        while not size[head]:
-            head = nxt[head]
-        c, v = head, -1
-        if out is not None:
-            q = quiet[c]
-            while q and cls[q[0]] != c:
-                heapq.heappop(q)
-            if q:
-                v = heapq.heappop(q)
-        if v < 0:
-            ms, k = members[c], first[c]
-            while cls[ms[k]] != c:
-                k += 1
-            v, first[c] = ms[k], k + 1
-        seq[i], cls[v] = v, -1
-        size[c] -= 1
-        if out is not None:
-            for u in inn[v]:
-                left[u] -= 1
-                if not left[u] and cls[u] >= 0:
-                    heapq.heappush(quiet[cls[u]], u)
-        split = {}  # class -> the class split off it by v, just before it
-        for w in adj[v]:
-            c = cls[w]
-            if c < 0:
-                continue
-            d = split.get(c)
-            if d is None:
-                d = split[c] = len(members)
-                p = prev[c]
-                members.append([])
-                prev.append(p)
-                nxt.append(c)
-                prev[c] = d
-                if p >= 0:
-                    nxt[p] = d
-                if c == head:
-                    head = d
-            cls[w] = d
-            members[d].append(w)
-        for c, d in split.items():
-            ms = members[d]
-            ms.sort()
-            first.append(0)
-            size.append(len(ms))
-            size[c] -= len(ms)
-            if out is not None:
-                quiet.append([w for w in ms if not left[w]])
-    return seq
-
-
-def _matching(left, nbrs):
-    """Bipartite matching by augmenting paths (Kuhn): each vertex u of
-    `left` takes its first free right vertex in `nbrs(u)` order, then each
-    one still free gets one bfs_path search.  Returns (match, unmatched):
-    match maps matched right vertices to left vertices; unmatched is None
-    or the first left vertex no augmenting path reaches (the search stops)."""
-    match, free, sink = {}, [], object()
-    for u in left:
-        for w in nbrs(u):
-            if w not in match:
-                match[w] = u
-                break
-        else:
-            free.append(u)
-
-    def residual(x):  # left vertex u is ~u; a free right vertex leads to sink
-        return nbrs(~x) if x < 0 else (~match[x],) if x in match else (sink,)
-
-    for u in free:
-        path = bfs_path(residual, ~u, sink)
-        if path is None:
-            return match, u
-        match.update((w, ~x) for x, w in zip(path[::2], path[1::2]))
-    return match, None
-
-
-def topological_order(verts, succ):
-    """Topological order of the digraph that `succ(v)` spans on verts,
-    taking the smallest ready vertex first, or None on a directed
-    cycle.  Successors outside verts are ignored."""
-    indeg = dict.fromkeys(verts, 0)
-    for v in indeg:
-        for w in succ(v):
-            if w in indeg:
-                indeg[w] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in succ(v):
-            if w in indeg:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
-    return order if len(order) == len(indeg) else None
+    return _directed_cycle(P.out_nbrs, verts)
 
 
 def _acyclic_within(P, S):
@@ -752,86 +555,9 @@ def classify(P):
     return PropertyReport(P)
 
 
-def _reach(nbrs, s):
-    """The set of vertices reachable from s; `nbrs(v)` lists the
-    neighbours (or successors) of v."""
-    seen = {s}
-    stack = [s]
-    while stack:
-        for w in nbrs(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def _components(verts, nbrs):
-    """Connected components of the graph `nbrs` (as for _reach) spans,
-    each sorted, listed in the order of their first vertex in verts."""
-    comps, seen = [], set()
-    for s in verts:
-        if s not in seen:
-            comp = _reach(nbrs, s)
-            seen |= comp
-            comps.append(sorted(comp))
-    return comps
-
-
-def _lowlink(n, nbrs, undirected=False):
-    """Tarjan's lowlink DFS over vertices 0..n-1, roots in order and the
-    neighbours of v in `nbrs(v)` order.  Returns (comp, cut): comp[v]
-    numbers v's component in the order components close (strong
-    components, sinks first), and cut lists the tree edges (parent,
-    root) that enter a component root.  With `undirected`, `nbrs` is a
-    simple graph and the search never steps back along the tree edge it
-    came in on, so the components are the 2-edge-connected components
-    and cut is the bridges."""
-    num, low, comp = [-1] * n, [0] * n, [-1] * n
-    stack, cut, count, ncomp = [], [], 0, 0
-    for root in range(n):
-        if num[root] >= 0:
-            continue
-        num[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        work = [(root, None, iter(nbrs(root)))]
-        while work:
-            v, p, it = work[-1]
-            for w in it:
-                if num[w] < 0:
-                    num[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    work.append((w, v, iter(nbrs(w))))
-                    break
-                if comp[w] < 0 and not (undirected and w == p):
-                    low[v] = min(low[v], num[w])
-            else:
-                work.pop()
-                if low[v] < num[v]:
-                    low[p] = min(low[p], low[v])
-                    continue
-                while comp[v] < 0:
-                    comp[stack.pop()] = ncomp
-                ncomp += 1
-                if p is not None:
-                    cut.append((p, v))
-    return comp, cut
-
-
 def _bridges(P):
     """The bridges of UG(P), as pairs (i, j) with i < j."""
     return {_norm(*e) for e in _lowlink(P.n, P.adj.__getitem__, True)[1]}
-
-
-def _separates(nbrs, u, v):
-    """True when u cannot reach v without using the pair uv in either
-    direction; `nbrs` is as for _reach.  On UG(P), with `nbrs` =
-    P.adj.__getitem__, that makes uv a bridge."""
-    pair = {u, v}
-    return v not in _reach(
-        lambda x: [y for y in nbrs(x) if y not in pair] if x in pair
-        else nbrs(x), u)
 
 
 def require_oriented(P):
@@ -847,205 +573,3 @@ def complete_closure(D):
     require_oriented(D)
     missing = frozenset(_nonadjacent_pairs(D, range(D.n)))
     return Pog(D.names, D.edges | missing, D.arcs)
-
-
-# -- certificate verification ------------------------------------------
-
-
-def _ids(P, names):
-    try:
-        return [P.index[v] for v in names]
-    except (KeyError, TypeError):
-        return None
-
-
-def verify_certificate(P, cert):
-    """Check a certificate against a pog.  Returns True iff the payload
-    really exhibits the claimed obstruction in P."""
-    try:
-        return _verify(P, cert)
-    except (KeyError, TypeError, ValueError, IndexError):
-        return False
-
-
-def _verify(P, cert):
-    tag, pay = cert.tag, cert.payload
-
-    if tag == "NonAdjacentPair":
-        ids = _ids(P, pay["pair"])
-        return ids is not None and len(ids) == 2 and ids[0] != ids[1] \
-            and not P.adjacent(ids[0], ids[1])
-
-    if tag == "DirectedCycle":
-        ids = _ids(P, pay["cycle"])
-        if not ids or len(ids) < 2 or len(set(ids)) != len(ids):
-            return False
-        k = len(ids)
-        loc = pay.get("location")
-        kind = None if loc is None else loc["kind"]
-        host = P
-        if kind == "closure":
-            # the cycle lives in the consentaneous closure, not in P itself
-            from .auxgraph import consentaneous_closure
-            host = consentaneous_closure(P)
-            if isinstance(host, Certificate):
-                return False
-        if any((ids[t], ids[(t + 1) % k]) not in host.arcs for t in range(k)):
-            return False
-        if kind is None or kind == "closure":
-            return True
-        if kind in ("out", "in"):
-            v = P.index[loc["vertex"]]
-            hood = P.out_nbrs[v] if kind == "out" else P.in_nbrs[v]
-            return all(x in hood for x in ids)
-        if kind == "cell":
-            cell = set(ids) | {P.index[x] for x in loc.get("cell", pay["cycle"])}
-            closed = {v: P.adj[v] | {v} for v in cell}
-            ref = closed[min(cell)]
-            if any(nb != ref for nb in closed.values()):
-                return False
-            return len(ref) < P.n  # must not be the universal cell
-        return False
-
-    if tag == "Bridge":
-        ids = _ids(P, pay["edge"])
-        if ids is None or len(ids) != 2 or not P.adjacent(ids[0], ids[1]):
-            return False
-        return _separates(P.adj.__getitem__, *ids)
-
-    if tag == "DirectedCut":
-        ids = _ids(P, pay["side"])
-        if ids is None or not ids or len(set(ids)) != len(ids):
-            return False
-        side = set(ids)
-        if len(side) >= P.n:
-            return False
-        for u in side:
-            for w in P.adj[u]:
-                if w not in side and (u, w) not in P.arcs:
-                    return False
-        return True
-
-    if tag in ("OddClosedWalkAux", "OrientationConflict"):
-        from .auxgraph import aux_adjacent
-        mode = pay.get("mode", "local_tournament")
-        walk = [tuple(_ids(P, step)) for step in pay["walk"]]
-        for u, v in walk:
-            if not P.adjacent(u, v):
-                return False
-        for a, b in zip(walk, walk[1:]):
-            if not aux_adjacent(P, a, b, mode):
-                return False
-        if tag == "OddClosedWalkAux":
-            return walk[0] == walk[-1] and len(walk) % 2 == 0 and len(walk) > 1
-        kind = pay.get("kind", "odd_pair")
-        steps = len(walk) - 1
-        if walk[0] not in P.arcs:
-            return False
-        if kind == "odd_pair":
-            return walk[-1] in P.arcs and steps % 2 == 1
-        if kind == "unoriented_mate":
-            return _norm(*walk[-1]) in P.edges and steps % 2 == 0
-        return False
-
-    if tag == "BadTriple":
-        from .auxgraph import build_aux
-        ids = _ids(P, pay["triple"])
-        if ids is None or len(set(ids)) != 3:
-            return False
-        x, y, z = ids
-        pairs = [_norm(x, y), _norm(y, z), _norm(x, z)]
-        if any(p not in P.und_pairs for p in pairs):
-            return False
-        oriented = sum(1 for p in pairs if p not in P.edges)
-        if oriented != 2:
-            return False
-        X = build_aux(P)
-        comps = {X.comp[X.vid[p]] for p in pairs}
-        return len(comps) == 3
-
-    if tag == "NotChordal":
-        return _verify_obstruction(P, pay)
-
-    if tag == "OrderingViolation":
-        from .rounds import check_ordering
-        ids = _ids(P, pay["ordering"]["seq"])
-        if ids is None or sorted(ids) != list(range(P.n)):
-            return False
-        if pay["ordering"]["kind"] not in ("linear", "cyclic"):
-            return False
-        if pay["kind"] == "round" and not P.is_oriented():
-            return False  # roundness is defined on oriented graphs only
-        O = Ordering(pay["ordering"]["kind"], tuple(ids))
-        ok, _ = check_ordering(P, O, pay["kind"])
-        return not ok
-
-    if tag == "NoCompletion":
-        kind = pay["kind"]
-        if kind == "two_sat_core":
-            from .completions import verify_in_tournament_core
-            return verify_in_tournament_core(P, pay["cycle"])
-        if kind == "exhausted":
-            target = pay["target"]
-            if target == "cycle_factor":
-                from .completions import complete_to_cycle_factor_bruteforce
-                res = complete_to_cycle_factor_bruteforce(P)
-                return isinstance(res, Certificate)
-            if target == "ltt":
-                from .hardness import exact_complete
-                return exact_complete(P, "ltt") is None
-        return False
-
-    return False
-
-
-def _verify_obstruction(P, pay):
-    """Induced-subgraph obstructions to proper interval graphs."""
-    ids = _ids(P, pay["vertices"])
-    if ids is None or len(set(ids)) != len(ids):
-        return False
-    kind = pay["kind"]
-    adj = lambda a, b: P.adjacent(a, b)
-    if kind == "hole":
-        # each hole vertex sees exactly its two cycle neighbours in the
-        # hole: O(k + sum of degrees)
-        k = len(ids)
-        if k < 4:
-            return False
-        hole = set(ids)
-        return all(P.adj[v] & hole == {ids[s - 1], ids[(s + 1) % k]}
-                   for s, v in enumerate(ids))
-    if kind == "claw":
-        if len(ids) != 4:
-            return False
-        c, a, b, d = ids
-        return (adj(c, a) and adj(c, b) and adj(c, d)
-                and not adj(a, b) and not adj(a, d) and not adj(b, d))
-    if kind == "net":
-        if len(ids) != 6:
-            return False
-        t, p = ids[:3], ids[3:]
-        for s in range(3):
-            for r in range(s + 1, 3):
-                if not adj(t[s], t[r]) or adj(p[s], p[r]):
-                    return False
-        for s in range(3):
-            for r in range(3):
-                if adj(p[s], t[r]) != (s == r):
-                    return False
-        return True
-    if kind == "tent":
-        if len(ids) != 6:
-            return False
-        t, q = ids[:3], ids[3:]
-        for s in range(3):
-            for r in range(s + 1, 3):
-                if not adj(t[s], t[r]) or adj(q[s], q[r]):
-                    return False
-        # q[s] sees exactly t[s] and t[(s+1) % 3]
-        for s in range(3):
-            for r in range(3):
-                if adj(q[s], t[r]) != (r in (s, (s + 1) % 3)):
-                    return False
-        return True
-    return False

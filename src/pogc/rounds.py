@@ -32,6 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from .completions import two_sat
 from .errors import InvariantError, NotInClassError, NotRoundError
 from .pog import Ordering, Pog, require_oriented
 
@@ -258,7 +259,6 @@ def _round_tournament(P, O):
     and k >= 2, and a unit clause per arc of P.  The numbering of the
     pairs decides which round tournament comes back; each position's
     pairs farthest first gives the directed 4-cycle 0 -> 2 and 1 -> 3."""
-    from .completions import two_sat
     n, seq, pos = P.n, O.seq, O.pos
     var = {}
     for i in range(n):

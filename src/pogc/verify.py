@@ -1,0 +1,204 @@
+"""Certificate checking: `verify_certificate` decides whether a
+certificate's payload exhibits, in a pog, the obstruction its tag claims."""
+
+from __future__ import annotations
+
+from .auxgraph import aux_adjacent, build_aux, consentaneous_closure
+from .completions import (complete_to_cycle_factor_bruteforce,
+                          verify_in_tournament_core)
+from .graph import _separates
+from .hardness import exact_complete
+from .pog import Certificate, Ordering, _norm
+from .rounds import check_ordering
+
+
+def _ids(P, names):
+    try:
+        return [P.index[v] for v in names]
+    except (KeyError, TypeError):
+        return None
+
+
+def verify_certificate(P, cert):
+    """Check a certificate against a pog.  Returns True iff the payload
+    really exhibits the claimed obstruction in P."""
+    try:
+        return _verify(P, cert)
+    except (KeyError, TypeError, ValueError, IndexError):
+        return False
+
+
+def _verify(P, cert):
+    tag, pay = cert.tag, cert.payload
+
+    if tag == "NonAdjacentPair":
+        ids = _ids(P, pay["pair"])
+        return ids is not None and len(ids) == 2 and ids[0] != ids[1] \
+            and not P.adjacent(ids[0], ids[1])
+
+    if tag == "DirectedCycle":
+        ids = _ids(P, pay["cycle"])
+        if not ids or len(ids) < 2 or len(set(ids)) != len(ids):
+            return False
+        k = len(ids)
+        loc = pay.get("location")
+        kind = None if loc is None else loc["kind"]
+        host = P
+        if kind == "closure":
+            # the cycle lives in the consentaneous closure, not in P itself
+            host = consentaneous_closure(P)
+            if isinstance(host, Certificate):
+                return False
+        if any((ids[t], ids[(t + 1) % k]) not in host.arcs for t in range(k)):
+            return False
+        if kind is None or kind == "closure":
+            return True
+        if kind in ("out", "in"):
+            v = P.index[loc["vertex"]]
+            hood = P.out_nbrs[v] if kind == "out" else P.in_nbrs[v]
+            return all(x in hood for x in ids)
+        if kind == "cell":
+            cell = set(ids) | {P.index[x] for x in loc.get("cell", pay["cycle"])}
+            closed = {v: P.adj[v] | {v} for v in cell}
+            ref = closed[min(cell)]
+            if any(nb != ref for nb in closed.values()):
+                return False
+            return len(ref) < P.n  # must not be the universal cell
+        return False
+
+    if tag == "Bridge":
+        ids = _ids(P, pay["edge"])
+        if ids is None or len(ids) != 2 or not P.adjacent(ids[0], ids[1]):
+            return False
+        return _separates(P.adj.__getitem__, *ids)
+
+    if tag == "DirectedCut":
+        ids = _ids(P, pay["side"])
+        if ids is None or not ids or len(set(ids)) != len(ids):
+            return False
+        side = set(ids)
+        if len(side) >= P.n:
+            return False
+        for u in side:
+            for w in P.adj[u]:
+                if w not in side and (u, w) not in P.arcs:
+                    return False
+        return True
+
+    if tag in ("OddClosedWalkAux", "OrientationConflict"):
+        mode = pay.get("mode", "local_tournament")
+        walk = [tuple(_ids(P, step)) for step in pay["walk"]]
+        for u, v in walk:
+            if not P.adjacent(u, v):
+                return False
+        for a, b in zip(walk, walk[1:]):
+            if not aux_adjacent(P, a, b, mode):
+                return False
+        if tag == "OddClosedWalkAux":
+            return walk[0] == walk[-1] and len(walk) % 2 == 0 and len(walk) > 1
+        kind = pay.get("kind", "odd_pair")
+        steps = len(walk) - 1
+        if walk[0] not in P.arcs:
+            return False
+        if kind == "odd_pair":
+            return walk[-1] in P.arcs and steps % 2 == 1
+        if kind == "unoriented_mate":
+            return _norm(*walk[-1]) in P.edges and steps % 2 == 0
+        return False
+
+    if tag == "BadTriple":
+        ids = _ids(P, pay["triple"])
+        if ids is None or len(set(ids)) != 3:
+            return False
+        x, y, z = ids
+        pairs = [_norm(x, y), _norm(y, z), _norm(x, z)]
+        if any(p not in P.und_pairs for p in pairs):
+            return False
+        oriented = sum(1 for p in pairs if p not in P.edges)
+        if oriented != 2:
+            return False
+        X = build_aux(P)
+        comps = {X.comp[X.vid[p]] for p in pairs}
+        return len(comps) == 3
+
+    if tag == "NotChordal":
+        return _verify_obstruction(P, pay)
+
+    if tag == "OrderingViolation":
+        ids = _ids(P, pay["ordering"]["seq"])
+        if ids is None or sorted(ids) != list(range(P.n)):
+            return False
+        if pay["ordering"]["kind"] not in ("linear", "cyclic"):
+            return False
+        if pay["kind"] == "round" and not P.is_oriented():
+            return False  # roundness is defined on oriented graphs only
+        O = Ordering(pay["ordering"]["kind"], tuple(ids))
+        ok, _ = check_ordering(P, O, pay["kind"])
+        return not ok
+
+    if tag == "NoCompletion":
+        kind = pay["kind"]
+        if kind == "two_sat_core":
+            return verify_in_tournament_core(P, pay["cycle"])
+        if kind == "exhausted":
+            target = pay["target"]
+            if target == "cycle_factor":
+                res = complete_to_cycle_factor_bruteforce(P)
+                return isinstance(res, Certificate)
+            if target == "ltt":
+                return exact_complete(P, "ltt") is None
+        return False
+
+    return False
+
+
+def _verify_obstruction(P, pay):
+    """Induced-subgraph obstructions to proper interval graphs."""
+    ids = _ids(P, pay["vertices"])
+    if ids is None or len(set(ids)) != len(ids):
+        return False
+    kind = pay["kind"]
+    adj = lambda a, b: P.adjacent(a, b)
+    if kind == "hole":
+        # each hole vertex sees exactly its two cycle neighbours in the
+        # hole: O(k + sum of degrees)
+        k = len(ids)
+        if k < 4:
+            return False
+        hole = set(ids)
+        return all(P.adj[v] & hole == {ids[s - 1], ids[(s + 1) % k]}
+                   for s, v in enumerate(ids))
+    if kind == "claw":
+        if len(ids) != 4:
+            return False
+        c, a, b, d = ids
+        return (adj(c, a) and adj(c, b) and adj(c, d)
+                and not adj(a, b) and not adj(a, d) and not adj(b, d))
+    if kind == "net":
+        if len(ids) != 6:
+            return False
+        t, p = ids[:3], ids[3:]
+        for s in range(3):
+            for r in range(s + 1, 3):
+                if not adj(t[s], t[r]) or adj(p[s], p[r]):
+                    return False
+        for s in range(3):
+            for r in range(3):
+                if adj(p[s], t[r]) != (s == r):
+                    return False
+        return True
+    if kind == "tent":
+        if len(ids) != 6:
+            return False
+        t, q = ids[:3], ids[3:]
+        for s in range(3):
+            for r in range(s + 1, 3):
+                if not adj(t[s], t[r]) or adj(q[s], q[r]):
+                    return False
+        # q[s] sees exactly t[s] and t[(s+1) % 3]
+        for s in range(3):
+            for r in range(3):
+                if adj(q[s], t[r]) != (r in (s, (s + 1) % 3)):
+                    return False
+        return True
+    return False

@@ -24,10 +24,11 @@ from pogc.interval import (Representation, complete_to_acyclic_lt,
                            orientation_from_representation,
                            representation_from_orientation)
 from pogc.pog import (Certificate, Ordering, Pog, classify, complete_closure,
-                      find_directed_cycle, verify_certificate)
+                      find_directed_cycle)
 from pogc.rounds import (check_ordering, complete_under_excellent,
                          find_round_ordering, round_to_ltt,
                          saturate_to_round_lt)
+from pogc.verify import verify_certificate
 from util import (all_graphs, all_pogs, brute_force_completion, exact_oracle,
                   names, random_graph, random_pog)
 

@@ -10,8 +10,9 @@ from pogc.auxgraph import (aux_adjacent, build_aux, complete_via_aux,
                            consentaneous_closure, two_colour)
 from pogc.errors import NotFriendlyError
 from pogc.interval import Representation
-from pogc.pog import (Certificate, Pog, _components, classify,
-                      verify_certificate)
+from pogc.graph import _components
+from pogc.pog import Certificate, Pog, classify
+from pogc.verify import verify_certificate
 from util import (all_graphs, all_pogs, brute_force_completion, names,
                   random_pog)
 

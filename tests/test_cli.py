@@ -14,7 +14,8 @@ from pogc.cli import run
 from pogc.errors import InvariantError
 from pogc.interval import (orientation_from_representation,
                            parse_representation, validate_representation)
-from pogc.pog import Certificate, parse_pog, verify_certificate
+from pogc.pog import Certificate, parse_pog
+from pogc.verify import verify_certificate
 
 C4 = """\
 v a

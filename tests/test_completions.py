@@ -11,7 +11,9 @@ from pogc.completions import (complete_to_cycle_factor_bruteforce,
                               _bidirected_strong, _implications,
                               _in_tournament_clauses, _max_flow, _pair_vars,
                               is_k_arc_strong, two_sat)
-from pogc.pog import Certificate, Pog, _lowlink, classify, verify_certificate
+from pogc.graph import _lowlink
+from pogc.pog import Certificate, Pog, classify
+from pogc.verify import verify_certificate
 from util import (all_graphs, all_pogs, brute_force_completion, names,
                   orientations, random_pog)
 
@@ -227,7 +229,7 @@ def test_two_sat_vs_truth_table():
 
 def _sccs_reference(adj):
     """Iterative Tarjan over the successor lists adj, kept as the
-    reference for pog._lowlink; returns component ids (sinks numbered
+    reference for graph._lowlink; returns component ids (sinks numbered
     first)."""
     n = len(adj)
     comp = [-1] * n
@@ -417,7 +419,7 @@ def test_cycle_factor_vs_exhaustive():
 
 def _kuhn_reference(D):
     """The depth-first augmenting-path matching find_cycle_factor ran
-    before it called pog._matching, kept as the reference: a cycle
+    before it called graph._matching, kept as the reference: a cycle
     factor of the oriented graph D as a list of cycles, or None."""
     n = D.n
     out = [sorted(s) for s in D.out_nbrs]

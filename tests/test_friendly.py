@@ -15,9 +15,11 @@ from pogc.friendly import (_bipartition, bad_triples, cells,
 from pogc.interval import (Representation, complete_to_acyclic_lt,
                            orientation_from_representation,
                            validate_representation)
-from pogc.pog import Certificate, Pog, _norm, classify, verify_certificate
-from util import (all_graphs, all_pogs, brute_force_completion, exact_oracle,
-                  forbidden_cycle_reference, names, random_graph, random_pog)
+from pogc.pog import Certificate, Pog, _norm, classify
+from pogc.verify import verify_certificate
+from util import (_ref_length, all_graphs, all_pogs, brute_force_completion,
+                  exact_oracle, forbidden_cycle_reference, names, random_graph,
+                  random_pog)
 
 
 def _c4():
@@ -376,7 +378,7 @@ def _reflect(R):
     comes to contain another and the mirrored starts stay distinct."""
     K = len(R.names) + 1
     M = R.modulus * K
-    by_length = sorted(range(len(R.names)), key=lambda k: -R.length(k))
+    by_length = sorted(range(len(R.names)), key=lambda k: -_ref_length(R, k))
     end = {k: R.spans[k][1] * K + t for t, k in enumerate(by_length)}
     return Representation(R.kind, R.names, tuple(
         ((-end[k]) % M, (-l * K) % M) for k, (l, _) in enumerate(R.spans)), M)
@@ -411,8 +413,9 @@ def test_circular_on_disconnected_graphs():
     G = Pog.build(names(5), edges=[("v0", "v2"), ("v0", "v4"), ("v1", "v2")])
     assert _check_circular(
         G, proper_circular_arc_representation(G))
+    c4 = _c4()
     c4e = Pog.build(("a", "b", "c", "d", "e"),
-                    edges=_c4().name_pairs(_c4().edges))
+                    edges=[(c4.names[i], c4.names[j]) for i, j in c4.edges])
     cert = proper_circular_arc_representation(c4e)
     assert not _check_circular(c4e, cert)
     # a triangle laid cyclically round the circle cannot sit beside an

@@ -10,12 +10,13 @@ import pytest
 from pogc import cli, hardness
 from pogc import pog as pog_module
 from pogc.errors import InvariantError, ParseError
+from pogc.graph import _matching, _separates, topological_order
 from pogc.hardness import CnfFormula, build_reduction, orient_by_assignment
-from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _bridges, _matching,
-                      _neighbourhood_cycle, _separates, classify,
-                      complete_closure, find_directed_cycle, parse_ordering,
-                      parse_pog, render_pog, topological_order,
-                      verify_certificate)
+from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _bridges,
+                      _neighbourhood_cycle, classify, complete_closure,
+                      find_directed_cycle, parse_ordering, parse_pog,
+                      render_pog)
+from pogc.verify import verify_certificate
 from util import (all_graphs, all_pogs, names, neighbourhood_cycle_reference,
                   parse_pog_reference, planted_formula, random_graph,
                   random_pog)
@@ -858,13 +859,13 @@ def _imported_names(tree):
 
 
 def test_only_pog_holds_search_queues():
-    """BFS and heap-ordered searches live in pog's primitives: no other
+    """BFS and heap-ordered searches live in graph's primitives: no other
     module of the package imports collections.deque or heapq."""
     queues = {"collections.deque", "heapq"}
     package = Path(pog_module.__file__).parent
     for path in sorted(package.glob("*.py")):
         used = queues & set(_imported_names(ast.parse(path.read_text())))
-        assert used == (queues if path.name == "pog.py" else set()), path.name
+        assert used == (queues if path.name == "graph.py" else set()), path.name
 
 
 LOWLINK_NAMES = {"low", "lowlink", "lowpt", "lowpoint", "lowpoints"}
@@ -884,13 +885,13 @@ def _stored_names(tree):
 
 
 def test_only_pog_holds_lowlink_dfs():
-    """SCC and bridge searches share pog's one lowlink DFS: no other
+    """SCC and bridge searches share graph's one lowlink DFS: no other
     module of the package assigns a lowlink array."""
     package = Path(pog_module.__file__).parent
     for path in sorted(package.glob("*.py")):
         low = LOWLINK_NAMES & set(_stored_names(ast.parse(path.read_text())))
-        if path.name == "pog.py":
-            assert low, "pog.py lost its lowlink DFS"
+        if path.name == "graph.py":
+            assert low, "graph.py lost its lowlink DFS"
         else:
             assert {(path.name, n) for n in low} <= LOWLINK_ALLOWED, path.name
 
@@ -918,6 +919,29 @@ def test_only_hardness_raises_unsupported():
         assert raised == (path.name == "hardness.py"), path.name
 
 
+def test_package_imports_form_a_dag():
+    """No function body of the package imports; the top-level imports
+    between its modules form an acyclic graph; and graph.py imports
+    nothing from the package but errors."""
+    package = Path(pog_module.__file__).parent
+    deps = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [node.lineno for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom))]
+                assert not inner, (path.name, fn.name, inner)
+        deps[path.stem] = {node.module.split(".")[0] for node in ast.walk(tree)
+                           if isinstance(node, ast.ImportFrom) and node.level}
+    assert deps["graph"] <= {"errors"}, deps["graph"]
+    done = set()
+    while len(done) < len(deps):  # peel the modules whose imports are peeled
+        ready = {m for m, d in deps.items() if m not in done and d <= done}
+        assert ready, "import cycle among %s" % sorted(set(deps) - done)
+        done |= ready
+
+
 def _worklist_loops(tree):
     """The name x of every `while x:` loop in the syntax tree whose body
     pops x: the shape of a DFS or BFS worklist."""
@@ -932,12 +956,12 @@ def _worklist_loops(tree):
 
 
 def test_only_pog_runs_search_loops():
-    """DFS, BFS and augmenting-path searches run in pog's primitives: no
-    other module of the package has a `while x:` loop that pops x."""
+    """DFS, BFS and augmenting-path searches run in graph's primitives:
+    no other module of the package has a `while x:` loop that pops x."""
     package = Path(pog_module.__file__).parent
     for path in sorted(package.glob("*.py")):
         loops = set(_worklist_loops(ast.parse(path.read_text())))
-        if path.name == "pog.py":
-            assert loops, "pog.py lost its search loops"
+        if path.name == "graph.py":
+            assert loops, "graph.py lost its search loops"
         else:
             assert loops == set(), path.name

@@ -4,9 +4,10 @@ import itertools
 
 from pogc.errors import InvariantError, NoZeroOutdegreeStartError, ParseError
 from pogc.friendly import cells
+from pogc.graph import _reach
 from pogc.hardness import CnfFormula
 from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _neighbourhoods,
-                      _norm, _reach, classify, find_directed_cycle)
+                      _norm, classify, find_directed_cycle)
 from pogc.rounds import MoonDecomposition, check_ordering, find_round_ordering
 
 MAX_NICE_VERTICES = 10
@@ -385,3 +386,8 @@ def lbfs_reference(G, arc_aware=None):
             if w in unlabeled:
                 label[w] = label[w] + (i,)
     return Ordering("linear", tuple(seq))
+
+
+def _ref_length(R, k):
+    l, r = R.spans[k]
+    return (r - l) % R.modulus if R.kind == "circular" else r - l
