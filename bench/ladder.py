@@ -172,9 +172,10 @@ KERNELS = {  # name: (family, kernel)
     "classify.locally_transitive.band":
         (BAND_STRAIGHT, lambda D: classify(D).locally_transitive),
 }
-# The 2-SAT of rounds._round_tournament holds about 1.1 KB per pair of
-# vertices: about 0.5 GB at n = 1,000 and 5.5 GB at n = 3,162.
-LARGEST_N = {"round_to_ltt.circulant": 1000}
+# round_to_ltt writes out a tournament, all n(n - 1)/2 arcs of it, and
+# re-checks it through neighbour-set views: about 2.6 GB at n = 3,162
+# (5.0 M arcs), so n = 10^4 (50 M arcs) would need about 26 GB.
+LARGEST_N = {"round_to_ltt.circulant": 3162}
 
 
 def _alarm(signum, frame):

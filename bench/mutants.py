@@ -38,6 +38,9 @@ WITNESSES = "tests/test_pog.py::test_derived_pogs_never_inherit_witnesses"
 ROWS = "tests/test_interval.py::test_row_pass_matches_pairwise_reference"
 PARSE = "tests/test_pog.py::test_parse_matches_reference_parser"
 NICE = "tests/test_rounds.py::test_nice_matches_per_arc_reference"
+RULE = "tests/test_rounds.py::test_round_tournament_follows_the_rule"
+IFF_EXCELLENT = "tests/test_rounds.py::test_round_tournament_iff_excellent_random"
+SPANS = "tests/test_rounds.py::test_excellent_and_maximal_arcs_match_reference_random"
 
 # the class a split creates placed before its old class, as LBFS needs,
 # and after it
@@ -153,9 +156,20 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("nice-bisection-dropped", "pogc/rounds.py",
      "x = bisect_right(at, a)", "x = 0", NICE),
     ("round-tournament-local-import", "pogc/rounds.py",
-     "    n, seq, pos = P.n, O.seq, O.pos\n",
-     "    from .completions import two_sat\n    n, seq, pos = P.n, O.seq, O.pos\n",
+     "    n, seq = P.n, O.seq\n",
+     "    from .errors import InvariantError\n    n, seq = P.n, O.seq\n",
      "tests/test_pog.py::test_package_imports_form_a_dag"),
+    ("round-tournament-tie-both-ways", "pogc/rounds.py",
+     "if i < n // 2 else", "if i <= n // 2 else", RULE),
+    # `forced > x - i` is an equivalent mutant: where arc (s, t) runs
+    # backwards in arc a's span, f(i) > d0(i) at i = t, or at i = s when
+    # s is a's head, so some position conflicts strictly
+    ("round-tournament-no-conflict", "pogc/rounds.py",
+     "        if forced >= x - i:\n            return None\n", "", IFF_EXCELLENT),
+    ("excellent-running-max-dropped", "pogc/rounds.py",
+     "    reach = list(accumulate(reach, max))\n", "", SPANS),
+    ("maximal-arcs-own-tail", "pogc/rounds.py",
+     "far[x - 1] < head", "far[x] < head", SPANS),
     ("chordal-site-searches-holes", "pogc/interval.py",
      "cert = _chordal_obstruction(P)", "cert = find_proper_interval_obstruction(P)",
      "tests/test_interval.py::test_tent_beside_a_band_is_refuted_fast"),

@@ -541,9 +541,9 @@ def _excellent_search(P, enumerate_all):
 
 def ordering_to_ltt(P, O):
     """Locally transitive tournament containing P, from an excellent
-    ordering: the round tournament on O that contains P's arcs, found
-    by one 2-SAT over the pairs of positions (see
-    `rounds._round_tournament`), then re-checked to be round on O."""
+    ordering: the round tournament on O that contains P's arcs, read
+    off the arcs' spans (see `rounds._round_tournament`), then
+    re-checked to be round on O."""
     _require_excellent(P, O)
     T = _round_tournament(P, O)
     if T is None:

@@ -4,18 +4,17 @@ A round ordering places the out-neighbours of every vertex immediately
 after it and the in-neighbours immediately before it (cyclically,
 within each connected component of the underlying graph).  Excellence
 forbids an arc running backwards inside the cyclic span of another
-arc; `check_ordering` decides it, and `maximal_arcs` lists the arcs
-inside no other arc's span, in O((n + arcs) log n) with one
-range-maximum query per arc.
+arc; `check_ordering` decides it and `maximal_arcs` lists the arcs in
+no other arc's span, both by a running maximum, O(n + arcs log arcs).
 
 A tournament is round on a cyclic ordering O when every vertex beats
 a run of the vertices right after it, and the round tournaments are
 the locally transitive ones (Huang, JCTB 63, 1995).  `_round_tournament`
-builds one that contains a pog's arcs by one 2-SAT over the pairs of
-positions of O; it exists exactly when O is excellent for the arcs.
-Completion under an excellent ordering, `ordering_to_ltt` and
-`round_to_ltt` (per component, on its round ordering) all read their
-tournament off it; the last two re-check that O is round for it.
+builds the one that contains a pog's arcs by a rule on the arcs' spans;
+it exists exactly when O is excellent for the arcs.  Completion under
+an excellent ordering, `ordering_to_ltt` and `round_to_ltt` (per
+component, on its round ordering) all read their tournament off it;
+the last two re-check that O is round for it.
 
 The round ordering also decides membership: a pog is a locally
 transitive tournament exactly when it is an oriented tournament with a
@@ -30,9 +29,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
-from .completions import two_sat
 from .errors import InvariantError, NotInClassError, NotRoundError
 from .pog import Ordering, Pog, require_oriented
 
@@ -87,25 +85,6 @@ def _excellent_violation(P, O, a, b):
     return r(t) < r(s) <= r(j)
 
 
-def _range_max(v):
-    """Sparse table over v (Bender and Farach-Colton, LATIN 2000): an
-    O(len(v) log len(v)) build, then query(lo, hi) = max(v[lo..hi]) for
-    lo <= hi in O(1)."""
-    table = [v]
-    width = 1
-    while 2 * width <= len(v):
-        prev = table[-1]
-        table.append([x if x > y else y for x, y in zip(prev, prev[width:])])
-        width *= 2
-
-    def query(lo, hi):
-        level = (hi - lo + 1).bit_length() - 1
-        row = table[level]
-        x, y = row[lo], row[hi - (1 << level) + 1]
-        return x if x > y else y
-    return query
-
-
 def _by_position(P, O):
     return sorted(P.arcs, key=lambda a: (O.pos[a[0]], O.pos[a[1]]))
 
@@ -114,9 +93,10 @@ def _check_excellent(P, O):
     """Unroll the cycle twice.  An arc (s, t) with tail at unrolled
     position x lands at x - ((pos s - pos t) mod n), and arc (i, j) has
     a backward arc inside its span exactly when some tail in
-    [pos i, pos i + span] lands at or after pos i: one range-maximum
-    query per arc, O((n + arcs) log n).  The witness b is then named by
-    one scan over the arcs."""
+    [pos i, pos i + span] lands at or after pos i.  A tail before pos i
+    lands before it, so that is the running maximum of the landings up
+    to pos i + span, O(n + arcs log arcs) with the arcs sorted.  The
+    witness b is then named by one scan over the arcs."""
     n, pos = P.n, O.pos
     arcs = _by_position(P, O)
     reach = [-1] * (2 * n)      # rightmost landing head per tail position
@@ -125,10 +105,10 @@ def _check_excellent(P, O):
         for x in (pos[s], pos[s] + n):
             if x - d > reach[x]:
                 reach[x] = x - d
-    query = _range_max(reach)
+    reach = list(accumulate(reach, max))
     for a in arcs:
         lo = pos[a[0]]
-        if query(lo, lo + (pos[a[1]] - lo) % n) >= lo:
+        if reach[lo + (pos[a[1]] - lo) % n] >= lo:
             b = next(b for b in arcs if _excellent_violation(P, O, a, b))
             return False, ((P.names[a[0]], P.names[a[1]]),
                            (P.names[b[0]], P.names[b[1]]))
@@ -222,60 +202,79 @@ def find_round_ordering(D):
 # -- excellence based completion ---------------------------------------
 
 
+def _furthest_heads(P, O):
+    """far[x], x < 2n: the furthest head reached by an arc whose tail
+    is at or before x on the cycle unrolled twice, or -1."""
+    n, pos = P.n, O.pos
+    far = [-1] * (2 * n)
+    for u, v in P.arcs:
+        for x in (pos[u], pos[u] + n):
+            far[x] = max(far[x], x + (pos[v] - pos[u]) % n)
+    return list(accumulate(far, max))
+
+
 def maximal_arcs(P, O):
     """Arcs not lying inside the cyclic span of any other arc.
 
-    Arc (i, j) lies in another arc's span exactly when a longer arc
-    leaves i, or an arc whose tail is 1 to n - 1 positions before i
-    reaches at least as far as j.  With the cycle unrolled twice and
-    far[x] the furthest head end of the arcs with tail at x, the second
-    test is one range-maximum query per arc, O((n + arcs) log n)."""
+    With x = pos i + n, arc (i, j) lies in another arc's span exactly
+    when a longer arc leaves i (far[x] passes its head) or one whose
+    tail is 1 to n - 1 positions before i reaches its head (far[x - 1]
+    does); a tail n or more positions back reaches less than x.
+    O(n + arcs log arcs) with the arcs sorted."""
     n, pos = P.n, O.pos
-    arcs = _by_position(P, O)
-    longest = [0] * n
-    for i, j in arcs:
-        longest[pos[i]] = max(longest[pos[i]], (pos[j] - pos[i]) % n)
-    far = [x + longest[x % n] if longest[x % n] else -1 for x in range(2 * n)]
-    query = _range_max(far)
+    far = _furthest_heads(P, O)
     out = []
-    for i, j in arcs:
-        span = (pos[j] - pos[i]) % n
+    for i, j in _by_position(P, O):
         x = pos[i] + n
-        if span == longest[pos[i]] and query(x - n + 1, x - 1) < x + span:
+        head = x + (pos[j] - pos[i]) % n
+        if far[x] == head and far[x - 1] < head:
             out.append((i, j))
     return out
 
 
 def _round_tournament(P, O):
-    """The locally transitive tournament that has round ordering O and
-    contains P's arcs, or None; None exactly when O is not excellent
-    for P.
+    """The round tournament on O that contains P's arcs, or None; None
+    exactly when O is not excellent for P.
 
-    A tournament is round on O when every vertex beats a run of the
-    vertices right after it, and the round tournaments are the locally
-    transitive ones (Huang, JCTB 63, 1995).  So this is one 2-SAT
-    instance (Aspvall, Plass and Tarjan, IPL 8, 1979): a variable per
-    pair of positions, "i beats i+k implies i beats i+k-1" for every i
-    and k >= 2, and a unit clause per arc of P.  The numbering of the
-    pairs decides which round tournament comes back; each position's
-    pairs farthest first gives the directed 4-cycle 0 -> 2 and 1 -> 3."""
-    n, seq, pos = P.n, O.seq, O.pos
-    var = {}
+    The rule: on positions of O, with the cycle unrolled, "i beats i+d"
+    (0 < d < n) is forced when the segment [i, i+d] lies inside the span
+    of an arc of P, forbidden when [i+d, i+n] does, and otherwise the
+    shorter way round wins, i < n/2 at d = n/2.  Forced for (i, d) is
+    forbidden for (i+d, n-d) and the default is antisymmetric, so with
+    no (i, d) both forced and forbidden every pair is oriented once, and
+    each arc of P is forced by its own span.
+
+    Round: every sub-segment of a segment inside a span is inside it,
+    so for each i the forced d are 1 .. f(i), the forbidden ones
+    d0(i) .. n-1 and the default ones 1 .. h(i).  So i beats exactly
+    i+1 .. i+k with k = max(f(i), min(h(i), d0(i) - 1)), and the round
+    tournaments are the locally transitive ones (Huang, JCTB 63, 1995).
+
+    A conflict is a non-excellence.  If arc (s, t) runs backwards inside
+    the span of arc a, "t beats s" is forced by a and forbidden by
+    (s, t), whose span is [s, t+n].  Conversely, let [i, i+d] lie in the
+    span A of an arc a and [i+d, i+n] in the span B of an arc (s, t).
+    A and B cover the cycle, so B holds the part outside A and, being
+    shorter than the cycle, has both ends in A.  Were s before t in A,
+    B would lie inside A; so (s, t) runs backwards inside a's span.
+
+    With far from `_furthest_heads`, f(i) = far[i+n] - (i+n), and d is
+    forbidden exactly when far[i+d] >= i+n; the first such i+d never
+    moves back as i grows.  Deciding is O(n + arcs); writing the
+    tournament out is Theta(n^2)."""
+    n, seq = P.n, O.seq
+    far = _furthest_heads(P, O)
+    arcs, x = [], 0             # x - i is d0(i), or n when none
     for i in range(n):
-        for j in range(n - 1, i, -1):
-            var[i, j] = len(var) + 1
-
-    def beats(i, j):
-        return var[i, j] if i < j else -var[j, i]
-    clauses = [(-beats(i, (i + k) % n), beats(i, (i + k - 1) % n))
-               for i in range(n) for k in range(2, n)]
-    clauses += [(beats(pos[u], pos[v]),) for u, v in sorted(P.arcs)]
-    status, value = two_sat(len(var), clauses)
-    if status == "unsat":
-        return None
-    return Pog(P.names, frozenset(),
-               frozenset((seq[i], seq[j]) if value[x] else (seq[j], seq[i])
-                         for (i, j), x in var.items()))
+        forced = far[i + n] - (i + n)
+        while x < i + n and far[x] < i + n:     # x may be i: far[i] < i + n
+            x += 1
+        if forced >= x - i:
+            return None
+        half = n // 2 if i < n // 2 else (n - 1) // 2
+        k = max(forced, min(half, x - i - 1))
+        arcs.extend((seq[i], seq[(i + d) % n]) for d in range(1, k + 1))
+    return Pog(P.names, frozenset(), frozenset(arcs))
 
 
 def _require_excellent(P, O):

@@ -11,8 +11,6 @@ test is expected red.  Its companion cross-check is green.
 import itertools
 import random
 
-import pytest
-
 from pogc.auxgraph import complete_via_aux, consentaneous_closure
 from pogc.completions import (complete_to_in_tournament, complete_to_strong)
 from pogc.errors import UnsupportedInstanceError

@@ -14,8 +14,7 @@ from pogc.completions import (complete_to_cycle_factor_bruteforce,
 from pogc.graph import _lowlink
 from pogc.pog import Certificate, Pog, classify
 from pogc.verify import verify_certificate
-from util import (all_graphs, all_pogs, brute_force_completion, names,
-                  orientations, random_pog)
+from util import all_pogs, brute_force_completion, names, random_pog
 
 
 def _complete_pog(n, arcs):

@@ -13,7 +13,9 @@ from pogc.rounds import (_ltt_ordering, _round_tournament, check_ordering,
                          maximal_arcs, merge_ltt, moon_decompose,
                          round_to_ltt, saturate_to_round_lt)
 from util import (all_pogs, all_tournaments, merge_ltt_reference,
-                  moon_decompose_reference, names, random_ltt, random_pog)
+                  moon_decompose_reference, names, random_ltt, random_pog,
+                  round_tournament_2sat_reference,
+                  round_tournament_rule_reference)
 
 
 def _cycle(n):
@@ -329,6 +331,29 @@ def test_round_tournament_iff_excellent_random():
             assert saturate_to_round_lt(D, O).arcs == \
                 _saturate_reference(D, O).arcs, (sorted(P.arcs), O.seq)
     assert min(verdicts.values()) >= 500, verdicts
+
+
+def test_round_tournament_follows_the_rule():
+    # the corpora of the two tests above: the tournament is the one the
+    # rule gives pair by pair, and it is missing exactly when the 2-SAT
+    # over position pairs is unsatisfiable
+    cases = [(P, Ordering("cyclic", seq)) for n in range(5)
+             for P in all_pogs(n) if not P.edges
+             for seq in itertools.permutations(range(n)) if not seq or seq[0] == 0]
+    rng = random.Random(59)
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        P = random_pog(rng, n, p_adj=rng.choice((0.3, 0.6, 1.0)),
+                       p_arc=rng.choice((0.3, 0.6, 1.0)))
+        seq = list(range(n))
+        rng.shuffle(seq)
+        cases.append((P, Ordering("cyclic", tuple(seq))))
+    for P, O in cases:
+        T = _round_tournament(P, O)
+        want = round_tournament_rule_reference(P, O)
+        assert (T is None) == (want is None), (sorted(P.arcs), O.seq)
+        assert T is None or T.arcs == want.arcs, (sorted(P.arcs), O.seq)
+        assert (T is None) == (round_tournament_2sat_reference(P, O) is None)
 
 
 def test_complete_under_excellent_dominated_edge():

@@ -2,6 +2,7 @@
 
 import itertools
 
+from pogc.completions import two_sat
 from pogc.errors import InvariantError, NoZeroOutdegreeStartError, ParseError
 from pogc.friendly import cells
 from pogc.graph import _reach
@@ -208,6 +209,56 @@ def all_tournaments(n):
         yield Pog(names(n), frozenset(),
                   frozenset((j, i) if (mask >> k) & 1 else (i, j)
                             for k, (i, j) in enumerate(pairs)))
+
+
+def round_tournament_2sat_reference(P, O):
+    """A round tournament on O that contains P's arcs, or None, by one
+    2-SAT instance (Aspvall, Plass and Tarjan, IPL 8, 1979): a variable
+    per pair of positions, "i beats i+k implies i beats i+k-1" for
+    every i and k >= 2, and a unit clause per arc of P.  Satisfiable
+    exactly when O is excellent for P; which round tournament comes
+    back is set by the numbering of the pairs."""
+    n, seq, pos = P.n, O.seq, O.pos
+    var = {}
+    for i in range(n):
+        for j in range(n - 1, i, -1):
+            var[i, j] = len(var) + 1
+
+    def beats(i, j):
+        return var[i, j] if i < j else -var[j, i]
+    clauses = [(-beats(i, (i + k) % n), beats(i, (i + k - 1) % n))
+               for i in range(n) for k in range(2, n)]
+    clauses += [(beats(pos[u], pos[v]),) for u, v in sorted(P.arcs)]
+    status, value = two_sat(len(var), clauses)
+    if status == "unsat":
+        return None
+    return Pog(P.names, frozenset(),
+               frozenset((seq[i], seq[j]) if value[x] else (seq[j], seq[i])
+                         for (i, j), x in var.items()))
+
+
+def round_tournament_rule_reference(P, O):
+    """The round tournament rule of pogc.rounds._round_tournament, pair
+    by pair: "position i beats i+d" is forced when some arc's span holds
+    the segment [i, i+d], forbidden when one holds [i+d, i+n], and
+    otherwise goes the shorter way round, to i < n/2 at d = n/2.  None
+    when some pair is both forced and forbidden.  Scans every arc for
+    every pair."""
+    n, seq, pos = P.n, O.seq, O.pos
+    spans = [(pos[u], (pos[v] - pos[u]) % n) for u, v in P.arcs]
+
+    def inside(a, length):
+        return any((a - p) % n + length <= s for p, s in spans)
+    arcs = set()
+    for i in range(n):
+        for d in range(1, n):
+            forced, forbidden = inside(i, d), inside(i + d, n - d)
+            if forced and forbidden:
+                return None
+            if forced or (not forbidden
+                          and (2 * d < n or (2 * d == n and i < d))):
+                arcs.add((seq[i], seq[(i + d) % n]))
+    return Pog(P.names, frozenset(), frozenset(arcs))
 
 
 def random_ltt(rng, n, prefix="v"):
