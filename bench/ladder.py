@@ -11,7 +11,8 @@ band-4 (v_i ~ v_j iff |i - j| <= 4, no arcs), alone or with a proper
 representation of it (v_i on [2i, 2 min(i + 4, n - 1) + 1], on a line
 or turned half round a circle of length 2n), the strong all-arc
 digraph (arcs i -> i+1 and i -> i+2 plus v[n-1] -> v[1] and
-v[n-2] -> v[0], no edges) or the circulant C_n(1,2) (arcs i -> i+1
+v[n-2] -> v[0], no edges), the same without v[n-2] -> v[0] (v0 has no
+in-arc, so no cycle factor) or the circulant C_n(1,2) (arcs i -> i+1
 and i -> i+2 mod n, no edges); the `parse_pog` kernels read band-4 or
 all-arc as native text from `render_pog`; `classify.locally_transitive.band`
 reads band-4 oriented straight (every edge from its smaller end) and
@@ -46,13 +47,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from pogc.auxgraph import build_aux  # noqa: E402
-from pogc.completions import complete_to_strong, find_cycle_factor  # noqa: E402
+from pogc.completions import (complete_to_cycle_factor_bruteforce,  # noqa: E402
+                              complete_to_strong, find_cycle_factor)
 from pogc.hardness import CnfFormula, build_reduction  # noqa: E402
 from pogc.interval import (Representation, complete_to_acyclic_lt,  # noqa: E402
                            lbfs, validate_representation)
 from pogc.pog import (Ordering, Pog, _bridges, classify, parse_pog,  # noqa: E402
                       render_pog)
 from pogc.rounds import check_ordering, round_to_ltt  # noqa: E402
+from pogc.verify import verify_certificate  # noqa: E402
 
 WIDTH = 4
 SIZES = tuple(round(10 ** (2 + k / 2)) for k in range(5))
@@ -120,10 +123,19 @@ def identity_excellent(P):
     return check_ordering(P, Ordering("cyclic", tuple(range(P.n))), "excellent")
 
 
-def all_arc(n):
+def all_arc(n, factor=True):
     arcs = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
-    return Pog(tuple("v%d" % i for i in range(n)), frozenset(),
-               frozenset(arcs + [(n - 1, 1), (n - 2, 0)]))
+    arcs.append((n - 1, 1))
+    if factor:
+        arcs.append((n - 2, 0))
+    return Pog(tuple("v%d" % i for i in range(n)), frozenset(), frozenset(arcs))
+
+
+def refute_and_verify(P):
+    """Refute a cycle-factor completion of P and check the certificate."""
+    cert = complete_to_cycle_factor_bruteforce(P)
+    if not verify_certificate(P, cert):
+        raise RuntimeError("cycle-factor refutation did not verify")
 
 
 def circulant(n):
@@ -145,11 +157,13 @@ BAND_IV = "band-%d, interval representation" % WIDTH
 BAND_CA = "band-%d, circular representation turned by n" % WIDTH
 ALL_ARC = "all-arc, strong, no edges"
 ALL_ARC_TEXT = "all-arc, native text"
+ALL_ARC_NO_FACTOR = "all-arc without v[n-2] -> v[0], no cycle factor"
 CIRCULANT = "circulant C_n(1,2), no edges"
 BAND_STRAIGHT = "band-%d oriented from the smaller end, no edges" % WIDTH
 PLANTED_CNF = "planted 3-CNF with 2 vars + 7 clauses = n"
 FAMILIES = {BAND: band, BAND_IV: band_interval, BAND_CA: band_circular,
-            ALL_ARC: all_arc, CIRCULANT: circulant, BAND_TEXT: band_text,
+            ALL_ARC: all_arc, ALL_ARC_NO_FACTOR: lambda n: all_arc(n, False),
+            CIRCULANT: circulant, BAND_TEXT: band_text,
             ALL_ARC_TEXT: all_arc_text, BAND_STRAIGHT: band_straight,
             PLANTED_CNF: planted_cnf}
 KERNELS = {  # name: (family, kernel)
@@ -164,6 +178,7 @@ KERNELS = {  # name: (family, kernel)
         (BAND_CA, lambda PR: validate_representation(*PR)),
     "complete_to_strong.all_arc": (ALL_ARC, complete_to_strong),
     "find_cycle_factor.all_arc": (ALL_ARC, find_cycle_factor),
+    "cycle_factor.refute_and_verify.all_arc": (ALL_ARC_NO_FACTOR, refute_and_verify),
     "check_ordering.excellent.all_arc": (ALL_ARC, identity_excellent),
     "round_to_ltt.circulant": (CIRCULANT, round_to_ltt),
     "parse_pog.all_arc": (ALL_ARC_TEXT, parse_pog),
@@ -241,7 +256,7 @@ def main(argv=None):
         for n in sorted(n for n in args.sizes if n <= LARGEST_N.get(name, n)):
             t = time_point(FAMILIES[family], kernel, n)
             points.append({"n": n, "seconds": None if t is None else round(t, 6)})
-            print("%-34s n=%-6d %s" % (name, n, "capped" if t is None
+            print("%-40s n=%-6d %s" % (name, n, "capped" if t is None
                                        else "%.4f s" % t), file=sys.stderr)
             if t is None:
                 break

@@ -41,6 +41,9 @@ NICE = "tests/test_rounds.py::test_nice_matches_per_arc_reference"
 RULE = "tests/test_rounds.py::test_round_tournament_follows_the_rule"
 IFF_EXCELLENT = "tests/test_rounds.py::test_round_tournament_iff_excellent_random"
 SPANS = "tests/test_rounds.py::test_excellent_and_maximal_arcs_match_reference_random"
+CYCLE_FACTOR = ("tests/test_completions.py::"
+                "test_cycle_factor_completion_matches_enumeration_reference")
+HALL = "tests/test_cli.py::test_verify_cert_hostile_hall_sets"
 
 # the class a split creates placed before its old class, as LBFS needs,
 # and after it
@@ -170,6 +173,19 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "    reach = list(accumulate(reach, max))\n", "", SPANS),
     ("maximal-arcs-own-tail", "pogc/rounds.py",
      "far[x - 1] < head", "far[x] < head", SPANS),
+    ("relaxation-edges-one-way", "pogc/completions.py",
+     "        succ[i].add(j)\n        succ[j].add(i)\n",
+     "        succ[i].add(j)\n", CYCLE_FACTOR),
+    ("hall-verifier-allows-equal", "pogc/verify.py",
+     "return len(succ) < len(S)", "return len(succ) <= len(S)", HALL),
+    ("hall-verifier-one-edge-end", "pogc/verify.py",
+     "        if v in S:\n            succ.add(u)\n", "", HALL),
+    ("hall-set-from-right-vertices", "pogc/graph.py",
+     "            reached.append(~x)\n            return nbrs(~x)\n"
+     "        return (~match[x],)",
+     "            return nbrs(~x)\n        reached.append(x)\n"
+     "        return (~match[x],)",
+     "tests/test_pog.py::test_matching_matches_brute_force"),
     ("chordal-site-searches-holes", "pogc/interval.py",
      "cert = _chordal_obstruction(P)", "cert = find_proper_interval_obstruction(P)",
      "tests/test_interval.py::test_tent_beside_a_band_is_refuted_fast"),

@@ -3,9 +3,11 @@
 Transitive tournaments reduce to acyclicity, in-tournaments to 2-SAT
 over edge orientations, strong completions to a bridge test (one
 O(n + m) lowpoint DFS) plus a strongness test on the bidirected
-relaxation, then the per-edge Boesch-Tindell greedy orientation, and
-cycle factors to a bounded exhaustive search whose oracle matches
-out-copies to in-copies (`graph._matching`).
+relaxation, then the per-edge Boesch-Tindell greedy orientation.
+Cycle factors match out-copies to in-copies (`graph._matching`): a
+completion is refuted by a Hall set of its relaxation, in which arcs
+are usable one way and edges both ways, and only a relaxation that
+matches goes on to a bounded exhaustive search over edge orientations.
 """
 
 from __future__ import annotations
@@ -172,6 +174,16 @@ def _bidirected_strong(succ):
     return False, [v for v in range(n) if comp[v] == side]
 
 
+def _doubled(P):
+    """Successor sets of P with every edge doubled: the digraph whose
+    arcs are P's arcs and both directions of each of P's edges."""
+    succ = [set(s) for s in P.out_nbrs]
+    for i, j in P.edges:
+        succ[i].add(j)
+        succ[j].add(i)
+    return succ
+
+
 def complete_to_strong(P):
     """Complete P to a strong oriented graph, or return a Bridge or
     DirectedCut certificate."""
@@ -185,10 +197,7 @@ def complete_to_strong(P):
     if bridges:
         return Certificate("Bridge",
                            {"edge": [P.names[v] for v in min(bridges)]})
-    succ = [set(P.out_nbrs[v]) for v in range(P.n)]
-    for i, j in P.edges:
-        succ[i].add(j)
-        succ[j].add(i)
+    succ = _doubled(P)
     ok, side = _bidirected_strong(succ)
     if not ok:
         return Certificate("DirectedCut", {"side": [P.names[v] for v in side]})
@@ -215,8 +224,8 @@ def find_cycle_factor(D):
     successor function; each cycle starts at its smallest vertex."""
     require_oriented(D)
     out = [sorted(s) for s in D.out_nbrs]
-    match, unmatched = _matching(range(D.n), out.__getitem__)
-    if unmatched is not None:
+    match, hall = _matching(range(D.n), out.__getitem__)
+    if hall is not None:
         return None
     succ = {u: w for w, u in match.items()}
     cycles = []
@@ -233,8 +242,19 @@ def has_cycle_factor(D):
 
 
 def complete_to_cycle_factor_bruteforce(P):
-    """Exhaustive search over edge orientations, first completion (in
-    lexicographic orientation order) with a directed cycle factor."""
+    """First completion (in lexicographic orientation order) with a
+    directed cycle factor, or a certificate.  A cycle factor of any
+    completion matches every out-copy to an in-copy in the relaxation
+    `_doubled(P)`, so when that matching fails its Hall set refutes P;
+    otherwise a pog without edges is its own completion, and the rest go
+    to an exhaustive search over edge orientations."""
+    hall = _matching(range(P.n), _doubled(P).__getitem__)[1]
+    if hall is not None:
+        return Certificate("NoCompletion", {
+            "kind": "hall", "target": "cycle_factor",
+            "set": [P.names[v] for v in hall]})
+    if not P.edges:
+        return P
     edges = sorted(P.edges)
     if len(edges) > MAX_CYCLE_FACTOR_EDGES:
         raise SizeGuardError("MAX_CYCLE_FACTOR_EDGES", MAX_CYCLE_FACTOR_EDGES,

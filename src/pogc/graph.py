@@ -164,9 +164,12 @@ def _lex_bfs(adj, out=None):
 def _matching(left, nbrs):
     """Bipartite matching by augmenting paths (Kuhn): each vertex u of
     `left` takes its first free right vertex in `nbrs(u)` order, then each
-    one still free gets one bfs_path search.  Returns (match, unmatched):
-    match maps matched right vertices to left vertices; unmatched is None
-    or the first left vertex no augmenting path reaches (the search stops)."""
+    one still free gets one bfs_path search.  Returns (match, hall): match
+    maps matched right vertices to left vertices; hall is None when every
+    left vertex is matched, else the sorted left vertices that the first
+    failed search reached (the search stops there).  Every right vertex
+    that search reached is matched to another of them, so their
+    neighbours number len(hall) - 1 (Hall, Koenig)."""
     match, free, sink = {}, [], object()
     for u in left:
         for w in nbrs(u):
@@ -175,14 +178,19 @@ def _matching(left, nbrs):
                 break
         else:
             free.append(u)
+    reached = []  # left vertices the current search has expanded
 
     def residual(x):  # left vertex u is ~u; a free right vertex leads to sink
-        return nbrs(~x) if x < 0 else (~match[x],) if x in match else (sink,)
+        if x < 0:
+            reached.append(~x)
+            return nbrs(~x)
+        return (~match[x],) if x in match else (sink,)
 
     for u in free:
+        reached.clear()
         path = bfs_path(residual, ~u, sink)
-        if path is None:
-            return match, u
+        if path is None:  # the search expanded every vertex it reached
+            return match, sorted(reached)
         match.update((w, ~x) for x, w in zip(path[::2], path[1::2]))
     return match, None
 

@@ -140,6 +140,9 @@ def _verify(P, cert):
         kind = pay["kind"]
         if kind == "two_sat_core":
             return verify_in_tournament_core(P, pay["cycle"])
+        if kind == "hall":
+            return pay["target"] == "cycle_factor" and _hall_deficient(
+                P, pay["set"])
         if kind == "exhausted":
             target = pay["target"]
             if target == "cycle_factor":
@@ -150,6 +153,26 @@ def _verify(P, cert):
         return False
 
     return False
+
+
+def _hall_deficient(P, names):
+    """True when `names` lists distinct vertices S of P whose possible
+    successors number fewer than |S|: the heads of arcs out of S and the
+    other ends of edges at S.  A cycle factor of any completion gives
+    each vertex of S its own successor among them.  O(n + m + |S|)."""
+    if not isinstance(names, list):
+        return False
+    ids = _ids(P, names)
+    if not ids or len(set(ids)) != len(ids):
+        return False
+    S = set(ids)
+    succ = {v for u, v in P.arcs if u in S}
+    for u, v in P.edges:
+        if u in S:
+            succ.add(v)
+        if v in S:
+            succ.add(u)
+    return len(succ) < len(S)
 
 
 def _verify_obstruction(P, pay):

@@ -148,6 +148,57 @@ def test_complete_cycle_factor_long_augmenting_path(w, capsys):
     assert verify_certificate(parse_pog(no_factor), cert)
 
 
+def test_cycle_factor_star_is_refuted_fast(w, capsys):
+    # the k-leaf star: every leaf's only possible successor is the hub,
+    # so the relaxation has no perfect matching.  Trying all 2^k
+    # orientations took 7.4 s per call at k = 20, and k = 24 hit the
+    # edge guard; the Hall set refutes both without a search
+    for k in (20, 24):
+        g = w("g", "".join("edge h l%d\n" % t for t in range(k)))
+        t0 = time.perf_counter()
+        assert run(["complete", "--class", "cycle-factor", g]) == 1
+        cert = capsys.readouterr().out
+        assert Certificate.from_json(cert).payload["kind"] == "hall"
+        assert run(["verify-cert", g, w("cert", cert)]) == 0
+        assert time.perf_counter() - t0 < 2, k
+        assert capsys.readouterr().out.strip() == "valid"
+
+
+def test_verify_cert_hostile_hall_sets(w, capsys):
+    # a and b have no possible successor, c only d, so [a] and [a, b]
+    # are Hall sets; each hostile payload is invalid, never an error
+    lone = "v a\nv b\narc c d\n"
+    for target, hall, code in (
+            ("cycle_factor", ["a"], 0),
+            ("cycle_factor", ["b", "a"], 0),
+            ("cycle_factor", [], 1),
+            ("cycle_factor", ["c", "c"], 1),
+            ("cycle_factor", ["a", "zz"], 1),
+            ("cycle_factor", "ab", 1),
+            ("cycle_factor", {"a": 0, "b": 0}, 1),
+            ("cycle_factor", None, 1),
+            ("cycle_factor", [["a"]], 1),
+            ("ltt", ["a"], 1),
+            (["cycle_factor"], ["a"], 1)):
+        c = w("cert", json.dumps({"tag": "NoCompletion", "payload": {
+            "kind": "hall", "target": target, "set": hall}}))
+        t0 = time.perf_counter()
+        assert run(["verify-cert", w("g", lone), c]) == code, (target, hall)
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr().out.strip() == ("valid", "invalid")[code]
+    # a set with exactly as many possible successors as members, and a
+    # set that has too few only if each edge counted one way
+    for text, hall in ((DIRECTED_C3, ["a", "b", "c"]),
+                       ("edge a b\n", ["a", "b"]),
+                       ("edge a b\n", ["b", "a"])):
+        c = w("cert", json.dumps({"tag": "NoCompletion", "payload": {
+            "kind": "hall", "target": "cycle_factor", "set": hall}}))
+        t0 = time.perf_counter()
+        assert run(["verify-cert", w("g", text), c]) == 1, (text, hall)
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr().out.strip() == "invalid"
+
+
 def test_internal_error_exit_code(w, capsys, monkeypatch):
     def broken(P):
         raise InvariantError("completion is not strong")

@@ -14,7 +14,8 @@ from pogc.completions import (complete_to_cycle_factor_bruteforce,
 from pogc.graph import _lowlink
 from pogc.pog import Certificate, Pog, classify
 from pogc.verify import verify_certificate
-from util import all_pogs, brute_force_completion, names, random_pog
+from util import (all_pogs, brute_force_completion,
+                  cycle_factor_enumeration_reference, names, random_pog)
 
 
 def _complete_pog(n, arcs):
@@ -525,6 +526,68 @@ def test_complete_to_cycle_factor():
     cert = complete_to_cycle_factor_bruteforce(lonely)
     assert isinstance(cert, Certificate)
     assert verify_certificate(lonely, cert)
+
+
+def _relaxation_saturable(P):
+    """Whether distinct successors can be picked for all vertices of P,
+    each along an arc of P or either way along an edge (backtracking)."""
+    succ = [[] for _ in range(P.n)]
+    for u, v in P.arcs:
+        succ[u].append(v)
+    for u, v in P.edges:
+        succ[u].append(v)
+        succ[v].append(u)
+    used = set()
+
+    def rec(v):
+        if v == P.n:
+            return True
+        for w in succ[v]:
+            if w not in used:
+                used.add(w)
+                if rec(v + 1):
+                    return True
+                used.discard(w)
+        return False
+
+    return rec(0)
+
+
+def _cycle_factor_differential_corpus():
+    """Every pog on <= 4 vertices and 2,000 seeded random pogs on <= 9
+    vertices with at most 12 edges."""
+    for n in range(5):
+        yield from all_pogs(n)
+    rng = random.Random(31)
+    count = 0
+    while count < 2000:
+        P = random_pog(rng, rng.randint(1, 9), p_adj=rng.choice((0.3, 0.5, 0.7)),
+                       p_arc=rng.choice((0.4, 0.6, 0.8)))
+        if len(P.edges) <= 12:
+            count += 1
+            yield P
+
+
+def test_cycle_factor_completion_matches_enumeration_reference():
+    """The relaxation-first completer against the plain enumeration: the
+    same verdict, the same arcs on every "yes", a `hall` refutation
+    exactly when brute force finds no perfect matching of the relaxation,
+    and every refutation verifies."""
+    kinds = {"yes": 0, "hall": 0, "exhausted": 0}
+    for P in _cycle_factor_differential_corpus():
+        got = complete_to_cycle_factor_bruteforce(P)
+        want = cycle_factor_enumeration_reference(P)
+        if want is not None:
+            assert not isinstance(got, Certificate), P
+            assert got.arcs == want.arcs and not got.edges
+            kinds["yes"] += 1
+            continue
+        assert isinstance(got, Certificate), P
+        kind = got.payload["kind"]
+        assert (kind == "hall") == (not _relaxation_saturable(P)), P
+        assert verify_certificate(P, got), got.to_json()
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 300, kinds
 
 
 # -- k-arc-strong --------------------------------------------------------------

@@ -526,12 +526,17 @@ def test_bridges_of_long_path_and_cycle():
 
 
 def test_matching_greedy_then_augmenting_path():
+    # 1 finds right 0 taken by 0, which has nowhere else to go: the
+    # failed search reached both, and they share one neighbour
     nbrs = {0: [0], 1: [0]}.__getitem__
-    assert _matching([0, 1], nbrs) == ({0: 0}, 1)
+    assert _matching([0, 1], nbrs) == ({0: 0}, [0, 1])
     # 5 takes right 0 greedily; 3 then augments along 3-0-5-1
     nbrs = {5: [0, 1], 3: [0], 8: [2]}.__getitem__
     assert _matching([5, 3, 8], nbrs) == ({0: 3, 1: 5, 2: 8}, None)
     assert _matching([], nbrs) == ({}, None)
+    # 9 has no neighbour at all: the search reaches it alone
+    nbrs = {4: [1], 9: []}.__getitem__
+    assert _matching([4, 9], nbrs) == ({1: 4}, [9])
 
 
 def _saturable(lefts, nbrs):
@@ -544,23 +549,28 @@ def _saturable(lefts, nbrs):
 def test_matching_matches_brute_force():
     """On 3,000 seeded bipartite graphs: the matching uses edges, and it
     covers every left vertex exactly when brute force finds a matching
-    that does; a reported unmatched vertex cannot be added to the
-    matched ones."""
+    that does; on a failure the reported Hall set is a sorted set of
+    left vertices, one of them unmatched, whose neighbours number one
+    fewer than it (Koenig), so brute force cannot saturate it."""
     rng = random.Random(29)
     verdicts = set()
     for _ in range(3000):
         left = rng.sample(range(8), rng.randint(0, 5))
         nbrs = {u: rng.sample(range(6), rng.randint(0, 3)) for u in left}
-        match, unmatched = _matching(left, nbrs.__getitem__)
+        match, hall = _matching(left, nbrs.__getitem__)
         assert all(w in nbrs[u] for w, u in match.items())
         assert len(set(match.values())) == len(match)
-        assert (unmatched is None) == _saturable(left, nbrs)
-        if unmatched is None:
+        assert (hall is None) == _saturable(left, nbrs)
+        if hall is None:
             assert sorted(match.values()) == sorted(left)
         else:
-            assert unmatched in left and unmatched not in match.values()
-            assert not _saturable(list(match.values()) + [unmatched], nbrs)
-        verdicts.add(unmatched is None)
+            assert hall == sorted(set(hall)) and set(hall) <= set(left)
+            assert not set(hall) <= set(match.values())
+            reach = {w for u in hall for w in nbrs[u]}
+            assert len(reach) < len(hall)
+            assert len(reach) == len(hall) - 1
+            assert not _saturable(hall, nbrs)
+        verdicts.add(hall is None)
     assert verdicts == {True, False}
 
 

@@ -5,7 +5,7 @@ import itertools
 from pogc.completions import two_sat
 from pogc.errors import InvariantError, NoZeroOutdegreeStartError, ParseError
 from pogc.friendly import cells
-from pogc.graph import _reach
+from pogc.graph import _matching, _reach
 from pogc.hardness import CnfFormula
 from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _neighbourhoods,
                       _norm, classify, find_directed_cycle)
@@ -68,6 +68,23 @@ def orientations(P):
         arcs = [(u, v) if not (mask >> k) & 1 else (v, u)
                 for k, (u, v) in enumerate(edges)]
         yield P.orient(arcs)
+
+
+def cycle_factor_enumeration_reference(P):
+    """First orientation of P's edges, in the order of `orientations`,
+    whose out-copy/in-copy matching is perfect, or None: the search that
+    pogc.completions.complete_to_cycle_factor_bruteforce ran on every
+    pog before it tried the relaxation first.  2^edges matchings."""
+    edges = sorted(P.edges)
+    for mask in range(1 << len(edges)):
+        arcs = [(u, v) if not (mask >> k) & 1 else (v, u)
+                for k, (u, v) in enumerate(edges)]
+        succ = [list(s) for s in P.out_nbrs]
+        for u, v in arcs:
+            succ[u].append(v)
+        if _matching(range(P.n), succ.__getitem__)[1] is None:
+            return P.orient(arcs)
+    return None
 
 
 def brute_force_completion(P, pred):
