@@ -12,12 +12,18 @@ representation of it (v_i on [2i, 2 min(i + 4, n - 1) + 1], on a line
 or turned half round a circle of length 2n), the strong all-arc
 digraph (arcs i -> i+1 and i -> i+2 plus v[n-1] -> v[1] and
 v[n-2] -> v[0], no edges), the same without v[n-2] -> v[0] (v0 has no
-in-arc, so no cycle factor) or the circulant C_n(1,2) (arcs i -> i+1
-and i -> i+2 mod n, no edges); the `parse_pog` kernels read band-4 or
-all-arc as native text from `render_pog`; `classify.locally_transitive.band`
-reads band-4 oriented straight (every edge from its smaller end) and
-`build_reduction.planted` reduces a seeded 3-CNF with a planted satisfying
-assignment, sized so that its reduction has n = 2 vars + 7 clauses
+in-arc, so no cycle factor), the circulant C_n(1,2) (arcs i -> i+1
+and i -> i+2 mod n, no edges) or ring+chord (the ring v0 v1 ... v0
+plus n/4 chords, a matching of ring distance >= 3 seeded by n, with
+30 % of the pairs revealed as arcs: ring pairs along the ring, chords
+either way, as perfbench's strong "yes" pogs).  `complete_to_strong`
+orients every edge of band-4 and ring+chord, which both have strong
+completions; all-arc has no edge to orient.  The `parse_pog` kernels
+read band-4 or all-arc as native text from `render_pog`;
+`classify.locally_transitive.band` reads band-4 oriented straight
+(every edge from its smaller end) and `build_reduction.planted`
+reduces a seeded 3-CNF with a planted satisfying assignment, sized so
+that its reduction has n = 2 vars + 7 clauses
 vertices.  A point is the fastest of a
 few runs, each on a freshly built input so that no cached view is
 shared between runs; only the kernel call is timed.
@@ -143,6 +149,26 @@ def circulant(n):
                frozenset((i, (i + s) % n) for i in range(n) for s in (1, 2)))
 
 
+def ring_chord(n):
+    rng = random.Random(n)
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    used = set()
+    while len(pairs) < n + n // 4:
+        a, b = rng.sample(range(n), 2)
+        if a in used or b in used or min((a - b) % n, (b - a) % n) < 3:
+            continue
+        used |= {a, b}
+        pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+    edges, arcs = set(), set()
+    for a, b in pairs:
+        if rng.random() < 0.3:
+            arcs.add((a, b))
+        else:
+            edges.add((min(a, b), max(a, b)))
+    return Pog(tuple("v%d" % i for i in range(n)), frozenset(edges),
+               frozenset(arcs))
+
+
 def band_text(n):
     return render_pog(band(n))
 
@@ -161,11 +187,12 @@ ALL_ARC_NO_FACTOR = "all-arc without v[n-2] -> v[0], no cycle factor"
 CIRCULANT = "circulant C_n(1,2), no edges"
 BAND_STRAIGHT = "band-%d oriented from the smaller end, no edges" % WIDTH
 PLANTED_CNF = "planted 3-CNF with 2 vars + 7 clauses = n"
+RING_CHORD = "ring+chord, 30 % revealed, strong completion"
 FAMILIES = {BAND: band, BAND_IV: band_interval, BAND_CA: band_circular,
             ALL_ARC: all_arc, ALL_ARC_NO_FACTOR: lambda n: all_arc(n, False),
             CIRCULANT: circulant, BAND_TEXT: band_text,
             ALL_ARC_TEXT: all_arc_text, BAND_STRAIGHT: band_straight,
-            PLANTED_CNF: planted_cnf}
+            PLANTED_CNF: planted_cnf, RING_CHORD: ring_chord}
 KERNELS = {  # name: (family, kernel)
     "build_aux.local_tournament": (BAND, lambda P: build_aux(P, "local_tournament")),
     "build_aux.quasi_transitive": (BAND, lambda P: build_aux(P, "quasi_transitive")),
@@ -177,6 +204,8 @@ KERNELS = {  # name: (family, kernel)
     "validate_representation.circular":
         (BAND_CA, lambda PR: validate_representation(*PR)),
     "complete_to_strong.all_arc": (ALL_ARC, complete_to_strong),
+    "complete_to_strong.band": (BAND, complete_to_strong),
+    "complete_to_strong.ring_chord": (RING_CHORD, complete_to_strong),
     "find_cycle_factor.all_arc": (ALL_ARC, find_cycle_factor),
     "cycle_factor.refute_and_verify.all_arc": (ALL_ARC_NO_FACTOR, refute_and_verify),
     "check_ordering.excellent.all_arc": (ALL_ARC, identity_excellent),

@@ -44,6 +44,7 @@ SPANS = "tests/test_rounds.py::test_excellent_and_maximal_arcs_match_reference_r
 CYCLE_FACTOR = ("tests/test_completions.py::"
                 "test_cycle_factor_completion_matches_enumeration_reference")
 HALL = "tests/test_cli.py::test_verify_cert_hostile_hall_sets"
+STRONG = "tests/test_completions.py::test_strong_matches_orient_and_scc_loop"
 
 # the class a split creates placed before its old class, as LBFS needs,
 # and after it
@@ -186,6 +187,16 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "            return nbrs(~x)\n        reached.append(x)\n"
      "        return (~match[x],)",
      "tests/test_pog.py::test_matching_matches_brute_force"),
+    ("strong-back-edges-downwards", "pogc/completions.py",
+     "            down = parent[v] == u and (u, v) not in turned\n",
+     "            down = (u, v) not in turned\n", STRONG),
+    ("strong-cut-edges-not-turned", "pogc/completions.py",
+     "            down = parent[v] == u and (u, v) not in turned\n",
+     "            down = parent[v] == u\n", STRONG),
+    # a vertex in cut under an edge closes its component, so later arcs
+    # into its subtree no longer count as ways back
+    ("lowlink-cut-under-edge-closes", "pogc/graph.py",
+     "                if back < 0:\n", "                if True:\n", STRONG),
     ("chordal-site-searches-holes", "pogc/interval.py",
      "cert = _chordal_obstruction(P)", "cert = find_proper_interval_obstruction(P)",
      "tests/test_interval.py::test_tent_beside_a_band_is_refuted_fast"),

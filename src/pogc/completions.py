@@ -1,9 +1,10 @@
 """Completions outside the local tournament family.
 
 Transitive tournaments reduce to acyclicity, in-tournaments to 2-SAT
-over edge orientations, strong completions to a bridge test (one
-O(n + m) lowpoint DFS) plus a strongness test on the bidirected
-relaxation, then the per-edge Boesch-Tindell greedy orientation.
+over edge orientations, strong completions to one lowpoint DFS of the
+bidirected relaxation that orients every edge (Chung-Garey-Tarjan),
+with the bridge and strongness tests of Boesch-Tindell run only to
+certify a failure.
 Cycle factors match out-copies to in-copies (`graph._matching`): a
 completion is refuted by a Hall set of its relaxation, in which arcs
 are usable one way and edges both ways, and only a relaxation that
@@ -13,7 +14,7 @@ matches goes on to a bounded exhaustive search over edge orientations.
 from __future__ import annotations
 
 from .errors import InvariantError, SizeGuardError
-from .graph import _lowlink, _matching, _separates, bfs_path, topological_order
+from .graph import _lowlink, _matching, bfs_path, topological_order
 from .pog import (Certificate, _bridges, _is_complete, _nonadjacent_pairs,
                   _norm, classify, find_directed_cycle, require_oriented)
 
@@ -71,7 +72,7 @@ def two_sat(nvars, clauses):
     """Solve 1-or-2 literal clauses.  Returns ('sat', assignment dict)
     or ('unsat', literal cycle through x and -x)."""
     adj = _implications(nvars, clauses)
-    comp, _ = _lowlink(len(adj), adj.__getitem__)
+    comp = _lowlink(len(adj), adj.__getitem__)[0]
     for x in range(1, nvars + 1):
         if comp[_lit_node(x)] == comp[_lit_node(-x)]:
             cycle = _lit_cycle(adj, _lit_node(x), _lit_node(-x))
@@ -165,7 +166,7 @@ def _bidirected_strong(succ):
     """Strongness of the digraph `succ` (a list of successor sets, every
     edge doubled); returns (True, None) or (False, source component)."""
     n = len(succ)
-    comp, _ = _lowlink(n, succ.__getitem__)
+    comp = _lowlink(n, succ.__getitem__)[0]
     if max(comp, default=0) == 0:
         return True, None
     # the component of the smallest vertex whose component no arc enters
@@ -186,9 +187,67 @@ def _doubled(P):
 
 def complete_to_strong(P):
     """Complete P to a strong oriented graph, or return a Bridge or
-    DirectedCut certificate."""
+    DirectedCut certificate.
+
+    P has a strong completion iff UG(P) is connected and bridgeless and
+    the doubled digraph D (`_doubled`) is strong (Boesch and Tindell,
+    Amer. Math. Monthly 87, 1980).  Like Chung, Garey and Tarjan
+    (Networks 15, 1985), one DFS finds the orientation: the lowpoint
+    DFS of `graph._lowlink` over D, from vertex 0 with neighbours in
+    increasing order, never stepping back along the edge it came in on.
+    Its cut holds the tree edges p -> v into the vertices v whose
+    lowpoint stays num[v].  Each edge is oriented the way the search
+    first stepped along it, and each edge in cut is then turned round,
+    to v -> p.  O(n + m log n), the log from sorting the neighbours.
+    Only when the result R is not strong do the certificate checks run:
+    connectivity, then bridges, then strongness of D.
+
+    Why R is strong when D is strong and UG(P) bridgeless.  The ends of
+    an edge are an ancestor and a descendant, as the end reached first
+    reaches the other before it finishes.  The search first steps along
+    a tree edge from the ancestor, and along any other edge from the
+    descendant, since the ancestor gets back to it only once the
+    descendant has finished.  Call the arcs stepped along first used:
+    P's arcs, tree edges downwards, other edges upwards.  low[x] is the
+    least num that x reaches by tree arcs into vertices whose edge is
+    not in cut and then one used arc.
+    (1) Let p -> v be in cut and S the subtree of v.  No used arc
+    leaves S: from x in S it would reach a vertex numbered below num[v]
+    (all others reached before x finished lie in S), and lower below
+    its own number the lowpoint of v or of a vertex of S whose edge is
+    in cut.  So the arc of D that leaves S, D being strong, is unused:
+    the reverse of an edge first stepped along into S, that is of pv.
+    So pv is an edge and R can turn it.  As pv is no bridge, another
+    pair of UG(P) joins S to the rest; an edge would be used out of S,
+    so it is an arc x -> y of P into S, and x finishes after v (had x
+    finished first, y would have become its descendant).
+    (2) Every vertex reaches 0 in R, by induction on num: v in (1) by
+    v -> p, any other x by unturned tree arcs and a used arc to a
+    vertex numbered low[x] < num[x].
+    (3) 0 reaches every vertex in R, by induction on finishing order,
+    last first: a vertex whose edge is not in cut from its parent, and
+    v in (1) by x -> y, as y reaches 0 by (2) and so passes v, whose
+    v -> p is the one arc of R out of S.
+    D is strong iff the DFS closes one component: by (1) it closes one
+    early only under a tree arc of P with no arc of D out of S, and
+    otherwise (2) holds for R inside D."""
     if P.n <= 1:
         return P
+    succ = [sorted(s) for s in _doubled(P)]
+    edges = P.edges
+    comp, turned, num, parent = _lowlink(
+        P.n, succ.__getitem__, lambda v, w: _norm(v, w) in edges)
+    if max(comp) == 0:
+        turned = set(turned)
+        chosen = []
+        for u, v in edges:
+            if num[u] > num[v]:
+                u, v = v, u  # u is reached first, so v descends from u
+            down = parent[v] == u and (u, v) not in turned
+            chosen.append((u, v) if down else (v, u))
+        cur = P.orient(chosen)
+        if classify(cur).strong:
+            return cur
     comps = P.ug_components
     if len(comps) > 1:
         return Certificate("DirectedCut",
@@ -197,22 +256,10 @@ def complete_to_strong(P):
     if bridges:
         return Certificate("Bridge",
                            {"edge": [P.names[v] for v in min(bridges)]})
-    succ = _doubled(P)
     ok, side = _bidirected_strong(succ)
     if not ok:
         return Certificate("DirectedCut", {"side": [P.names[v] for v in side]})
-    # UG(P) is bridgeless and the doubled digraph strong, so either
-    # direction of any one edge keeps it strong (Boesch-Tindell): keep
-    # u -> v when v still reaches u without the pair, else take v -> u
-    chosen = []
-    for u, v in sorted(P.edges):
-        arc = (v, u) if _separates(succ.__getitem__, v, u) else (u, v)
-        succ[arc[1]].discard(arc[0])
-        chosen.append(arc)
-    cur = P.orient(chosen)
-    if not classify(cur).strong:
-        raise InvariantError("completion is not strong")
-    return cur
+    raise InvariantError("completion is not strong")
 
 
 # -- cycle factors and arc-strongness ------------------------------------

@@ -242,16 +242,27 @@ def _components(verts, nbrs):
     return comps
 
 
-def _lowlink(n, nbrs, undirected=False):
+def _lowlink(n, nbrs, two_way=None):
     """Tarjan's lowlink DFS over vertices 0..n-1, roots in order and the
-    neighbours of v in `nbrs(v)` order.  Returns (comp, cut): comp[v]
-    numbers v's component in the order components close (strong
-    components, sinks first), and cut lists the tree edges (parent,
-    root) that enter a component root.  With `undirected`, `nbrs` is a
-    simple graph and the search never steps back along the tree edge it
-    came in on, so the components are the 2-edge-connected components
-    and cut is the bridges."""
-    num, low, comp = [-1] * n, [0] * n, [-1] * n
+    neighbours of v in `nbrs(v)` order.  Returns (comp, cut, num,
+    parent): num[v] is v's preorder number, parent[v] its tree parent
+    (None for a root), cut lists the tree edges (parent[v], v) into the
+    vertices v that are not roots and whose lowpoint is their own number
+    when they finish, in finishing order, and comp[v] numbers the
+    component v is popped with, in the order components close.
+
+    `two_way(p, v)` says whether the tree edge p -> v is one of two
+    opposite arcs that stand for one undirected edge.  The search never
+    steps back along such an edge, and a vertex in cut under one closes
+    no component: its vertices stay on the stack, where later arcs into
+    them still lower lowpoints, until a vertex below closes.  Without
+    `two_way`, the components are the strong components, sinks first.
+    With `two_way` always true on a simple graph, cut is its bridges
+    and the components are its connected components.  On the doubled
+    digraph of a mixed graph, with `two_way` true on its edges, there is
+    one component iff that digraph is strong, and complete_to_strong
+    orients the edges from num, parent and cut."""
+    num, low, comp, parent = [-1] * n, [0] * n, [-1] * n, [None] * n
     stack, cut, count, ncomp = [], [], 0, 0
     for root in range(n):
         if num[root] >= 0:
@@ -259,29 +270,33 @@ def _lowlink(n, nbrs, undirected=False):
         num[root] = low[root] = count
         count += 1
         stack.append(root)
-        work = [(root, None, iter(nbrs(root)))]
+        work = [(root, -1, iter(nbrs(root)))]
         while work:
-            v, p, it = work[-1]
+            v, back, it = work[-1]  # the search never steps from v to back
             for w in it:
                 if num[w] < 0:
                     num[w] = low[w] = count
                     count += 1
+                    parent[w] = v
                     stack.append(w)
-                    work.append((w, v, iter(nbrs(w))))
+                    work.append((w, v if two_way and two_way(v, w) else -1,
+                                 iter(nbrs(w))))
                     break
-                if comp[w] < 0 and not (undirected and w == p):
+                if comp[w] < 0 and w != back:
                     low[v] = min(low[v], num[w])
             else:
                 work.pop()
+                p = parent[v]
                 if low[v] < num[v]:
                     low[p] = min(low[p], low[v])
                     continue
-                while comp[v] < 0:
-                    comp[stack.pop()] = ncomp
-                ncomp += 1
                 if p is not None:
                     cut.append((p, v))
-    return comp, cut
+                if back < 0:
+                    while comp[v] < 0:
+                        comp[stack.pop()] = ncomp
+                    ncomp += 1
+    return comp, cut, num, parent
 
 
 def _separates(nbrs, u, v):

@@ -557,7 +557,7 @@ def classify(P):
 
 def _bridges(P):
     """The bridges of UG(P), as pairs (i, j) with i < j."""
-    return {_norm(*e) for e in _lowlink(P.n, P.adj.__getitem__, True)[1]}
+    return {_norm(*e) for e in _lowlink(P.n, P.adj.__getitem__, lambda v, w: True)[1]}
 
 
 def require_oriented(P):

@@ -12,10 +12,19 @@ from .pog import Certificate, Ordering, _norm
 from .rounds import check_ordering
 
 
+def _is_names(names):
+    """True for a JSON list of strings, the one form of a names field."""
+    return isinstance(names, list) and all(isinstance(v, str) for v in names)
+
+
 def _ids(P, names):
+    """The vertices a names field lists, or None when it is not a list
+    of P's vertex names."""
+    if not _is_names(names):
+        return None
     try:
         return [P.index[v] for v in names]
-    except (KeyError, TypeError):
+    except KeyError:
         return None
 
 
@@ -58,7 +67,7 @@ def _verify(P, cert):
             hood = P.out_nbrs[v] if kind == "out" else P.in_nbrs[v]
             return all(x in hood for x in ids)
         if kind == "cell":
-            cell = set(ids) | {P.index[x] for x in loc.get("cell", pay["cycle"])}
+            cell = set(ids) | set(_ids(P, loc.get("cell", pay["cycle"])))
             closed = {v: P.adj[v] | {v} for v in cell}
             ref = closed[min(cell)]
             if any(nb != ref for nb in closed.values()):
@@ -87,6 +96,8 @@ def _verify(P, cert):
 
     if tag in ("OddClosedWalkAux", "OrientationConflict"):
         mode = pay.get("mode", "local_tournament")
+        if not isinstance(pay["walk"], list):
+            return False
         walk = [tuple(_ids(P, step)) for step in pay["walk"]]
         for u, v in walk:
             if not P.adjacent(u, v):
@@ -139,7 +150,9 @@ def _verify(P, cert):
     if tag == "NoCompletion":
         kind = pay["kind"]
         if kind == "two_sat_core":
-            return verify_in_tournament_core(P, pay["cycle"])
+            cycle = pay["cycle"]
+            return isinstance(cycle, list) and all(map(_is_names, cycle)) \
+                and verify_in_tournament_core(P, cycle)
         if kind == "hall":
             return pay["target"] == "cycle_factor" and _hall_deficient(
                 P, pay["set"])
@@ -160,8 +173,6 @@ def _hall_deficient(P, names):
     successors number fewer than |S|: the heads of arcs out of S and the
     other ends of edges at S.  A cycle factor of any completion gives
     each vertex of S its own successor among them.  O(n + m + |S|)."""
-    if not isinstance(names, list):
-        return False
     ids = _ids(P, names)
     if not ids or len(set(ids)) != len(ids):
         return False

@@ -199,6 +199,45 @@ def test_verify_cert_hostile_hall_sets(w, capsys):
         assert capsys.readouterr().out.strip() == "invalid"
 
 
+def test_verify_cert_names_fields_must_be_lists(w, capsys):
+    # every certificate below is valid; spelling a names field as one
+    # string of one-letter names makes it invalid, never an error
+    ordering = {"kind": "cyclic", "seq": ["a", "c", "b"]}
+    for text, tag, payload, field, hostile in (
+            ("v a\nv b\nv c\n", "NonAdjacentPair", {"pair": ["a", "b"]},
+             "pair", "ab"),
+            (DIRECTED_C3, "DirectedCycle", {"cycle": ["a", "b", "c"]},
+             "cycle", "abc"),
+            ("edge a b\n", "Bridge", {"edge": ["a", "b"]}, "edge", "ab"),
+            ("arc a b\n", "DirectedCut", {"side": ["a"]}, "side", "a"),
+            ("arc b a\narc b c\narc b d\n", "OddClosedWalkAux",
+             {"walk": [["a", "b"], ["c", "b"], ["d", "b"], ["a", "b"]]},
+             "walk", ["ab", "cb", "db", "ab"]),
+            ("arc a c\narc b c\n", "OrientationConflict",
+             {"kind": "odd_pair", "walk": [["a", "c"], ["b", "c"]]},
+             "walk", ["ac", "bc"]),
+            ("edge a b\narc c a\narc c b\n", "BadTriple",
+             {"triple": ["a", "b", "c"]}, "triple", "abc"),
+            (C4, "NotChordal", {"kind": "hole",
+                                "vertices": ["a", "b", "c", "d"]},
+             "vertices", "abcd"),
+            (DIRECTED_C3, "OrderingViolation",
+             {"kind": "round", "ordering": ordering,
+              "witness": ["a", "out", "b"]},
+             "ordering", dict(ordering, seq="acb")),
+            ("arc a c\narc b c\n", "NoCompletion",
+             {"kind": "two_sat_core", "cycle": [
+                 ["a", "c"], ["c", "b"], ["b", "c"], ["c", "a"], ["a", "c"]]},
+             "cycle", ["ac", "cb", "bc", "ca", "ac"])):
+        g = w("g", text)
+        for pay, code in ((payload, 0), (dict(payload, **{field: hostile}), 1)):
+            c = w("cert", json.dumps({"tag": tag, "payload": pay}))
+            t0 = time.perf_counter()
+            assert run(["verify-cert", g, c]) == code, (tag, pay)
+            assert time.perf_counter() - t0 < 1
+            assert capsys.readouterr().out.strip() == ("valid", "invalid")[code]
+
+
 def test_internal_error_exit_code(w, capsys, monkeypatch):
     def broken(P):
         raise InvariantError("completion is not strong")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 from pogc import completions
 from pogc.completions import (complete_to_cycle_factor_bruteforce,
@@ -12,7 +13,8 @@ from pogc.completions import (complete_to_cycle_factor_bruteforce,
                               _in_tournament_clauses, _max_flow, _pair_vars,
                               is_k_arc_strong, two_sat)
 from pogc.graph import _lowlink
-from pogc.pog import Certificate, Pog, classify
+from pogc.cli import run
+from pogc.pog import Certificate, Pog, classify, parse_pog, render_pog
 from pogc.verify import verify_certificate
 from util import (all_pogs, brute_force_completion,
                   cycle_factor_enumeration_reference, names, random_pog)
@@ -147,23 +149,155 @@ def _strong_reference(P):
     return cur
 
 
-def test_strong_matches_orient_and_scc_loop():
+def _strong_corpus():
+    """Every pog on at most 4 vertices, then 1,500 seeded random pogs on
+    at most 10."""
     pogs = [P for n in range(5) for P in all_pogs(n)]
     rng = random.Random(29)
     for _ in range(1500):
         pogs.append(random_pog(rng, rng.randint(2, 10),
                                p_adj=rng.choice((0.3, 0.5, 0.7, 0.9)),
                                p_arc=rng.choice((0.0, 0.2, 0.5))))
+    return pogs
+
+
+def _strong_bits(n, out, inn):
+    """Strongness of the digraph on 0..n-1 whose out- and in-neighbours
+    are the bitmasks out[v] and inn[v]: vertex 0 reaches every vertex
+    forwards and backwards; the empty digraph is strong."""
+    if not n:
+        return True
+    full = (1 << n) - 1
+    for nbrs in (out, inn):
+        seen = frontier = 1
+        while frontier:
+            step = 0
+            for v in range(n):
+                if frontier >> v & 1:
+                    step |= nbrs[v]
+            frontier = step & ~seen
+            seen |= step
+        if seen != full:
+            return False
+    return True
+
+
+def _completes_strongly(P, D):
+    """D, on P's vertex names, orients every edge of P either way, keeps
+    every arc of P and has no other pair, and every vertex reaches every
+    other in D: the first vertex reaches every vertex forwards and
+    backwards."""
+    arcs = {(P.names[u], P.names[v]) for u, v in P.arcs}
+    edges = {frozenset((P.names[u], P.names[v])) for u, v in P.edges}
+    got = {(D.names[u], D.names[v]) for u, v in D.arcs}
+    if sorted(D.names) != sorted(P.names) or D.edges or not arcs <= got:
+        return False
+    new = got - arcs
+    if {frozenset(a) for a in new} != edges or len(new) != len(edges):
+        return False
+    succ, pred = {v: [] for v in P.names}, {v: [] for v in P.names}
+    for u, v in got:
+        succ[u].append(v)
+        pred[v].append(u)
+    for nbrs in (succ, pred):
+        seen, todo = set(P.names[:1]), list(P.names[:1])
+        while todo:
+            for w in nbrs[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if len(seen) != P.n:
+            return False
+    return True
+
+
+def _has_strong_orientation(P):
+    """Brute force: some orientation of P's edges is strong."""
+    out, inn = [0] * P.n, [0] * P.n
+    for u, v in P.arcs:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    edges = sorted(P.edges)
+    for mask in range(1 << len(edges)):
+        o, i = out[:], inn[:]
+        for k, (u, v) in enumerate(edges):
+            if mask >> k & 1:
+                u, v = v, u
+            o[u] |= 1 << v
+            i[v] |= 1 << u
+        if _strong_bits(P.n, o, i):
+            return True
+    return False
+
+
+def test_strong_matches_orient_and_scc_loop():
+    """Certificates equal the reference's; a completion is checked by
+    this test's own search rather than against the reference's choice
+    of directions."""
     completed = 0
-    for P in pogs:
+    for P in _strong_corpus():
         got, want = complete_to_strong(P), _strong_reference(P)
         assert type(got) is type(want), (P.edges, P.arcs)
         if isinstance(got, Certificate):
             assert got == want, (P.edges, P.arcs)
         else:
-            assert got.arcs == want.arcs, (P.edges, P.arcs)
+            assert _completes_strongly(P, got), (P.edges, P.arcs)
             completed += bool(P.edges)
     assert completed > 300
+
+
+def test_strong_verdict_matches_brute_force_over_orientations():
+    """Every pog of the corpus with at most 12 edges: a completion
+    exactly when some orientation of its edges is strong."""
+    verdicts = []
+    for P in _strong_corpus():
+        if len(P.edges) <= 12:
+            got = complete_to_strong(P)
+            want = _has_strong_orientation(P)
+            assert isinstance(got, Pog) == want, (P.edges, P.arcs)
+            verdicts.append(want)
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+
+
+def _ring_chord_strong(n, seed):
+    """Ring v0 -> v1 -> ... -> v0 plus n/4 chords, a matching of ring
+    distance at least 3, with 30 % of the pairs revealed as arcs: ring
+    pairs along the ring, chords either way.  The ring is strong, so a
+    strong completion exists."""
+    rng = random.Random(seed)
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    used = set()
+    while len(pairs) < n + n // 4:
+        a, b = rng.sample(range(n), 2)
+        if a in used or b in used or min((a - b) % n, (b - a) % n) < 3:
+            continue
+        used |= {a, b}
+        pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+    edges, arcs = set(), set()
+    for a, b in pairs:
+        if rng.random() < 0.3:
+            arcs.add((a, b))
+        else:
+            edges.add((min(a, b), max(a, b)))
+    return Pog(names(n), frozenset(edges), frozenset(arcs))
+
+
+def test_complete_strong_is_near_linear(tmp_path, capsys):
+    """`complete --class strong` on band-4 and on the ring with chords
+    at n = 10^4, through the command line, each under 2 s; each answer
+    is parsed back and checked by this file's own search."""
+    n = 10 ** 4
+    band = Pog(names(n), frozenset((i, j) for i in range(n)
+                                   for j in range(i + 1, min(n, i + 5))),
+               frozenset())
+    for P in (band, _ring_chord_strong(n, 3)):
+        path = tmp_path / "strong.pog"
+        path.write_text(render_pog(P))
+        t0 = time.perf_counter()
+        status = run(["complete", "--class", "strong", str(path)])
+        assert time.perf_counter() - t0 < 2.0
+        assert status == 0
+        assert _completes_strongly(P, parse_pog(capsys.readouterr().out))
 
 
 def test_bidirected_strong_side_is_the_first_source_component():
