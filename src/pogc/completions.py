@@ -209,25 +209,27 @@ def complete_to_strong(P):
     descendant, since the ancestor gets back to it only once the
     descendant has finished.  Call the arcs stepped along first used:
     P's arcs, tree edges downwards, other edges upwards.  low[x] is the
-    least num that x reaches by tree arcs into vertices whose edge is
-    not in cut and then one used arc.
+    least num that x reaches by tree arcs into vertices whose tree edge
+    is not in cut and then one used arc.
     (1) Let p -> v be in cut and S the subtree of v.  No used arc
     leaves S: from x in S it would reach a vertex numbered below num[v]
     (all others reached before x finished lie in S), and lower below
-    its own number the lowpoint of v or of a vertex of S whose edge is
-    in cut.  So the arc of D that leaves S, D being strong, is unused:
-    the reverse of an edge first stepped along into S, that is of pv.
-    So pv is an edge and R can turn it.  As pv is no bridge, another
-    pair of UG(P) joins S to the rest; an edge would be used out of S,
-    so it is an arc x -> y of P into S, and x finishes after v (had x
-    finished first, y would have become its descendant).
+    its own number the lowpoint of v or of a vertex of S whose tree
+    edge is in cut.  So the arc of D that leaves S, D being strong, is
+    unused: the reverse of an edge first stepped along into S, which
+    only pv is (an edge used upwards into S would start at a descendant
+    of S, inside S).  So pv is an edge and R can turn it.  As pv is no
+    bridge, another pair of UG(P) joins S to the rest; an edge would be
+    used out of S, so it is an arc x -> y of P into S, and x finishes
+    after v (had x finished first, y would have become its
+    descendant).
     (2) Every vertex reaches 0 in R, by induction on num: v in (1) by
     v -> p, any other x by unturned tree arcs and a used arc to a
     vertex numbered low[x] < num[x].
     (3) 0 reaches every vertex in R, by induction on finishing order,
-    last first: a vertex whose edge is not in cut from its parent, and
-    v in (1) by x -> y, as y reaches 0 by (2) and so passes v, whose
-    v -> p is the one arc of R out of S.
+    last first: a vertex whose tree edge is not in cut from its parent,
+    and v in (1) by x -> y, as y reaches 0 by (2) and so passes v,
+    whose v -> p is the one arc of R out of S.
     D is strong iff the DFS closes one component: by (1) it closes one
     early only under a tree arc of P with no arc of D out of S, and
     otherwise (2) holds for R inside D."""
