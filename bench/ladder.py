@@ -16,9 +16,12 @@ in-arc, so no cycle factor), the circulant C_n(1,2) (arcs i -> i+1
 and i -> i+2 mod n, no edges) or ring+chord (the ring v0 v1 ... v0
 plus n/4 chords, a matching of ring distance >= 3 seeded by n, with
 30 % of the pairs revealed as arcs: ring pairs along the ring, chords
-either way, as perfbench's strong "yes" pogs).  `complete_to_strong`
-orients every edge of band-4 and ring+chord, which both have strong
-completions; all-arc has no edge to orient.  The `parse_pog` kernels
+either way, as perfbench's strong "yes" pogs), two band-4 halves
+joined by one edge, or band-4 with every pair across its middle an arc
+left to right.  `complete_to_strong` orients every edge of band-4 and
+ring+chord, which both have strong completions (all-arc has no edge to
+orient), and refutes the halves by their bridge and the band with arcs
+across by a directed cut.  The `parse_pog` kernels
 read band-4 or all-arc as native text from `render_pog`;
 `classify.locally_transitive.band` reads band-4 oriented straight
 (every edge from its smaller end) and `build_reduction.planted`
@@ -58,7 +61,7 @@ from pogc.completions import (complete_to_cycle_factor_bruteforce,  # noqa: E402
 from pogc.hardness import CnfFormula, build_reduction  # noqa: E402
 from pogc.interval import (Representation, complete_to_acyclic_lt,  # noqa: E402
                            lbfs, validate_representation)
-from pogc.pog import (Ordering, Pog, _bridges, classify, parse_pog,  # noqa: E402
+from pogc.pog import (Ordering, Pog, classify, parse_pog,  # noqa: E402
                       render_pog)
 from pogc.rounds import check_ordering, round_to_ltt  # noqa: E402
 from pogc.verify import verify_certificate  # noqa: E402
@@ -79,6 +82,22 @@ def band(n, w=WIDTH):
                frozenset((i, j) for i in range(n)
                          for j in range(i + 1, min(n, i + w + 1))),
                frozenset())
+
+
+def band_halves(n, w=WIDTH):
+    """Two band-w halves joined by the one edge v[n/2 - 1] v[n/2]."""
+    h = n // 2
+    P = band(n, w)
+    return Pog(P.names, frozenset(p for p in P.edges if (p[0] < h) == (p[1] < h))
+               | {(h - 1, h)}, frozenset())
+
+
+def band_cut(n, w=WIDTH):
+    """Band-w with every pair across its middle an arc left to right."""
+    h = n // 2
+    P = band(n, w)
+    across = frozenset(p for p in P.edges if p[0] < h <= p[1])
+    return Pog(P.names, P.edges - across, across)
 
 
 def band_straight(n, w=WIDTH):
@@ -188,17 +207,19 @@ CIRCULANT = "circulant C_n(1,2), no edges"
 BAND_STRAIGHT = "band-%d oriented from the smaller end, no edges" % WIDTH
 PLANTED_CNF = "planted 3-CNF with 2 vars + 7 clauses = n"
 RING_CHORD = "ring+chord, 30 % revealed, strong completion"
+BAND_HALVES = "two band-%d halves joined by one edge, a bridge" % WIDTH
+BAND_CUT = "band-%d, the pairs across its middle arcs left to right" % WIDTH
 FAMILIES = {BAND: band, BAND_IV: band_interval, BAND_CA: band_circular,
             ALL_ARC: all_arc, ALL_ARC_NO_FACTOR: lambda n: all_arc(n, False),
             CIRCULANT: circulant, BAND_TEXT: band_text,
             ALL_ARC_TEXT: all_arc_text, BAND_STRAIGHT: band_straight,
-            PLANTED_CNF: planted_cnf, RING_CHORD: ring_chord}
+            PLANTED_CNF: planted_cnf, RING_CHORD: ring_chord,
+            BAND_HALVES: band_halves, BAND_CUT: band_cut}
 KERNELS = {  # name: (family, kernel)
     "build_aux.local_tournament": (BAND, lambda P: build_aux(P, "local_tournament")),
     "build_aux.quasi_transitive": (BAND, lambda P: build_aux(P, "quasi_transitive")),
     "complete_to_acyclic_lt": (BAND, complete_to_acyclic_lt),
     "lbfs.band": (BAND, lbfs),
-    "bridges": (BAND, _bridges),
     "validate_representation.interval":
         (BAND_IV, lambda PR: validate_representation(*PR)),
     "validate_representation.circular":
@@ -206,6 +227,8 @@ KERNELS = {  # name: (family, kernel)
     "complete_to_strong.all_arc": (ALL_ARC, complete_to_strong),
     "complete_to_strong.band": (BAND, complete_to_strong),
     "complete_to_strong.ring_chord": (RING_CHORD, complete_to_strong),
+    "complete_to_strong.bridge": (BAND_HALVES, complete_to_strong),
+    "complete_to_strong.cut": (BAND_CUT, complete_to_strong),
     "find_cycle_factor.all_arc": (ALL_ARC, find_cycle_factor),
     "cycle_factor.refute_and_verify.all_arc": (ALL_ARC_NO_FACTOR, refute_and_verify),
     "check_ordering.excellent.all_arc": (ALL_ARC, identity_excellent),

@@ -188,11 +188,21 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "        return (~match[x],)",
      "tests/test_pog.py::test_matching_matches_brute_force"),
     ("strong-back-edges-downwards", "pogc/completions.py",
-     "            down = parent[v] == u and (u, v) not in turned\n",
-     "            down = (u, v) not in turned\n", STRONG),
+     "        down = parent[v] == u and (u, v) not in turned\n",
+     "        down = (u, v) not in turned\n", STRONG),
     ("strong-cut-edges-not-turned", "pogc/completions.py",
-     "            down = parent[v] == u and (u, v) not in turned\n",
-     "            down = parent[v] == u\n", STRONG),
+     "        down = parent[v] == u and (u, v) not in turned\n",
+     "        down = parent[v] == u\n", STRONG),
+    ("strong-bridge-interval-end-inclusive", "pogc/completions.py",
+     "hi[v] < num[v] + size[v]", "hi[v] <= num[v] + size[v]", STRONG),
+    ("strong-bridge-lo-test-dropped", "pogc/completions.py",
+     "if lo[v] >= num[v] and hi[v]", "if hi[v]", STRONG),
+    ("strong-bridge-tails-not-summed", "pogc/completions.py",
+     "            lo[p], hi[p] = min(lo[p], lo[v]), max(hi[p], hi[v])\n", "",
+     STRONG),
+    ("strong-cut-side-last-closed", "pogc/completions.py",
+     "first = next(c for c in comp if c not in entered)", "first = max(comp)",
+     STRONG),
     # a vertex in cut under an edge closes its component, so later arcs
     # into its subtree no longer count as ways back
     ("lowlink-cut-under-edge-closes", "pogc/graph.py",

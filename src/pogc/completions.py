@@ -2,9 +2,8 @@
 
 Transitive tournaments reduce to acyclicity, in-tournaments to 2-SAT
 over edge orientations, strong completions to one lowpoint DFS of the
-bidirected relaxation that orients every edge (Chung-Garey-Tarjan),
-with the bridge and strongness tests of Boesch-Tindell run only to
-certify a failure.
+bidirected relaxation, which decides Boesch-Tindell's strongness and
+bridge tests and orients every edge (Chung-Garey-Tarjan).
 Cycle factors match out-copies to in-copies (`graph._matching`): a
 completion is refuted by a Hall set of its relaxation, in which arcs
 are usable one way and edges both ways, and only a relaxation that
@@ -15,8 +14,8 @@ from __future__ import annotations
 
 from .errors import InvariantError, SizeGuardError
 from .graph import _lowlink, _matching, bfs_path, topological_order
-from .pog import (Certificate, _bridges, _is_complete, _nonadjacent_pairs,
-                  _norm, classify, find_directed_cycle, require_oriented)
+from .pog import (Certificate, _is_complete, _nonadjacent_pairs, _norm,
+                  classify, find_directed_cycle, require_oriented)
 
 MAX_CYCLE_FACTOR_EDGES = 20
 
@@ -162,19 +161,6 @@ def verify_in_tournament_core(P, cycle):
 # -- strong completions --------------------------------------------------
 
 
-def _bidirected_strong(succ):
-    """Strongness of the digraph `succ` (a list of successor sets, every
-    edge doubled); returns (True, None) or (False, source component)."""
-    n = len(succ)
-    comp = _lowlink(n, succ.__getitem__)[0]
-    if max(comp, default=0) == 0:
-        return True, None
-    # the component of the smallest vertex whose component no arc enters
-    entered = {comp[w] for v in range(n) for w in succ[v] if comp[v] != comp[w]}
-    side = next(comp[v] for v in range(n) if comp[v] not in entered)
-    return False, [v for v in range(n) if comp[v] == side]
-
-
 def _doubled(P):
     """Successor sets of P with every edge doubled: the digraph whose
     arcs are P's arcs and both directions of each of P's edges."""
@@ -191,77 +177,96 @@ def complete_to_strong(P):
 
     P has a strong completion iff UG(P) is connected and bridgeless and
     the doubled digraph D (`_doubled`) is strong (Boesch and Tindell,
-    Amer. Math. Monthly 87, 1980).  Like Chung, Garey and Tarjan
-    (Networks 15, 1985), one DFS finds the orientation: the lowpoint
-    DFS of `graph._lowlink` over D, from vertex 0 with neighbours in
-    increasing order, never stepping back along the edge it came in on.
-    Its cut holds the tree edges p -> v into the vertices v whose
-    lowpoint stays num[v].  Each edge is oriented the way the search
-    first stepped along it, and each edge in cut is then turned round,
-    to v -> p.  O(n + m log n), the log from sorting the neighbours.
-    Only when the result R is not strong do the certificate checks run:
-    connectivity, then bridges, then strongness of D.
+    Amer. Math. Monthly 87, 1980).  One DFS decides it and, as Chung,
+    Garey and Tarjan (Networks 15, 1985) do, orients the edges: the
+    lowpoint DFS of `graph._lowlink` over D, from vertex 0 with
+    neighbours in increasing order, never stepping back along the edge
+    it came in on.  Its cut holds the tree edges p -> v into the
+    vertices v whose lowpoint stays num[v].  If D is not strong, the
+    DirectedCut is UG(P)'s first component or, UG(P) connected, the
+    smallest vertex's among the components of D that no arc enters.
+    Else the Bridge is the smallest p -> v in cut whose subtree S, the
+    preorder interval [num[v], num[v] + size[v]), no arc of P enters.
+    Else each edge goes the way the search first stepped along it, then
+    each edge in cut is turned to v -> p; O(n + m log n) with sorting.
 
-    Why R is strong when D is strong and UG(P) bridgeless.  The ends of
-    an edge are an ancestor and a descendant, as the end reached first
-    reaches the other before it finishes.  The search first steps along
-    a tree edge from the ancestor, and along any other edge from the
-    descendant, since the ancestor gets back to it only once the
-    descendant has finished.  Call the arcs stepped along first used:
-    P's arcs, tree edges downwards, other edges upwards.  low[x] is the
-    least num that x reaches by tree arcs into vertices whose tree edge
-    is not in cut and then one used arc.
-    (1) Let p -> v be in cut and S the subtree of v.  No used arc
-    leaves S: from x in S it would reach a vertex numbered below num[v]
-    (all others reached before x finished lie in S), and lower below
-    its own number the lowpoint of v or of a vertex of S whose tree
-    edge is in cut.  So the arc of D that leaves S, D being strong, is
-    unused: the reverse of an edge first stepped along into S, which
-    only pv is (an edge used upwards into S would start at a descendant
-    of S, inside S).  So pv is an edge and R can turn it.  As pv is no
-    bridge, another pair of UG(P) joins S to the rest; an edge would be
-    used out of S, so it is an arc x -> y of P into S, and x finishes
-    after v (had x finished first, y would have become its
-    descendant).
+    Its components are D's strong components: the search is Tarjan's
+    over D, with the same tree, except that it ignores the arc x -> b
+    back along a tree edge b -> x of an edge, and such an x closes none.
+    By induction on finishing order, Tarjan's lowlink of x is
+    min(low[x], num[b]), or low[x] if b -> x is no edge, as a child c
+    under an edge gives Tarjan min(low[c], num[x]) and this search
+    low[c] if below num[c], both minima starting at num[x].  So both
+    close the same components.
+
+    Now let D be strong.  The ends of an edge are an ancestor and a
+    descendant, as the end reached first reaches the other before it
+    finishes.  The search first steps along a tree edge from the
+    ancestor, and along any other edge from the descendant, since the
+    ancestor gets back to it only once the descendant has finished.
+    Call the arcs stepped along first used: P's arcs, tree edges
+    downwards, other edges upwards.  low[x] is the least num that x
+    reaches by tree arcs into vertices whose tree edge is not in cut
+    and then one used arc.
+    (1) Let p -> v be in cut.  No used arc leaves S: from x in S it
+    would reach a vertex numbered below num[v] (all others reached
+    before x finished lie in S), and lower below its own number the
+    lowpoint of v or of a vertex of S whose tree edge is in cut.  So
+    the arc of D that leaves S is unused: the reverse of an edge first
+    stepped along into S, which only pv is (an edge used upwards into S
+    would start at a descendant of S, inside S).  So pv is an edge and
+    the result R can turn it.  Any other pair of UG(P) between S and
+    the rest is an arc x -> y of P into S, as an edge would be used out
+    of S, and pv is a bridge iff there is none.  Each bridge is such a
+    pv: a tree edge into the side S without 0, in cut as the search
+    ignores v -> p, the one arc of D out of S.  Else x finishes after v
+    (had x finished first, y would have become its descendant).
     (2) Every vertex reaches 0 in R, by induction on num: v in (1) by
     v -> p, any other x by unturned tree arcs and a used arc to a
     vertex numbered low[x] < num[x].
     (3) 0 reaches every vertex in R, by induction on finishing order,
     last first: a vertex whose tree edge is not in cut from its parent,
     and v in (1) by x -> y, as y reaches 0 by (2) and so passes v,
-    whose v -> p is the one arc of R out of S.
-    D is strong iff the DFS closes one component: by (1) it closes one
-    early only under a tree arc of P with no arc of D out of S, and
-    otherwise (2) holds for R inside D."""
+    whose v -> p is the one arc of R out of S."""
     if P.n <= 1:
         return P
+    n, edges = P.n, P.edges
     succ = [sorted(s) for s in _doubled(P)]
-    edges = P.edges
-    comp, turned, num, parent = _lowlink(
-        P.n, succ.__getitem__, lambda v, w: _norm(v, w) in edges)
-    if max(comp) == 0:
-        turned = set(turned)
-        chosen = []
-        for u, v in edges:
-            if num[u] > num[v]:
-                u, v = v, u  # u is reached first, so v descends from u
-            down = parent[v] == u and (u, v) not in turned
-            chosen.append((u, v) if down else (v, u))
-        cur = P.orient(chosen)
-        if classify(cur).strong:
-            return cur
-    comps = P.ug_components
-    if len(comps) > 1:
-        return Certificate("DirectedCut",
-                           {"side": [P.names[v] for v in comps[0]]})
-    bridges = _bridges(P)
-    if bridges:
-        return Certificate("Bridge",
-                           {"edge": [P.names[v] for v in min(bridges)]})
-    ok, side = _bidirected_strong(succ)
-    if not ok:
+    comp, cut, num, parent = _lowlink(
+        n, succ.__getitem__, lambda v, w: _norm(v, w) in edges)
+    if max(comp):
+        side = P.ug_components[0]
+        if len(side) == n:
+            entered = {comp[w] for v in range(n) for w in succ[v]
+                       if comp[v] != comp[w]}
+            first = next(c for c in comp if c not in entered)
+            side = [v for v in range(n) if comp[v] == first]
         return Certificate("DirectedCut", {"side": [P.names[v] for v in side]})
-    raise InvariantError("completion is not strong")
+    if cut:
+        # per subtree: size, least and greatest num of vertex or arc tail
+        size, lo, hi = [1] * n, num[:], num[:]
+        for x, y in P.arcs:
+            lo[y], hi[y] = min(lo[y], num[x]), max(hi[y], num[x])
+        for v in sorted(range(1, n), key=num.__getitem__, reverse=True):
+            p = parent[v]
+            size[p] += size[v]
+            lo[p], hi[p] = min(lo[p], lo[v]), max(hi[p], hi[v])
+        bridges = [_norm(p, v) for p, v in cut
+                   if lo[v] >= num[v] and hi[v] < num[v] + size[v]]
+        if bridges:
+            return Certificate("Bridge",
+                               {"edge": [P.names[v] for v in min(bridges)]})
+    turned = set(cut)
+    chosen = []
+    for u, v in edges:
+        if num[u] > num[v]:
+            u, v = v, u  # u is reached first, so v descends from u
+        down = parent[v] == u and (u, v) not in turned
+        chosen.append((u, v) if down else (v, u))
+    cur = P.orient(chosen)
+    if not classify(cur).strong:
+        raise InvariantError("completion is not strong")
+    return cur
 
 
 # -- cycle factors and arc-strongness ------------------------------------

@@ -257,11 +257,10 @@ def _lowlink(n, nbrs, two_way=None):
     no component: its vertices stay on the stack, where later arcs into
     them still lower lowpoints, until a vertex below closes.  Without
     `two_way`, the components are the strong components, sinks first.
-    With `two_way` always true on a simple graph, cut is its bridges
-    and the components are its connected components.  On the doubled
-    digraph of a mixed graph, with `two_way` true on its edges, there is
-    one component iff that digraph is strong, and complete_to_strong
-    orients the edges from num, parent and cut."""
+    On the doubled digraph of a mixed graph, with `two_way` true on its
+    edges, they are still that digraph's strong components, sinks
+    first, and complete_to_strong reads the mixed graph's bridges and
+    orients its edges from num, parent and cut."""
     num, low, comp, parent = [-1] * n, [0] * n, [-1] * n, [None] * n
     stack, cut, count, ncomp = [], [], 0, 0
     for root in range(n):

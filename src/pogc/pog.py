@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvariantError, ParseError
-from .graph import _components, _directed_cycle, _lowlink, _reach
+from .graph import _components, _directed_cycle, _reach
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
@@ -553,11 +553,6 @@ def classify(P):
     and `witnesses` runs them all.  The witnesses found are kept on P,
     so no check runs twice on one pog, whichever report reads it."""
     return PropertyReport(P)
-
-
-def _bridges(P):
-    """The bridges of UG(P), as pairs (i, j) with i < j."""
-    return {_norm(*e) for e in _lowlink(P.n, P.adj.__getitem__, lambda v, w: True)[1]}
 
 
 def require_oriented(P):

@@ -9,7 +9,7 @@ from pogc.completions import (complete_to_cycle_factor_bruteforce,
                               complete_to_in_tournament, complete_to_strong,
                               complete_to_transitive_tournament,
                               find_cycle_factor, has_cycle_factor,
-                              _bidirected_strong, _implications,
+                              _implications,
                               _in_tournament_clauses, _max_flow, _pair_vars,
                               is_k_arc_strong, two_sat)
 from pogc.graph import _lowlink
@@ -92,6 +92,19 @@ def test_strong_directed_cut():
     assert verify_certificate(P, cert)
 
 
+def test_strong_cut_comes_before_bridge():
+    """A bridge of UG(P) is named only when the doubled digraph is
+    strong: otherwise the certificate is its first source component."""
+    triangle = [("b", "c"), ("c", "d"), ("b", "d")]
+    for arc, side in ((("a", "b"), ["a"]), (("d", "a"), ["b", "c", "d"])):
+        P = Pog.build(("a", "b", "c", "d"), edges=triangle, arcs=[arc])
+        cert = complete_to_strong(P)
+        assert cert == Certificate("DirectedCut", {"side": side}), arc
+        assert verify_certificate(P, cert)
+    P = Pog.build(("a", "b", "c", "d"), edges=triangle + [("a", "b")])
+    assert complete_to_strong(P) == Certificate("Bridge", {"edge": ["a", "b"]})
+
+
 def test_strong_exhaustive_n5_vs_brute_force():
     rng = random.Random(7)
     for _ in range(400):
@@ -118,17 +131,43 @@ def _doubled(Q):
     return succ
 
 
+def _first_source_component(succ):
+    """The strong component (vertices that reach each other) of the
+    digraph `succ` that no arc enters and that holds the smallest vertex
+    among such components, sorted; the digraph is strong iff that is
+    all of it."""
+    n = len(succ)
+    reach = []
+    for s in range(n):
+        seen, stack = {s}, [s]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    scc = [{w for w in reach[v] if v in reach[w]} for v in range(n)]
+    return next(sorted(scc[v]) for v in range(n)
+                if not any(w in scc[v] for u in range(n) if u not in scc[v]
+                           for w in succ[u]))
+
+
 def _strong_reference(P):
-    """complete_to_strong as an orient-and-SCC loop: the smallest bridge
-    by one search per pair, then each edge in sorted order oriented
-    u -> v when the digraph with the remaining edges doubled stays
-    strong, else v -> u."""
+    """complete_to_strong as an orient-and-SCC loop: the first component
+    of a disconnected UG(P), then the first source component of the
+    doubled digraph when it is not strong, then the smallest bridge by
+    one search per pair, then each edge in sorted order oriented u -> v
+    when the digraph with the remaining edges doubled stays strong,
+    else v -> u."""
     if P.n <= 1:
         return P
     comps = P.ug_components
     if len(comps) > 1:
         return Certificate("DirectedCut",
                            {"side": [P.names[v] for v in comps[0]]})
+    side = _first_source_component(_doubled(P))
+    if len(side) < P.n:
+        return Certificate("DirectedCut", {"side": [P.names[v] for v in side]})
     for u, v in sorted(P.und_pairs):
         seen, stack = {u}, [u]
         while stack:
@@ -139,13 +178,11 @@ def _strong_reference(P):
                     stack.append(y)
         if v not in seen:
             return Certificate("Bridge", {"edge": [P.names[u], P.names[v]]})
-    ok, side = _bidirected_strong(_doubled(P))
-    if not ok:
-        return Certificate("DirectedCut", {"side": [P.names[v] for v in side]})
     cur = P
     for u, v in sorted(P.edges):
         nxt = cur.orient([(u, v)])
-        cur = nxt if _bidirected_strong(_doubled(nxt))[0] else cur.orient([(v, u)])
+        strong = len(_first_source_component(_doubled(nxt))) == P.n
+        cur = nxt if strong else cur.orient([(v, u)])
     return cur
 
 
@@ -246,6 +283,36 @@ def test_strong_matches_orient_and_scc_loop():
     assert completed > 300
 
 
+def test_strong_runs_one_search(monkeypatch):
+    """Every call on more than one vertex runs one lowlink DFS, and
+    classifies only the completion it returns."""
+    searches, classified = [], []
+    real_lowlink, real_classify = completions._lowlink, completions.classify
+
+    def lowlink(*args):
+        searches.append(args)
+        return real_lowlink(*args)
+
+    def counting_classify(P):
+        classified.append(P)
+        return real_classify(P)
+
+    monkeypatch.setattr(completions, "_lowlink", lowlink)
+    monkeypatch.setattr(completions, "classify", counting_classify)
+    refuted = 0
+    for P in _strong_corpus():
+        searches.clear()
+        classified.clear()
+        got = complete_to_strong(P)
+        assert len(searches) == (P.n > 1), (P.edges, P.arcs)
+        if isinstance(got, Certificate) or P.n <= 1:
+            assert classified == [], (P.edges, P.arcs)
+            refuted += isinstance(got, Certificate)
+        else:
+            assert len(classified) == 1 and classified[0] is got
+    assert refuted > 1000
+
+
 def test_strong_verdict_matches_brute_force_over_orientations():
     """Every pog of the corpus with at most 12 edges: a completion
     exactly when some orientation of its edges is strong."""
@@ -300,33 +367,34 @@ def test_complete_strong_is_near_linear(tmp_path, capsys):
         assert _completes_strongly(P, parse_pog(capsys.readouterr().out))
 
 
-def test_bidirected_strong_side_is_the_first_source_component():
-    """The side is, by definition, the strong component (vertices that
-    reach each other) that no arc enters and that holds the smallest
-    vertex among such components."""
-    rng = random.Random(73)
-    cuts = 0
-    for _ in range(1500):
-        P = random_pog(rng, rng.randint(1, 10), p_adj=rng.choice((0.2, 0.4, 0.7)),
-                       p_arc=rng.choice((0.3, 0.6, 0.9)))
-        succ = _doubled(P)
-        reach = []
-        for s in range(P.n):
-            seen, stack = {s}, [s]
-            while stack:
-                for w in succ[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            reach.append(seen)
-        scc = [{w for w in reach[v] if v in reach[w]} for v in range(P.n)]
-        sources = [v for v in range(P.n)
-                   if not any(w in scc[v] for u in range(P.n) if u not in scc[v]
-                              for w in succ[u])]
-        want = (True, None) if len(scc[0]) == P.n else (False, sorted(scc[sources[0]]))
-        assert _bidirected_strong(succ) == want, (P.edges, P.arcs)
-        cuts += not want[0]
-    assert 300 < cuts < 1400
+def test_strong_refutations_are_near_linear(tmp_path, capsys):
+    """`complete --class strong` at n = 10^4 on band-4 with a pendant
+    edge, on two band-4 halves joined by one edge, and on band-4 with
+    every pair across its middle revealed left to right: each exits 1
+    under 2 s with the expected certificate, which verify-cert
+    accepts."""
+    n, h = 10 ** 4, 10 ** 4 // 2
+    band = {(i, j) for i in range(n) for j in range(i + 1, min(n, i + 5))}
+    pendant = {p for p in band if p[1] < n - 1} | {(n - 2, n - 1)}
+    halves = {p for p in band if (p[0] < h) == (p[1] < h)} | {(h - 1, h)}
+    across = {p for p in band if p[0] < h <= p[1]}
+    for edges, arcs, tag, field, want in (
+            (pendant, set(), "Bridge", "edge", [n - 2, n - 1]),
+            (halves, set(), "Bridge", "edge", [h - 1, h]),
+            (band - across, across, "DirectedCut", "side", range(h))):
+        P = Pog(names(n), frozenset(edges), frozenset(arcs))
+        path = tmp_path / "strong.pog"
+        path.write_text(render_pog(P))
+        t0 = time.perf_counter()
+        status = run(["complete", "--class", "strong", str(path)])
+        assert time.perf_counter() - t0 < 2.0, tag
+        assert status == 1
+        out = capsys.readouterr().out
+        assert Certificate.from_json(out) == Certificate(
+            tag, {field: [P.names[v] for v in want]})
+        (tmp_path / "cert.json").write_text(out)
+        assert run(["verify-cert", str(path), str(tmp_path / "cert.json")]) == 0
+        assert capsys.readouterr().out.strip() == "valid"
 
 
 # -- 2-SAT -----------------------------------------------------------------

@@ -10,16 +10,15 @@ import pytest
 from pogc import cli, hardness
 from pogc import pog as pog_module
 from pogc.errors import InvariantError, ParseError
-from pogc.graph import _matching, _separates, topological_order
+from pogc.graph import _matching, topological_order
 from pogc.hardness import CnfFormula, build_reduction, orient_by_assignment
-from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _bridges,
+from pogc.pog import (NAME_RE, Certificate, Ordering, Pog,
                       _neighbourhood_cycle, classify, complete_closure,
                       find_directed_cycle, parse_ordering, parse_pog,
                       render_pog)
 from pogc.verify import verify_certificate
 from util import (all_graphs, all_pogs, names, neighbourhood_cycle_reference,
-                  parse_pog_reference, planted_formula, random_graph,
-                  random_pog)
+                  parse_pog_reference, planted_formula, random_pog)
 
 
 def test_parse_single_edge():
@@ -480,49 +479,6 @@ def test_ordering_validation():
     assert O.seq == (1, 0)
     with pytest.raises(ParseError):
         parse_ordering("order cyclic a\n", P)
-
-
-def _pairwise_bridges(P):
-    return {pair for pair in P.und_pairs
-            if _separates(P.adj.__getitem__, *pair)}
-
-
-def test_bridges_match_pairwise_separates():
-    """Every underlying graph on <= 5 vertices (bridges read UG(P) only),
-    every pog on <= 4, and seeded random graphs, pogs and forests on
-    <= 12 vertices, many of them disconnected."""
-    pogs = [P for n in range(6) for P in all_graphs(n)]
-    pogs += [P for n in range(5) for P in all_pogs(n)]
-    rng = random.Random(41)
-    for k in range(2000):
-        n = rng.randint(1, 12)
-        if k % 4 == 0:
-            # a random forest: each vertex hangs on an earlier one or starts a tree
-            pogs.append(Pog(names(n), frozenset(
-                (rng.randrange(v), v) for v in range(1, n)
-                if rng.random() < 0.8), frozenset()))
-        elif k % 4 == 1:
-            pogs.append(random_pog(rng, n, p_adj=rng.choice((0.2, 0.4, 0.7))))
-        else:
-            pogs.append(random_graph(rng, n, p=rng.choice((0.1, 0.2, 0.35, 0.6))))
-    seen_bridges = disconnected = 0
-    for P in pogs:
-        want = _pairwise_bridges(P)
-        assert _bridges(P) == want, (P.edges, P.arcs)
-        seen_bridges += bool(want)
-        disconnected += len(P.ug_components) > 1
-    assert seen_bridges > 1000 and disconnected > 1000
-
-
-def test_bridges_of_long_path_and_cycle():
-    """The DFS is iterative: 20,000 vertices raise no RecursionError.  A
-    path's every edge is a bridge, a cycle has none."""
-    n = 20000
-    path = Pog(names(n), frozenset((i, i + 1) for i in range(n - 1)),
-               frozenset())
-    assert _bridges(path) == set(path.edges)
-    cycle = Pog(names(n), path.edges | {(0, n - 1)}, frozenset())
-    assert _bridges(cycle) == set()
 
 
 def test_matching_greedy_then_augmenting_path():
