@@ -61,8 +61,7 @@ from pogc.completions import (complete_to_cycle_factor_bruteforce,  # noqa: E402
 from pogc.hardness import CnfFormula, build_reduction  # noqa: E402
 from pogc.interval import (Representation, complete_to_acyclic_lt,  # noqa: E402
                            lbfs, validate_representation)
-from pogc.pog import (Ordering, Pog, classify, parse_pog,  # noqa: E402
-                      render_pog)
+from pogc.pog import Ordering, Pog, classify, parse_pog, render_pog  # noqa: E402
 from pogc.rounds import check_ordering, round_to_ltt  # noqa: E402
 from pogc.verify import verify_certificate  # noqa: E402
 

@@ -208,19 +208,19 @@ def complete_to_strong(P):
     downwards, other edges upwards.  low[x] is the least num that x
     reaches by tree arcs into vertices whose tree edge is not in cut
     and then one used arc.
-    (1) Let p -> v be in cut.  No used arc leaves S: from x in S it
-    would reach a vertex numbered below num[v] (all others reached
-    before x finished lie in S), and lower below its own number the
-    lowpoint of v or of a vertex of S whose tree edge is in cut.  So
+    (1) Let p -> v be in cut, S its subtree.  No used arc leaves S: from
+    x in S it would reach a vertex numbered below num[v] (all others
+    reached before x finished lie in S), and lower below its own number
+    the lowpoint of v or of a vertex of S whose tree edge is in cut.  So
     the arc of D that leaves S is unused: the reverse of an edge first
     stepped along into S, which only pv is (an edge used upwards into S
     would start at a descendant of S, inside S).  So pv is an edge and
-    the result R can turn it.  Any other pair of UG(P) between S and
-    the rest is an arc x -> y of P into S, as an edge would be used out
-    of S, and pv is a bridge iff there is none.  Each bridge is such a
-    pv: a tree edge into the side S without 0, in cut as the search
-    ignores v -> p, the one arc of D out of S.  Else x finishes after v
-    (had x finished first, y would have become its descendant).
+    the result R can turn it.  Any other pair of UG(P) between S and the
+    rest is an arc x -> y of P into S, as an edge would be used out of
+    S; pv is a bridge iff there is none, and else x finishes after v
+    (had x finished first, y would have become its descendant).  Each
+    bridge is such a pv: a tree edge into the side S without 0, in cut
+    as the search ignores v -> p, the one arc of D out of S.
     (2) Every vertex reaches 0 in R, by induction on num: v in (1) by
     v -> p, any other x by unturned tree arcs and a used arc to a
     vertex numbered low[x] < num[x].
