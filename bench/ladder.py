@@ -22,7 +22,8 @@ left to right.  `complete_to_strong` orients every edge of band-4 and
 ring+chord, which both have strong completions (all-arc has no edge to
 orient), and refutes the halves by their bridge and the band with arcs
 across by a directed cut.  The `parse_pog` kernels
-read band-4 or all-arc as native text from `render_pog`;
+read band-4 or all-arc as native text from `render_pog`, and the
+`render_pog` kernels write that text;
 `classify.locally_transitive.band` reads band-4 oriented straight
 (every edge from its smaller end) and `build_reduction.planted`
 reduces a seeded 3-CNF with a planted satisfying assignment, sized so
@@ -234,6 +235,8 @@ KERNELS = {  # name: (family, kernel)
     "round_to_ltt.circulant": (CIRCULANT, round_to_ltt),
     "parse_pog.all_arc": (ALL_ARC_TEXT, parse_pog),
     "parse_pog.band": (BAND_TEXT, parse_pog),
+    "render_pog.all_arc": (ALL_ARC, render_pog),
+    "render_pog.band": (BAND, render_pog),
     "build_reduction.planted": (PLANTED_CNF, build_reduction),
     "classify.locally_transitive.band":
         (BAND_STRAIGHT, lambda D: classify(D).locally_transitive),

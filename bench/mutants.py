@@ -37,6 +37,8 @@ LBFS = "tests/test_interval.py::test_lbfs_matches_reference"
 WITNESSES = "tests/test_pog.py::test_derived_pogs_never_inherit_witnesses"
 ROWS = "tests/test_interval.py::test_row_pass_matches_pairwise_reference"
 PARSE = "tests/test_pog.py::test_parse_matches_reference_parser"
+LAYOUT = "tests/test_pog.py::test_parse_layout_texts_match_reference_parser"
+RENDERED = "tests/test_pog.py::test_rendered_pogs_read_column_wise"
 NICE = "tests/test_rounds.py::test_nice_matches_per_arc_reference"
 RULE = "tests/test_rounds.py::test_round_tournament_follows_the_rule"
 IFF_EXCELLENT = "tests/test_rounds.py::test_round_tournament_iff_excellent_random"
@@ -152,6 +154,20 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "                    raise ParseError(\"bad vertex name %r\" % b, ln)\n", "", PARSE),
     ("parse-comment-cut-keeps-hash", "pogc/pog.py",
      'line = line[:line.index("#")]', 'line = line[:line.index("#") + 1]', PARSE),
+    ("bulk-pairs-end-unanchored", "pogc/pog.py", r'%s\n)*\Z"', r'%s\n)*"', LAYOUT),
+    ("bulk-loop-test-dropped", "pogc/pog.py",
+     "    if any(map(eq, us, vs)):\n        return None\n", "", LAYOUT),
+    ("bulk-two-cycle-test-dropped", "pogc/pog.py",
+     "not arcs.isdisjoint(zip(av, au)) or ", "", LAYOUT),
+    ("bulk-clash-test-one-way", "pogc/pog.py",
+     "edges.isdisjoint(arcs) and edges.isdisjoint(zip(av, au))",
+     "edges.isdisjoint(arcs)", LAYOUT),
+    ("bulk-repeated-declaration-kept", "pogc/pog.py",
+     "    if len(idx) != len(names):\n        return None\n", "", LAYOUT),
+    ("bulk-edge-not-normalised", "pogc/pog.py",
+     "frozenset([(u, v) if u < v else (v, u)", "frozenset([(u, v)", LAYOUT),
+    ("render-key-transposed", "pogc/pog.py",
+     "i * n + j for i, j in pairs", "j * n + i for i, j in pairs", RENDERED),
     ("nice-wrap-branch-dropped", "pogc/rounds.py",
      "        if b < a and at and at[0] < b:  # the interval wraps past the end\n"
      "            x = 0\n", "", NICE),

@@ -12,11 +12,18 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
+from operator import eq, not_
 
 from .errors import InvariantError, ParseError
 from .graph import _components, _directed_cycle, _reach
 
-NAME_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+_NAME = r"[A-Za-z0-9_.-]+"
+NAME_RE = re.compile(_NAME + r"\Z")
+# render_pog's layout: every declaration first, then the edge and arc
+# lines, one space between tokens and every line ended by "\n"
+_DECLS_RE = re.compile(r"(?:v %s\n)*" % _NAME)
+_PAIRS_RE = re.compile(r"(?:(?:edge|arc) %s %s\n)*\Z" % (_NAME, _NAME))
 
 
 def _norm(i, j):
@@ -245,11 +252,56 @@ def parse_pog(text):
 
     Lines: ``v NAME``, ``edge U V``, ``arc U V``; ``#`` starts a
     comment; blank lines are skipped.  Vertex order is first-mention
-    order; edge/arc lines may introduce vertices.  One pass over the
-    lines: a name is checked against NAME_RE when first seen and looked
-    up once per later mention, so parsing is O(lines + distinct names).
-    The first error in line order is the one reported.
+    order; edge/arc lines may introduce vertices.  Text in render_pog's
+    layout is read column by column (_parse_rendered) and every other
+    text line by line (_parse_lines); the result, or the error and its
+    line, is the same either way.
     """
+    P = _parse_rendered(text)
+    return _parse_lines(text) if P is None else P
+
+
+def _parse_rendered(text):
+    """The pog of a text in render_pog's layout, or None for any other
+    text.  One regex scan checks the layout and every name, str.split
+    gives the columns and C-level passes map them to ids.  Anything
+    that _parse_lines would reject gives None, so it alone raises: an
+    undeclared name, a repeated declaration or a loop, whose error
+    carries a line number, and a 2-cycle or an edge and an arc on one
+    pair, found by set tests.  Pairs enter their frozensets in line
+    order, as in _parse_lines, so the two give pogs that iterate alike."""
+    k = _DECLS_RE.match(text).end()
+    if not _PAIRS_RE.match(text, k):
+        return None
+    names = text[:k].split()[1::2]
+    idx = dict(zip(names, range(len(names))))
+    if len(idx) != len(names):
+        return None
+    tok = text[k:].split()
+    try:
+        us = list(map(idx.__getitem__, tok[1::3]))
+        vs = list(map(idx.__getitem__, tok[2::3]))
+    except KeyError:
+        return None
+    if any(map(eq, us, vs)):
+        return None
+    is_arc = list(map(eq, tok[::3], repeat("arc")))
+    au, av = list(compress(us, is_arc)), list(compress(vs, is_arc))
+    is_edge = list(map(not_, is_arc))
+    arcs = frozenset(zip(au, av))
+    edges = frozenset([(u, v) if u < v else (v, u)
+                       for u, v in zip(compress(us, is_edge), compress(vs, is_edge))])
+    if not arcs.isdisjoint(zip(av, au)) or edges and not (
+            edges.isdisjoint(arcs) and edges.isdisjoint(zip(av, au))):
+        return None
+    return Pog._trusted(tuple(names), edges, arcs)
+
+
+def _parse_lines(text):
+    """Parse any native text one line at a time.  A name is checked
+    against NAME_RE when first seen and looked up once per later
+    mention, so parsing is O(lines + distinct names).  The first error
+    in line order is the one reported."""
     names = []
     idx = {}
     edges = []
@@ -305,27 +357,35 @@ def parse_pog(text):
 
 
 def render_pog(P, fmt="native"):
+    names, n = P.names, P.n
+    # pairs in (i, j) order, sorted as the integer keys i * n + j,
+    # which sort faster than tuples
+    edges, arcs = (sorted([i * n + j for i, j in pairs]) for pairs in (P.edges, P.arcs))
     if fmt == "native":
-        out = ["v %s" % v for v in P.names]
-        out += ["edge %s %s" % (P.names[i], P.names[j]) for i, j in sorted(P.edges)]
-        out += ["arc %s %s" % (P.names[i], P.names[j]) for i, j in sorted(P.arcs)]
+        out = ["v " + v for v in names]
+        out += [f"edge {names[k // n]} {names[k % n]}" for k in edges]
+        out += [f"arc {names[k // n]} {names[k % n]}" for k in arcs]
         return "\n".join(out) + ("\n" if out else "")
     if fmt == "dot":
         out = ["digraph pog {"]
-        out += ['  "%s";' % v for v in P.names]
-        out += ['  "%s" -- "%s";' % (P.names[i], P.names[j]) for i, j in sorted(P.edges)]
-        out += ['  "%s" -> "%s";' % (P.names[i], P.names[j]) for i, j in sorted(P.arcs)]
+        out += ['  "%s";' % v for v in names]
+        out += [f'  "{names[k // n]}" -- "{names[k % n]}";' for k in edges]
+        out += [f'  "{names[k // n]}" -> "{names[k % n]}";' for k in arcs]
         out.append("}")
         return "\n".join(out) + "\n"
     raise ValueError("unknown format %r" % fmt)
 
 
 def parse_ordering(text, P):
-    """Parse ``order cyclic|linear v1 v2 ... vn`` against a pog."""
+    """Parse ``order cyclic|linear v1 v2 ... vn`` against a pog: one
+    ordering line, with blank and comment lines around it."""
+    O = None
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if O is not None:
+            raise ParseError("expected one ordering line only", ln)
         parts = line.split()
         if parts[0] != "order" or len(parts) < 2:
             raise ParseError("expected 'order cyclic|linear ...'", ln)
@@ -338,8 +398,10 @@ def parse_ordering(text, P):
             raise ParseError("unknown vertex %s" % exc, ln)
         if sorted(seq) != list(range(P.n)):
             raise ParseError("ordering must list every vertex exactly once", ln)
-        return Ordering(kind, seq)
-    raise ParseError("no ordering found")
+        O = Ordering(kind, seq)
+    if O is None:
+        raise ParseError("no ordering found")
+    return O
 
 
 def render_ordering(O, P):

@@ -327,6 +327,11 @@ def test_check_ordering_bad_ordering_file(w, capsys):
     g = w("g", DIRECTED_C3)
     o = w("o", "order cyclic a b\n")
     assert run(["check-ordering", "--kind", "round", g, o]) == 2
+    # a second ordering is an input error, not judged by the first
+    o2 = w("o2", "order cyclic a b c\norder cyclic a c b\nthis is junk\n")
+    capsys.readouterr()
+    assert run(["check-ordering", "--kind", "round", g, o2]) == 2
+    assert capsys.readouterr().err == "error: line 2: expected one ordering line only\n"
 
 
 def test_check_ordering_excellent_all_arc_is_fast(w, capsys):

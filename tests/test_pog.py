@@ -3,13 +3,14 @@
 import ast
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from pogc import cli, hardness
 from pogc import pog as pog_module
-from pogc.errors import InvariantError, ParseError
+from pogc.errors import InvariantError, ParseError, PogError
 from pogc.graph import _matching, topological_order
 from pogc.hardness import CnfFormula, build_reduction, orient_by_assignment
 from pogc.pog import (NAME_RE, Certificate, Ordering, Pog,
@@ -95,12 +96,13 @@ def _family_pairs(rng):
     return P.n, sorted(P.edges), sorted(P.arcs)
 
 
-def _pog_lines(rng):
+def _pog_lines(rng, declared=0.8):
     """Native text lines of a family pog, declarations and lines
-    shuffled, some vertices left to be introduced by edge/arc lines."""
+    shuffled, the declarations first; each vertex is declared with
+    probability `declared`, and otherwise introduced by edge/arc lines."""
     n, edges, arcs = _family_pairs(rng)
     label = ["%s%d" % (rng.choice("vrx"), k) for k in rng.sample(range(n), n)]
-    decl = ["v %s" % label[k] for k in range(n) if rng.random() < 0.8]
+    decl = ["v %s" % label[k] for k in range(n) if rng.random() < declared]
     rng.shuffle(decl)
     lines = []
     for i, j in edges:
@@ -186,6 +188,133 @@ def test_parse_matches_reference_parser():
     assert valid > 750
     assert {"bad", "expected", "vertex", "loop", "2-cycle", "edge",
             "unknown"} <= errors
+
+
+def _assert_same_pog(got, want):
+    """The same Pog, names in the same order, and frozensets that
+    iterate alike."""
+    assert got == want and got.names == want.names
+    assert list(got.edges) == list(want.edges)
+    assert list(got.arcs) == list(want.arcs)
+
+
+def test_parse_layout_texts_match_reference_parser(monkeypatch):
+    """Texts in render_pog's layout (every vertex declared first, every
+    line ended by a newline), corrupted by up to two mutations: the
+    column-wise path reads most of them, and parse_pog gives the
+    reference parser's Pog, names and set iteration order included, or
+    its ParseError message and line."""
+    accepted = []
+    bulk = pog_module._parse_rendered
+
+    def counting(text):
+        P = bulk(text)
+        accepted.append(P is not None)
+        return P
+
+    monkeypatch.setattr(pog_module, "_parse_rendered", counting)
+    rng = random.Random(3030)
+    errors = set()
+    valid = 0
+    for _ in range(3000):
+        label, lines = _pog_lines(rng, declared=1.0)
+        for _ in range(rng.randint(0, 2)):
+            lines = _mutate(rng, label, lines)
+        text = "".join(ln + "\n" for ln in lines)
+        got, want = _outcome(parse_pog, text), _outcome(parse_pog_reference, text)
+        if isinstance(want, Pog):
+            _assert_same_pog(got, want)
+            valid += 1
+        else:
+            assert got == want, text
+            errors.add(want[1].split(": ", 1)[-1].split(" ")[0])
+    assert len(accepted) == 3000 and sum(accepted) >= 1200
+    assert valid > 1500
+    assert {"bad", "expected", "vertex", "loop", "2-cycle", "edge",
+            "unknown"} <= errors
+
+
+def _render_reference(P):
+    """render_pog's native text with pairs sorted as tuples."""
+    out = ["v %s" % v for v in P.names]
+    out += ["edge %s %s" % (P.names[i], P.names[j]) for i, j in sorted(P.edges)]
+    out += ["arc %s %s" % (P.names[i], P.names[j]) for i, j in sorted(P.arcs)]
+    return "".join(ln + "\n" for ln in out)
+
+
+def _ladder_pogs(n):
+    """The ladder's families at n: band-4, band-4 oriented straight,
+    the strong all-arc digraph and the circulant C_n(1, 2)."""
+    vs = tuple("v%d" % i for i in range(n))
+    band = frozenset((i, j) for i in range(n) for j in range(i + 1, min(n, i + 5)))
+    all_arc = {(i, i + 1) for i in range(n - 1)} | {(i, i + 2) for i in range(n - 2)}
+    yield Pog(vs, band, frozenset())
+    yield Pog(vs, frozenset(), band)
+    yield Pog(vs, frozenset(), frozenset(all_arc | {(n - 1, 1), (n - 2, 0)}))
+    yield Pog(vs, frozenset(), frozenset((i, (i + s) % n) for i in range(n)
+                                         for s in (1, 2)))
+
+
+def test_rendered_pogs_read_column_wise(monkeypatch):
+    """render_pog's text of the ladder's families, of perfbench-shaped
+    pogs and of every completer's yes is read without the line-by-line
+    parser, gives the same Pog and re-renders byte for byte; the pairs
+    come out in tuple order."""
+    def no_lines(text):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(pog_module, "_parse_lines", no_lines)
+    rng = random.Random(4040)
+    pogs = [P for n in (5, 12, 100) for P in _ladder_pogs(n)]
+    for _ in range(300):
+        n, edges, arcs = _family_pairs(rng)
+        try:  # a small all-arc digraph has 2-cycles
+            pogs.append(Pog(names(n), frozenset((min(e), max(e)) for e in edges),
+                            frozenset(arcs)))
+        except InvariantError:
+            pass
+    pogs.append(build_reduction(planted_formula(rng, 4, 6)[0]).pog)
+    yes = 0
+    for P in [random_pog(rng, rng.randint(1, 7)) for _ in range(60)] + pogs[:20]:
+        for complete in cli._COMPLETERS.values():
+            try:
+                D = complete(P)
+            except PogError:
+                continue
+            if isinstance(D, Pog):
+                pogs.append(D)
+                yes += 1
+    assert yes > 150
+    for P in pogs:
+        text = render_pog(P)
+        assert text == _render_reference(P)
+        Q = parse_pog(text)
+        assert Q == P and Q.names == P.names
+        assert render_pog(Q) == text
+
+
+def test_parse_hostile_texts_stay_linear():
+    """A name of a million characters and a layout text of 100,000
+    lines that breaks on its last line, with newline or CR LF line
+    ends, give the reference parser's result or error, each in under
+    2 s: the layout regexes stay linear on failing input."""
+    big = "a" * 10 ** 6
+    lines = ["v v%d" % i for i in range(50000)]
+    lines += ["arc v%d v%d" % (i, i + 1) for i in range(49999)]
+    lines.append("arc v0 v1 v2")
+    texts = ["v %s\nv b\narc %s b\n" % (big, big), "v b\nv %s!\n" % big,
+             "v b\narc b %s\n" % big, "".join(ln + "\n" for ln in lines),
+             "".join(ln + "\r\n" for ln in lines)]
+    for text in texts:
+        t0 = time.perf_counter()
+        got = _outcome(parse_pog, text)
+        assert time.perf_counter() - t0 < 2.0
+        want = _outcome(parse_pog_reference, text)
+        if isinstance(want, Pog):
+            _assert_same_pog(got, want)
+        else:
+            assert got == want
+    assert _outcome(parse_pog, texts[3])[1:] == ("line 100000: expected 'arc U V'", 100000)
 
 
 def test_render_dot():
@@ -479,6 +608,12 @@ def test_ordering_validation():
     assert O.seq == (1, 0)
     with pytest.raises(ParseError):
         parse_ordering("order cyclic a\n", P)
+    # one ordering line only, with blank and comment lines around it
+    O = parse_ordering("# first\n\norder linear a b  # note\n\n# last\n", P)
+    assert (O.kind, O.seq) == ("linear", (0, 1))
+    with pytest.raises(ParseError) as exc:
+        parse_ordering("order cyclic a b\norder linear b a\nthis is junk\n", P)
+    assert exc.value.line == 2
 
 
 def test_matching_greedy_then_augmenting_path():
