@@ -17,8 +17,10 @@ and i -> i+2 mod n, no edges) or ring+chord (the ring v0 v1 ... v0
 plus n/4 chords, a matching of ring distance >= 3 seeded by n, with
 30 % of the pairs revealed as arcs: ring pairs along the ring, chords
 either way, as perfbench's strong "yes" pogs), two band-4 halves
-joined by one edge, or band-4 with every pair across its middle an arc
-left to right.  `complete_to_strong` orients every edge of band-4 and
+joined by one edge, band-4 with every pair across its middle an arc
+left to right, or band-4 on n - 6 vertices beside a disjoint 6-hole or
+tent (the triangle x0 x1 x2, with x3, x4 and x5 each adjacent to one
+of its sides).  `complete_to_strong` orients every edge of band-4 and
 ring+chord, which both have strong completions (all-arc has no edge to
 orient), and refutes the halves by their bridge and the band with arcs
 across by a directed cut.  The `parse_pog` kernels
@@ -98,6 +100,19 @@ def band_cut(n, w=WIDTH):
     P = band(n, w)
     across = frozenset(p for p in P.edges if p[0] < h <= p[1])
     return Pog(P.names, P.edges - across, across)
+
+
+HOLE6 = [(k, (k + 1) % 6) for k in range(6)]
+TENT = [(0, 1), (1, 2), (0, 2), (3, 0), (3, 1), (4, 1), (4, 2), (5, 2), (5, 0)]
+
+
+def band_beside(edges, n, w=WIDTH):
+    """Band-w on n - 6 vertices beside a disjoint graph on 6 vertices
+    x0 ... x5 with the given edges."""
+    P, h = band(n - 6, w), n - 6
+    return Pog(P.names + tuple("x%d" % k for k in range(6)),
+               P.edges | {(h + min(a, b), h + max(a, b)) for a, b in edges},
+               frozenset())
 
 
 def band_straight(n, w=WIDTH):
@@ -209,16 +224,22 @@ PLANTED_CNF = "planted 3-CNF with 2 vars + 7 clauses = n"
 RING_CHORD = "ring+chord, 30 % revealed, strong completion"
 BAND_HALVES = "two band-%d halves joined by one edge, a bridge" % WIDTH
 BAND_CUT = "band-%d, the pairs across its middle arcs left to right" % WIDTH
+BAND_HOLE = "band-%d on n - 6 vertices beside a disjoint 6-hole" % WIDTH
+BAND_TENT = "band-%d on n - 6 vertices beside a disjoint tent" % WIDTH
 FAMILIES = {BAND: band, BAND_IV: band_interval, BAND_CA: band_circular,
             ALL_ARC: all_arc, ALL_ARC_NO_FACTOR: lambda n: all_arc(n, False),
             CIRCULANT: circulant, BAND_TEXT: band_text,
             ALL_ARC_TEXT: all_arc_text, BAND_STRAIGHT: band_straight,
             PLANTED_CNF: planted_cnf, RING_CHORD: ring_chord,
-            BAND_HALVES: band_halves, BAND_CUT: band_cut}
+            BAND_HALVES: band_halves, BAND_CUT: band_cut,
+            BAND_HOLE: lambda n: band_beside(HOLE6, n),
+            BAND_TENT: lambda n: band_beside(TENT, n)}
 KERNELS = {  # name: (family, kernel)
     "build_aux.local_tournament": (BAND, lambda P: build_aux(P, "local_tournament")),
     "build_aux.quasi_transitive": (BAND, lambda P: build_aux(P, "quasi_transitive")),
     "complete_to_acyclic_lt": (BAND, complete_to_acyclic_lt),
+    "complete_to_acyclic_lt.band_hole": (BAND_HOLE, complete_to_acyclic_lt),
+    "complete_to_acyclic_lt.band_tent": (BAND_TENT, complete_to_acyclic_lt),
     "lbfs.band": (BAND, lbfs),
     "validate_representation.interval":
         (BAND_IV, lambda PR: validate_representation(*PR)),

@@ -47,6 +47,7 @@ CYCLE_FACTOR = ("tests/test_completions.py::"
                 "test_cycle_factor_completion_matches_enumeration_reference")
 HALL = "tests/test_cli.py::test_verify_cert_hostile_hall_sets"
 STRONG = "tests/test_completions.py::test_strong_matches_orient_and_scc_loop"
+HOLE = "tests/test_interval.py::test_find_hole_matches_pairwise_search"
 
 # the class a split creates placed before its old class, as LBFS needs,
 # and after it
@@ -151,7 +152,7 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "edges.append((u, v) if u < v else (v, u))", "edges.append((u, v))", PARSE),
     ("parse-second-name-unchecked", "pogc/pog.py",
      "                if not match(b):\n"
-     "                    raise ParseError(\"bad vertex name %r\" % b, ln)\n", "", PARSE),
+     "                    raise ParseError(\"bad vertex name %.60r\" % b, ln)\n", "", PARSE),
     ("parse-comment-cut-keeps-hash", "pogc/pog.py",
      'line = line[:line.index("#")]', 'line = line[:line.index("#") + 1]', PARSE),
     ("bulk-pairs-end-unanchored", "pogc/pog.py", r'%s\n)*\Z"', r'%s\n)*"', LAYOUT),
@@ -223,9 +224,18 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     # into its subtree no longer count as ways back
     ("lowlink-cut-under-edge-closes", "pogc/graph.py",
      "                if back < 0:\n", "                if True:\n", STRONG),
+    # a search of G - N[x] from a neighbour of x, for every vertex x,
+    # before the tent search: quadratic on the band beside the tent
     ("chordal-site-searches-holes", "pogc/interval.py",
-     "cert = _chordal_obstruction(P)", "cert = find_proper_interval_obstruction(P)",
+     "        tent = _find_tent(P)\n",
+     "        for x in range(P.n):\n"
+     "            closed = P.adj[x] | {x}\n"
+     "            bfs_path(lambda a: [b for b in P.adj[a] if b not in closed],\n"
+     "                     min(P.adj[x], default=x), -1)\n"
+     "        tent = _find_tent(P)\n",
      "tests/test_interval.py::test_tent_beside_a_band_is_refuted_fast"),
+    ("hole-search-bans-only-v", "pogc/interval.py",
+     "    banned = (G.adj[v] | {v}) - {u, w}\n", "    banned = {v}\n", HOLE),
 ]
 
 

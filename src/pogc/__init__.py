@@ -26,8 +26,7 @@ from .hardness import (CnfFormula, ReductionInstance, assignment_to_ordering,
                        ltt_to_ordering, orient_by_assignment,
                        ordering_to_ltt, parse_dimacs, render_dimacs)
 from .interval import (Representation, complete_to_acyclic_lt,
-                       extend_interval_representation,
-                       find_proper_interval_obstruction, lbfs,
+                       extend_interval_representation, lbfs,
                        parse_representation, render_representation,
                        representation_from_orientation,
                        validate_representation)

@@ -22,9 +22,8 @@ from .errors import (NotFriendlyError, NotInClassError, NotRoundError,
 from .friendly import complete_friendly, extend_circular_arc_representation
 from .hardness import (assignment_to_ordering, build_reduction,
                        exact_complete, parse_dimacs)
-from .interval import (check_peo, complete_to_acyclic_lt,
-                       extend_interval_representation,
-                       find_proper_interval_obstruction, lbfs,
+from .interval import (_find_hole, check_peo, complete_to_acyclic_lt,
+                       extend_interval_representation, lbfs,
                        parse_representation, render_representation)
 from .pog import (Certificate, parse_pog, parse_ordering, render_ordering,
                   render_pog)
@@ -128,12 +127,12 @@ def _cmd_recognize(args):
     if args.cls == "chordal":
         G = P.underlying_graph()
         O = lbfs(G)
-        ok, _ = check_peo(G, O)
+        ok, triple = check_peo(G, O)
         if ok:
             obj["status"] = "yes"
             _emit(args, obj, "yes")
             return 0
-        return _emit_certificate(args, obj, find_proper_interval_obstruction(G))
+        return _emit_certificate(args, obj, _find_hole(G, triple))
     kind = "interval" if args.cls == "proper-interval" else "circular"
     return _emit_representation(args, obj, _REPRESENTERS[kind](P))
 

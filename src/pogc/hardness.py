@@ -84,7 +84,7 @@ def parse_dimacs(text):
         try:
             lits.extend(int(tok) for tok in line.split())
         except ValueError:
-            raise ParseError("bad literal in %r" % line, lineno) from None
+            raise ParseError("bad literal in %.60r" % line, lineno) from None
     if n_vars is None:
         raise ParseError("missing problem line")
     clauses = []

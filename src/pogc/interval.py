@@ -16,9 +16,9 @@ from functools import cached_property
 from .auxgraph import _orient_classes, build_aux, consentaneous_closure
 from .errors import (InvariantError, NotInClassError, NoZeroOutdegreeStartError,
                      ParseError, RepresentationError)
-from .graph import _components, _lex_bfs, bfs_path
-from .pog import Certificate, Ordering, Pog, _nonadjacent_pairs, _triangles, \
-    classify, find_directed_cycle, require_oriented
+from .graph import _lex_bfs, bfs_path
+from .pog import Certificate, Ordering, Pog, _triangles, classify, \
+    find_directed_cycle, require_oriented
 from .rounds import find_round_ordering
 
 
@@ -255,53 +255,33 @@ def check_peo(G, O):
 # -- obstructions ------------------------------------------------------
 
 
-def _find_hole(G):
-    """Hole x, y, ..., z for the first x and first non-adjacent pair y, z
-    in N(x) joined by a path avoiding N[x] - {y, z}, or None.  Such a
-    path exists exactly when y and z both touch one component of
-    G - N[x], so the path search runs once, for that pair."""
-    for x in range(G.n):
-        closed = G.adj[x] | {x}
-        rest = {v: G.adj[v] - closed for v in range(G.n) if v not in closed}
-        comp = {}  # vertex of G - N[x] -> first vertex of its component
-        for members in _components(rest, rest.__getitem__):
-            comp.update(dict.fromkeys(members, members[0]))
-        touch = {y: {comp[w] for w in G.adj[y] - closed} for y in G.adj[x]}
-        for y, z in _nonadjacent_pairs(G, G.adj[x]):
-            if touch[y] & touch[z]:
-                banned = closed - {y, z}
-                return [x] + bfs_path(lambda a: [b for b in sorted(G.adj[a])
-                                                 if b not in banned], y, z)
-    return None
+def _find_hole(G, triple):
+    """The hole through the triple (v, u, w) of names at which check_peo
+    failed on an order of lbfs, as a NotChordal certificate: v, then the
+    shortest u-w path that avoids N[v] - {u, w}, found by one
+    breadth-first search.
 
-
-def _find_claw(G):
-    for c in range(G.n):
-        na = sorted(G.adj[c])
-        for a, b in _nonadjacent_pairs(G, na):
-            for d in na:
-                if d > b and not G.adjacent(a, d) and not G.adjacent(b, d):
-                    return [c, a, b, d]
-    return None
-
-
-def _find_net(G):
-    for t1, t2, t3 in _triangles(G):
-        tri = {t1, t2, t3}
-        pend = []
-        for tt in (t1, t2, t3):
-            others = tri - {tt}
-            pend.append(sorted(p for p in G.adj[tt]
-                               if p not in tri and not (G.adj[p] & others)))
-        for p1 in pend[0]:
-            for p2 in pend[1]:
-                if p2 == p1 or G.adjacent(p1, p2):
-                    continue
-                for p3 in pend[2]:
-                    if p3 in (p1, p2) or G.adjacent(p1, p3) or G.adjacent(p2, p3):
-                        continue
-                    return [t1, t2, t3, p1, p2, p3]
-    return None
+    u and w are non-adjacent neighbours of v that the search visited
+    before v; write a < b when a was visited before b.  If a < b < c,
+    ac is an edge and ab is not, then b was chosen over c with a in the
+    label of c only, so the first vertex d (in visit order) on which the
+    labels of b and c differ is a neighbour of b and not of c, and d < a.
+    By induction on b there is an a-b path whose inner vertices come
+    before a and lie outside N[c]: a, d, b when ad is an edge, and
+    otherwise the path of the triple d < a < b, whose inner vertices come
+    before d and lie outside N[b], hence outside N[c] (b and c see the
+    same vertices before d), followed by d and b.  With {a, b} = {u, w}
+    and c = v, some u-w path avoids N[v] - {u, w}.  The shortest one has
+    no chord, v is adjacent to its ends only, and u, w are not adjacent,
+    so with v it closes a chordless cycle of length at least 4."""
+    v, u, w = map(G.index.__getitem__, triple)
+    banned = (G.adj[v] | {v}) - {u, w}
+    path = bfs_path(lambda a: [b for b in sorted(G.adj[a]) if b not in banned],
+                    u, w)
+    if path is None:
+        raise InvariantError("no hole through a failed elimination")
+    return Certificate("NotChordal", {
+        "kind": "hole", "vertices": [G.names[x] for x in [v] + path]})
 
 
 def _find_tent(G):
@@ -320,27 +300,6 @@ def _find_tent(G):
                     if q3 in (q1, q2) or G.adjacent(q1, q3) or G.adjacent(q2, q3):
                         continue
                     return [t1, t2, t3, q1, q2, q3]
-    return None
-
-
-def find_proper_interval_obstruction(G):
-    """A hole, claw, net or tent in UG(G), as a NotChordal certificate,
-    or None when UG(G) is a proper interval graph."""
-    hole = _find_hole(G)
-    if hole is not None:
-        return Certificate("NotChordal", {
-            "kind": "hole", "vertices": [G.names[v] for v in hole]})
-    return _chordal_obstruction(G)
-
-
-def _chordal_obstruction(G):
-    """find_proper_interval_obstruction for a chordal UG(G): no hole."""
-    for kind, find in (("claw", _find_claw), ("net", _find_net),
-                       ("tent", _find_tent)):
-        got = find(G)
-        if got is not None:
-            return Certificate("NotChordal", {
-                "kind": kind, "vertices": [G.names[v] for v in got]})
     return None
 
 
@@ -368,22 +327,24 @@ def complete_to_acyclic_lt(P):
     for u, v in closed.arcs:
         if O.pos[u] > O.pos[v]:
             raise InvariantError("search order produced a backward arc")
-    ok, _triple = check_peo(P.underlying_graph(), O)
+    ok, triple = check_peo(P.underlying_graph(), O)
     if not ok:
-        cert = find_proper_interval_obstruction(P)
-        if cert is None:
-            raise InvariantError("elimination failed on a chordal graph")
-        return cert
+        return _find_hole(P, triple)
     # a component without arcs orients the class of its pair that comes
     # first by the positions of both endpoints
     D = _orient_classes(closed, X,
                         fill=lambda pair: (O.pos[pair[0]], O.pos[pair[1]]))
     if not classify(D).acyclic_local_tournament:
-        # the elimination check passed, so UG(P) is chordal: no hole
-        cert = _chordal_obstruction(P)
-        if cert is None:
+        # The aux graph is 2-coloured, so UG(P) has a local tournament
+        # orientation, and so has each induced subgraph; the claw and the
+        # net have none.  The elimination check passed, so UG(P) is
+        # chordal, and a chordal graph without claw, net or tent is a
+        # proper interval graph (Wegner): only a tent can be left.
+        tent = _find_tent(P)
+        if tent is None:
             raise InvariantError("colouring failed on a proper interval graph")
-        return cert
+        return Certificate("NotChordal", {
+            "kind": "tent", "vertices": [P.names[v] for v in tent]})
     return D
 
 

@@ -321,13 +321,13 @@ def _parse_lines(text):
             u = idx.get(a)
             if u is None:
                 if not match(a):
-                    raise ParseError("bad vertex name %r" % a, ln)
+                    raise ParseError("bad vertex name %.60r" % a, ln)
                 u = idx[a] = len(names)
                 names.append(a)
             v = idx.get(b)
             if v is None:
                 if not match(b):
-                    raise ParseError("bad vertex name %r" % b, ln)
+                    raise ParseError("bad vertex name %.60r" % b, ln)
                 v = idx[b] = len(names)
                 names.append(b)
             if u == v:
@@ -343,11 +343,11 @@ def _parse_lines(text):
             if a in idx:
                 raise ParseError("vertex %s declared twice" % a, ln)
             if not match(a):
-                raise ParseError("bad vertex name %r" % a, ln)
+                raise ParseError("bad vertex name %.60r" % a, ln)
             idx[a] = len(names)
             names.append(a)
         else:
-            raise ParseError("unknown directive %r" % d, ln)
+            raise ParseError("unknown directive %.60r" % d, ln)
     P = Pog._trusted(tuple(names), frozenset(edges), frozenset(arcs))
     try:
         P._check_pairs()  # the names were checked as they were read

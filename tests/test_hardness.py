@@ -44,6 +44,13 @@ def test_dimacs_round_trip():
         parse_dimacs("p cnf 3 2\n1 2 3 0\n")
 
 
+def test_dimacs_bad_literal_message_is_short():
+    """A bad literal quotes at most 60 characters of its line."""
+    with pytest.raises(ParseError, match="^line 2: bad literal in '1 xxx") as exc:
+        parse_dimacs("p cnf 3 1\n1 " + "x" * 10 ** 6 + " 0\n")
+    assert len(str(exc.value)) < 200
+
+
 # -- gadgets ------------------------------------------------------------------
 
 

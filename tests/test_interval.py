@@ -9,14 +9,14 @@ import pytest
 
 import pogc.friendly
 import pogc.interval
-from pogc.auxgraph import consentaneous_closure
+from pogc.auxgraph import build_aux, consentaneous_closure, two_colour
 from pogc.cli import run
 from pogc.errors import (NoZeroOutdegreeStartError, NotInClassError, ParseError,
                          RepresentationError)
 from pogc.friendly import extend_circular_arc_representation
-from pogc.interval import (Representation, check_peo, complete_to_acyclic_lt,
-                           extend_interval_representation,
-                           find_proper_interval_obstruction, lbfs,
+from pogc.interval import (Representation, _find_hole, check_peo,
+                           complete_to_acyclic_lt,
+                           extend_interval_representation, lbfs,
                            orientation_from_representation,
                            parse_representation, render_representation,
                            representation_from_orientation,
@@ -25,9 +25,9 @@ from pogc.graph import bfs_path
 from pogc.pog import Certificate, Pog, classify, render_pog, require_oriented
 from pogc.rounds import find_round_ordering
 from pogc.verify import verify_certificate
-from util import (_ref_length, all_graphs, all_pogs, brute_force_completion,
-                  lbfs_reference, names, orientations, random_graph,
-                  random_pog)
+from util import (_find_claw, _find_net, _ref_length, all_graphs, all_pogs,
+                  brute_force_completion, lbfs_reference, names, orientations,
+                  random_graph, random_pog)
 
 
 def _p3(**kw):
@@ -49,16 +49,9 @@ def test_lbfs_chordal_gives_peo():
         if ok:
             hits += 1
         else:
-            # a failed elimination on these graphs must come with a
-            # genuine obstruction
-            assert find_proper_interval_obstruction(G) is not None \
-                or _has_hole(G)
+            # a failed elimination comes with a hole through its triple
+            assert verify_certificate(G, _find_hole(G, wit))
     assert hits > 50
-
-
-def _has_hole(G):
-    from pogc.interval import _find_hole
-    return _find_hole(G) is not None
 
 
 def test_lbfs_c4_fails_peo():
@@ -178,6 +171,66 @@ def test_tent_beside_a_band_is_refuted_fast(tmp_path, capsys):
         cert.write_text(out)
         assert run(["verify-cert", str(path), str(cert)]) == 0
         assert capsys.readouterr().out.strip() == "valid"
+
+
+def test_hole_beside_a_band_is_refuted_fast(tmp_path, capsys):
+    """`recognize --class chordal`, `complete --class acyclic-lt` and
+    `recognize --class proper-interval` on band-4 at n = 10^4 plus a
+    disjoint 6-hole, through the command line, each under 2 s.  Each
+    answers with the hole read off the failed elimination check, which
+    verify-cert accepts."""
+    hole = ["h%d" % k for k in range(6)]
+    path = tmp_path / "band_hole.pog"
+    path.write_text(render_pog(_band_pog(10 ** 4, 4))
+                    + "".join("edge %s %s\n" % (hole[k - 1], hole[k])
+                              for k in range(6)))
+    cert = tmp_path / "hole.json"
+    for argv in (["recognize", "--class", "chordal", str(path)],
+                 ["complete", "--class", "acyclic-lt", str(path)],
+                 ["recognize", "--class", "proper-interval", str(path)]):
+        t0 = time.perf_counter()
+        status = run(argv)
+        assert time.perf_counter() - t0 < 2.0, argv
+        out = capsys.readouterr().out
+        payload = json.loads(out)["payload"]
+        assert status == 1 and payload["kind"] == "hole"
+        assert sorted(payload["vertices"]) == hole
+        cert.write_text(out)
+        assert run(["verify-cert", str(path), str(cert)]) == 0
+        assert capsys.readouterr().out.strip() == "valid"
+
+
+_TRIANGLE = [("t0", "t1"), ("t1", "t2"), ("t0", "t2")]
+_CLAW = Pog.build(("c", "a", "b", "d"), edges=[("c", "a"), ("c", "b"), ("c", "d")])
+_NET = Pog.build(("t0", "t1", "t2", "p0", "p1", "p2"),
+                 edges=_TRIANGLE + [("t0", "p0"), ("t1", "p1"), ("t2", "p2")])
+_TENT = Pog.build(("t0", "t1", "t2", "q0", "q1", "q2"),
+                  edges=_TRIANGLE + [("q0", "t0"), ("q0", "t1"), ("q1", "t1"),
+                                     ("q1", "t2"), ("q2", "t2"), ("q2", "t0")])
+
+
+def test_claw_and_net_have_no_local_tournament_orientation():
+    """No orientation of the claw or the net is a local tournament (all
+    of them tried); some orientation of the tent is one.  Having one is
+    inherited by induced subgraphs, so where the aux graph has been
+    2-coloured, only a tent can be left to find."""
+    assert not any(classify(D).local_tournament for D in orientations(_CLAW))
+    assert not any(classify(D).local_tournament for D in orientations(_NET))
+    assert any(classify(D).local_tournament for D in orientations(_TENT))
+
+
+def test_small_graphs_with_coloured_aux_have_no_claw_or_net():
+    """No graph on at most 6 vertices whose aux graph two_colour colours
+    has an induced claw or net (reference searches from tests/util).
+    The nets met are the 6!/6 labellings of the net itself."""
+    claws = nets = 0
+    for n in range(4, 7):
+        for G in all_graphs(n):
+            claw, net = _find_claw(G) is not None, _find_net(G) is not None
+            if claw or net:
+                claws, nets = claws + claw, nets + net
+                assert isinstance(two_colour(build_aux(G)), Certificate), G.edges
+    assert claws > 10000 and nets == 120
 
 
 def test_complete_acyclic_p3_forced():
@@ -370,6 +423,15 @@ def test_extend_interval_random_preserves_induced_orientation():
         built += 1
 
 
+def _hole_through(G, x, y, z):
+    """The shortest hole x, y, ..., z: x, then a shortest y-z path that
+    avoids N[x] - {y, z}, or None."""
+    banned = (G.adj[x] | {x}) - {y, z}
+    path = bfs_path(lambda a: [b for b in sorted(G.adj[a])
+                               if b not in banned], y, z)
+    return None if path is None else [x] + path
+
+
 def _find_hole_reference(G):
     """One path search per non-adjacent neighbour pair of every vertex."""
     for x in range(G.n):
@@ -377,26 +439,42 @@ def _find_hole_reference(G):
         for s in range(len(na)):
             for t in range(s + 1, len(na)):
                 y, z = na[s], na[t]
-                if G.adjacent(y, z):
-                    continue
-                banned = (G.adj[x] | {x}) - {y, z}
-                path = bfs_path(lambda a: [b for b in sorted(G.adj[a])
-                                           if b not in banned], y, z)
-                if path is not None:
-                    return [x] + path
+                if not G.adjacent(y, z):
+                    hole = _hole_through(G, x, y, z)
+                    if hole is not None:
+                        return hole
     return None
 
 
 def test_find_hole_matches_pairwise_search():
-    from pogc.interval import _find_hole
+    """The elimination check fails on an order of lbfs, plain or
+    arc-aware, exactly when the pairwise search finds a hole.  The hole
+    read off the failing triple (v, u, w) then runs u, v, w round the
+    cycle, is as short as any such hole, and verifies."""
     rng = random.Random(67)
     holes = 0
     for _ in range(1500):
-        G = random_graph(rng, rng.randint(1, 12), p=rng.choice((0.15, 0.3, 0.5)))
-        hole = _find_hole(G)
-        assert hole == _find_hole_reference(G), G.edges
-        holes += hole is not None
-    assert 100 < holes < 1400
+        P = random_pog(rng, rng.randint(1, 12),
+                       p_adj=rng.choice((0.15, 0.3, 0.5)), p_arc=0.2)
+        G = P.underlying_graph()
+        orders = [lbfs(G)]
+        if not all(P.out_nbrs):
+            orders.append(lbfs(G, arc_aware=P))
+        chordal = _find_hole_reference(G) is None
+        for O in orders:
+            ok, triple = check_peo(G, O)
+            assert ok == chordal, G.edges
+            if ok:
+                continue
+            cert = _find_hole(G, triple)
+            hole = cert.payload["vertices"]
+            v, u, w = triple
+            assert hole[:2] == [v, u] and hole[-1] == w
+            shortest = _hole_through(G, *(G.index[x] for x in triple))
+            assert len(hole) == len(shortest)
+            assert verify_certificate(G, cert)
+            holes += 1
+    assert 500 < holes < 2000
 
 
 def test_parse_representation_is_linear():

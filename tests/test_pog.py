@@ -297,7 +297,9 @@ def test_parse_hostile_texts_stay_linear():
     """A name of a million characters and a layout text of 100,000
     lines that breaks on its last line, with newline or CR LF line
     ends, give the reference parser's result or error, each in under
-    2 s: the layout regexes stay linear on failing input."""
+    2 s: the layout regexes stay linear on failing input.  An error
+    quotes at most 60 characters of the name, so its message stays
+    short."""
     big = "a" * 10 ** 6
     lines = ["v v%d" % i for i in range(50000)]
     lines += ["arc v%d v%d" % (i, i + 1) for i in range(49999)]
@@ -313,7 +315,7 @@ def test_parse_hostile_texts_stay_linear():
         if isinstance(want, Pog):
             _assert_same_pog(got, want)
         else:
-            assert got == want
+            assert got == want and len(got[1]) < 200
     assert _outcome(parse_pog, texts[3])[1:] == ("line 100000: expected 'arc U V'", 100000)
 
 

@@ -8,7 +8,8 @@ from pogc.friendly import cells
 from pogc.graph import _matching, _reach
 from pogc.hardness import CnfFormula
 from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _neighbourhoods,
-                      _norm, classify, find_directed_cycle)
+                      _nonadjacent_pairs, _norm, _triangles, classify,
+                      find_directed_cycle)
 from pogc.rounds import MoonDecomposition, check_ordering, find_round_ordering
 
 MAX_NICE_VERTICES = 10
@@ -166,7 +167,7 @@ def parse_pog_reference(text):
 
     def vid(name, ln):
         if not NAME_RE.match(name):
-            raise ParseError("bad vertex name %r" % name, ln)
+            raise ParseError("bad vertex name %.60r" % name, ln)
         if name not in idx:
             idx[name] = len(names)
             names.append(name)
@@ -191,7 +192,7 @@ def parse_pog_reference(text):
                 raise ParseError("loop on %s" % parts[1], ln)
             (edges if parts[0] == "edge" else arcs).append((u, v))
         else:
-            raise ParseError("unknown directive %r" % parts[0], ln)
+            raise ParseError("unknown directive %.60r" % parts[0], ln)
     try:
         return Pog(tuple(names),
                    frozenset(_norm(u, v) for u, v in edges),
@@ -459,3 +460,35 @@ def lbfs_reference(G, arc_aware=None):
 def _ref_length(R, k):
     l, r = R.spans[k]
     return (r - l) % R.modulus if R.kind == "circular" else r - l
+
+
+def _find_claw(G):
+    """An induced claw c, a, b, d of UG(G) (c the centre), or None."""
+    for c in range(G.n):
+        na = sorted(G.adj[c])
+        for a, b in _nonadjacent_pairs(G, na):
+            for d in na:
+                if d > b and not G.adjacent(a, d) and not G.adjacent(b, d):
+                    return [c, a, b, d]
+    return None
+
+
+def _find_net(G):
+    """An induced net t1, t2, t3, p1, p2, p3 of UG(G) (p_i pendant at
+    t_i), or None."""
+    for t1, t2, t3 in _triangles(G):
+        tri = {t1, t2, t3}
+        pend = []
+        for tt in (t1, t2, t3):
+            others = tri - {tt}
+            pend.append(sorted(p for p in G.adj[tt]
+                               if p not in tri and not (G.adj[p] & others)))
+        for p1 in pend[0]:
+            for p2 in pend[1]:
+                if p2 == p1 or G.adjacent(p1, p2):
+                    continue
+                for p3 in pend[2]:
+                    if p3 in (p1, p2) or G.adjacent(p1, p3) or G.adjacent(p2, p3):
+                        continue
+                    return [t1, t2, t3, p1, p2, p3]
+    return None
