@@ -23,7 +23,9 @@ tent (the triangle x0 x1 x2, with x3, x4 and x5 each adjacent to one
 of its sides).  `complete_to_strong` orients every edge of band-4 and
 ring+chord, which both have strong completions (all-arc has no edge to
 orient), and refutes the halves by their bridge and the band with arcs
-across by a directed cut.  The `parse_pog` kernels
+across by a directed cut.  `complete_to_in_tournament` orients band-4,
+which as a chordal graph has an in-tournament completion, by 2-SAT over
+its adjacent pairs.  The `parse_pog` kernels
 read band-4 or all-arc as native text from `render_pog`, and the
 `render_pog` kernels write that text;
 `classify.locally_transitive.band` reads band-4 oriented straight
@@ -60,7 +62,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from pogc.auxgraph import build_aux  # noqa: E402
 from pogc.completions import (complete_to_cycle_factor_bruteforce,  # noqa: E402
-                              complete_to_strong, find_cycle_factor)
+                              complete_to_in_tournament, complete_to_strong,
+                              find_cycle_factor)
 from pogc.hardness import CnfFormula, build_reduction  # noqa: E402
 from pogc.interval import (Representation, complete_to_acyclic_lt,  # noqa: E402
                            lbfs, validate_representation)
@@ -250,6 +253,7 @@ KERNELS = {  # name: (family, kernel)
     "complete_to_strong.ring_chord": (RING_CHORD, complete_to_strong),
     "complete_to_strong.bridge": (BAND_HALVES, complete_to_strong),
     "complete_to_strong.cut": (BAND_CUT, complete_to_strong),
+    "complete_to_in_tournament.band": (BAND, complete_to_in_tournament),
     "find_cycle_factor.all_arc": (ALL_ARC, find_cycle_factor),
     "cycle_factor.refute_and_verify.all_arc": (ALL_ARC_NO_FACTOR, refute_and_verify),
     "check_ordering.excellent.all_arc": (ALL_ARC, identity_excellent),

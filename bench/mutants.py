@@ -48,6 +48,8 @@ CYCLE_FACTOR = ("tests/test_completions.py::"
 HALL = "tests/test_cli.py::test_verify_cert_hostile_hall_sets"
 STRONG = "tests/test_completions.py::test_strong_matches_orient_and_scc_loop"
 HOLE = "tests/test_interval.py::test_find_hole_matches_pairwise_search"
+IN_TOURNAMENT = ("tests/test_completions.py::"
+                 "test_in_tournament_matches_clause_reference")
 
 # the class a split creates placed before its old class, as LBFS needs,
 # and after it
@@ -194,6 +196,15 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("relaxation-edges-one-way", "pogc/completions.py",
      "        succ[i].add(j)\n        succ[j].add(i)\n",
      "        succ[i].add(j)\n", CYCLE_FACTOR),
+    ("in-tournament-arc-successor-dropped", "pogc/completions.py",
+     "        out = [k ^ 1] if (q, p) in arcs else []\n",
+     "        out = []\n", IN_TOURNAMENT),
+    ("in-tournament-successor-back-to-p", "pogc/completions.py",
+     "sorted(adj[q] - adj[p]) if y != p]", "sorted(adj[q] - adj[p])]",
+     IN_TOURNAMENT),
+    ("implication-step-near-p-accepted", "pogc/verify.py",
+     " and P.adjacent(q, y) and not P.adjacent(p, y)", " and P.adjacent(q, y)",
+     IN_TOURNAMENT),
     ("hall-verifier-allows-equal", "pogc/verify.py",
      "return len(succ) < len(S)", "return len(succ) <= len(S)", HALL),
     ("hall-verifier-one-edge-end", "pogc/verify.py",

@@ -44,118 +44,67 @@ def complete_to_transitive_tournament(P):
 # -- 2-SAT --------------------------------------------------------------
 
 
-def _lit_node(l):
-    return 2 * (abs(l) - 1) + (1 if l < 0 else 0)
-
-
-def _node_lit(k):
-    return -(k // 2 + 1) if k % 2 else k // 2 + 1
-
-
-def _implications(nvars, clauses):
-    adj = [[] for _ in range(2 * nvars)]
-    for cl in clauses:
-        if len(cl) == 1:
-            a = cl[0]
-            adj[_lit_node(-a)].append(_lit_node(a))
-        elif len(cl) == 2:
-            a, b = cl
-            adj[_lit_node(-a)].append(_lit_node(b))
-            adj[_lit_node(-b)].append(_lit_node(a))
-        else:
-            raise ValueError("clauses must have one or two literals")
-    return adj
-
-
-def two_sat(nvars, clauses):
-    """Solve 1-or-2 literal clauses.  Returns ('sat', assignment dict)
-    or ('unsat', literal cycle through x and -x)."""
-    adj = _implications(nvars, clauses)
-    comp = _lowlink(len(adj), adj.__getitem__)[0]
-    for x in range(1, nvars + 1):
-        if comp[_lit_node(x)] == comp[_lit_node(-x)]:
-            cycle = _lit_cycle(adj, _lit_node(x), _lit_node(-x))
-            return "unsat", [_node_lit(k) for k in cycle]
+def two_sat(n, succ):
+    """Solve 2-SAT on an implication digraph over nodes 0..n-1, n even,
+    in which node k ^ 1 is the negation of node k and `succ(k)` lists
+    the nodes k implies, in the order the searches try them.  Returns
+    ('sat', truth) with truth[i] the value of node 2i, or ('unsat',
+    cycle), a closed walk of nodes from the first 2i that shares a
+    strong component with 2i + 1, through 2i + 1 and back."""
+    comp = _lowlink(n, succ)[0]
+    for k in range(0, n, 2):
+        if comp[k] == comp[k + 1]:  # so each reaches the other
+            there, back = bfs_path(succ, k, k + 1), bfs_path(succ, k + 1, k)
+            return "unsat", there + back[1:]
     # smaller component id = earlier finish = closer to a sink
-    return "sat", {x: comp[_lit_node(x)] < comp[_lit_node(-x)]
-                   for x in range(1, nvars + 1)}
-
-
-def _lit_cycle(adj, a, b):
-    there = bfs_path(adj.__getitem__, a, b)
-    back = bfs_path(adj.__getitem__, b, a)
-    if there is None or back is None:
-        raise InvariantError("expected implication path is missing")
-    return there + back[1:]
+    return "sat", [comp[k] < comp[k + 1] for k in range(0, n, 2)]
 
 
 # -- in-tournaments ------------------------------------------------------
 
 
-def _pair_vars(P):
-    pairs = sorted(P.und_pairs)
-    return pairs, {p: k + 1 for k, p in enumerate(pairs)}
-
-
-def _pair_literal(var_of, u, v):
-    """Literal asserting the arc (u, v)."""
-    return var_of[(u, v)] if u < v else -var_of[(v, u)]
-
-
-def _in_tournament_clauses(P, var_of):
-    clauses = []
-    for u, v in sorted(P.arcs):
-        clauses.append((_pair_literal(var_of, u, v),))
-    for v in range(P.n):
-        for x, y in _nonadjacent_pairs(P, P.adj[v]):
-            # x -> v and y -> v would break the in-neighbourhood
-            clauses.append((-_pair_literal(var_of, x, v),
-                            -_pair_literal(var_of, y, v)))
-    return clauses
-
-
 def complete_to_in_tournament(P):
     """Complete P to an in-tournament or certify impossibility with an
-    implication cycle."""
-    pairs, var_of = _pair_vars(P)
-    status, res = two_sat(len(pairs), _in_tournament_clauses(P, var_of))
+    implication cycle.
+
+    One 2-SAT variable per adjacent pair (Aspvall, Plass and Tarjan,
+    IPL 8, 1979), whose implication digraph is read off P and never
+    stored.  The ordered pair (p, q) is node 2r + (p > q), r the rank of
+    its pair in sorted(und_pairs), and asserts p -> q; node k ^ 1 is the
+    reverse pair.  A completion is an in-tournament iff no
+    in-neighbourhood holds two non-adjacent vertices, so p -> q forces
+    q -> y for each y in N(q) - N[p], and it forces q -> p when q -> p
+    is an arc of P.  succ lists (q, p) first when it is such an arc, then
+    the (q, y) in increasing y: the order fixes the search's tree, and so
+    the completion and the implication cycle chosen."""
+    pairs = sorted(P.und_pairs)
+    adj, arcs = P.adj, P.arcs
+    node = [{} for _ in range(P.n)]  # node[p][q]: the node of (p, q)
+    for r, (u, v) in enumerate(pairs):
+        node[u][v], node[v][u] = 2 * r, 2 * r + 1
+
+    def pair(k):
+        p, q = pairs[k >> 1]
+        return (q, p) if k & 1 else (p, q)
+
+    def succ(k):
+        p, q = pair(k)
+        out = [k ^ 1] if (q, p) in arcs else []
+        at = node[q]
+        out += [at[y] for y in sorted(adj[q] - adj[p]) if y != p]
+        return out
+
+    status, res = two_sat(2 * len(pairs), succ)
     if status == "unsat":
-        cycle = []
-        for l in res:
-            u, v = pairs[abs(l) - 1]
-            cycle.append([P.names[u], P.names[v]] if l > 0
-                         else [P.names[v], P.names[u]])
-        return Certificate("NoCompletion", {"kind": "two_sat_core",
-                                            "cycle": cycle})
-    orient = []
-    for (u, v), k in var_of.items():
-        if _norm(u, v) in P.edges:
-            orient.append((u, v) if res[k] else (v, u))
-    D = P.orient(orient)
+        return Certificate("NoCompletion", {
+            "kind": "two_sat_core",
+            "cycle": [[P.names[v] for v in pair(k)] for k in res]})
+    edges = P.edges
+    D = P.orient([(u, v) if res[r] else (v, u)
+                  for r, (u, v) in enumerate(pairs) if (u, v) in edges])
     if not classify(D).in_tournament:
         raise InvariantError("completion is not an in-tournament")
     return D
-
-
-def verify_in_tournament_core(P, cycle):
-    """Check a two_sat_core payload: a closed implication walk that
-    asserts some arc both ways."""
-    pairs, var_of = _pair_vars(P)
-    try:
-        lits = []
-        for u, v in cycle:
-            lits.append(_pair_literal(var_of, P.index[u], P.index[v]))
-    except (KeyError, ValueError):
-        return False
-    if len(lits) < 2 or lits[0] != lits[-1]:
-        return False
-    if not any(-l in lits for l in lits):
-        return False
-    adj = _implications(len(pairs), _in_tournament_clauses(P, var_of))
-    for a, b in zip(lits, lits[1:]):
-        if _lit_node(b) not in adj[_lit_node(a)]:
-            return False
-    return True
 
 
 # -- strong completions --------------------------------------------------

@@ -331,7 +331,7 @@ def _parse_lines(text):
                 v = idx[b] = len(names)
                 names.append(b)
             if u == v:
-                raise ParseError("loop on %s" % a, ln)
+                raise ParseError("loop on %.60s" % a, ln)
             if d == "arc":
                 arcs.append((u, v))
             else:
@@ -341,7 +341,7 @@ def _parse_lines(text):
                 raise ParseError("expected 'v NAME'", ln)
             a = parts[1]
             if a in idx:
-                raise ParseError("vertex %s declared twice" % a, ln)
+                raise ParseError("vertex %.60s declared twice" % a, ln)
             if not match(a):
                 raise ParseError("bad vertex name %.60r" % a, ln)
             idx[a] = len(names)

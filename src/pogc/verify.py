@@ -4,8 +4,7 @@ certificate's payload exhibits, in a pog, the obstruction its tag claims."""
 from __future__ import annotations
 
 from .auxgraph import aux_adjacent, build_aux, consentaneous_closure
-from .completions import (complete_to_cycle_factor_bruteforce,
-                          verify_in_tournament_core)
+from .completions import complete_to_cycle_factor_bruteforce
 from .graph import _separates
 from .hardness import exact_complete
 from .pog import Certificate, Ordering, _norm
@@ -150,9 +149,7 @@ def _verify(P, cert):
     if tag == "NoCompletion":
         kind = pay["kind"]
         if kind == "two_sat_core":
-            cycle = pay["cycle"]
-            return isinstance(cycle, list) and all(map(_is_names, cycle)) \
-                and verify_in_tournament_core(P, cycle)
+            return _verify_implication_cycle(P, pay["cycle"])
         if kind == "hall":
             return pay["target"] == "cycle_factor" and _hall_deficient(
                 P, pay["set"])
@@ -166,6 +163,32 @@ def _verify(P, cert):
         return False
 
     return False
+
+
+def _implies(P, a, b):
+    """True when the arc a forces the arc b in every in-tournament
+    completion of P: b is the reverse of a and an arc of P, or a = (p, q)
+    and b = (q, y) with y a neighbour of q that is neither p nor a
+    neighbour of p, as p and y must not both point at q.  Either way b
+    is an adjacent pair."""
+    (p, q), (r, y) = a, b
+    if (r, y) == (q, p):
+        return b in P.arcs
+    return r == q and y != p and P.adjacent(q, y) and not P.adjacent(p, y)
+
+
+def _verify_implication_cycle(P, cycle):
+    """A two_sat_core cycle: a closed walk of ordered pairs in which
+    each step is one that `_implies` and some pair occurs both ways.  As
+    the walk is closed, each of its pairs heads a step, so each is an
+    adjacent pair.  O(walk)."""
+    if not isinstance(cycle, list) or not all(map(_is_names, cycle)):
+        return False
+    walk = [tuple(_ids(P, step)) for step in cycle]
+    seen = set(walk)
+    return len(walk) > 1 and walk[0] == walk[-1] \
+        and all(_implies(P, a, b) for a, b in zip(walk, walk[1:])) \
+        and any((v, u) in seen for u, v in walk)
 
 
 def _hall_deficient(P, names):

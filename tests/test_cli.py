@@ -406,6 +406,25 @@ def test_nice_hub_is_fast(w, capsys):
         ["o0", "h", ins[-1]]
 
 
+def test_two_sat_core_check_is_local(w, capsys):
+    # band-64 on 2,000 vertices beside a disjoint a -> c <- b: the walk
+    # refutes an in-tournament completion by the arcs at c alone.
+    # A check that rebuilds every clause of the band takes about 4 s.
+    n = 2000
+    g = w("g", "".join("edge v%d v%d\n" % (i, j) for i in range(n)
+                       for j in range(i + 1, min(n, i + 65)))
+          + "arc a c\narc b c\n")
+    walk = [["a", "c"], ["c", "b"], ["b", "c"], ["c", "a"], ["a", "c"]]
+    for cycle, verdict in ((walk, "valid"),
+                           (walk[:1] + [["b", "c"]] + walk[2:], "invalid")):
+        c = w("cert", json.dumps({"tag": "NoCompletion", "payload": {
+            "kind": "two_sat_core", "cycle": cycle}}))
+        t0 = time.perf_counter()
+        assert run(["verify-cert", g, c]) == (verdict == "invalid")
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr().out.strip() == verdict
+
+
 # -- extend-rep --------------------------------------------------------------------
 
 

@@ -9,15 +9,15 @@ from pogc.completions import (complete_to_cycle_factor_bruteforce,
                               complete_to_in_tournament, complete_to_strong,
                               complete_to_transitive_tournament,
                               find_cycle_factor, has_cycle_factor,
-                              _implications,
-                              _in_tournament_clauses, _max_flow, _pair_vars,
-                              is_k_arc_strong, two_sat)
+                              _max_flow, is_k_arc_strong, two_sat)
 from pogc.graph import _lowlink
 from pogc.cli import run
 from pogc.pog import Certificate, Pog, classify, parse_pog, render_pog
 from pogc.verify import verify_certificate
-from util import (all_pogs, brute_force_completion,
-                  cycle_factor_enumeration_reference, names, random_pog)
+from util import (all_pogs, brute_force_completion, clause_succ,
+                  cycle_factor_enumeration_reference, in_tournament_clauses,
+                  in_tournament_clauses_reference, in_tournament_core_reference,
+                  names, random_pog)
 
 
 def _complete_pog(n, arcs):
@@ -400,12 +400,16 @@ def test_strong_refutations_are_near_linear(tmp_path, capsys):
 # -- 2-SAT -----------------------------------------------------------------
 
 
+def _two_sat(nvars, clauses):
+    return two_sat(2 * nvars, clause_succ(nvars, clauses).__getitem__)
+
+
 def test_two_sat_basics():
-    status, t = two_sat(1, [(1,)])
-    assert status == "sat" and t[1] is True
-    status, cyc = two_sat(2, [(1, 2), (-1, 2), (1, -2), (-1, -2)])
+    status, t = _two_sat(1, [(1,)])
+    assert status == "sat" and t[0] is True
+    status, cyc = _two_sat(2, [(1, 2), (-1, 2), (1, -2), (-1, -2)])
     assert status == "unsat"
-    assert any(-l in cyc for l in cyc)
+    assert cyc[0] == cyc[-1] and any(k ^ 1 in cyc for k in cyc)
 
 
 def test_two_sat_vs_truth_table():
@@ -418,14 +422,14 @@ def test_two_sat_vs_truth_table():
             w = rng.randint(1, 2)
             clauses.append(tuple(rng.randint(1, n) * rng.choice([1, -1])
                                  for _ in range(w)))
-        status, res = two_sat(n, clauses)
+        status, res = _two_sat(n, clauses)
         feasible = any(
             all(any((l > 0) == bits[abs(l) - 1] for l in cl)
                 for cl in clauses)
             for bits in itertools.product([False, True], repeat=n))
         assert (status == "sat") == feasible
         if status == "sat":
-            assert all(any((l > 0) == res[abs(l)] for l in cl)
+            assert all(any((l > 0) == res[abs(l) - 1] for l in cl)
                        for cl in clauses)
 
 
@@ -506,8 +510,8 @@ def _clause_sets():
                   for _ in range(rng.randint(1, 3 * n))]
     for _ in range(200):
         P = _ring_chord_pog(rng, rng.randint(4, 30))
-        pairs, var_of = _pair_vars(P)
-        yield len(pairs), _in_tournament_clauses(P, var_of)
+        pairs, clauses = in_tournament_clauses(P)
+        yield len(pairs), clauses
 
 
 def test_lowlink_sccs_match_reference():
@@ -519,7 +523,7 @@ def test_lowlink_sccs_match_reference():
         # self-loops and repeated successors occur in implication graphs
         digraphs.append([[w for w in range(n) for _ in range(rng.choice((1, 1, 2)))
                           if rng.random() < p] for _ in range(n)])
-    digraphs += [_implications(n, clauses) for n, clauses in _clause_sets()]
+    digraphs += [clause_succ(n, clauses) for n, clauses in _clause_sets()]
     n = 20000  # a long directed path, then a long directed cycle
     digraphs += [[[v + 1] for v in range(n - 1)] + [[]],
                  [[(v + 1) % n] for v in range(n)]]
@@ -531,10 +535,10 @@ def test_two_sat_unchanged_by_lowlink(monkeypatch):
     """two_sat gives the same assignments and implication cycles as with
     the reference SCC routine."""
     instances = list(_clause_sets())
-    got = [two_sat(n, clauses) for n, clauses in instances]
+    got = [_two_sat(n, clauses) for n, clauses in instances]
     monkeypatch.setattr(completions, "_lowlink", lambda n, nbrs: (
         _sccs_reference([nbrs(v) for v in range(n)]), None))
-    want = [two_sat(n, clauses) for n, clauses in instances]
+    want = [_two_sat(n, clauses) for n, clauses in instances]
     assert got == want
     statuses = [status for status, _ in got]
     assert statuses.count("sat") > 100 and statuses.count("unsat") > 100
@@ -584,6 +588,48 @@ def test_in_tournament_exhaustive_vs_brute_force():
             assert want is not None
             assert classify(res).in_tournament
             assert P.arcs <= res.arcs
+
+
+def _mutated_walks(rng, P, cycle):
+    """The cycle, then copies of it with one step reversed, one step
+    dropped, or one vertex of the walk (the second end of one step and
+    the first end of the next) swapped for a random vertex of P."""
+    yield cycle
+    k = len(cycle)
+    for i in rng.sample(range(k), min(k, 3)):
+        yield cycle[:i] + [cycle[i][::-1]] + cycle[i + 1:]
+        yield cycle[:i] + cycle[i + 1:]
+        if i + 1 < k:
+            x = rng.choice(P.names)
+            yield (cycle[:i] + [[cycle[i][0], x], [x, cycle[i + 1][1]]]
+                   + cycle[i + 2:])
+
+
+def test_in_tournament_matches_clause_reference():
+    """complete_to_in_tournament, which reads its implications off P,
+    returns exactly the completion or implication cycle of the 2-SAT on
+    stored clauses, and verify_certificate, which checks each step
+    against P, judges mutated cycles as the walk check on all clauses
+    does."""
+    rng = random.Random(29)
+    refuted, verdicts = 0, []
+    for _ in range(5000):
+        P = random_pog(rng, rng.randint(1, 8), rng.choice((0.4, 0.6, 0.8)),
+                       rng.choice((0.2, 0.4)))
+        got = complete_to_in_tournament(P)
+        want = in_tournament_clauses_reference(P)
+        if not isinstance(want, Certificate):
+            assert not isinstance(got, Certificate) and got.arcs == want.arcs
+            continue
+        assert got == want
+        refuted += 1
+        for walk in _mutated_walks(rng, P, want.payload["cycle"]):
+            cert = Certificate("NoCompletion", {"kind": "two_sat_core",
+                                                "cycle": walk})
+            verdicts.append(verify_certificate(P, cert))
+            assert verdicts[-1] == in_tournament_core_reference(P, walk), walk
+    assert refuted > 500
+    assert verdicts.count(False) > 1000 and verdicts.count(True) > refuted
 
 
 # -- cycle factors ------------------------------------------------------------

@@ -294,18 +294,19 @@ def test_rendered_pogs_read_column_wise(monkeypatch):
 
 
 def test_parse_hostile_texts_stay_linear():
-    """A name of a million characters and a layout text of 100,000
-    lines that breaks on its last line, with newline or CR LF line
-    ends, give the reference parser's result or error, each in under
-    2 s: the layout regexes stay linear on failing input.  An error
-    quotes at most 60 characters of the name, so its message stays
-    short."""
+    """A name of a million characters, valid or not, declared twice or
+    looped, and a layout text of 100,000 lines that breaks on its last
+    line, with newline or CR LF line ends, give the reference parser's
+    result or error, each in under 2 s: the layout regexes stay linear
+    on failing input.  An error quotes at most 60 characters of the
+    name, so its message stays short."""
     big = "a" * 10 ** 6
     lines = ["v v%d" % i for i in range(50000)]
     lines += ["arc v%d v%d" % (i, i + 1) for i in range(49999)]
     lines.append("arc v0 v1 v2")
     texts = ["v %s\nv b\narc %s b\n" % (big, big), "v b\nv %s!\n" % big,
-             "v b\narc b %s\n" % big, "".join(ln + "\n" for ln in lines),
+             "v b\narc b %s\n" % big, "v %s\nv %s\n" % (big, big),
+             "edge %s %s\n" % (big, big), "".join(ln + "\n" for ln in lines),
              "".join(ln + "\r\n" for ln in lines)]
     for text in texts:
         t0 = time.perf_counter()
@@ -316,7 +317,7 @@ def test_parse_hostile_texts_stay_linear():
             _assert_same_pog(got, want)
         else:
             assert got == want and len(got[1]) < 200
-    assert _outcome(parse_pog, texts[3])[1:] == ("line 100000: expected 'arc U V'", 100000)
+    assert _outcome(parse_pog, texts[-2])[1:] == ("line 100000: expected 'arc U V'", 100000)
 
 
 def test_render_dot():

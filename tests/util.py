@@ -182,14 +182,14 @@ def parse_pog_reference(text):
             if len(parts) != 2:
                 raise ParseError("expected 'v NAME'", ln)
             if parts[1] in idx:
-                raise ParseError("vertex %s declared twice" % parts[1], ln)
+                raise ParseError("vertex %.60s declared twice" % parts[1], ln)
             vid(parts[1], ln)
         elif parts[0] in ("edge", "arc"):
             if len(parts) != 3:
                 raise ParseError("expected '%s U V'" % parts[0], ln)
             u, v = vid(parts[1], ln), vid(parts[2], ln)
             if u == v:
-                raise ParseError("loop on %s" % parts[1], ln)
+                raise ParseError("loop on %.60s" % parts[1], ln)
             (edges if parts[0] == "edge" else arcs).append((u, v))
         else:
             raise ParseError("unknown directive %.60r" % parts[0], ln)
@@ -229,6 +229,89 @@ def all_tournaments(n):
                             for k, (i, j) in enumerate(pairs)))
 
 
+def clause_succ(nvars, clauses):
+    """The implication digraph of 1- and 2-literal clauses over the
+    variables 1..nvars, as successor lists for `two_sat(n, succ)`: the
+    literal x is node 2(x - 1) and -x is node 2(x - 1) + 1, the clause
+    (a,) adds -a -> a and (a, b) adds -a -> b and -b -> a, in clause
+    order."""
+    def node(lit):
+        return 2 * (abs(lit) - 1) + (lit < 0)
+    succ = [[] for _ in range(2 * nvars)]
+    for cl in clauses:
+        if len(cl) == 1:
+            succ[node(-cl[0])].append(node(cl[0]))
+        else:
+            a, b = cl
+            succ[node(-a)].append(node(b))
+            succ[node(-b)].append(node(a))
+    return succ
+
+
+def in_tournament_clauses(P):
+    """The in-tournament 2-SAT of P as clauses: variable k + 1 asserts
+    the k-th pair (u, v) of sorted(P.und_pairs) as the arc u -> v, a
+    unit clause per arc of P in sorted order, then, for each vertex v in
+    order and each non-adjacent pair x < y of its neighbours in
+    lexicographic order, the clause "not x -> v or not y -> v".
+    Returns (pairs, clauses)."""
+    pairs = sorted(P.und_pairs)
+    var_of = {p: k + 1 for k, p in enumerate(pairs)}
+
+    def lit(u, v):
+        return var_of[u, v] if u < v else -var_of[v, u]
+    clauses = [(lit(u, v),) for u, v in sorted(P.arcs)]
+    for v in range(P.n):
+        for x, y in _nonadjacent_pairs(P, P.adj[v]):
+            clauses.append((-lit(x, v), -lit(y, v)))
+    return pairs, clauses
+
+
+def in_tournament_clauses_reference(P):
+    """complete_to_in_tournament as it ran on stored clauses: the 2-SAT
+    of `in_tournament_clauses` solved on `clause_succ`'s implication
+    lists.  Returns the completion, or the NoCompletion two_sat_core
+    certificate of the implication cycle."""
+    pairs, clauses = in_tournament_clauses(P)
+    status, res = two_sat(2 * len(pairs),
+                          clause_succ(len(pairs), clauses).__getitem__)
+    if status == "unsat":
+        cycle = []
+        for k in res:
+            u, v = pairs[k // 2]
+            cycle.append([P.names[v], P.names[u]] if k % 2
+                         else [P.names[u], P.names[v]])
+        return Certificate("NoCompletion", {"kind": "two_sat_core",
+                                            "cycle": cycle})
+    return P.orient([(u, v) if res[k] else (v, u)
+                     for k, (u, v) in enumerate(pairs) if (u, v) in P.edges])
+
+
+def in_tournament_core_reference(P, cycle):
+    """The clause-list check of a two_sat_core cycle: a closed walk of
+    literals, one per listed ordered pair, that holds some literal and
+    its negation, each step an edge of the implication lists of all of
+    P's in-tournament clauses."""
+    pairs, clauses = in_tournament_clauses(P)
+    var_of = {p: k + 1 for k, p in enumerate(pairs)}
+    try:
+        lits = []
+        for u, v in cycle:
+            u, v = P.index[u], P.index[v]
+            lits.append(var_of[u, v] if u < v else -var_of[v, u])
+    except (KeyError, ValueError):
+        return False
+    if len(lits) < 2 or lits[0] != lits[-1]:
+        return False
+    if not any(-l in lits for l in lits):
+        return False
+    succ = clause_succ(len(pairs), clauses)
+
+    def node(lit):
+        return 2 * (abs(lit) - 1) + (lit < 0)
+    return all(node(b) in succ[node(a)] for a, b in zip(lits, lits[1:]))
+
+
 def round_tournament_2sat_reference(P, O):
     """A round tournament on O that contains P's arcs, or None, by one
     2-SAT instance (Aspvall, Plass and Tarjan, IPL 8, 1979): a variable
@@ -247,11 +330,12 @@ def round_tournament_2sat_reference(P, O):
     clauses = [(-beats(i, (i + k) % n), beats(i, (i + k - 1) % n))
                for i in range(n) for k in range(2, n)]
     clauses += [(beats(pos[u], pos[v]),) for u, v in sorted(P.arcs)]
-    status, value = two_sat(len(var), clauses)
+    status, value = two_sat(2 * len(var),
+                            clause_succ(len(var), clauses).__getitem__)
     if status == "unsat":
         return None
     return Pog(P.names, frozenset(),
-               frozenset((seq[i], seq[j]) if value[x] else (seq[j], seq[i])
+               frozenset((seq[i], seq[j]) if value[x - 1] else (seq[j], seq[i])
                          for (i, j), x in var.items()))
 
 
