@@ -50,6 +50,8 @@ STRONG = "tests/test_completions.py::test_strong_matches_orient_and_scc_loop"
 HOLE = "tests/test_interval.py::test_find_hole_matches_pairwise_search"
 IN_TOURNAMENT = ("tests/test_completions.py::"
                  "test_in_tournament_matches_clause_reference")
+CYCLE = "tests/test_pog.py::test_directed_cycle_matches_dfs_reference"
+BAD_TRIPLE = "tests/test_friendly.py::test_bad_triple_check_matches_aux_labels"
 
 # the class a split creates placed before its old class, as LBFS needs,
 # and after it
@@ -100,7 +102,7 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "    for nbrs in adj:\n        nbrs.sort()\n",
      "    for nbrs in adj:\n        pass\n", AUX),
     ("trusted-shares-out-nbrs", "pogc/pog.py",
-     '"ug_components"})', '"ug_components", "out_nbrs"})',
+     '"_aux"})', '"_aux", "out_nbrs"})',
      "tests/test_pog.py::test_derived_pogs_share_underlying_graph_views"),
     ("excellent-leaves-like-input", "pogc/hardness.py",
      "a, like=closed)", "a, like=P)",
@@ -110,23 +112,45 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "    k = P.n - 2\n    return all(len(a) >= k for a in P.adj)",
      "tests/test_pog.py::test_lazy_report_matches_eager_reference"),
     ("hoods-skipped-below-4", "pogc/pog.py",
-     "if len(hood) > 2 and not _acyclic_within(P, hood):",
-     "if len(hood) > 3 and not _acyclic_within(P, hood):", HOODS),
+     "if len(hood) > 2 and _cyclic_core(P, hood):",
+     "if len(hood) > 3 and _cyclic_core(P, hood):", HOODS),
     ("hood-in-side-dropped", "pogc/pog.py",
-     "if len(hood) > 2 and not _acyclic_within(P, hood):",
-     'if side == "out" and len(hood) > 2 and not _acyclic_within(P, hood):',
+     "if len(hood) > 2 and _cyclic_core(P, hood):",
+     'if side == "out" and len(hood) > 2 and _cyclic_core(P, hood):',
      HOODS),
     ("clique-test-loosened", "pogc/pog.py",
      "    k = len(S) - 1\n    return all(len(P.adj[x] & S) == k for x in S)",
      "    k = len(S) - 2\n    return all(len(P.adj[x] & S) >= k for x in S)",
      HOODS),
+    # the count starts one short, so a vertex goes one successor early;
+    # the test "d <= 1" instead re-appends a vertex whose count runs
+    # below zero, and the peel then never ends on a hood where a cycle
+    # hangs above a sink
     ("peeled-one-successor-early", "pogc/pog.py",
-     "            if not d:\n                peeled.append(u)",
-     "            if d <= 1:\n                peeled.append(u)", HOODS),
+     "                d = len(out[u] & S)\n",
+     "                d = len(out[u] & S) - 1\n", HOODS),
+    ("core-returned-before-peeling-ends", "pogc/pog.py",
+     "    for v in peeled:  # grows while it is read\n",
+     "    for v in list(peeled):\n", CYCLE),
+    ("cycle-walk-leaves-core", "pogc/pog.py",
+     "        v = min(out[v] & core)\n", "        v = min(out[v])\n", CYCLE),
     ("forbidden-cycle-cells-skipped", "pogc/friendly.py",
-     "len(cell) < 3 or _acyclic_within(P, set(cell)):",
-     "len(cell) < 3 or True:",
+     "if k == universal or len(cell) < 3:\n            continue\n        cyc",
+     "if True:\n            continue\n        cyc",
      "tests/test_friendly.py::test_forbidden_cycle_matches_reference"),
+    ("aux-view-shared-with-induced", "pogc/pog.py",
+     "        return Pog._trusted(tuple(self.names[v] for v in keep), e, a)\n",
+     "        Q = Pog._trusted(tuple(self.names[v] for v in keep), e, a)\n"
+     "        if \"_aux\" in self.__dict__:\n"
+     "            Q.__dict__[\"_aux\"] = self.__dict__[\"_aux\"]\n"
+     "        return Q\n",
+     "tests/test_auxgraph.py::"
+     "test_aux_view_shared_only_with_the_same_underlying_graph"),
+    ("aux-view-holds-pog", "pogc/auxgraph.py",
+     'views = P.__dict__.setdefault("_aux", {})',
+     'views = P.__dict__.setdefault("_aux", {"pog": P})',
+     "tests/test_auxgraph.py::"
+     "test_pog_freed_by_reference_counting_after_build_aux"),
     ("lbfs-split-after-old-class", "pogc/graph.py", SPLIT_BEFORE, SPLIT_AFTER, LBFS),
     ("lbfs-quiet-preference-dropped", "pogc/graph.py",
      "            if q:\n                v = heapq.heappop(q)",
@@ -190,7 +214,7 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("round-tournament-no-conflict", "pogc/rounds.py",
      "        if forced >= x - i:\n            return None\n", "", IFF_EXCELLENT),
     ("excellent-running-max-dropped", "pogc/rounds.py",
-     "    reach = list(accumulate(reach, max))\n", "", SPANS),
+     "    return list(accumulate(far, max))\n", "    return far\n", SPANS),
     ("maximal-arcs-own-tail", "pogc/rounds.py",
      "far[x - 1] < head", "far[x] < head", SPANS),
     ("relaxation-edges-one-way", "pogc/completions.py",
@@ -205,6 +229,12 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("implication-step-near-p-accepted", "pogc/verify.py",
      " and P.adjacent(q, y) and not P.adjacent(p, y)", " and P.adjacent(q, y)",
      IN_TOURNAMENT),
+    ("bad-triple-one-search-run-out", "pogc/verify.py",
+     "        while len(searches) > 1:\n", "        while len(searches) > 2:\n",
+     BAD_TRIPLE),
+    ("bad-triple-candidates-unfiltered", "pogc/verify.py",
+     "if q not in seen and aux_adjacent(P, (u, v), q):", "if q not in seen:",
+     BAD_TRIPLE),
     ("hall-verifier-allows-equal", "pogc/verify.py",
      "return len(succ) < len(S)", "return len(succ) <= len(S)", HALL),
     ("hall-verifier-one-edge-end", "pogc/verify.py",

@@ -42,7 +42,7 @@ def aux_adjacent(P, a, b, mode="local_tournament"):
 
 @dataclass(frozen=True)
 class AuxGraph:
-    P: Pog
+    names: tuple          # the vertex names of the pog it was built from
     mode: str
     verts: tuple          # ordered pairs, sorted
     adj: tuple            # tuple of sorted tuples of vertex ids
@@ -66,10 +66,28 @@ class AuxGraph:
 
     def pair_names(self, vidx):
         i, j = self.verts[vidx]
-        return [self.P.names[i], self.P.names[j]]
+        return [self.names[i], self.names[j]]
+
+    def class_pairs(self, c, colour):
+        """The pairs of component c that take `colour`."""
+        return [self.verts[k] for k in self.comp_members[c]
+                if self.colours[k] == colour]
 
 
 def build_aux(P, mode="local_tournament"):
+    """The aux graph of UG(P) in `mode`, a view like `Pog.adj`: built on
+    first request, kept on P and shared with the pogs `Pog._trusted(like=P)`
+    derives.  It holds P's names, not P, so P stays free of cycles."""
+    if mode not in MODES:
+        raise ValueError("unknown aux mode %r" % mode)
+    views = P.__dict__.setdefault("_aux", {})  # mode -> AuxGraph
+    X = views.get(mode)
+    if X is None:
+        X = views[mode] = _build_aux(P, mode)
+    return X
+
+
+def _build_aux(P, mode):
     """The aux graph of UG(P) in `mode`, each component labelled and
     2-coloured by one BFS from its smallest pair.
 
@@ -82,8 +100,6 @@ def build_aux(P, mode="local_tournament"):
     from start[u] in neighbour order, which is the sorted order of all
     pairs, so no pair is ever hashed; rev[x] is the id of the reverse
     of pair x."""
-    if mode not in MODES:
-        raise ValueError("unknown aux mode %r" % mode)
     nbr = [sorted(a) for a in P.adj]
     start = [0]
     for ns in nbr:
@@ -125,31 +141,21 @@ def build_aux(P, mode="local_tournament"):
         order.sort()
         members.append(tuple(order))
         odd.append(None if clash is None else _odd_closed_walk(parent, *clash))
-    return AuxGraph(P, mode, tuple(verts), tuple(map(tuple, adj)),
+    return AuxGraph(P.names, mode, tuple(verts), tuple(map(tuple, adj)),
                     tuple(comp), tuple(members), tuple(colours), tuple(odd))
 
 
-@dataclass(frozen=True)
-class TwoColouring:
-    X: AuxGraph
-    colours: tuple  # 0 (red) / 1 (blue) per aux vertex
-
-    def class_pairs(self, c, colour):
-        return [self.X.verts[k] for k in self.X.comp_members[c]
-                if self.colours[k] == colour]
-
-
 def two_colour(X):
-    """The 2-colouring of X, the lexicographically smallest pair of each
-    component red, as a TwoColouring, or an OddClosedWalkAux certificate
-    for the first component that is not bipartite."""
+    """X itself, whose colours make the lexicographically smallest pair
+    of each component red, or an OddClosedWalkAux certificate for the
+    first component that is not bipartite."""
     for walk in X.odd:
         if walk is not None:
             return Certificate("OddClosedWalkAux", {
                 "walk": [X.pair_names(k) for k in walk],
                 "mode": X.mode,
             })
-    return TwoColouring(X, X.colours)
+    return X
 
 
 def _odd_closed_walk(parent, v, w):
@@ -173,14 +179,16 @@ def aux_path(X, a, b):
     return [X.verts[k] for k in path]
 
 
-def _arc_classes(P, X, mates=False):
-    """The colour that the arcs of P fix in each aux component (None for
-    a component without arcs), or an OrientationConflict certificate for
-    the first component holding arcs where that fails: the component is
-    not bipartite, its arcs take both colours (`odd_pair`) or, with
-    `mates`, an unoriented pair shares the arcs' colour
-    (`unoriented_mate`).  A walk starts at the component's first arc; an
-    `odd_pair` walk runs from its first red arc to its first blue one."""
+def _arc_classes(P, mode="local_tournament", mates=False):
+    """The colour that the arcs of P fix in each aux component in `mode`
+    (None for a component without arcs), or an OrientationConflict
+    certificate for the first component holding arcs where that fails:
+    the component is not bipartite, its arcs take both colours
+    (`odd_pair`) or, with `mates`, an unoriented pair shares the arcs'
+    colour (`unoriented_mate`).  A walk starts at the component's first
+    arc; an `odd_pair` walk runs from its first red arc to its first
+    blue one."""
+    X = build_aux(P, mode)
     colours, odd = X.colours, X.odd
     fixed = []
     for c, members in enumerate(X.comp_members):
@@ -213,38 +221,37 @@ def _arc_classes(P, X, mates=False):
     return fixed
 
 
-def _orient_classes(P, X, fill=None):
-    """Orient, in every aux component holding arcs, the colour class
-    those arcs fix.  With `fill`, a key on pairs, every other component
-    orients the class of its pair with the smallest key.  Returns the
-    oriented pog, or a certificate when X is not bipartite or two arcs
-    of one component take different colours."""
-    col = two_colour(X)
-    if isinstance(col, Certificate):
-        return col
-    fixed = _arc_classes(P, X)
+def _orient_classes(P, mode="local_tournament", fill=None):
+    """Orient, in every aux component in `mode` holding arcs, the colour
+    class those arcs fix.  With `fill`, a key on pairs, every other
+    component orients the class of its pair with the smallest key.
+    Returns the oriented pog, or a certificate when the aux graph is not
+    bipartite or two arcs of one component take different colours."""
+    X = two_colour(build_aux(P, mode))
+    if isinstance(X, Certificate):
+        return X
+    fixed = _arc_classes(P, mode)
     if isinstance(fixed, Certificate):
         return fixed
     to_orient = []
     for c, members in enumerate(X.comp_members):
         colour = fixed[c]
         if colour is None and fill is not None:
-            colour = col.colours[min(members, key=lambda k: fill(X.verts[k]))]
+            colour = X.colours[min(members, key=lambda k: fill(X.verts[k]))]
         if colour is not None:
-            to_orient.extend(p for p in col.class_pairs(c, colour)
+            to_orient.extend(p for p in X.class_pairs(c, colour)
                              if _norm(*p) in P.edges)
     return P.orient(to_orient)
 
 
-def consentaneous_closure(P, aux=None):
+def consentaneous_closure(P):
     """Smallest consentaneous pog containing P.
 
     In every aux component touched by an arc, the whole colour class of
     that arc is oriented.  Returns a certificate when UG(P) is not
     orientable in the class (odd walk) or two arcs disagree (odd pair).
     """
-    X = aux if aux is not None else build_aux(P)
-    return _orient_classes(P, X)
+    return _orient_classes(P)
 
 
 def complete_via_aux(P, mode="local_tournament"):
@@ -254,16 +261,11 @@ def complete_via_aux(P, mode="local_tournament"):
     components take the class of their lexicographically smallest pair.
     Returns the completion or a certificate.
     """
-    return _complete_via_aux(P, build_aux(P, mode))
-
-
-def _complete_via_aux(P, X):
-    """complete_via_aux on X, the aux graph of UG(P) in X's mode."""
-    D = _orient_classes(P, X, fill=lambda pair: pair)
+    D = _orient_classes(P, mode, fill=lambda pair: pair)
     if isinstance(D, Certificate):
         return D
     if D.edges:
         raise InvariantError("aux completion left an edge unoriented")
-    if not getattr(classify(D), X.mode):  # modes are named after their class
+    if not getattr(classify(D), mode):  # modes are named after their class
         raise InvariantError("aux completion fell outside the target class")
     return D

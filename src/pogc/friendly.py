@@ -15,14 +15,14 @@ round the circle.
 
 from __future__ import annotations
 
-from .auxgraph import (_arc_classes, _complete_via_aux, build_aux,
+from .auxgraph import (_arc_classes, build_aux, complete_via_aux,
                        consentaneous_closure, two_colour)
 from .errors import InvariantError, NotFriendlyError, NotInClassError
 from .interval import (_orient_window, complete_to_acyclic_lt,
                        representation_from_orientation)
 from .graph import _bfs_colouring, _components, topological_order
-from .pog import Certificate, Pog, _acyclic_within, _is_complete, \
-    _neighbourhood_cycle, _norm, _triangles, classify, find_directed_cycle
+from .pog import Certificate, Pog, _is_complete, _neighbourhood_cycle, \
+    _norm, _triangles, classify, find_directed_cycle
 from .rounds import merge_ltt
 
 
@@ -51,8 +51,9 @@ def complement_components(P):
     return _components(range(P.n), nbrs)
 
 
-def _bad_triples(P, X):
-    """bad_triples on X, the aux graph of UG(P), in order, one at a time."""
+def _bad_triples(P):
+    """bad_triples in order, one at a time."""
+    X = build_aux(P)
     for x, y, z in _triangles(P):
         pairs = [(x, y), (y, z), (x, z)]
         if len({X.comp[X.vid[p]] for p in pairs}) != 3:
@@ -61,20 +62,19 @@ def _bad_triples(P, X):
             yield x, y, z
 
 
-def bad_triples(P, aux=None):
+def bad_triples(P):
     """Triangles whose edges live in three distinct aux components with
     exactly two of them oriented."""
-    return list(_bad_triples(P, aux if aux is not None else build_aux(P)))
+    return list(_bad_triples(P))
 
 
-def is_friendly(P, aux=None):
+def is_friendly(P):
     """(True, None) or (False, certificate); stops at the first bad
     triple."""
-    X = aux if aux is not None else build_aux(P)
-    cert = _arc_classes(P, X, mates=True)
+    cert = _arc_classes(P, mates=True)
     if isinstance(cert, Certificate):
         return False, cert
-    bad = next(_bad_triples(P, X), None)
+    bad = next(_bad_triples(P), None)
     if bad is not None:
         x, y, z = bad
         return False, Certificate("BadTriple", {
@@ -90,11 +90,13 @@ def forbidden_cycle(P):
     out-neighbourhood of a vertex, as a certificate, or None."""
     cs, universal = P.cells
     for k, cell in enumerate(cs):
-        if k == universal or len(cell) < 3 or _acyclic_within(P, set(cell)):
+        if k == universal or len(cell) < 3:
             continue
-        return Certificate("DirectedCycle", {
-            "cycle": [P.names[v] for v in find_directed_cycle(P, within=cell)],
-            "location": {"kind": "cell"}})
+        cyc = find_directed_cycle(P, within=cell)
+        if cyc:
+            return Certificate("DirectedCycle", {
+                "cycle": [P.names[v] for v in cyc],
+                "location": {"kind": "cell"}})
     found = _neighbourhood_cycle(P)
     if found is None:
         return None
@@ -172,12 +174,7 @@ def _merge_arc_parts(P):
 def complete_friendly(P):
     """Complete a friendly pog to a locally transitive local tournament,
     or return a refuting certificate."""
-    return _complete_friendly(P, build_aux(P))
-
-
-def _complete_friendly(P, X):
-    """complete_friendly on X, the aux graph of UG(P)."""
-    ok, cert = is_friendly(P, aux=X)
+    ok, cert = is_friendly(P)
     if not ok:
         raise NotFriendlyError("pog is not friendly", cert)
     comps = P.ug_components
@@ -194,7 +191,7 @@ def _complete_friendly(P, X):
     cert = forbidden_cycle(P)
     if cert is not None:
         return cert
-    col = two_colour(X)
+    col = two_colour(build_aux(P))
     if isinstance(col, Certificate):
         return col
     if _is_complete(P):
@@ -205,11 +202,11 @@ def _complete_friendly(P, X):
         raise InvariantError("cell cycle escaped the forbidden scan")
     bar = complement_components(P)
     if len(bar) == 1:
-        D = _complete_via_aux(P1, X)
+        D = complete_via_aux(P1)
         if isinstance(D, Certificate):
             raise InvariantError("friendly pog lost orientability")
         return _verified(P, D)
-    return _complete_split_complement(P, P1, X, col, bar)
+    return _complete_split_complement(P, P1, bar)
 
 
 def _bipartition(P, comp):
@@ -227,20 +224,20 @@ def _bipartition(P, comp):
             tuple(v for v in comp if colour[v] == 1))
 
 
-def _complete_split_complement(P, P1, X, col, bar):
+def _complete_split_complement(P, P1, bar):
     """The complement has q >= 2 components: orient inner thick
     components by colour class, then cross edges by a locally
     transitive tournament on the representatives."""
-    cur = consentaneous_closure(P1, aux=X)
+    cur = consentaneous_closure(P1)
     if isinstance(cur, Certificate):
         raise InvariantError("closure failed on a friendly pog")
     # leftover unbalanced edges inside a component take the red class
-    side = {v: k for k, C in enumerate(bar) for v in C}
+    X, side = build_aux(cur), {v: k for k, C in enumerate(bar) for v in C}
     leftovers = []
     for c, members in enumerate(X.comp_members):
         if X.is_thin(c) or any(X.verts[k] in cur.arcs for k in members):
             continue
-        leftovers.extend((i, j) for i, j in col.class_pairs(c, 0)
+        leftovers.extend((i, j) for i, j in X.class_pairs(c, 0)
                          if _norm(i, j) in cur.edges and side[i] == side[j])
     cur = cur.orient(leftovers)
 
@@ -301,12 +298,11 @@ def extend_circular_arc_representation(G, partial=None):
         P1 = complete_cells(P0)
         if isinstance(P1, Certificate):
             return P1
-        X = build_aux(P1)
-        P2 = consentaneous_closure(P1, aux=X)
+        P2 = consentaneous_closure(P1)
         if isinstance(P2, Certificate):
             return P2
         try:
-            D = _complete_friendly(P2, X)
+            D = complete_friendly(P2)
         except NotFriendlyError as exc:
             raise InvariantError("extension pog is not friendly: %s"
                                  % exc.certificate.tag) from None

@@ -10,38 +10,6 @@ import heapq
 from collections import deque
 
 
-def _directed_cycle(out, verts):
-    """A directed cycle (vertex list) of the digraph with out-neighbour
-    sets `out` induced on the vertex list verts, or None.  Roots are
-    tried in verts order and out-neighbours in increasing order."""
-    allowed = set(verts)
-    colour = {}
-    stack_path = []
-    for s in verts:
-        if colour.get(s):
-            continue
-        stack = [(s, iter(sorted(out[s] & allowed)))]
-        colour[s] = 1
-        stack_path.append(s)
-        while stack:
-            v, it = stack[-1]
-            adv = False
-            for w in it:
-                if colour.get(w) == 1:
-                    return stack_path[stack_path.index(w):]
-                if not colour.get(w):
-                    colour[w] = 1
-                    stack_path.append(w)
-                    stack.append((w, iter(sorted(out[w] & allowed))))
-                    adv = True
-                    break
-            if not adv:
-                colour[v] = 2
-                stack_path.pop()
-                stack.pop()
-    return None
-
-
 def bfs_path(nbrs, s, t):
     """Shortest path from s to t as a vertex list, or None.  `nbrs(v)`
     lists the neighbours of v in the order the search tries them."""

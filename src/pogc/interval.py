@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .auxgraph import _orient_classes, build_aux, consentaneous_closure
+from .auxgraph import _orient_classes, consentaneous_closure
 from .errors import (InvariantError, NotInClassError, NoZeroOutdegreeStartError,
                      ParseError, RepresentationError)
 from .graph import _lex_bfs, bfs_path
@@ -309,8 +309,7 @@ def _find_tent(G):
 def complete_to_acyclic_lt(P):
     """Complete a pog to an acyclic local tournament, or return a
     certificate refuting the completion."""
-    X = build_aux(P)
-    closed = consentaneous_closure(P, aux=X)
+    closed = consentaneous_closure(P)
     if isinstance(closed, Certificate):
         return closed
     cyc = find_directed_cycle(closed)
@@ -332,7 +331,7 @@ def complete_to_acyclic_lt(P):
         return _find_hole(P, triple)
     # a component without arcs orients the class of its pair that comes
     # first by the positions of both endpoints
-    D = _orient_classes(closed, X,
+    D = _orient_classes(closed,
                         fill=lambda pair: (O.pos[pair[0]], O.pos[pair[1]]))
     if not classify(D).acyclic_local_tournament:
         # The aux graph is 2-coloured, so UG(P) has a local tournament

@@ -16,7 +16,7 @@ from itertools import compress, repeat
 from operator import eq, not_
 
 from .errors import InvariantError, ParseError
-from .graph import _components, _directed_cycle, _reach
+from .graph import _components, _reach
 
 _NAME = r"[A-Za-z0-9_.-]+"
 NAME_RE = re.compile(_NAME + r"\Z")
@@ -30,9 +30,9 @@ def _norm(i, j):
     return (i, j) if i < j else (j, i)
 
 
-# the cached views of a pog that depend only on its names and its
-# underlying graph, which Pog._trusted may share between pogs
-_UG_VIEWS = frozenset({"index", "und_pairs", "adj", "cells", "ug_components"})
+# the cached views of a pog that depend only on its names and its underlying
+# graph (its aux graphs under "_aux"), which Pog._trusted may share
+_UG_VIEWS = frozenset({"index", "und_pairs", "adj", "cells", "ug_components", "_aux"})
 
 
 @dataclass(frozen=True)
@@ -413,20 +413,31 @@ def render_ordering(O, P):
 
 def find_directed_cycle(P, within=None):
     """Return a directed cycle of the arc digraph as a vertex list, or
-    None.  `within` restricts to an induced vertex subset."""
-    verts = sorted(within) if within is not None else range(P.n)
-    return _directed_cycle(P.out_nbrs, verts)
+    None.  `within` restricts to an induced vertex subset.  Each vertex
+    that `_cyclic_core` leaves has a successor among them, so the walk
+    from the smallest, each step to the smallest out-neighbour among
+    them, repeats a vertex; the cycle runs from there."""
+    core = _cyclic_core(P, frozenset(range(P.n) if within is None else within))
+    if not core:
+        return None
+    out, at, walk = P.out_nbrs, {}, []
+    v = min(core)
+    while v not in at:
+        at[v] = len(walk)
+        walk.append(v)
+        v = min(out[v] & core)
+    return walk[at[v]:]
 
 
-def _acyclic_within(P, S):
-    """True when the arcs of P inside the vertex set S span no directed
-    cycle.  Kahn's peeling from the sinks: every sink of S is found by
-    one set test, and a vertex's count of arcs into S is taken only
-    once one of its successors has been peeled."""
+def _cyclic_core(P, S):
+    """The vertices of the set S left by Kahn's peeling of sinks off the
+    arcs of P inside S, none exactly when those arcs span no cycle.  A
+    sink is found by one set test, and a vertex's count of arcs into S
+    is taken once one of its successors has been peeled."""
     out, inn = P.out_nbrs, P.in_nbrs
     peeled = [x for x in S if out[x].isdisjoint(S)]
     if len(peeled) == len(S):
-        return True
+        return ()
     left = {}
     for v in peeled:  # grows while it is read
         for u in inn[v] & S:
@@ -436,7 +447,7 @@ def _acyclic_within(P, S):
             left[u] = d = d - 1
             if not d:
                 peeled.append(u)
-    return len(peeled) == len(S)
+    return S.difference(peeled) if len(peeled) < len(S) else ()
 
 
 def _nonadjacent_pairs(P, members):
@@ -482,10 +493,10 @@ def _neighbourhoods(P):
 def _neighbourhood_cycle(P):
     """The first directed cycle inside an out- or in-neighbourhood (in
     _neighbourhoods order) as (cycle, v, side), or None.  A pog has no
-    loops or 2-cycles, so only hoods of 3 or more vertices are tested;
+    loops or 2-cycles, so only hoods of 3 or more vertices are peeled;
     the cycle search runs only on the first hood that fails."""
     for v, side, hood in _neighbourhoods(P):
-        if len(hood) > 2 and not _acyclic_within(P, hood):
+        if len(hood) > 2 and _cyclic_core(P, hood):
             return find_directed_cycle(P, within=hood), v, side
     return None
 

@@ -90,25 +90,17 @@ def _by_position(P, O):
 
 
 def _check_excellent(P, O):
-    """Unroll the cycle twice.  An arc (s, t) with tail at unrolled
-    position x lands at x - ((pos s - pos t) mod n), and arc (i, j) has
-    a backward arc inside its span exactly when some tail in
-    [pos i, pos i + span] lands at or after pos i.  A tail before pos i
-    lands before it, so that is the running maximum of the landings up
-    to pos i + span, O(n + arcs log arcs) with the arcs sorted.  The
-    witness b is then named by one scan over the arcs."""
+    """Arc (i, j) has a backward arc inside its span exactly when a tail
+    in [pos i, pos i + span], on the cycle unrolled twice, reaches pos i
+    + n or beyond; a tail before pos i reaches less.  So it fails when
+    far[pos i + span] >= pos i + n, O(n + arcs log arcs) with the arcs
+    sorted; the witness b is then named by one scan over the arcs."""
     n, pos = P.n, O.pos
     arcs = _by_position(P, O)
-    reach = [-1] * (2 * n)      # rightmost landing head per tail position
-    for s, t in arcs:
-        d = (pos[s] - pos[t]) % n
-        for x in (pos[s], pos[s] + n):
-            if x - d > reach[x]:
-                reach[x] = x - d
-    reach = list(accumulate(reach, max))
+    far = _furthest_heads(P, O, arcs)
     for a in arcs:
         lo = pos[a[0]]
-        if reach[lo + (pos[a[1]] - lo) % n] >= lo:
+        if far[lo + (pos[a[1]] - lo) % n] >= lo + n:
             b = next(b for b in arcs if _excellent_violation(P, O, a, b))
             return False, ((P.names[a[0]], P.names[a[1]]),
                            (P.names[b[0]], P.names[b[1]]))
@@ -202,14 +194,18 @@ def find_round_ordering(D):
 # -- excellence based completion ---------------------------------------
 
 
-def _furthest_heads(P, O):
-    """far[x], x < 2n: the furthest head reached by an arc whose tail
-    is at or before x on the cycle unrolled twice, or -1."""
+def _furthest_heads(P, O, arcs):
+    """far[x], x < 2n: the furthest head reached by an arc of `arcs` (P's
+    arcs, fastest sorted) with tail at or before x, unrolled twice, or -1."""
     n, pos = P.n, O.pos
     far = [-1] * (2 * n)
-    for u, v in P.arcs:
-        for x in (pos[u], pos[u] + n):
-            far[x] = max(far[x], x + (pos[v] - pos[u]) % n)
+    for u, v in arcs:
+        x = pos[u]
+        head = x + (pos[v] - x) % n
+        if head > far[x]:
+            far[x] = head
+        if head + n > far[x + n]:
+            far[x + n] = head + n
     return list(accumulate(far, max))
 
 
@@ -222,9 +218,10 @@ def maximal_arcs(P, O):
     does); a tail n or more positions back reaches less than x.
     O(n + arcs log arcs) with the arcs sorted."""
     n, pos = P.n, O.pos
-    far = _furthest_heads(P, O)
+    arcs = _by_position(P, O)
+    far = _furthest_heads(P, O, arcs)
     out = []
-    for i, j in _by_position(P, O):
+    for i, j in arcs:
         x = pos[i] + n
         head = x + (pos[j] - pos[i]) % n
         if far[x] == head and far[x - 1] < head:
@@ -263,7 +260,7 @@ def _round_tournament(P, O):
     moves back as i grows.  Deciding is O(n + arcs); writing the
     tournament out is Theta(n^2)."""
     n, seq = P.n, O.seq
-    far = _furthest_heads(P, O)
+    far = _furthest_heads(P, O, P.arcs)
     arcs, x = [], 0             # x - i is d0(i), or n when none
     for i in range(n):
         forced = far[i + n] - (i + n)

@@ -3,7 +3,7 @@ certificate's payload exhibits, in a pog, the obstruction its tag claims."""
 
 from __future__ import annotations
 
-from .auxgraph import aux_adjacent, build_aux, consentaneous_closure
+from .auxgraph import aux_adjacent, consentaneous_closure
 from .completions import complete_to_cycle_factor_bruteforce
 from .graph import _separates
 from .hardness import exact_complete
@@ -127,9 +127,19 @@ def _verify(P, cert):
         oriented = sum(1 for p in pairs if p not in P.edges)
         if oriented != 2:
             return False
-        X = build_aux(P)
-        comps = {X.comp[X.vid[p]] for p in pairs}
-        return len(comps) == 3
+        # one search from each pair, a step of each in turn: one that
+        # meets another pair (a component holds its pairs both ways) shows
+        # two share a component, and once two have run out the three are
+        # apart, so this costs at most 3 times the second smallest one
+        searches = {p: _aux_search(P, p) for p in pairs}
+        while len(searches) > 1:
+            for p, s in list(searches.items()):
+                q = next(s, None)
+                if q is None:
+                    del searches[p]
+                elif _norm(*q) != p and _norm(*q) in pairs:
+                    return False
+        return True
 
     if tag == "NotChordal":
         return _verify_obstruction(P, pay)
@@ -163,6 +173,20 @@ def _verify(P, cert):
         return False
 
     return False
+
+
+def _aux_search(P, pair):
+    """The component of an adjacent pair in the local-tournament aux graph
+    of UG(P), in BFS order from it.  The aux neighbours of (u, v) are among
+    its reverse, (u, w) and (w, v) for w in N(u) or N(v): `aux_adjacent`
+    picks them out, so no aux graph is built."""
+    seen, queue = {pair}, [pair]
+    for u, v in queue:  # grows while it is read
+        yield u, v
+        for q in [(v, u)] + [(u, w) for w in P.adj[u]] + [(w, v) for w in P.adj[v]]:
+            if q not in seen and aux_adjacent(P, (u, v), q):
+                seen.add(q)
+                queue.append(q)
 
 
 def _implies(P, a, b):

@@ -1,6 +1,8 @@
 """Auxiliary graph, 2-colouring, closures, completion via colour classes."""
 
+import gc
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -201,16 +203,18 @@ def _band_pog(rng, n, w, circular, p_arc):
 
 
 def test_one_aux_build_per_underlying_graph(monkeypatch):
-    """No operation builds the aux graph of one underlying graph twice."""
+    """No operation builds the aux graph of one underlying graph twice.
+    The aux graph is kept on the pog, so each call gets a fresh copy of
+    its pogs; a second call on the same pog of an operation that reads
+    no other underlying graph builds nothing."""
     keys = []
-    real = auxgraph.build_aux
+    real = auxgraph._build_aux
 
-    def counting(P, mode="local_tournament"):
+    def counting(P, mode):
         keys.append((P.names, P.und_pairs, mode))
         return real(P, mode)
 
-    for mod in (auxgraph, friendly, interval):
-        monkeypatch.setattr(mod, "build_aux", counting)
+    monkeypatch.setattr(auxgraph, "_build_aux", counting)
 
     def ltlt(P):
         try:
@@ -245,11 +249,51 @@ def test_one_aux_build_per_underlying_graph(monkeypatch):
               for G, partial in extensions]
     built = 0
     for name, f, args in calls:
+        args = [Pog(a.names, a.edges, a.arcs) if isinstance(a, Pog) else a
+                for a in args]
         keys.clear()
         f(*args)
         built += len(keys)
         assert len(keys) == len(set(keys)), (name, args)
+        if name.startswith(("complete_via_aux", "complete_to_acyclic_lt")):
+            keys.clear()
+            f(*args)
+            assert keys == [], (name, args)
     assert built >= len(calls)
+
+
+def test_aux_view_shared_only_with_the_same_underlying_graph():
+    """Pogs derived with the same underlying graph share the aux graph
+    object; an induced sub-pog gets the aux graph of its own."""
+    rng = random.Random(73)
+    for _ in range(200):
+        P = random_pog(rng, rng.randint(2, 8))
+        keep = rng.sample(range(P.n), rng.randint(1, P.n - 1))
+        for mode in auxgraph.MODES:
+            X = build_aux(P, mode)
+            assert build_aux(P, mode) is X
+            assert build_aux(P.underlying_graph(), mode) is X
+            assert build_aux(P.orient(sorted(P.edges)[:1]), mode) is X
+            Q = P.induced(keep)
+            assert build_aux(Q, mode) == build_aux(Pog(Q.names, Q.edges, Q.arcs), mode)
+
+
+def test_pog_freed_by_reference_counting_after_build_aux():
+    """The aux graph holds the vertex names, not the pog, so a pog with
+    its aux graphs and a derived pog sharing them is freed as soon as
+    the last reference goes, without the cyclic collector."""
+    P = _band_pog(random.Random(79), 30, 3, False, 0.3)
+    gc.disable()
+    try:
+        for mode in auxgraph.MODES:
+            build_aux(P, mode)
+        D = complete_via_aux(P)
+        assert build_aux(D) is build_aux(P)
+        ref = weakref.ref(P)
+        del P
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_unknown_mode_rejected_without_pairs():

@@ -425,6 +425,30 @@ def test_two_sat_core_check_is_local(w, capsys):
         assert capsys.readouterr().out.strip() == verdict
 
 
+def test_bad_triple_check_is_local(w, capsys):
+    # band-64 on 2,000 vertices, v1000 -> v1001 -> v1002 oriented, beside
+    # two disjoint triangles with two arcs each: a b c has its pairs in
+    # three thin aux components, while the pendant w puts x y and x z in
+    # one, and the band triangle's pairs share the band's component.  A
+    # check that builds the whole aux graph of the band takes about 2 s,
+    # and one that searches the band's component to its end far longer.
+    n = 2000
+    g = w("g", "".join("%s v%d v%d\n" % ("arc" if (i, j) in ((1000, 1001), (1001, 1002))
+                                          else "edge", i, j)
+                       for i in range(n) for j in range(i + 1, min(n, i + 65)))
+          + "edge a b\narc c a\narc c b\n"
+          + "edge x y\narc z x\narc z y\nedge x w\n")
+    for triple, verdict in ((["a", "b", "c"], "valid"),
+                            (["x", "y", "z"], "invalid"),
+                            (["v1000", "v1001", "v1002"], "invalid")):
+        c = w("cert", json.dumps({"tag": "BadTriple", "payload": {
+            "triple": triple}}))
+        t0 = time.perf_counter()
+        assert run(["verify-cert", g, c]) == (verdict == "invalid")
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr().out.strip() == verdict
+
+
 # -- extend-rep --------------------------------------------------------------------
 
 

@@ -122,6 +122,32 @@ def test_bipartition_and_bad_triples_match_their_old_loops():
     assert 0 < bad < len(corpus)
 
 
+def test_bad_triple_check_matches_aux_labels():
+    """verify_certificate on a BadTriple, which searches only the aux
+    components of the triangle's pairs, agrees with the component
+    labels of build_aux: every triangle of every graph on at most 5
+    vertices and of seeded random graphs, with two of its sides made
+    arcs."""
+    rng = random.Random(89)
+    graphs = [G for n in range(3, 6) for G in all_graphs(n)]
+    graphs += [random_graph(rng, rng.randint(6, 11), rng.choice((0.5, 0.7, 0.9)))
+               for _ in range(300)]
+    seen = Counter()
+    for G in graphs:
+        X = build_aux(G)
+        for x in range(G.n):
+            for y, z in itertools.combinations(sorted(G.adj[x]), 2):
+                if x > y or not G.adjacent(y, z):
+                    continue
+                pairs = [(x, y), (y, z), (x, z)]
+                want = len({X.comp[X.vid[p]] for p in pairs}) == 3
+                P = G.orient(rng.sample(pairs, 2))
+                cert = Certificate("BadTriple", {"triple": [P.names[v] for v in (x, y, z)]})
+                assert verify_certificate(P, cert) == want, (G, pairs)
+                seen[want] += 1
+    assert min(seen.values()) > 1000
+
+
 def test_is_friendly_p3_with_one_arc():
     P = Pog.build(("a", "b", "c"), edges=[("b", "c")], arcs=[("a", "b")])
     ok, cert = is_friendly(P)

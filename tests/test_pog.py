@@ -13,13 +13,14 @@ from pogc import pog as pog_module
 from pogc.errors import InvariantError, ParseError, PogError
 from pogc.graph import _matching, topological_order
 from pogc.hardness import CnfFormula, build_reduction, orient_by_assignment
-from pogc.pog import (NAME_RE, Certificate, Ordering, Pog,
-                      _neighbourhood_cycle, classify, complete_closure,
+from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _neighbourhood_cycle,
+                      _neighbourhoods, classify, complete_closure,
                       find_directed_cycle, parse_ordering, parse_pog,
                       render_pog)
 from pogc.verify import verify_certificate
-from util import (all_graphs, all_pogs, names, neighbourhood_cycle_reference,
-                  parse_pog_reference, planted_formula, random_pog)
+from util import (all_graphs, all_pogs, directed_cycle_reference, names,
+                  neighbourhood_cycle_reference, parse_pog_reference,
+                  planted_formula, random_pog)
 
 
 def test_parse_single_edge():
@@ -579,6 +580,36 @@ def test_find_directed_cycle():
     assert cyc is not None and len(cyc) == 3
     D2 = Pog.build(("a", "b", "c"), arcs=[("a", "b"), ("b", "c")])
     assert find_directed_cycle(D2) is None
+
+
+def test_directed_cycle_matches_dfs_reference():
+    """find_directed_cycle(P, within) is None exactly when the DFS
+    reference finds no cycle, and otherwise a simple directed cycle
+    inside within, the very cycle the DFS finds: on every pog of at
+    most 4 vertices and on seeded random pogs, for the whole vertex
+    set, every out- and in-neighbourhood and every cell."""
+    rng = random.Random(83)
+    pogs = [P for n in range(5) for P in all_pogs(n)]
+    pogs += [random_pog(rng, rng.randint(5, 12),
+                        p_adj=rng.choice((0.5, 0.8, 1.0)),
+                        p_arc=rng.choice((0.7, 0.9, 1.0))) for _ in range(1500)]
+    cyclic = 0
+    for P in pogs:
+        sets = [None] + [hood for _, _, hood in _neighbourhoods(P)] + list(P.cells[0])
+        for within in sets:
+            verts = range(P.n) if within is None else sorted(within)
+            cyc = find_directed_cycle(P, within)
+            want = directed_cycle_reference(P.out_nbrs, verts)
+            if want is None:
+                assert cyc is None, (P, within)
+                continue
+            cyclic += 1
+            assert cyc and len(set(cyc)) == len(cyc), (P, within)
+            assert set(cyc) <= set(verts), (P, within)
+            assert all((u, v) in P.arcs
+                       for u, v in zip(cyc, cyc[1:] + cyc[:1])), (P, within)
+            assert cyc == want, (P, within)
+    assert cyclic > 1000
 
 
 def test_topological_order_smallest_ready_first():

@@ -457,6 +457,39 @@ def merge_ltt_reference(T1, T2):
     return Pog(names, frozenset(), frozenset(arcs))
 
 
+def directed_cycle_reference(out, verts):
+    """A directed cycle (vertex list) of the digraph with out-neighbour
+    sets `out` induced on the vertex list verts, or None, by a DFS that
+    tries roots in verts order and out-neighbours in increasing order.
+    Reference for pogc.pog.find_directed_cycle."""
+    allowed = set(verts)
+    colour = {}
+    stack_path = []
+    for s in verts:
+        if colour.get(s):
+            continue
+        stack = [(s, iter(sorted(out[s] & allowed)))]
+        colour[s] = 1
+        stack_path.append(s)
+        while stack:
+            v, it = stack[-1]
+            adv = False
+            for w in it:
+                if colour.get(w) == 1:
+                    return stack_path[stack_path.index(w):]
+                if not colour.get(w):
+                    colour[w] = 1
+                    stack_path.append(w)
+                    stack.append((w, iter(sorted(out[w] & allowed))))
+                    adv = True
+                    break
+            if not adv:
+                colour[v] = 2
+                stack_path.pop()
+                stack.pop()
+    return None
+
+
 def neighbourhood_cycle_reference(P):
     """The first directed cycle inside an out- or in-neighbourhood (in
     _neighbourhoods order) as (cycle, v, side), or None, by a cycle
