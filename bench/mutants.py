@@ -14,8 +14,9 @@ run there with pytest, so the checkout itself is never edited.  Each
 named test is first run once on the unmutated copy and must pass.  A
 mutant is killed when its test fails, survives when it passes, and is
 an error when the old text is not found once or pytest does not run
-the test (exit status other than 0 or 1).  The exit status is 0 when
-every mutant run was killed, 1 otherwise.  This is a check of the
+the test (exit status other than 0 or 1), and a timeout when the test
+has not finished after TIMEOUT_S seconds; pytest is then stopped.  The
+exit status is 0 when every mutant run was killed, 1 otherwise.  This is a check of the
 tests, not one of them: pytest does not collect it.
 """
 
@@ -30,6 +31,10 @@ import tempfile
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# seconds one test run may take, mutated or not; no named test takes
+# 10 s on a 2-vCPU host, so a run this long is a mutant's hang
+TIMEOUT_S = 300
 
 AUX = "tests/test_auxgraph.py::test_one_pass_labels_match_two_pass_reference"
 HOODS = "tests/test_pog.py::test_neighbourhood_checks_match_reference"
@@ -52,6 +57,8 @@ IN_TOURNAMENT = ("tests/test_completions.py::"
                  "test_in_tournament_matches_clause_reference")
 CYCLE = "tests/test_pog.py::test_directed_cycle_matches_dfs_reference"
 BAD_TRIPLE = "tests/test_friendly.py::test_bad_triple_check_matches_aux_labels"
+MATCHING = ("tests/test_completions.py::"
+            "test_matching_matches_bfs_path_reference")
 
 # the class a split creates placed before its old class, as LBFS needs,
 # and after it
@@ -108,8 +115,8 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "a, like=closed)", "a, like=P)",
      "tests/test_hardness.py::test_exact_excellent_vs_brute_force"),
     ("tournament-degree-off-by-one", "pogc/pog.py",
-     "    k = P.n - 1\n    return all(len(a) == k for a in P.adj)",
-     "    k = P.n - 2\n    return all(len(a) >= k for a in P.adj)",
+     "len(P.arcs) == P.n * (P.n - 1) // 2",
+     "len(P.arcs) >= P.n * (P.n - 1) // 2 - 1",
      "tests/test_pog.py::test_lazy_report_matches_eager_reference"),
     ("hoods-skipped-below-4", "pogc/pog.py",
      "if len(hood) > 2 and _cyclic_core(P, hood):",
@@ -240,11 +247,22 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("hall-verifier-one-edge-end", "pogc/verify.py",
      "        if v in S:\n            succ.add(u)\n", "", HALL),
     ("hall-set-from-right-vertices", "pogc/graph.py",
-     "            reached.append(~x)\n            return nbrs(~x)\n"
-     "        return (~match[x],)",
-     "            return nbrs(~x)\n        reached.append(x)\n"
-     "        return (~match[x],)",
+     "    return reached\n", "    return list(par)\n",
      "tests/test_pog.py::test_matching_matches_brute_force"),
+    # the flip matches the free right vertex and stops: the left vertex
+    # before it keeps its old right vertex too, and u stays free
+    ("augment-via-step-dropped", "pogc/graph.py",
+     "match[w], w = x, via[x]", "match[w], w = x, None", MATCHING),
+    # a matched right vertex found ends the search as a free one would
+    ("augment-at-matched-right-vertex", "pogc/graph.py",
+     "            par[w] = x\n            if w not in match:\n",
+     "            par[w] = x\n            if True:\n", MATCHING),
+    # each left vertex scans its right vertices last first: every path
+    # still augments, but not the one the reference search finds
+    ("augment-scans-backwards", "pogc/graph.py",
+     "        for w in nbrs(x):\n            if w in par:",
+     "        for w in reversed(list(nbrs(x))):\n            if w in par:",
+     MATCHING),
     ("strong-back-edges-downwards", "pogc/completions.py",
      "        down = parent[v] == u and (u, v) not in turned\n",
      "        down = (u, v) not in turned\n", STRONG),
@@ -283,7 +301,8 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
 def run_test(test, edit=None):
     """Run one test on a temporary copy of the checkout, with `edit`
     (path under src/, old text, new text) made there first.  Returns
-    pytest's exit status and the last line of its output, or None and a
+    pytest's exit status and the last line of its output, "timeout" and
+    a message when pytest runs longer than TIMEOUT_S, or None and a
     message when the old text does not occur exactly once."""
     with tempfile.TemporaryDirectory(prefix="pogc-mutant-") as tmp:
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
@@ -302,9 +321,13 @@ def run_test(test, edit=None):
                 fh.write(text.replace(old, new))
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         env.pop("PYTHONPATH", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
-            cwd=tmp, env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 test], cwd=tmp, env=env, capture_output=True, text=True,
+                timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timeout", "no result within %d s" % TIMEOUT_S
     lines = (proc.stdout + proc.stderr).strip().splitlines()
     return proc.returncode, lines[-1] if lines else ""
 
@@ -332,9 +355,11 @@ def main(argv=None):
     for name, path, old, new, test in chosen:
         t0 = perf_counter()
         status, last = run_test(test, (path, old, new))
-        verdict = {0: "survived", 1: "killed"}.get(status, "error")
+        verdict = {0: "survived", 1: "killed", "timeout": "timeout"}.get(
+            status, "error")
         print("%-32s %-8s %5.1f s  %s" % (name, verdict, perf_counter() - t0,
-                                          test if verdict != "error" else last))
+                                          last if verdict in ("error", "timeout")
+                                          else test))
         if verdict != "killed":
             bad.append(name)
     print("%d of %d mutants killed%s" % (len(chosen) - len(bad), len(chosen),

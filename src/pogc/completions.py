@@ -110,22 +110,12 @@ def complete_to_in_tournament(P):
 # -- strong completions --------------------------------------------------
 
 
-def _doubled(P):
-    """Successor sets of P with every edge doubled: the digraph whose
-    arcs are P's arcs and both directions of each of P's edges."""
-    succ = [set(s) for s in P.out_nbrs]
-    for i, j in P.edges:
-        succ[i].add(j)
-        succ[j].add(i)
-    return succ
-
-
 def complete_to_strong(P):
     """Complete P to a strong oriented graph, or return a Bridge or
     DirectedCut certificate.
 
     P has a strong completion iff UG(P) is connected and bridgeless and
-    the doubled digraph D (`_doubled`) is strong (Boesch and Tindell,
+    the doubled digraph D (`succ` below) is strong (Boesch and Tindell,
     Amer. Math. Monthly 87, 1980).  One DFS decides it and, as Chung,
     Garey and Tarjan (Networks 15, 1985) do, orients the edges: the
     lowpoint DFS of `graph._lowlink` over D, from vertex 0 with
@@ -180,7 +170,12 @@ def complete_to_strong(P):
     if P.n <= 1:
         return P
     n, edges = P.n, P.edges
-    succ = [sorted(s) for s in _doubled(P)]
+    succ = [list(s) for s in P.out_nbrs]  # D: arcs, then edges both ways
+    for u, v in edges:
+        succ[u].append(v)
+        succ[v].append(u)
+    for s in succ:
+        s.sort()
     comp, cut, num, parent = _lowlink(
         n, succ.__getitem__, lambda v, w: _norm(v, w) in edges)
     if max(comp):
@@ -242,6 +237,21 @@ def find_cycle_factor(D):
 
 def has_cycle_factor(D):
     return find_cycle_factor(D) is not None
+
+
+def _doubled(P):
+    """Successor sets of P with every edge doubled: the digraph whose
+    arcs are P's arcs and both directions of each of P's edges.  Only
+    the sets an edge extends are copies; the rest are P.out_nbrs' own,
+    which iterate as their set copies do (each is a frozenset copy of a
+    set), so the matching meets neighbours in the same order."""
+    succ = list(P.out_nbrs)
+    for v in {v for e in P.edges for v in e}:
+        succ[v] = set(succ[v])
+    for i, j in P.edges:
+        succ[i].add(j)
+        succ[j].add(i)
+    return succ
 
 
 def complete_to_cycle_factor_bruteforce(P):

@@ -132,13 +132,13 @@ def _lex_bfs(adj, out=None):
 def _matching(left, nbrs):
     """Bipartite matching by augmenting paths (Kuhn): each vertex u of
     `left` takes its first free right vertex in `nbrs(u)` order, then each
-    one still free gets one bfs_path search.  Returns (match, hall): match
-    maps matched right vertices to left vertices; hall is None when every
-    left vertex is matched, else the sorted left vertices that the first
-    failed search reached (the search stops there).  Every right vertex
-    that search reached is matched to another of them, so their
+    one still free gets one `_augment` search.  Returns (match, hall):
+    match maps matched right vertices to left vertices; hall is None when
+    every left vertex is matched, else the sorted left vertices that the
+    first failed search reached (the search stops there).  Every right
+    vertex that search reached is matched to another of them, so their
     neighbours number len(hall) - 1 (Hall, Koenig)."""
-    match, free, sink = {}, [], object()
+    match, free = {}, []
     for u in left:
         for w in nbrs(u):
             if w not in match:
@@ -146,21 +146,37 @@ def _matching(left, nbrs):
                 break
         else:
             free.append(u)
-    reached = []  # left vertices the current search has expanded
-
-    def residual(x):  # left vertex u is ~u; a free right vertex leads to sink
-        if x < 0:
-            reached.append(~x)
-            return nbrs(~x)
-        return (~match[x],) if x in match else (sink,)
-
     for u in free:
-        reached.clear()
-        path = bfs_path(residual, ~u, sink)
-        if path is None:  # the search expanded every vertex it reached
+        reached = _augment(u, nbrs, match)
+        if reached is not None:
             return match, sorted(reached)
-        match.update((w, ~x) for x, w in zip(path[::2], path[1::2]))
     return match, None
+
+
+def _augment(u, nbrs, match):
+    """BFS from the free left vertex u over left vertices, each scanning
+    its right vertices in `nbrs` order; a matched right vertex w leads to
+    match[w].  par[w] is the left vertex that reached w, via[y] the
+    matched right vertex through which y was reached.  At the first free
+    right vertex found the search stops and flips the path back to u in
+    `match`, returning None; it is the one a FIFO over both sides would
+    pop first, as right vertices are popped in the order they are found.
+    A search that runs out returns the left vertices it reached."""
+    par, via, reached = {}, {u: None}, [u]
+    for x in reached:  # grows while it is read
+        for w in nbrs(x):
+            if w in par:
+                continue
+            par[w] = x
+            if w not in match:
+                while w is not None:
+                    x = par[w]
+                    match[w], w = x, via[x]
+                return None
+            y = match[w]
+            via[y] = w
+            reached.append(y)
+    return reached
 
 
 def topological_order(verts, succ):

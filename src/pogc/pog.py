@@ -461,9 +461,9 @@ def _nonadjacent_pairs(P, members):
 
 
 def _is_complete(P):
-    """True when UG(P) is complete: every vertex has degree n - 1."""
-    k = P.n - 1
-    return all(len(a) == k for a in P.adj)
+    """True when UG(P) is complete: as each pair of UG(P) is one edge or
+    one arc, and no arc has its reverse, when they number n(n - 1)/2."""
+    return len(P.edges) + len(P.arcs) == P.n * (P.n - 1) // 2
 
 
 def _is_clique(P, S):

@@ -10,14 +10,14 @@ from pogc.completions import (complete_to_cycle_factor_bruteforce,
                               complete_to_transitive_tournament,
                               find_cycle_factor, has_cycle_factor,
                               _max_flow, is_k_arc_strong, two_sat)
-from pogc.graph import _lowlink
+from pogc.graph import _lowlink, _matching
 from pogc.cli import run
 from pogc.pog import Certificate, Pog, classify, parse_pog, render_pog
 from pogc.verify import verify_certificate
 from util import (all_pogs, brute_force_completion, clause_succ,
                   cycle_factor_enumeration_reference, in_tournament_clauses,
                   in_tournament_clauses_reference, in_tournament_core_reference,
-                  names, random_pog)
+                  matching_reference, names, random_pog)
 
 
 def _complete_pog(n, arcs):
@@ -64,6 +64,15 @@ def test_transitive_random_deterministic():
         D = complete_to_transitive_tournament(P)
         assert classify(D).transitive_tournament
         assert complete_to_transitive_tournament(P).arcs == D.arcs
+
+
+def test_transitive_completion_leaves_adj_unbuilt():
+    """Completeness is read off the pair counts, so completing a
+    complete graph never builds its neighbour sets."""
+    P = _complete_pog(40, [(i, i + 1) for i in range(0, 39, 3)])
+    D = complete_to_transitive_tournament(P)
+    assert classify(D).transitive_tournament
+    assert "adj" not in P.__dict__
 
 
 # -- strong ----------------------------------------------------------------
@@ -745,6 +754,53 @@ def test_cycle_factor_matches_kuhn_reference():
             _assert_cycle_factor(D, got)
         verdicts[got is not None] += 1
     assert min(verdicts.values()) >= 1000, verdicts
+
+
+def _doubled_copying_every_set(P):
+    """completions._doubled as it was before it copied only the sets
+    that an edge extends."""
+    succ = [set(s) for s in P.out_nbrs]
+    for i, j in P.edges:
+        succ[i].add(j)
+        succ[j].add(i)
+    return succ
+
+
+def test_matching_matches_bfs_path_reference():
+    """The left-side augmenting search returns the (match, hall) of the
+    bfs_path search it replaced, the key order of match included: on
+    20,000 seeded bipartite graphs with string left labels and list
+    (with repeats) or set neighbours, on the sorted out-lists that
+    find_cycle_factor matches for every digraph of _cycle_factor_corpus,
+    and on the relaxation of every pog with edges in
+    _cycle_factor_differential_corpus (against every set copied, so
+    the order in which the greedy meets neighbours is checked too)."""
+    def check(left, nbrs, want_nbrs=None):
+        got = _matching(left, nbrs)
+        want = matching_reference(left, want_nbrs or nbrs)
+        assert got == want and list(got[0]) == list(want[0])
+        verdicts[got[1] is None] += 1
+
+    verdicts = {True: 0, False: 0}
+    rng = random.Random(41)
+    for _ in range(20000):
+        left = ["u%d" % k for k in rng.sample(range(20), rng.randint(0, 8))]
+        right = rng.randint(1, 9)
+        if rng.random() < 0.5:
+            adj = {u: [rng.randrange(right) for _ in range(rng.randint(0, 4))]
+                   for u in left}
+        else:
+            adj = {u: set(rng.sample(range(right), rng.randint(0, min(right, 4))))
+                   for u in left}
+        check(left, adj.__getitem__)
+    assert min(verdicts.values()) >= 5000, verdicts
+    for D in _cycle_factor_corpus():
+        out = [sorted(s) for s in D.out_nbrs]
+        check(range(D.n), out.__getitem__)
+    for P in _cycle_factor_differential_corpus():
+        if P.edges:
+            check(range(P.n), completions._doubled(P).__getitem__,
+                  _doubled_copying_every_set(P).__getitem__)
 
 
 def _cycle_cover_exists(D):

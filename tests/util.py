@@ -5,7 +5,7 @@ import itertools
 from pogc.completions import two_sat
 from pogc.errors import InvariantError, NoZeroOutdegreeStartError, ParseError
 from pogc.friendly import cells
-from pogc.graph import _matching, _reach
+from pogc.graph import _reach, bfs_path
 from pogc.hardness import CnfFormula
 from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _neighbourhoods,
                       _nonadjacent_pairs, _norm, _triangles, classify,
@@ -83,9 +83,44 @@ def cycle_factor_enumeration_reference(P):
         succ = [list(s) for s in P.out_nbrs]
         for u, v in arcs:
             succ[u].append(v)
-        if _matching(range(P.n), succ.__getitem__)[1] is None:
+        if matching_reference(range(P.n), succ.__getitem__)[1] is None:
             return P.orient(arcs)
     return None
+
+
+def matching_reference(left, nbrs):
+    """pogc.graph._matching as it was before its augmenting search ran
+    over left vertices only: the same greedy start, then one bfs_path
+    search per free left vertex over left nodes, right vertices and a
+    sink, stopping when it pops the sink.  Returns the same (match,
+    hall).  Left vertices are searched as ~i, i their index in `left`,
+    so any sortable labels work; right vertices must be integers >= 0."""
+    labels = list(left)
+    match, free, sink = {}, [], object()
+    for i, u in enumerate(labels):
+        for w in nbrs(u):
+            if w not in match:
+                match[w] = i
+                break
+        else:
+            free.append(i)
+    reached = []  # left vertices the current search has expanded
+
+    def residual(x):  # left vertex i is ~i; a free right vertex leads to sink
+        if x < 0:
+            reached.append(~x)
+            return nbrs(labels[~x])
+        return (~match[x],) if x in match else (sink,)
+
+    hall = None
+    for i in free:
+        reached.clear()
+        path = bfs_path(residual, ~i, sink)
+        if path is None:  # the search expanded every vertex it reached
+            hall = sorted(labels[k] for k in reached)
+            break
+        match.update((w, ~x) for x, w in zip(path[::2], path[1::2]))
+    return {w: labels[i] for w, i in match.items()}, hall
 
 
 def brute_force_completion(P, pred):
