@@ -42,6 +42,16 @@ skipped.  A kernel named in LARGEST_N stops at that n (recorded as
 exponent of a kernel is the least-squares slope of log(time) against
 log(n) over its measured points.  Times are raw `perf_counter` seconds
 on the host named in the output.
+
+The start-up section runs fresh interpreters on a copy of the package,
+STARTUP_RUNS of each measurement, interleaved: the `-X importtime`
+cumulative time of `import pogc.cli`, and the wall time of
+`python -m pogc complete --class lt` on band-4 at n = 100 (stdout
+discarded).  Each is taken with a warm bytecode cache for the package
+(written by one unmeasured run) and with none (`-B` on a copy with no
+cache, so every run compiles the package from source); the standard
+library's installed cache is used either way.  Each figure is the
+median with its quartiles and extremes, in milliseconds.
 """
 
 from __future__ import annotations
@@ -52,9 +62,12 @@ import math
 import os
 import platform
 import random
+import shutil
 import signal
+import statistics
 import subprocess
 import sys
+import tempfile
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,6 +89,8 @@ SIZES = tuple(round(10 ** (2 + k / 2)) for k in range(5))
 CAP_S = 30.0            # longest run allowed at one point
 REPEAT_BUDGET_S = 0.5   # repeat a point while its runs total less than this
 MAX_REPEATS = 5
+STARTUP_RUNS = 15       # fresh processes per start-up figure
+STARTUP_N = 100
 
 
 class Capped(Exception):
@@ -309,6 +324,58 @@ def exponent(points):
     return round(sum((x - mx) * (y - my) for x, y in xy) / sxx, 3)
 
 
+def _spread(ms):
+    q1, _, q3 = statistics.quantiles(ms, n=4)
+    return {"runs": len(ms), "median_ms": round(statistics.median(ms), 3),
+            "q1_ms": round(q1, 3), "q3_ms": round(q3, 3),
+            "min_ms": round(min(ms), 3), "max_ms": round(max(ms), 3)}
+
+
+def _import_ms(cmd, env):
+    """The -X importtime cumulative time of pogc.cli, in ms."""
+    err = subprocess.run(cmd + ["-X", "importtime", "-c", "import pogc.cli"],
+                         env=env, capture_output=True, text=True,
+                         check=True).stderr
+    line = [ln for ln in err.splitlines() if ln.split("|")[-1].strip() == "pogc.cli"][-1]
+    return int(line.split("|")[1]) / 1000.0
+
+
+def _command_ms(cmd, env, path):
+    t0 = perf_counter()
+    subprocess.run(cmd + ["-m", "pogc", "complete", "--class", "lt", path],
+                   env=env, stdout=subprocess.DEVNULL, check=True)
+    return (perf_counter() - t0) * 1000.0
+
+
+def startup():
+    """The start-up section: {cache: {measurement: spread}} over
+    STARTUP_RUNS interleaved fresh processes per figure."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    src = os.path.join(ROOT, "src", "pogc")
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    with tempfile.TemporaryDirectory(prefix="pogc-startup-") as tmp:
+        path = os.path.join(tmp, "band.pog")
+        with open(path, "w") as fh:
+            fh.write(render_pog(band(STARTUP_N)))
+        setups = {}
+        for cache, flags in (("warm", []), ("none", ["-B"])):
+            shutil.copytree(src, os.path.join(tmp, cache, "pogc"), ignore=ignore)
+            setups[cache] = ([sys.executable] + flags,
+                             dict(env, PYTHONPATH=os.path.join(tmp, cache)))
+        _import_ms(*setups["warm"])  # writes the warm cache
+        times = {(c, m): [] for c in setups for m in ("import", "command")}
+        for _ in range(STARTUP_RUNS):
+            for cache, (cmd, cenv) in setups.items():
+                times[cache, "import"].append(_import_ms(cmd, cenv))
+                times[cache, "command"].append(_command_ms(cmd, cenv, path))
+    return {cache: {"import pogc.cli (-X importtime, cumulative)":
+                    _spread(times[cache, "import"]),
+                    "pogc complete --class lt, band-%d, n = %d (wall)"
+                    % (WIDTH, STARTUP_N): _spread(times[cache, "command"])}
+            for cache in setups}
+
+
 def short_commit():
     try:
         return subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=ROOT,
@@ -350,6 +417,12 @@ def main(argv=None):
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "kernels": kernels,
     }
+    result["startup"] = startup()
+    for cache, figures in result["startup"].items():
+        for what, f in figures.items():
+            print("startup %-5s %-50s median %.2f ms [%.2f, %.2f]"
+                  % (cache, what, f["median_ms"], f["q1_ms"], f["q3_ms"]),
+                  file=sys.stderr)
     text = json.dumps(result, indent=1) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -59,6 +59,9 @@ CYCLE = "tests/test_pog.py::test_directed_cycle_matches_dfs_reference"
 BAD_TRIPLE = "tests/test_friendly.py::test_bad_triple_check_matches_aux_labels"
 MATCHING = ("tests/test_completions.py::"
             "test_matching_matches_bfs_path_reference")
+RECORD_EQ = "tests/test_pog.py::test_records_compare_by_fields_within_one_type"
+RECORD_DEFAULTS = "tests/test_pog.py::test_record_defaults"
+RECORD_IMMUTABLE = "tests/test_pog.py::test_records_are_immutable"
 
 # the class a split creates placed before its old class, as LBFS needs,
 # and after it
@@ -295,6 +298,21 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "tests/test_interval.py::test_tent_beside_a_band_is_refuted_fast"),
     ("hole-search-bans-only-v", "pogc/interval.py",
      "    banned = (G.adj[v] | {v}) - {u, w}\n", "    banned = {v}\n", HOLE),
+    # the record helper: equality across record types with the same
+    # fields, one default payload shared by every certificate, and
+    # fields that can be assigned or deleted
+    ("record-eq-ignores-class", "pogc/pog.py",
+     "        if other.__class__ is not self.__class__:\n",
+     "        if not isinstance(other, _Record):\n", RECORD_EQ),
+    ("record-default-made-once", "pogc/pog.py",
+     "        self.make = make\n",
+     "        made = make()\n        self.make = lambda: made\n", RECORD_DEFAULTS),
+    ("record-field-assignable", "pogc/pog.py",
+     '        raise AttributeError("cannot assign to field %r" % name)\n',
+     "        object.__setattr__(self, name, value)\n", RECORD_IMMUTABLE),
+    ("record-field-deletable", "pogc/pog.py",
+     '        raise AttributeError("cannot delete field %r" % name)\n',
+     "        object.__delattr__(self, name)\n", RECORD_IMMUTABLE),
 ]
 
 

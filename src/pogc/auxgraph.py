@@ -9,12 +9,11 @@ the components, so orientability reduces to bipartiteness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError
 from .graph import _bfs_colouring, bfs_path
-from .pog import Certificate, Pog, _norm, classify
+from .pog import Certificate, Pog, _norm, _Record, classify
 
 MODES = ("local_tournament", "quasi_transitive")
 
@@ -40,8 +39,7 @@ def aux_adjacent(P, a, b, mode="local_tournament"):
     return False
 
 
-@dataclass(frozen=True)
-class AuxGraph:
+class AuxGraph(_Record):
     names: tuple          # the vertex names of the pog it was built from
     mode: str
     verts: tuple          # ordered pairs, sorted

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import (InvariantError, NotInClassError, NotSatisfyingError,
                      ParseError, SizeGuardError, UnsupportedInstanceError)
 from .graph import topological_order
-from .pog import (Ordering, Pog, _is_complete, _neighbourhood_cycle,
+from .pog import (Ordering, Pog, _is_complete, _neighbourhood_cycle, _Record,
                   complete_closure, require_oriented)
 from .rounds import (_ltt_ordering, _require_excellent, _require_round,
                      _round_tournament, check_ordering)
@@ -29,8 +28,7 @@ MAX_EXCELLENT_VERTICES = 12
 # -- CNF formulas --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(_Record):
     n_vars: int
     clauses: tuple  # tuples of three signed 1-based variable indices
 
@@ -142,8 +140,7 @@ def gadget(kind):
 # -- the reduction --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(_Record):
     formula: CnfFormula
     pog: Pog              # the partially oriented graph H'
     oriented: Pog         # H = H' with the unoriented edges dropped

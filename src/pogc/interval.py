@@ -10,14 +10,13 @@ point, which makes the induced orientation unambiguous.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 
 from .auxgraph import _orient_classes, consentaneous_closure
 from .errors import (InvariantError, NotInClassError, NoZeroOutdegreeStartError,
                      ParseError, RepresentationError)
 from .graph import _lex_bfs, bfs_path
-from .pog import Certificate, Ordering, Pog, _triangles, classify, \
+from .pog import Certificate, Ordering, Pog, _Record, _triangles, classify, \
     find_directed_cycle, require_oriented
 from .rounds import find_round_ordering
 
@@ -25,8 +24,7 @@ from .rounds import find_round_ordering
 # -- representations ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(_Record):
     kind: str        # 'interval' or 'circular'
     names: tuple
     spans: tuple     # (left, right) per name; circular spans may wrap

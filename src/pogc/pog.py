@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
-from operator import eq, not_
+from operator import attrgetter, eq, not_
 
 from .errors import InvariantError, ParseError
 from .graph import _components, _reach
@@ -30,13 +29,85 @@ def _norm(i, j):
     return (i, j) if i < j else (j, i)
 
 
+class _Fresh:
+    """A record field default made anew for each instance by `make()`."""
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+class _Record:
+    """Base of the immutable value types.  A subclass lists its fields
+    as annotations, in order, each with an optional default (a `_Fresh`
+    one is made per instance).  A record takes its fields by position
+    or name and runs the subclass's `__post_init__` check; it compares
+    and hashes by its field tuple, only with records of its own class;
+    it prints as Name(field=value, ...); assigning or deleting any
+    attribute raises AttributeError.  Fields and cached_property views
+    live in `__dict__`.  No code is generated for a subclass."""
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields += tuple(own)
+        cls._defaults = dict(cls._defaults)
+        cls._defaults.update((k, cls.__dict__[k]) for k in own if k in cls.__dict__)
+        cls._values = staticmethod(attrgetter(*cls._fields))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values of a call with keywords or defaults."""
+        fields, values = cls._fields, dict(zip(cls._fields, args))
+        if len(args) > len(fields):
+            raise TypeError("%s takes %d fields" % (cls.__name__, len(fields)))
+        for k, v in kwargs.items():
+            if k not in fields or k in values:
+                raise TypeError("%s: unexpected or repeated field %r" % (cls.__name__, k))
+            values[k] = v
+        for k in fields:
+            if k not in values:
+                if k not in cls._defaults:
+                    raise TypeError("%s: missing field %r" % (cls.__name__, k))
+                v = cls._defaults[k]
+                values[k] = v.make() if isinstance(v, _Fresh) else v
+        return [values[k] for k in fields]
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (k, self.__dict__[k]) for k in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
 # the cached views of a pog that depend only on its names and its underlying
 # graph (its aux graphs under "_aux"), which Pog._trusted may share
 _UG_VIEWS = frozenset({"index", "und_pairs", "adj", "cells", "ug_components", "_aux"})
 
 
-@dataclass(frozen=True)
-class Pog:
+class Pog(_Record):
     names: tuple
     edges: frozenset  # unordered pairs (i, j) with i < j
     arcs: frozenset   # ordered pairs (i, j)
@@ -58,7 +129,7 @@ class Pog:
         shared, not computed again; its arc views and the witnesses of
         its class reports never are."""
         P = cls.__new__(cls)
-        d = P.__dict__  # frozen: fill __dict__ directly, as cached_property does
+        d = P.__dict__  # immutable: fill __dict__ directly, as cached_property does
         d["names"], d["edges"], d["arcs"] = names, edges, arcs
         if like is not None:
             d.update((k, v) for k, v in like.__dict__.items() if k in _UG_VIEWS)
@@ -201,8 +272,7 @@ class Pog:
         return parts
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(_Record):
     """A linear or cyclic arrangement of all vertices of a pog."""
     kind: str                  # 'linear' or 'cyclic'
     seq: tuple                 # permutation of 0..n-1
@@ -218,11 +288,10 @@ class Ordering:
         return {v: k for k, v in enumerate(self.seq)}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """A machine-checkable refutation.  Payload uses vertex names."""
     tag: str
-    payload: dict = field(default_factory=dict)
+    payload: dict = _Fresh(dict)
 
     def to_json(self):
         return json.dumps({"tag": self.tag, "payload": self.payload},

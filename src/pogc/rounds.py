@@ -28,11 +28,10 @@ one round tournament.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 
 from .errors import InvariantError, NotInClassError, NotRoundError
-from .pog import Ordering, Pog, require_oriented
+from .pog import Ordering, Pog, _Record, require_oriented
 
 ORDER_KINDS = ("round", "excellent", "nice")
 
@@ -359,8 +358,7 @@ def round_to_ltt(D):
 # -- Moon decomposition and merging ------------------------------------
 
 
-@dataclass(frozen=True)
-class MoonDecomposition:
+class MoonDecomposition(_Record):
     frame: Pog      # highly regular tournament on part representatives
     parts: tuple    # tuple of name tuples, aligned with frame vertices
 

@@ -3,9 +3,11 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -14,8 +16,9 @@ from pogc.cli import run
 from pogc.errors import InvariantError
 from pogc.interval import (orientation_from_representation,
                            parse_representation, validate_representation)
-from pogc.pog import Certificate, parse_pog
+from pogc.pog import Certificate, parse_pog, render_pog
 from pogc.verify import verify_certificate
+from util import random_pog
 
 C4 = """\
 v a
@@ -670,3 +673,158 @@ def test_python_m_pogc_keeps_exit_codes(w):
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.strip() == out
+
+
+# -- fuzz ---------------------------------------------------------------------------
+
+FUZZ_POGS = 400
+# tokens a hostile text puts where a name, number or value was
+JUNK = ("zz", "v0", "-1", "0", "7", "99999999999999999999", "1.5", "x" * 80,
+        "é", "[", "#", "order", "iv", "cnf")
+JUNK_VALUES = (None, True, -1, 0, 10 ** 30, 1.5, "zz", "v0", "", [], {},
+               ["v0", "v0"], ["zz", "v1"], [["v0"]], {"kind": "cyclic"})
+
+
+def _mangle_text(rng, text):
+    """text with 0-2 line- or token-level edits."""
+    lines = text.splitlines()
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        op = rng.randrange(6)
+        k = rng.randrange(len(lines)) if lines else 0
+        if op == 0 and lines:
+            del lines[k]
+        elif op == 1 and lines:
+            lines.insert(k, lines[k])
+        elif op == 2 and lines:
+            toks = lines[k].split() or [""]
+            toks[rng.randrange(len(toks))] = rng.choice(JUNK)
+            lines[k] = " ".join(toks)
+        elif op == 3 and lines:
+            toks = lines[k].split()
+            rng.shuffle(toks)
+            lines[k] = " ".join(toks)
+        elif op == 4:
+            lines.insert(k, " ".join(rng.choice(JUNK) for _ in range(rng.randrange(5))))
+        else:
+            joined = "\n".join(lines)
+            lines = joined[:rng.randrange(len(joined) + 1)].splitlines()
+    return "\n".join(lines) + "\n"
+
+
+def _mangle_json(rng, obj):
+    """obj with one value somewhere in it, the tag included, replaced by
+    a junk value, or one key dropped."""
+    if isinstance(obj, dict) and obj and rng.random() < 0.7:
+        key = rng.choice(sorted(obj))
+        if rng.random() < 0.2:
+            del obj[key]
+        else:
+            obj[key] = _mangle_json(rng, obj[key])
+        return obj
+    if isinstance(obj, list) and obj and rng.random() < 0.7:
+        k = rng.randrange(len(obj))
+        obj[k] = _mangle_json(rng, obj[k])
+        return obj
+    return rng.choice(JUNK_VALUES)
+
+
+def _window_pog(G, partial):
+    """The graph of G with the window's induced orientation as its only
+    arcs: what an extend-rep refutation is verified against."""
+    ids = [G.index[v] for v in partial.names]
+    D = orientation_from_representation(G.induced(ids), partial)
+    U = G.underlying_graph()
+    return U.orient([(U.index[D.names[i]], U.index[D.names[j]]) for i, j in D.arcs])
+
+
+def test_fuzz_exit_contract(w, capsys):
+    """A seeded fuzz slice of the exit-code contract: random pogs on 0-7
+    vertices through every `complete` and `recognize` class, then hostile
+    ordering, representation, DIMACS and certificate texts, mangled from
+    valid ones, through check-ordering, extend-rep, reduce-3sat and
+    verify-cert.  Every run exits 0-3 (never 4, an internal error), and
+    the certificate of every exit 1 verifies: `verify-cert` prints
+    `valid` for it against the pog it is about."""
+    rng = random.Random(20261020)
+    seen, certs = Counter(), []
+
+    def call(argv):
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2, 3), (argv, code, out)
+        seen[argv[0], code] += 1
+        return code, out
+
+    def check(about, out):
+        assert call(["verify-cert", about, w("cert", out)]) == (0, "valid\n"), out
+        certs.append(json.loads(out))
+
+    for _ in range(FUZZ_POGS):
+        n = rng.randrange(8)
+        P = random_pog(rng, n, p_adj=rng.random(), p_arc=rng.random())
+        f = w("g", render_pog(P))
+        for cls in sorted(cli._COMPLETERS):
+            code, out = call(["complete", "--class", cls, f])
+            if code == 1:
+                check(f, out)
+        reps = []
+        for cls in ("chordal", "proper-interval", "proper-circular-arc"):
+            code, out = call(["recognize", "--class", cls, f])
+            if code == 1:
+                check(f, out)
+            elif code == 0 and cls != "chordal":
+                reps.append(out)
+        # an ordering of all vertices, mangled
+        seq = list(P.names)
+        rng.shuffle(seq)
+        text = _mangle_text(rng, "order %s %s\n" % (
+            rng.choice(("cyclic", "linear")), " ".join(seq)))
+        for kind in ("round", "excellent", "nice"):
+            code, out = call(["check-ordering", "--kind", kind, f, w("o", text)])
+            if code == 1:
+                check(f, out)
+        # a window of a representation the graph has, or made-up spans,
+        # mangled
+        if reps and rng.random() < 0.7:
+            lines = rng.choice(reps).splitlines()
+            window = "".join(ln + "\n" for ln in rng.sample(
+                lines, rng.randrange(len(lines) + 1)))
+        else:
+            window = "".join(
+                "iv %s %d %d\n" % (v, rng.randrange(-2, 9), rng.randrange(-2, 9))
+                if rng.random() < 0.5 else "ca %s %d %d %d\n" % (
+                    v, rng.randrange(-2, 9), rng.randrange(-2, 9), rng.randrange(-1, 9))
+                for v in rng.sample(P.names, rng.randrange(n + 1)))
+        text = _mangle_text(rng, window)
+        for kind in ("interval", "circular"):
+            code, out = call(["extend-rep", "--kind", kind, f, w("p", text)])
+            if code == 1:
+                Q = _window_pog(P, parse_representation(text))
+                check(w("q", render_pog(Q)), out)
+        # a 3-CNF on 3-4 variables, with or without a witness, mangled
+        v = rng.randrange(3, 5)
+        clauses = [[x if rng.random() < 0.5 else -x
+                    for x in rng.sample(range(1, v + 1), 3)]
+                   for _ in range(rng.randrange(1, 4))]
+        text = _mangle_text(rng, "p cnf %d %d\n" % (v, len(clauses)) + "".join(
+            "%s 0\n" % " ".join(map(str, c)) for c in clauses))
+        witness = "--witness=" + "".join(rng.choice("TF1x -,0") for _ in range(v))
+        call(["reduce-3sat"] + [witness][:rng.randrange(2)] + [w("d", text)])
+        # a certificate met so far, mangled or read under another's tag,
+        # against this pog
+        if certs:
+            obj = json.loads(json.dumps(rng.choice(certs)))
+            if rng.random() < 0.3:
+                obj["tag"] = rng.choice(certs)["tag"]
+            else:
+                obj = _mangle_json(rng, obj)
+            text = json.dumps(obj)
+            call(["verify-cert", f, w("c", _mangle_text(rng, text)
+                                      if rng.random() < 0.1 else text)])
+    # each command met a yes and a no, and every command but complete an
+    # input error
+    for cmd in ("complete", "recognize", "check-ordering", "extend-rep", "verify-cert"):
+        assert seen[cmd, 0] and seen[cmd, 1], (cmd, seen)
+    for cmd in ("check-ordering", "extend-rep", "reduce-3sat", "verify-cert"):
+        assert seen[cmd, 2], (cmd, seen)
+    assert seen["reduce-3sat", 0], seen

@@ -2,7 +2,10 @@
 
 import ast
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,13 +13,17 @@ import pytest
 
 from pogc import cli, hardness
 from pogc import pog as pog_module
-from pogc.errors import InvariantError, ParseError, PogError
+from pogc.auxgraph import AuxGraph, build_aux
+from pogc.errors import InvariantError, ParseError, PogError, RepresentationError
 from pogc.graph import _matching, topological_order
-from pogc.hardness import CnfFormula, build_reduction, orient_by_assignment
+from pogc.hardness import (CnfFormula, ReductionInstance, build_reduction,
+                           orient_by_assignment)
+from pogc.interval import Representation
 from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _is_complete,
                       _neighbourhood_cycle, _neighbourhoods, classify,
                       complete_closure, find_directed_cycle, parse_ordering,
                       parse_pog, render_pog)
+from pogc.rounds import MoonDecomposition, moon_decompose
 from pogc.verify import verify_certificate
 from util import (all_graphs, all_pogs, directed_cycle_reference, names,
                   neighbourhood_cycle_reference, parse_pog_reference,
@@ -791,6 +798,189 @@ def test_certificate_json_round_trip():
     for payload in ('[1, 2]', '"ab"', 'null', '3'):
         with pytest.raises(ParseError):
             Certificate.from_json('{"tag": "Bridge", "payload": %s}' % payload)
+
+
+# the fields of every record type of the package, in order
+RECORD_FIELDS = {
+    Pog: ("names", "edges", "arcs"),
+    Ordering: ("kind", "seq"),
+    Certificate: ("tag", "payload"),
+    AuxGraph: ("names", "mode", "verts", "adj", "comp", "comp_members",
+               "colours", "odd"),
+    Representation: ("kind", "names", "spans", "modulus"),
+    CnfFormula: ("n_vars", "clauses"),
+    ReductionInstance: ("formula", "pog", "oriented", "name_map", "var_names",
+                        "pos_names", "neg_names", "hub_names", "clause_slots"),
+    MoonDecomposition: ("frame", "parts"),
+}
+# the record types with a dict field, which are not hashable
+UNHASHABLE = {Certificate, ReductionInstance}
+
+
+def _record_samples():
+    """(type, field values) for one valid record of each type."""
+    P = Pog.build("abcd", edges=[("a", "b"), ("b", "c"), ("c", "d")],
+                  arcs=[("c", "a")])
+    T = Pog.build("abc", arcs=[("a", "b"), ("b", "c"), ("c", "a")])
+    built = {AuxGraph: build_aux(P),
+             ReductionInstance: build_reduction(CnfFormula(3, ((1, -2, 3),))),
+             MoonDecomposition: moon_decompose(T)}
+    values = {Pog: (P.names, P.edges, P.arcs),
+              Ordering: ("cyclic", (2, 0, 1)),
+              Certificate: ("Bridge", {"edge": ["a", "b"]}),
+              Representation: ("circular", ("a", "b"), ((0, 2), (3, 1)), 4),
+              CnfFormula: (3, ((1, -2, 3),))}
+    values.update((cls, tuple(getattr(r, f) for f in RECORD_FIELDS[cls]))
+                  for cls, r in built.items())
+    return [(cls, values[cls]) for cls in RECORD_FIELDS]
+
+
+def test_records_construct_by_position_or_name():
+    for cls, vals in _record_samples():
+        fields = RECORD_FIELDS[cls]
+        r = cls(*vals)
+        assert all(getattr(r, f) is v for f, v in zip(fields, vals)), cls
+        assert cls(**dict(zip(fields, vals))) == r
+        assert cls(*vals[:1], **dict(zip(fields[1:], vals[1:]))) == r
+        # one field too many, the first one missing, one given twice, one
+        # unknown
+        for bad_args, bad_kwargs in ((vals + (None,), {}),
+                                     ((), dict(zip(fields[1:], vals[1:]))),
+                                     (vals, {fields[0]: vals[0]}),
+                                     (vals, {"bogus": 1})):
+            with pytest.raises(TypeError):
+                cls(*bad_args, **bad_kwargs)
+
+
+def test_record_defaults():
+    R = Representation("interval", ("a", "b"), ((0, 2), (1, 3)))
+    assert R.modulus == 0
+    assert R == Representation("interval", ("a", "b"), ((0, 2), (1, 3)), 0)
+    c1, c2 = Certificate("X"), Certificate("X")
+    assert c1.payload == {} and c1.payload is not c2.payload
+    c1.payload["k"] = 1
+    assert c2.payload == {} and Certificate("X").payload == {}
+    assert Certificate(tag="X").payload == {}
+
+
+def test_records_compare_by_fields_within_one_type():
+    for cls, vals in _record_samples():
+        a, b = cls(*vals), cls(*vals)
+        assert a == b and not a != b, cls
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b) == hash(vals), cls
+        # a type of another name with the same fields never compares equal
+        twin = type("Twin", (pog_module._Record,),
+                    {"__annotations__": dict.fromkeys(RECORD_FIELDS[cls], "object")})
+        assert twin(*vals) != a and a != twin(*vals) and not twin(*vals) == a, cls
+        assert a != vals and a != list(vals), cls
+    P = Pog.build("abc", edges=[("a", "b")], arcs=[("b", "c")])
+    Q = Pog(P.names, P.edges, P.arcs)
+    P.adj, P.out_nbrs  # fill two cached views, which are not fields
+    assert P == Q and hash(P) == hash(Q)
+    assert P != Pog(P.names, P.edges, frozenset({(2, 1)}))
+    assert Ordering("linear", (0, 1)) != Ordering("cyclic", (0, 1))
+
+
+def test_record_repr_names_every_field():
+    for cls, vals in _record_samples():
+        want = "%s(%s)" % (cls.__name__, ", ".join(
+            "%s=%r" % fv for fv in zip(RECORD_FIELDS[cls], vals)))
+        assert repr(cls(*vals)) == want
+    assert repr(Ordering("linear", (1, 0))) == "Ordering(kind='linear', seq=(1, 0))"
+    assert repr(Certificate("X")) == "Certificate(tag='X', payload={})"
+
+
+def test_records_are_immutable():
+    for cls, vals in _record_samples():
+        r = cls(*vals)
+        for f, v in zip(RECORD_FIELDS[cls], vals):
+            with pytest.raises(AttributeError):
+                setattr(r, f, None)
+            with pytest.raises(AttributeError):
+                delattr(r, f)
+            assert getattr(r, f) is v, (cls, f)
+        with pytest.raises(AttributeError):
+            r.extra = 1
+        assert "extra" not in r.__dict__
+
+
+def test_record_cached_views_fill():
+    samples = dict(_record_samples())
+    views = {Pog: ("index", "und_pairs", "adj", "out_nbrs", "in_nbrs",
+                   "ug_components", "cells"),
+             Ordering: ("pos",), Representation: ("index",), AuxGraph: ("vid",)}
+    for cls, names in views.items():
+        r = cls(*samples[cls])
+        for name in names:
+            first = getattr(r, name)
+            assert r.__dict__[name] is first is getattr(r, name), (cls, name)
+    assert Ordering("cyclic", (2, 0, 1)).pos == {2: 0, 0: 1, 1: 2}
+    assert Representation("interval", ("a", "b"), ((0, 1), (2, 3))).index == {
+        "a": 0, "b": 1}
+
+
+def test_record_validation_errors():
+    with pytest.raises(InvariantError):
+        Pog(names=("a", "a"), edges=frozenset(), arcs=frozenset())
+    with pytest.raises(InvariantError):
+        Pog(("a", "b"), frozenset({(0, 2)}), frozenset())
+    with pytest.raises(InvariantError):
+        Ordering(kind="bogus", seq=(0,))
+    with pytest.raises(RepresentationError):
+        Representation("circular", ("a",), ((0, 1),))  # the default modulus 0
+    with pytest.raises(RepresentationError):
+        Representation(kind="interval", names=("a", "b"), spans=((0, 1),))
+    with pytest.raises(RepresentationError):
+        Representation("interval", ("a",), ((2, 1),))
+    with pytest.raises(ParseError):
+        CnfFormula(2, ((1, 2, 3),))
+    with pytest.raises(ParseError):
+        CnfFormula(n_vars=3, clauses=((1, 1, 2),))
+    # the trusted constructor checks nothing and fills only the fields
+    P = Pog._trusted(("a", "a"), frozenset(), frozenset({(0, 0)}))
+    assert P.__dict__ == {"names": ("a", "a"), "edges": frozenset(),
+                          "arcs": frozenset({(0, 0)})}
+
+
+def test_import_generates_no_code():
+    """A fresh `import pogc` loads neither dataclasses nor inspect, and
+    runs no generated code: no exec, eval or compile of anything but a
+    module file while the package imports.  The standard modules the
+    package imports are imported first, so only the package is watched."""
+    package = Path(pog_module.__file__).parent
+    std = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                std.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                std.add(node.module)
+    std -= {"__future__", "dataclasses"}
+    script = """
+import os, sys
+for m in %r:
+    __import__(m)
+before = {"dataclasses", "inspect"} & set(sys.modules)
+generated = []
+def hook(event, args):
+    if event in ("exec", "compile"):
+        name = args[0].co_filename if event == "exec" else args[1]
+        if not (isinstance(name, str) and (os.path.isfile(name)
+                                           or name.startswith("<frozen "))):
+            generated.append((event, name))
+sys.addaudithook(hook)
+import pogc
+print(sorted(before), sorted({"dataclasses", "inspect"} & set(sys.modules)),
+      generated)
+""" % sorted(std)
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[] [] []\n"
 
 
 def _strong_reference(P):
