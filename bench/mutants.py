@@ -62,6 +62,12 @@ MATCHING = ("tests/test_completions.py::"
 RECORD_EQ = "tests/test_pog.py::test_records_compare_by_fields_within_one_type"
 RECORD_DEFAULTS = "tests/test_pog.py::test_record_defaults"
 RECORD_IMMUTABLE = "tests/test_pog.py::test_records_are_immutable"
+OBSTRUCTIONS = "tests/test_cli.py::test_verify_cert_hostile_obstructions"
+WALKS = "tests/test_cli.py::test_verify_cert_hostile_aux_walks"
+ROW_NO = "tests/test_classes.py::test_a_certificate_outside_its_row_exits_4"
+ROW_YES = "tests/test_classes.py::test_a_yes_outside_its_class_exits_4"
+ARC_PAIRS = ("tests/test_friendly.py::"
+             "test_bad_triples_from_arc_pairs_match_the_triangle_scan")
 
 # the class a split creates placed before its old class, as LBFS needs,
 # and after it
@@ -313,6 +319,59 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("record-field-deletable", "pogc/pog.py",
      '        raise AttributeError("cannot delete field %r" % name)\n',
      "        object.__delattr__(self, name)\n", RECORD_IMMUTABLE),
+    # the verifier's checks that no other check of the same tag repeats
+    ("non-adjacent-pair-may-be-adjacent", "pogc/verify.py",
+     "            and not P.adjacent(ids[0], ids[1])\n", "\n", OBSTRUCTIONS),
+    ("bridge-may-be-a-non-edge", "pogc/verify.py",
+     "len(ids) != 2 or not P.adjacent(ids[0], ids[1]):",
+     "len(ids) != 2:", OBSTRUCTIONS),
+    ("directed-cut-side-may-be-empty", "pogc/verify.py",
+     "if ids is None or not ids or len(set(ids))", "if ids is None or len(set(ids))",
+     OBSTRUCTIONS),
+    ("non-adjacent-pair-tested-on-one-vertex", "pogc/verify.py",
+     "and not P.adjacent(ids[0], ids[1])", "and not P.adjacent(ids[0], ids[0])",
+     OBSTRUCTIONS),
+    ("directed-cut-side-may-be-everything", "pogc/verify.py",
+     "        if len(side) >= P.n:\n", "        if len(side) > P.n:\n", OBSTRUCTIONS),
+    ("walk-pairs-may-be-apart", "pogc/verify.py",
+     "            if not P.adjacent(u, v):\n                return False\n",
+     "            pass\n", WALKS),
+    ("walk-steps-may-skip", "pogc/verify.py",
+     "            if not aux_adjacent(P, a, b, mode):\n", "            if False:\n", WALKS),
+    ("odd-walk-may-be-open", "pogc/verify.py",
+     "return walk[0] == walk[-1] and len(walk) % 2 == 0", "return len(walk) % 2 == 0",
+     WALKS),
+    ("odd-walk-may-be-even", "pogc/verify.py",
+     "walk[0] == walk[-1] and len(walk) % 2 == 0 and", "walk[0] == walk[-1] and", WALKS),
+    ("conflict-may-start-off-the-arcs", "pogc/verify.py",
+     "        if walk[0] not in P.arcs:\n", "        if False:\n", WALKS),
+    ("conflict-may-end-off-the-arcs", "pogc/verify.py",
+     "return walk[-1] in P.arcs and steps % 2 == 1", "return steps % 2 == 1", WALKS),
+    ("odd-pair-parity-dropped", "pogc/verify.py",
+     "return walk[-1] in P.arcs and steps % 2 == 1", "return walk[-1] in P.arcs", WALKS),
+    ("mate-parity-dropped", "pogc/verify.py",
+     "in P.edges and steps % 2 == 0\n", "in P.edges\n", WALKS),
+    ("conflict-kind-unknown-accepted", "pogc/verify.py",
+     "in P.edges and steps % 2 == 0\n        return False\n",
+     "in P.edges and steps % 2 == 0\n        return True\n", WALKS),
+    # the class table's check of every answer
+    ("row-accepts-unlisted-triple", "pogc/classes.py",
+     "            if triple(res) not in self.refutes | self.fragment:\n",
+     "            if False:\n", ROW_NO),
+    ("row-yes-check-skipped", "pogc/classes.py",
+     "        elif hasattr(PropertyReport, self.yes):\n", "        elif False:\n", ROW_YES),
+    ("row-orientedness-unchecked", "pogc/classes.py",
+     "            if res.edges or not getattr", "            if not getattr", ROW_YES),
+    ("row-arcs-kept-unchecked", "pogc/classes.py",
+     "self.yes) \\\n                    or self.keeps_arcs and not P.arcs <= res.arcs:",
+     "self.yes):", ROW_YES),
+    # bad triples from pairs of arcs: both sides of a vertex, in
+    # lexicographic order
+    ("bad-triples-out-arcs-only", "pogc/friendly.py",
+     "sorted(P.out_nbrs[v] | P.in_nbrs[v])", "sorted(P.out_nbrs[v])", ARC_PAIRS),
+    ("bad-triples-in-vertex-order", "pogc/friendly.py",
+     "    two_arcs = sorted(tuple(sorted((v, a, b)))",
+     "    two_arcs = list(tuple(sorted((v, a, b)))", ARC_PAIRS),
 ]
 
 

@@ -10,21 +10,19 @@ from .auxgraph import (AuxGraph, aux_adjacent, build_aux, complete_via_aux,
 from .completions import (complete_to_cycle_factor_bruteforce,
                           complete_to_in_tournament, complete_to_strong,
                           complete_to_transitive_tournament,
-                          find_cycle_factor, has_cycle_factor,
-                          is_k_arc_strong, two_sat)
+                          find_cycle_factor, is_k_arc_strong, two_sat)
 from .errors import (InvariantError, NoZeroOutdegreeStartError,
                      NotFriendlyError, NotInClassError, NotRoundError,
                      NotSatisfyingError, ParseError, PogError,
                      RepresentationError, SizeGuardError,
                      UnsupportedInstanceError)
-from .friendly import (bad_triples, cells, complement_components,
-                       complete_cells, complete_friendly,
-                       extend_circular_arc_representation, is_friendly,
-                       proper_circular_arc_representation)
+from .friendly import (bad_triples, complement_components, complete_cells,
+                       complete_friendly, extend_circular_arc_representation,
+                       is_friendly)
 from .hardness import (CnfFormula, ReductionInstance, assignment_to_ordering,
                        build_reduction, exact_complete, gadget,
-                       ltt_to_ordering, orient_by_assignment,
-                       ordering_to_ltt, parse_dimacs, render_dimacs)
+                       orient_by_assignment, ordering_to_ltt, parse_dimacs,
+                       render_dimacs)
 from .interval import (Representation, complete_to_acyclic_lt,
                        extend_interval_representation, lbfs,
                        parse_representation, render_representation,
@@ -33,8 +31,9 @@ from .interval import (Representation, complete_to_acyclic_lt,
 from .pog import (Certificate, Ordering, Pog, classify, complete_closure,
                   find_directed_cycle, parse_ordering, parse_pog,
                   render_ordering, render_pog)
-from .rounds import (check_ordering, find_round_ordering, merge_ltt,
-                     moon_decompose, round_to_ltt, saturate_to_round_lt)
+from .rounds import (check_ordering, find_round_ordering, ltt_to_ordering,
+                     merge_ltt, moon_decompose, round_to_ltt,
+                     saturate_to_round_lt)
 from .verify import verify_certificate
 
 __version__ = "0.1.0"

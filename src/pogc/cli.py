@@ -12,21 +12,14 @@ import functools
 import json
 import sys
 
-from .auxgraph import complete_via_aux
-from .completions import (complete_to_cycle_factor_bruteforce,
-                          complete_to_in_tournament, complete_to_strong,
-                          complete_to_transitive_tournament)
-from .errors import (NotFriendlyError, NotInClassError, NotRoundError,
-                     NotSatisfyingError, ParseError, RepresentationError,
-                     SizeGuardError, UnsupportedInstanceError)
-from .friendly import complete_friendly, extend_circular_arc_representation
-from .hardness import (assignment_to_ordering, build_reduction,
-                       exact_complete, parse_dimacs)
-from .interval import (_find_hole, check_peo, complete_to_acyclic_lt,
-                       extend_interval_representation, lbfs,
-                       parse_representation, render_representation)
-from .pog import (Certificate, parse_pog, parse_ordering, render_ordering,
-                  render_pog)
+from .classes import ROWS
+from .errors import (NotInClassError, NotRoundError, NotSatisfyingError,
+                     ParseError, RepresentationError, SizeGuardError,
+                     UnsupportedInstanceError)
+from .hardness import assignment_to_ordering, build_reduction, parse_dimacs
+from .interval import parse_representation, render_representation
+from .pog import (Certificate, Pog, parse_pog, parse_ordering,
+                  render_ordering, render_pog)
 from .rounds import check_ordering
 from .verify import verify_certificate
 
@@ -46,95 +39,48 @@ def _emit(args, obj, human):
         print(human, end="" if human.endswith("\n") else "\n")
 
 
-def _emit_certificate(args, obj, cert):
-    obj = dict(obj)
-    obj["status"] = "no"
-    obj["certificate"] = {"tag": cert.tag, "payload": cert.payload}
-    if args.json:
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        print(cert.to_json())
-    return 1
-
-
 def _arc_names(D):
     return sorted([D.names[i], D.names[j]] for i, j in D.arcs)
 
 
-_REPRESENTERS = {"interval": extend_interval_representation,
-                 "circular": extend_circular_arc_representation}
-
-
-def _emit_representation(args, obj, res):
+def _emit_answer(args, obj, res):
+    """Print an answer and return its exit code: a certificate, a
+    completion, a representation, or None for a plain yes."""
     if isinstance(res, Certificate):
-        return _emit_certificate(args, obj, res)
-    obj["status"] = "yes"
-    obj["representation"] = {
-        "kind": res.kind, "modulus": res.modulus,
-        "spans": {nm: list(sp) for nm, sp in zip(res.names, res.spans)}}
-    _emit(args, obj, render_representation(res))
+        _emit(args, dict(obj, status="no", certificate={
+            "tag": res.tag, "payload": res.payload}), res.to_json())
+        return 1
+    obj["status"], human = "yes", "yes"
+    if isinstance(res, Pog):
+        obj["status"], human = "completed", render_pog(res)
+        if args.json:
+            obj["arcs"] = _arc_names(res)
+    elif res is not None:
+        obj["representation"] = {
+            "kind": res.kind, "modulus": res.modulus,
+            "spans": {nm: list(sp) for nm, sp in zip(res.names, res.spans)}}
+        human = render_representation(res)
+    _emit(args, obj, human)
     return 0
 
 
-# -- complete -------------------------------------------------------------
+def _run_row(command, args):
+    """Answer the command's class on the pog file, checked against its
+    row of the class table."""
+    row = ROWS[command, args.cls]
+    P = parse_pog(_read(args.file))
+    return _emit_answer(args, {"class": args.cls}, row.checked(P, row.run(P)))
 
 
-def _complete_ltlt(P):
-    try:
-        return complete_friendly(P)
-    except NotFriendlyError as exc:
-        return exc.certificate
-
-
-def _complete_ltt_exact(P):
-    D = exact_complete(P, "ltt")
-    return D if D is not None else Certificate(
-        "NoCompletion", {"kind": "exhausted", "target": "ltt"})
-
-
-_COMPLETERS = {
-    "lt": lambda P: complete_via_aux(P, "local_tournament"),
-    "acyclic-lt": complete_to_acyclic_lt,
-    "ltlt-friendly": _complete_ltlt,
-    "ltt-exact": _complete_ltt_exact,
-    "transitive": complete_to_transitive_tournament,
-    "in-tournament": complete_to_in_tournament,
-    "quasi-transitive": lambda P: complete_via_aux(P, "quasi_transitive"),
-    "strong": complete_to_strong,
-    "cycle-factor": complete_to_cycle_factor_bruteforce,
-}
+# -- complete and recognize -----------------------------------------------
 
 
 def _cmd_complete(args):
-    P = parse_pog(_read(args.file))
-    res = _COMPLETERS[args.cls](P)
-    obj = {"class": args.cls}
-    if isinstance(res, Certificate):
-        return _emit_certificate(args, obj, res)
-    obj["status"] = "completed"
-    if args.json:
-        obj["arcs"] = _arc_names(res)
-    _emit(args, obj, render_pog(res))
-    return 0
-
-
-# -- recognize ------------------------------------------------------------
+    return _run_row("complete", args)
 
 
 def _cmd_recognize(args):
-    P = parse_pog(_read(args.file))
-    obj = {"class": args.cls}
-    if args.cls == "chordal":
-        G = P.underlying_graph()
-        O = lbfs(G)
-        ok, triple = check_peo(G, O)
-        if ok:
-            obj["status"] = "yes"
-            _emit(args, obj, "yes")
-            return 0
-        return _emit_certificate(args, obj, _find_hole(G, triple))
-    kind = "interval" if args.cls == "proper-interval" else "circular"
-    return _emit_representation(args, obj, _REPRESENTERS[kind](P))
+    return _run_row("recognize", args)
 
 
 # -- check-ordering -------------------------------------------------------
@@ -147,16 +93,9 @@ def _cmd_check_ordering(args):
     obj = {"class": args.kind,
            "ordering": {"kind": O.kind,
                         "seq": [P.names[v] for v in O.seq]}}
-    if ok:
-        obj["status"] = "yes"
-        _emit(args, obj, "yes")
-        return 0
-    cert = Certificate("OrderingViolation", {
-        "kind": args.kind,
-        "ordering": obj["ordering"],
-        "witness": wit,
-    })
-    return _emit_certificate(args, obj, cert)
+    return _emit_answer(args, obj, None if ok else Certificate(
+        "OrderingViolation",
+        {"kind": args.kind, "ordering": obj["ordering"], "witness": wit}))
 
 
 # -- extend-rep -----------------------------------------------------------
@@ -165,8 +104,8 @@ def _cmd_check_ordering(args):
 def _cmd_extend_rep(args):
     G = parse_pog(_read(args.graph))
     partial = parse_representation(_read(args.partial))
-    return _emit_representation(args, {"class": args.kind},
-                                _REPRESENTERS[args.kind](G, partial))
+    row = next(r for r in ROWS.values() if r.rep == args.kind)
+    return _emit_answer(args, {"class": args.kind}, row.run(G, partial))
 
 
 # -- reduce-3sat ----------------------------------------------------------
@@ -234,20 +173,14 @@ def _build_parser():
         description="Orientation completion of partially oriented graphs.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("complete", parents=[common],
-                       help="complete a pog inside a target class")
-    p.add_argument("--class", dest="cls", required=True,
-                   choices=sorted(_COMPLETERS))
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_complete)
-
-    p = sub.add_parser("recognize", parents=[common],
-                       help="recognize a graph class")
-    p.add_argument("--class", dest="cls", required=True,
-                   choices=["proper-interval", "proper-circular-arc",
-                            "chordal"])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_recognize)
+    for command, what, func in (
+            ("complete", "complete a pog inside a target class", _cmd_complete),
+            ("recognize", "recognize a graph class", _cmd_recognize)):
+        p = sub.add_parser(command, parents=[common], help=what)
+        p.add_argument("--class", dest="cls", required=True,
+                       choices=[n for c, n in ROWS if c == command])
+        p.add_argument("file")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("check-ordering", parents=[common],
                        help="check a vertex ordering")
@@ -259,7 +192,8 @@ def _build_parser():
 
     p = sub.add_parser("extend-rep", parents=[common],
                        help="extend a partial representation")
-    p.add_argument("--kind", required=True, choices=["interval", "circular"])
+    p.add_argument("--kind", required=True,
+                   choices=[r.rep for r in ROWS.values() if r.rep])
     p.add_argument("graph")
     p.add_argument("partial")
     p.set_defaults(func=_cmd_extend_rep)

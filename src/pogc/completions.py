@@ -12,10 +12,10 @@ matches goes on to a bounded exhaustive search over edge orientations.
 
 from __future__ import annotations
 
-from .errors import InvariantError, SizeGuardError
+from .errors import SizeGuardError
 from .graph import _lowlink, _matching, bfs_path, topological_order
 from .pog import (Certificate, _is_complete, _nonadjacent_pairs, _norm,
-                  classify, find_directed_cycle, require_oriented)
+                  find_directed_cycle, require_oriented)
 
 MAX_CYCLE_FACTOR_EDGES = 20
 
@@ -35,10 +35,7 @@ def complete_to_transitive_tournament(P):
         cyc = find_directed_cycle(P)
         return Certificate("DirectedCycle", {"cycle": [P.names[v] for v in cyc]})
     pos = {v: k for k, v in enumerate(order)}
-    D = P.orient([(u, v) if pos[u] < pos[v] else (v, u) for u, v in P.edges])
-    if not classify(D).transitive_tournament:
-        raise InvariantError("completion is not a transitive tournament")
-    return D
+    return P.orient([(u, v) if pos[u] < pos[v] else (v, u) for u, v in P.edges])
 
 
 # -- 2-SAT --------------------------------------------------------------
@@ -100,11 +97,8 @@ def complete_to_in_tournament(P):
             "kind": "two_sat_core",
             "cycle": [[P.names[v] for v in pair(k)] for k in res]})
     edges = P.edges
-    D = P.orient([(u, v) if res[r] else (v, u)
-                  for r, (u, v) in enumerate(pairs) if (u, v) in edges])
-    if not classify(D).in_tournament:
-        raise InvariantError("completion is not an in-tournament")
-    return D
+    return P.orient([(u, v) if res[r] else (v, u)
+                     for r, (u, v) in enumerate(pairs) if (u, v) in edges])
 
 
 # -- strong completions --------------------------------------------------
@@ -207,10 +201,7 @@ def complete_to_strong(P):
             u, v = v, u  # u is reached first, so v descends from u
         down = parent[v] == u and (u, v) not in turned
         chosen.append((u, v) if down else (v, u))
-    cur = P.orient(chosen)
-    if not classify(cur).strong:
-        raise InvariantError("completion is not strong")
-    return cur
+    return P.orient(chosen)
 
 
 # -- cycle factors and arc-strongness ------------------------------------
@@ -233,10 +224,6 @@ def find_cycle_factor(D):
             while (w := succ.pop(cycles[-1][-1])) != v:
                 cycles[-1].append(w)
     return cycles
-
-
-def has_cycle_factor(D):
-    return find_cycle_factor(D) is not None
 
 
 def _doubled(P):

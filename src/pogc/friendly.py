@@ -15,25 +15,20 @@ round the circle.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .auxgraph import (_arc_classes, build_aux, complete_via_aux,
                        consentaneous_closure, two_colour)
-from .errors import InvariantError, NotFriendlyError, NotInClassError
+from .errors import InvariantError, NotFriendlyError
 from .interval import (_orient_window, complete_to_acyclic_lt,
                        representation_from_orientation)
 from .graph import _bfs_colouring, _components, topological_order
 from .pog import Certificate, Pog, _is_complete, _neighbourhood_cycle, \
-    _norm, _triangles, classify, find_directed_cycle
+    _norm, find_directed_cycle
 from .rounds import merge_ltt
 
 
 # -- structure ---------------------------------------------------------
-
-
-def cells(P):
-    """Cells (maximal sets of vertices with equal closed neighbourhoods)
-    sorted by smallest member, plus the index of the universal cell:
-    the pog's cached view `Pog.cells`."""
-    return P.cells
 
 
 def complement_components(P):
@@ -52,13 +47,15 @@ def complement_components(P):
 
 
 def _bad_triples(P):
-    """bad_triples in order, one at a time."""
-    X = build_aux(P)
-    for x, y, z in _triangles(P):
-        pairs = [(x, y), (y, z), (x, z)]
-        if len({X.comp[X.vid[p]] for p in pairs}) != 3:
-            continue
-        if sum(1 for p in pairs if p not in P.edges) == 2:
+    """bad_triples in order, one at a time.  The two arcs of such a
+    triangle meet at one vertex, so each is found once from its pair of
+    arcs there, and a pog without arcs does no triangle work."""
+    two_arcs = sorted(tuple(sorted((v, a, b))) for v in range(P.n)
+                      for a, b in combinations(sorted(P.out_nbrs[v] | P.in_nbrs[v]), 2)
+                      if _norm(a, b) in P.edges)
+    X = build_aux(P) if two_arcs else None
+    for x, y, z in two_arcs:
+        if len({X.comp[X.vid[p]] for p in ((x, y), (y, z), (x, z))}) == 3:
             yield x, y, z
 
 
@@ -131,29 +128,6 @@ def complete_cells(P):
 # -- completion --------------------------------------------------------
 
 
-def _verified(P, D):
-    if not (D.is_oriented() and classify(D).locally_transitive):
-        raise InvariantError("completion is not locally transitive")
-    if not P.arcs <= D.arcs:
-        raise InvariantError("completion dropped an input arc")
-    return D
-
-
-def friendly_complete_graph(P):
-    """Complete a friendly partially oriented complete graph to a
-    locally transitive tournament, or certify a directed triangle in a
-    neighbourhood."""
-    ok, cert = is_friendly(P)
-    if not ok:
-        raise NotFriendlyError("pog is not friendly", cert)
-    if not _is_complete(P):
-        raise NotInClassError("underlying graph is not complete")
-    cert = forbidden_cycle(P)
-    if cert is not None:
-        return cert
-    return _merge_arc_parts(P)
-
-
 def _merge_arc_parts(P):
     """Locally transitive tournament completing a friendly partially
     oriented complete graph without a forbidden cycle."""
@@ -168,7 +142,7 @@ def _merge_arc_parts(P):
     for g in parts[1:]:
         T = merge_ltt(T, P.induced(g))
     arcs = frozenset((P.index[T.names[i]], P.index[T.names[j]]) for i, j in T.arcs)
-    return _verified(P, Pog(P.names, frozenset(), arcs))
+    return Pog(P.names, frozenset(), arcs)
 
 
 def complete_friendly(P):
@@ -186,7 +160,7 @@ def complete_friendly(P):
                 return sub
             arcs.update((P.index[sub.names[i]], P.index[sub.names[j]])
                         for i, j in sub.arcs)
-        return _verified(P, Pog(P.names, frozenset(), frozenset(arcs)))
+        return Pog(P.names, frozenset(), frozenset(arcs))
 
     cert = forbidden_cycle(P)
     if cert is not None:
@@ -205,7 +179,7 @@ def complete_friendly(P):
         D = complete_via_aux(P1)
         if isinstance(D, Certificate):
             raise InvariantError("friendly pog lost orientability")
-        return _verified(P, D)
+        return D
     return _complete_split_complement(P, P1, bar)
 
 
@@ -243,7 +217,7 @@ def _complete_split_complement(P, P1, bar):
 
     reps = [C[0] for C in bar]
     K = cur.induced(reps)
-    R = friendly_complete_graph(K)
+    R = complete_friendly(K)
     if isinstance(R, Certificate):
         raise InvariantError("representative tournament hit a forbidden triangle")
     sides = [_bipartition(P, C) for C in bar]
@@ -265,19 +239,10 @@ def _complete_split_complement(P, P1, bar):
                         elif (w, u) in cur.arcs:
                             raise InvariantError(
                                 "existing arc disagrees with the cross pattern")
-    D = cur.orient(adds)
-    if D.edges:
-        raise InvariantError("cross orientation left an edge unoriented")
-    return _verified(P, D)
+    return cur.orient(adds)
 
 
 # -- circular-arc representation extension ------------------------------
-
-
-def proper_circular_arc_representation(G):
-    """Recognition: circular representation of UG(G), or a certificate.
-    This is extension from an empty window."""
-    return extend_circular_arc_representation(G)
 
 
 def extend_circular_arc_representation(G, partial=None):

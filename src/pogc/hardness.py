@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .errors import (InvariantError, NotInClassError, NotSatisfyingError,
-                     ParseError, SizeGuardError, UnsupportedInstanceError)
+from .errors import (InvariantError, NotSatisfyingError, ParseError,
+                     SizeGuardError, UnsupportedInstanceError)
 from .graph import topological_order
 from .pog import (Ordering, Pog, _is_complete, _neighbourhood_cycle, _Record,
                   complete_closure, require_oriented)
@@ -547,12 +547,3 @@ def ordering_to_ltt(P, O):
         raise InvariantError("excellent ordering has no round tournament")
     _require_round(T, O, P.arcs, "completion")
     return T
-
-
-def ltt_to_ordering(T):
-    """Excellent ordering read off a locally transitive tournament:
-    its round ordering."""
-    O = _ltt_ordering(T)
-    if O is None:
-        raise NotInClassError("not a locally transitive tournament")
-    return O

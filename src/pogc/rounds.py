@@ -363,10 +363,13 @@ class MoonDecomposition(_Record):
     parts: tuple    # tuple of name tuples, aligned with frame vertices
 
 
-def _require_ltt(T, what):
+def ltt_to_ordering(T, what=None):
+    """The round ordering of a locally transitive tournament, which is
+    excellent; NotInClassError, naming T as `what`, if T is not one."""
     O = _ltt_ordering(T)
     if O is None:
-        raise NotInClassError("%s is not a locally transitive tournament" % what)
+        raise NotInClassError("%s a locally transitive tournament"
+                              % (what + " is not" if what else "not"))
     return O
 
 
@@ -391,7 +394,7 @@ def moon_decompose(T):
     """Partition a locally transitive tournament into transitive parts
     whose quotient (the frame) is highly regular: the runs of twins of
     its round ordering."""
-    runs = _moon_runs(T, _require_ltt(T, "input"))
+    runs = _moon_runs(T, ltt_to_ordering(T, "input"))
     parts = sorted(runs, key=lambda p: p[0])
     frame = Pog(tuple(T.names[p[0]] for p in parts), frozenset(),
                 frozenset((x, y) for x in range(len(parts))
@@ -423,8 +426,8 @@ def merge_ltt(T1, T2):
     into one locally transitive tournament containing both."""
     if set(T1.names) & set(T2.names):
         raise InvariantError("vertex names are not disjoint")
-    O1 = _require_ltt(T1, "first tournament")
-    O2 = _require_ltt(T2, "second tournament")
+    O1 = ltt_to_ordering(T1, "first tournament")
+    O2 = ltt_to_ordering(T2, "second tournament")
     return _merge(T1, O1, T2, O2)[0]
 
 

@@ -242,8 +242,8 @@ def test_one_aux_build_per_underlying_graph(monkeypatch):
     runs += [("complete_via_aux " + mode, lambda P, mode=mode: complete_via_aux(P, mode))
              for mode in auxgraph.MODES]
     calls = [(name, f, (P,)) for P in pogs for name, f in runs]
-    calls += [("proper_circular_arc_representation",
-               friendly.proper_circular_arc_representation, (P.underlying_graph(),))
+    calls += [("extend_circular_arc_representation",
+               friendly.extend_circular_arc_representation, (P.underlying_graph(),))
               for P in pogs if len(P.ug_components) == 1]
     calls += [("extend " + partial.kind, extend, (G, partial))
               for G, partial in extensions]

@@ -11,14 +11,15 @@ from collections import Counter
 
 import pytest
 
-from pogc import cli
+from pogc import classes, cli
+from pogc.classes import ROWS
 from pogc.cli import run
 from pogc.errors import InvariantError
 from pogc.interval import (orientation_from_representation,
                            parse_representation, validate_representation)
 from pogc.pog import Certificate, parse_pog, render_pog
 from pogc.verify import verify_certificate
-from util import random_pog
+from util import random_pog, with_row
 
 C4 = """\
 v a
@@ -244,7 +245,8 @@ def test_verify_cert_names_fields_must_be_lists(w, capsys):
 def test_internal_error_exit_code(w, capsys, monkeypatch):
     def broken(P):
         raise InvariantError("completion is not strong")
-    monkeypatch.setitem(cli._COMPLETERS, "strong", broken)
+    monkeypatch.setitem(classes.ROWS, ("complete", "strong"),
+                        with_row("complete", "strong", run=broken))
     assert run(["complete", "--class", "strong", w("g", C4)]) == 4
     out, err = capsys.readouterr()
     assert out == ""
@@ -763,7 +765,7 @@ def test_fuzz_exit_contract(w, capsys):
         n = rng.randrange(8)
         P = random_pog(rng, n, p_adj=rng.random(), p_arc=rng.random())
         f = w("g", render_pog(P))
-        for cls in sorted(cli._COMPLETERS):
+        for cls in [name for cmd, name in ROWS if cmd == "complete"]:
             code, out = call(["complete", "--class", cls, f])
             if code == 1:
                 check(f, out)
@@ -828,3 +830,156 @@ def test_fuzz_exit_contract(w, capsys):
     for cmd in ("check-ordering", "extend-rep", "reduce-3sat", "verify-cert"):
         assert seen[cmd, 2], (cmd, seen)
     assert seen["reduce-3sat", 0], seen
+
+
+# bytes a byte-level edit puts in: line ends, NUL, and UTF-8 that is not
+# (a lone continuation byte, a cut sequence, an encoded surrogate)
+ODD_BYTES = (b"\r", b"\r\n", b"\x00", b"\xff", b"\x80", b"\xc3", b"\xe2\x82",
+             b"\xed\xa0\x80")
+LONG_NAME = b"x" * 10 ** 5
+
+
+def _mangle_bytes(rng, data):
+    """data with 1-3 byte-level edits: a bit flipped, a byte inserted or
+    deleted, an odd byte sequence inserted, or a 10^5-character name put
+    in place of a name or inserted anywhere."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(data) + 1)
+        op = rng.randrange(6)
+        if op == 0 and k < len(data):
+            data[k] ^= 1 << rng.randrange(8)
+        elif op == 1:
+            data[k:k] = bytes([rng.randrange(256)])
+        elif op == 2 and k < len(data):
+            del data[k]
+        elif op == 3:
+            data[k:k] = rng.choice(ODD_BYTES)
+        elif op == 4:
+            data[k:k] = LONG_NAME
+        else:
+            data = data.replace(b" v%d" % rng.randrange(8), b" " + LONG_NAME, 1)
+    return bytes(data)
+
+
+def test_fuzz_pog_bytes(tmp_path, capsys):
+    """Pog texts mangled at the byte level through complete and recognize
+    (every class), check-ordering and verify-cert: every run exits 0-3,
+    never 4, and stderr is one short line that quotes at most 60
+    characters of a name."""
+    rng = random.Random(11)
+    seq = " ".join("v%d" % v for v in range(8))
+    order = tmp_path / "o"
+    cert = tmp_path / "c"
+    cert.write_text('{"tag": "DirectedCycle", "payload": {"cycle": ["v0", "v1", "v2"]}}')
+    f = tmp_path / "g"
+    seen = Counter()
+    t0 = time.perf_counter()
+    for _ in range(120):
+        P = random_pog(rng, rng.randrange(8), p_adj=rng.random(), p_arc=rng.random())
+        f.write_bytes(_mangle_bytes(rng, render_pog(P).encode()))
+        order.write_text("order cyclic %s\n" % " ".join(seq.split()[:P.n]))
+        argvs = [[cmd, "--class", cls, str(f)] for cmd, cls in ROWS]
+        argvs += [["check-ordering", "--kind", kind, str(f), str(order)]
+                  for kind in ("round", "excellent", "nice")]
+        argvs.append(["verify-cert", str(f), str(cert)])
+        for argv in argvs:
+            code = run(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), (argv, code, err)
+            assert err == "" or (err.count("\n") == 1 and len(err) < 400), err
+            assert "x" * 61 not in err, err[:200]
+            seen[code] += 1
+    assert seen[0] and seen[1] and seen[2] > 1000, seen
+    assert time.perf_counter() - t0 < 3
+
+
+def _verdicts(w, capsys, text, tag, payloads, budget=1.0):
+    """`verify-cert` on each payload under tag against the pog text: the
+    words it printed, each run within the time budget."""
+    g, words = w("g", text), []
+    for pay in payloads:
+        c = w("cert", json.dumps({"tag": tag, "payload": pay}))
+        t0 = time.perf_counter()
+        run(["verify-cert", g, c])
+        assert time.perf_counter() - t0 < budget, (tag, pay)
+        words.append(capsys.readouterr().out.strip())
+    return words
+
+
+def test_verify_cert_hostile_obstructions(w, capsys):
+    """Each certificate below is valid, and each variant after it shows
+    no obstruction and is invalid: a non-adjacent pair that is adjacent,
+    a bridge that is no edge, a directed cut with an empty or full side."""
+    for text, tag, valid, hostile in (
+            ("edge a b\nv c\n", "NonAdjacentPair", {"pair": ["a", "c"]},
+             [{"pair": ["a", "b"]}, {"pair": ["b", "a"]}, {"pair": ["a", "a"]}]),
+            ("edge a b\nedge b c\nv d\n", "Bridge", {"edge": ["a", "b"]},
+             [{"edge": ["a", "c"]}, {"edge": ["a", "d"]}, {"edge": ["a", "a"]}]),
+            ("arc a b\narc a c\nedge b c\n", "DirectedCut", {"side": ["a"]},
+             [{"side": []}, {"side": ["a", "b", "c"]}, {"side": ["c", "b", "a"]}])):
+        assert _verdicts(w, capsys, text, tag, [valid] + hostile) \
+            == ["valid"] + ["invalid"] * len(hostile), tag
+
+
+CLAW = "edge c x\nedge c y\nedge c z\n"
+
+
+def test_verify_cert_hostile_aux_walks(w, capsys):
+    """Aux walks: a step on a non-adjacent pair or one that is not an aux
+    edge, an open or even closed walk for OddClosedWalkAux, and for
+    OrientationConflict a walk that ends on the wrong pair, has the wrong
+    parity for its kind, or has a kind that does not exist."""
+    odd = [["c", "x"], ["c", "y"], ["c", "z"], ["c", "x"]]
+    # the pairs (x, y), (x, z), (x, u) of the leaves and a lone vertex u
+    # would form an odd triangle if they were adjacent pairs
+    assert _verdicts(w, capsys, CLAW + "v u\n", "OddClosedWalkAux", [
+        {"walk": odd},
+        {"walk": [["x", "y"], ["x", "z"], ["x", "u"], ["x", "y"]]},  # pairs apart
+        {"walk": [["c", "x"], ["y", "c"], ["c", "z"], ["c", "x"]]},  # no aux edge
+        {"walk": odd[:3] + [["c", "y"]]},                           # open
+        {"walk": [["c", "x"], ["c", "y"], ["c", "x"]]},              # even
+        {"walk": odd, "mode": "quasi_transitive"},                  # not its mode
+    ]) == ["valid"] + ["invalid"] * 5
+    pair = "arc b a\narc b c\n"  # b's two out-arcs must take two colours
+    assert _verdicts(w, capsys, pair, "OrientationConflict", [
+        {"kind": "odd_pair", "walk": [["b", "a"], ["b", "c"]]},
+        {"kind": "odd_pair", "walk": [["a", "b"], ["b", "a"]]},         # starts off P's arcs
+        {"kind": "odd_pair", "walk": [["b", "a"], ["a", "b"]]},         # ends off them
+        {"kind": "odd_pair", "walk": [["b", "a"], ["a", "b"], ["b", "a"]]},  # even
+        {"kind": "odd_pair", "walk": [["b", "a"], ["c", "a"]]},         # c, a apart
+        {"kind": "unoriented_mate", "walk": [["b", "a"], ["b", "c"]]},  # no edge
+        {"kind": "sideways", "walk": [["b", "a"], ["b", "c"]]},         # no such kind
+    ]) == ["valid"] + ["invalid"] * 6
+    mate = "arc b a\nedge b c\n"  # (c, b) takes the colour of the arc (b, a)
+    assert _verdicts(w, capsys, mate, "OrientationConflict", [
+        {"kind": "unoriented_mate", "walk": [["b", "a"], ["b", "c"], ["c", "b"]]},
+        {"kind": "unoriented_mate", "walk": [["b", "a"], ["b", "c"]]},  # odd
+        {"kind": "odd_pair", "walk": [["b", "a"], ["b", "c"], ["c", "b"]]},
+    ]) == ["valid", "invalid", "invalid"]
+
+
+def test_verify_cert_long_aux_walks_are_fast(w, capsys):
+    """Aux walks through a path on 10^4 vertices: the valid one and one
+    spoilt near its end are each judged within 2 s."""
+    n = 10 ** 4
+    path = "".join("edge p%d p%d\n" % (k, k + 1) for k in range(n - 1))
+    # from (c, x) along the path's pairs to its far end and back, then
+    # round the claw's odd aux triangle
+    chain = [["c", "x"], ["p0", "x"]] + [
+        ["p%d" % (k + k % 2), "p%d" % (k + 1 - k % 2)] for k in range(n - 1)]
+    walk = chain + chain[-2::-1] + [["c", "y"], ["c", "z"], ["c", "x"]]
+    text = CLAW + "edge x p0\n" + path
+    spoilt = walk[:-4] + walk[-5:-4] + walk[-4:]  # one step repeated: even
+    assert _verdicts(w, capsys, text, "OddClosedWalkAux",
+                     [{"walk": walk}, {"walk": spoilt}], 2.0) == ["valid", "invalid"]
+    # along a path the pairs (q0, q1), (q2, q1), (q2, q3), ... alternate
+    # colours, so the arcs q0 -> q1 and q(k + 1) -> qk, k odd, disagree
+    k = n - 3
+    walk = [["q%d" % (j + j % 2), "q%d" % (j + 1 - j % 2)] for j in range(k + 1)]
+    text = "arc q0 q1\n" + "".join("edge q%d q%d\n" % (j, j + 1) for j in range(1, k)) \
+        + "arc q%d q%d\n" % (k + 1, k)
+    spoilt = walk[:-1] + [walk[-1][::-1]]  # ends on the reverse of the arc
+    assert _verdicts(w, capsys, text, "OrientationConflict", [
+        {"kind": "odd_pair", "walk": walk}, {"kind": "odd_pair", "walk": spoilt},
+        {"kind": "unoriented_mate", "walk": walk}], 2.0) == ["valid"] + ["invalid"] * 2

@@ -4,11 +4,12 @@ import itertools
 import random
 import time
 
-from pogc import completions
+from pogc import classes, completions
+from pogc.classes import ROWS
 from pogc.completions import (complete_to_cycle_factor_bruteforce,
                               complete_to_in_tournament, complete_to_strong,
                               complete_to_transitive_tournament,
-                              find_cycle_factor, has_cycle_factor,
+                              find_cycle_factor,
                               _max_flow, is_k_arc_strong, two_sat)
 from pogc.graph import _lowlink, _matching
 from pogc.cli import run
@@ -293,10 +294,11 @@ def test_strong_matches_orient_and_scc_loop():
 
 
 def test_strong_runs_one_search(monkeypatch):
-    """Every call on more than one vertex runs one lowlink DFS, and
-    classifies only the completion it returns."""
+    """Every call on more than one vertex runs one lowlink DFS, and the
+    check of its class row classifies only the completion it returns."""
+    row = ROWS["complete", "strong"]
     searches, classified = [], []
-    real_lowlink, real_classify = completions._lowlink, completions.classify
+    real_lowlink, real_classify = completions._lowlink, classes.classify
 
     def lowlink(*args):
         searches.append(args)
@@ -307,16 +309,16 @@ def test_strong_runs_one_search(monkeypatch):
         return real_classify(P)
 
     monkeypatch.setattr(completions, "_lowlink", lowlink)
-    monkeypatch.setattr(completions, "classify", counting_classify)
+    monkeypatch.setattr(classes, "classify", counting_classify)
     refuted = 0
     for P in _strong_corpus():
         searches.clear()
         classified.clear()
-        got = complete_to_strong(P)
+        got = row.checked(P, complete_to_strong(P))
         assert len(searches) == (P.n > 1), (P.edges, P.arcs)
-        if isinstance(got, Certificate) or P.n <= 1:
+        if isinstance(got, Certificate):
             assert classified == [], (P.edges, P.arcs)
-            refuted += isinstance(got, Certificate)
+            refuted += 1
         else:
             assert len(classified) == 1 and classified[0] is got
     assert refuted > 1000
@@ -646,14 +648,13 @@ def test_in_tournament_matches_clause_reference():
 
 def test_cycle_factor_examples():
     c3 = Pog(names(3), frozenset(), frozenset({(0, 1), (1, 2), (2, 0)}))
-    assert has_cycle_factor(c3)
     assert find_cycle_factor(c3) == [[0, 1, 2]]
     trans = Pog(names(3), frozenset(),
                 frozenset({(0, 1), (0, 2), (1, 2)}))
-    assert not has_cycle_factor(trans)
+    assert find_cycle_factor(trans) is None
     two = Pog(names(6), frozenset(),
               frozenset({(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)}))
-    assert has_cycle_factor(two)
+    assert find_cycle_factor(two) is not None
 
 
 def _assert_cycle_factor(D, cycles):
@@ -825,7 +826,7 @@ def test_complete_to_cycle_factor():
     c4 = Pog.build(("a", "b", "c", "d"),
                    edges=[("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
     D = complete_to_cycle_factor_bruteforce(c4)
-    assert has_cycle_factor(D)
+    assert find_cycle_factor(D) is not None
     lonely = Pog.build(("a", "b", "c"), edges=[("a", "b")])
     cert = complete_to_cycle_factor_bruteforce(lonely)
     assert isinstance(cert, Certificate)

@@ -4,20 +4,20 @@ import itertools
 import random
 from collections import Counter, deque
 
+from pogc import friendly
 from pogc.auxgraph import aux_adjacent, build_aux
 from pogc.errors import InvariantError
-from pogc.friendly import (_bipartition, bad_triples, cells,
-                           complement_components,
+from pogc.friendly import (_bipartition, bad_triples, complement_components,
                            complete_cells, complete_friendly,
                            extend_circular_arc_representation,
-                           forbidden_cycle, friendly_complete_graph, is_friendly,
-                           proper_circular_arc_representation)
+                           forbidden_cycle, is_friendly)
 from pogc.interval import (Representation, complete_to_acyclic_lt,
                            orientation_from_representation,
                            validate_representation)
 from pogc.pog import Certificate, Pog, _norm, classify
 from pogc.verify import verify_certificate
-from util import (_ref_length, all_graphs, all_pogs, brute_force_completion,
+from util import (_ref_length, all_graphs, all_pogs, bad_triples_reference,
+                  brute_force_completion,
                   exact_oracle, forbidden_cycle_reference, names, random_graph,
                   random_pog)
 
@@ -31,14 +31,14 @@ def test_cells_k4_universal():
     K4 = Pog(names(4),
              frozenset((i, j) for i in range(4) for j in range(i + 1, 4)),
              frozenset())
-    cs, universal = cells(K4)
+    cs, universal = K4.cells
     assert cs == (tuple(range(4)),)
     assert universal == 0
 
 
 def test_cells_p3():
     P = Pog.build(("a", "b", "c"), edges=[("a", "b"), ("b", "c")])
-    cs, universal = cells(P)
+    cs, universal = P.cells
     # closed neighbourhoods all differ; b is the universal vertex
     assert cs == ((0,), (1,), (2,))
     assert universal == 1
@@ -77,23 +77,6 @@ def _old_bipartition(P, comp, anchor):
             tuple(v for v in comp if colour[v] == 1))
 
 
-def _old_bad_triples(P, X):
-    out = []
-    for x in range(P.n):
-        for y in sorted(P.adj[x]):
-            if y <= x:
-                continue
-            for z in sorted(P.adj[x] & P.adj[y]):
-                if z <= y:
-                    continue
-                pairs = [(x, y), (y, z), (x, z)]
-                if len({X.comp[X.vid[p]] for p in pairs}) != 3:
-                    continue
-                if sum(1 for p in pairs if p not in P.edges) == 2:
-                    out.append((x, y, z))
-    return out
-
-
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -109,7 +92,7 @@ def test_bipartition_and_bad_triples_match_their_old_loops():
     outcomes, bad = set(), 0
     for P in corpus:
         got = bad_triples(P)
-        assert got == _old_bad_triples(P, build_aux(P))
+        assert got == bad_triples_reference(P)
         bad += bool(got)
         # complement components, and vertex sets that are not one
         parts = complement_components(P)
@@ -120,6 +103,42 @@ def test_bipartition_and_bad_triples_match_their_old_loops():
             outcomes.add(got if isinstance(got, str) else "ok")
     assert len(outcomes) == 3  # bipartite, not bipartite, fell apart
     assert 0 < bad < len(corpus)
+
+
+def test_bad_triples_from_arc_pairs_match_the_triangle_scan(monkeypatch):
+    """Bands with some arcs revealed and denser random pogs, many with
+    bad triples, give the triangle scan's bad triples in its order; a pog
+    with no triangle of two arcs builds no aux graph, however many
+    triangles it has."""
+    rng = random.Random(72)
+    bad = 0
+    for _ in range(150):
+        P = random_pog(rng, rng.randint(5, 14), p_adj=rng.choice((0.5, 0.7, 0.9)),
+                       p_arc=rng.choice((0.2, 0.4)))
+        got = bad_triples(P)
+        assert got == bad_triples_reference(P)
+        bad += bool(got)
+        n, w = rng.randint(3, 30), rng.randint(1, 4)
+        p_arc = rng.choice((0.1, 0.3, 0.6))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + w + 1))]
+        arcs = {(i, j) if rng.random() < 0.8 else (j, i)
+                for i, j in pairs if rng.random() < p_arc}
+        P = Pog(names(n), frozenset(p for p in pairs if p not in arcs
+                                    and p[::-1] not in arcs), frozenset(arcs))
+        got = bad_triples(P)
+        assert got == bad_triples_reference(P)
+        bad += bool(got)
+    assert bad > 30
+
+    def no_aux(*args):
+        raise AssertionError("aux graph built")
+
+    monkeypatch.setattr(friendly, "build_aux", no_aux)
+    n = 2000
+    band = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + 9))]
+    assert bad_triples(Pog(names(n), frozenset(band), frozenset())) == []
+    one_arc = Pog(names(n), frozenset(band[1:]), frozenset(band[:1]))
+    assert bad_triples(one_arc) == []
 
 
 def test_bad_triple_check_matches_aux_labels():
@@ -186,7 +205,7 @@ def test_friendly_complete_graph_merges_triangles():
             ("x", "y"), ("y", "z"), ("z", "x")]
     edges = [(p, q) for p in nm[:3] for q in nm[3:]]
     P = Pog.build(nm, edges=edges, arcs=arcs)
-    T = friendly_complete_graph(P)
+    T = complete_friendly(P)
     rep = classify(T)
     assert rep.tournament and rep.locally_transitive
     assert P.arcs <= T.arcs
@@ -198,7 +217,7 @@ def test_friendly_complete_graph_forbidden_triangle():
     arcs = [("w", "a"), ("w", "b"), ("w", "c"),
             ("a", "b"), ("b", "c"), ("c", "a")]
     P = Pog.build(nm, arcs=arcs)
-    cert = friendly_complete_graph(P)
+    cert = complete_friendly(P)
     assert isinstance(cert, Certificate)
     assert cert.tag == "DirectedCycle"
     assert verify_certificate(P, cert)
@@ -292,7 +311,7 @@ def test_complete_cells_orients_inside():
 
 
 def test_circular_representation_recognition():
-    R = proper_circular_arc_representation(_c4())
+    R = extend_circular_arc_representation(_c4())
     assert R.kind == "circular"
     D = orientation_from_representation(_c4(), R)
     assert len(D.arcs) == 4
@@ -301,7 +320,7 @@ def test_circular_representation_recognition():
 def test_circular_recognition_claw_rejected():
     claw = Pog.build(("c", "x", "y", "z"),
                      edges=[("c", "x"), ("c", "y"), ("c", "z")])
-    cert = proper_circular_arc_representation(claw)
+    cert = extend_circular_arc_representation(claw)
     assert isinstance(cert, Certificate)
     assert verify_certificate(claw, cert)
 
@@ -321,7 +340,7 @@ def test_extend_circular_preserves_induced_orientation():
         G = random_graph(rng, rng.randint(3, 7), p=0.6)
         if len(G.ug_components) > 1:
             continue
-        full = proper_circular_arc_representation(G)
+        full = extend_circular_arc_representation(G)
         if isinstance(full, Certificate):
             continue
         D = orientation_from_representation(G, full)
@@ -438,11 +457,11 @@ def test_circular_on_disconnected_graphs():
     # a component whose round order wraps, and C4 plus an isolated vertex
     G = Pog.build(names(5), edges=[("v0", "v2"), ("v0", "v4"), ("v1", "v2")])
     assert _check_circular(
-        G, proper_circular_arc_representation(G))
+        G, extend_circular_arc_representation(G))
     c4 = _c4()
     c4e = Pog.build(("a", "b", "c", "d", "e"),
                     edges=[(c4.names[i], c4.names[j]) for i, j in c4.edges])
-    cert = proper_circular_arc_representation(c4e)
+    cert = extend_circular_arc_representation(c4e)
     assert not _check_circular(c4e, cert)
     # a triangle laid cyclically round the circle cannot sit beside an
     # isolated vertex
@@ -459,7 +478,7 @@ def test_circular_on_disconnected_graphs():
         G = random_graph(rng, rng.randint(2, 8), p=rng.choice((0.2, 0.35, 0.5)))
         if len(G.ug_components) < 2:
             continue
-        full = proper_circular_arc_representation(G)
+        full = extend_circular_arc_representation(G)
         yes = _check_circular(G, full)
         seen[yes] += 1
         # no exactly when some component is not proper interval
@@ -490,7 +509,7 @@ def test_extend_circular_rotated_and_reflected_windows():
         if len(G.edges) > 15:
             continue
         keep = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
-        sub = proper_circular_arc_representation(G.induced(keep))
+        sub = extend_circular_arc_representation(G.induced(keep))
         if isinstance(sub, Certificate):
             continue
         partial = _rotate(sub, rng.randrange(sub.modulus))

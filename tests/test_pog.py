@@ -14,6 +14,7 @@ import pytest
 from pogc import cli, hardness
 from pogc import pog as pog_module
 from pogc.auxgraph import AuxGraph, build_aux
+from pogc.classes import ROWS
 from pogc.errors import InvariantError, ParseError, PogError, RepresentationError
 from pogc.graph import _matching, topological_order
 from pogc.hardness import (CnfFormula, ReductionInstance, build_reduction,
@@ -284,9 +285,9 @@ def test_rendered_pogs_read_column_wise(monkeypatch):
     pogs.append(build_reduction(planted_formula(rng, 4, 6)[0]).pog)
     yes = 0
     for P in [random_pog(rng, rng.randint(1, 7)) for _ in range(60)] + pogs[:20]:
-        for complete in cli._COMPLETERS.values():
+        for row in ROWS.values():
             try:
-                D = complete(P)
+                D = row.run(P) if row.command == "complete" else None
             except PogError:
                 continue
             if isinstance(D, Pog):

@@ -2,9 +2,10 @@
 
 import itertools
 
+from pogc.auxgraph import build_aux
+from pogc.classes import ROWS, ClassRow
 from pogc.completions import two_sat
 from pogc.errors import InvariantError, NoZeroOutdegreeStartError, ParseError
-from pogc.friendly import cells
 from pogc.graph import _reach, bfs_path
 from pogc.hardness import CnfFormula
 from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _neighbourhoods,
@@ -539,7 +540,7 @@ def neighbourhood_cycle_reference(P):
 def forbidden_cycle_reference(P):
     """pogc.friendly.forbidden_cycle with a cycle search on every
     non-universal cell of 3 or more vertices and on every hood."""
-    cs, universal = cells(P)
+    cs, universal = P.cells
     for k, cell in enumerate(cs):
         if k == universal or len(cell) < 3:
             continue
@@ -644,3 +645,27 @@ def _find_net(G):
                         continue
                     return [t1, t2, t3, p1, p2, p3]
     return None
+
+
+def with_row(command, name, **changes):
+    """The class row of `pogc COMMAND --class NAME` with the given fields
+    changed, for a test to put in its place in `classes.ROWS`."""
+    row = ROWS[command, name]
+    return ClassRow(**dict(zip(row._fields, row._values(row)), **changes))
+
+
+def bad_triples_reference(P):
+    """pogc.friendly.bad_triples by a scan of every triangle x < y < z of
+    UG(P) in lexicographic order: those with exactly two oriented pairs,
+    the three pairs in three different aux components."""
+    X = build_aux(P)
+    out = []
+    for x in range(P.n):
+        for y in sorted(P.adj[x]):
+            for z in sorted(P.adj[x] & P.adj[y]):
+                if x < y < z:
+                    pairs = [(x, y), (y, z), (x, z)]
+                    if len({X.comp[X.vid[p]] for p in pairs}) == 3 \
+                            and sum(p not in P.edges for p in pairs) == 2:
+                        out.append((x, y, z))
+    return out
