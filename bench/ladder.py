@@ -29,7 +29,9 @@ its adjacent pairs.  The `parse_pog` kernels
 read band-4 or all-arc as native text from `render_pog`, and the
 `render_pog` kernels write that text;
 `classify.locally_transitive.band` reads band-4 oriented straight
-(every edge from its smaller end) and `build_reduction.planted`
+(every edge from its smaller end),
+`saturate_to_round_lt.circulant` saturates the circulant under the
+identity ordering, which is round for it, and `build_reduction.planted`
 reduces a seeded 3-CNF with a planted satisfying assignment, sized so
 that its reduction has n = 2 vars + 7 clauses
 vertices.  A point is the fastest of a
@@ -81,7 +83,8 @@ from pogc.hardness import CnfFormula, build_reduction  # noqa: E402
 from pogc.interval import (Representation, complete_to_acyclic_lt,  # noqa: E402
                            lbfs, validate_representation)
 from pogc.pog import Ordering, Pog, classify, parse_pog, render_pog  # noqa: E402
-from pogc.rounds import check_ordering, round_to_ltt  # noqa: E402
+from pogc.rounds import (check_ordering, round_to_ltt,  # noqa: E402
+                         saturate_to_round_lt)
 from pogc.verify import verify_certificate  # noqa: E402
 
 WIDTH = 4
@@ -181,6 +184,13 @@ def identity_excellent(P):
     return check_ordering(P, Ordering("cyclic", tuple(range(P.n))), "excellent")
 
 
+def identity_saturate(D):
+    """Saturate under the identity cyclic ordering, which is round for
+    the circulant: each maximal arc i -> i+2 spans a triangle, so no arc
+    is added."""
+    return saturate_to_round_lt(D, Ordering("cyclic", tuple(range(D.n))))
+
+
 def all_arc(n, factor=True):
     arcs = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
     arcs.append((n - 1, 1))
@@ -273,6 +283,7 @@ KERNELS = {  # name: (family, kernel)
     "cycle_factor.refute_and_verify.all_arc": (ALL_ARC_NO_FACTOR, refute_and_verify),
     "check_ordering.excellent.all_arc": (ALL_ARC, identity_excellent),
     "round_to_ltt.circulant": (CIRCULANT, round_to_ltt),
+    "saturate_to_round_lt.circulant": (CIRCULANT, identity_saturate),
     "parse_pog.all_arc": (ALL_ARC_TEXT, parse_pog),
     "parse_pog.band": (BAND_TEXT, parse_pog),
     "render_pog.all_arc": (ALL_ARC, render_pog),
@@ -282,8 +293,8 @@ KERNELS = {  # name: (family, kernel)
         (BAND_STRAIGHT, lambda D: classify(D).locally_transitive),
 }
 # round_to_ltt writes out a tournament, all n(n - 1)/2 arcs of it, and
-# re-checks it through neighbour-set views: about 2.6 GB at n = 3,162
-# (5.0 M arcs), so n = 10^4 (50 M arcs) would need about 26 GB.
+# re-checks it through neighbour-set views: about 1.2 GB at n = 3,162
+# (5.0 M arcs), so n = 10^4 (50 M arcs) would need about 12 GB.
 LARGEST_N = {"round_to_ltt.circulant": 3162}
 
 

@@ -68,6 +68,9 @@ ROW_NO = "tests/test_classes.py::test_a_certificate_outside_its_row_exits_4"
 ROW_YES = "tests/test_classes.py::test_a_yes_outside_its_class_exits_4"
 ARC_PAIRS = ("tests/test_friendly.py::"
              "test_bad_triples_from_arc_pairs_match_the_triangle_scan")
+CHECKED_ONCE = "tests/test_rounds.py::test_round_to_ltt_checks_the_tournament_once"
+CLASS_CHECKS = "tests/test_interval.py::test_class_checks_match_the_classify_rule"
+SATURATE = "tests/test_rounds.py::test_saturate_matches_the_span_scan_reference"
 
 # the class a split creates placed before its old class, as LBFS needs,
 # and after it
@@ -372,6 +375,18 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("bad-triples-in-vertex-order", "pogc/friendly.py",
      "    two_arcs = sorted(tuple(sorted((v, a, b)))",
      "    two_arcs = list(tuple(sorted((v, a, b)))", ARC_PAIRS),
+    # the round constructions: the merged tournament's one self-check,
+    # the source that makes a round component acyclic, and the run of
+    # positions a maximal arc spans
+    ("ltt-of-parts-unchecked", "pogc/rounds.py",
+     '    _require_round(T, O, D.arcs, "completion")\n    return T\n', "    return T\n",
+     CHECKED_ONCE),
+    ("linear-order-without-a-source", "pogc/interval.py",
+     "        if s is None:\n            raise NotInClassError(\"not an acyclic "
+     "local tournament\")\n", "        if s is None:\n            s = 0\n",
+     CLASS_CHECKS),
+    ("saturate-span-one-short", "pogc/rounds.py",
+     "range((O.pos[j] - base) % n + 1)", "range((O.pos[j] - base) % n)", SATURATE),
 ]
 
 

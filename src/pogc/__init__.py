@@ -21,8 +21,7 @@ from .friendly import (bad_triples, complement_components, complete_cells,
                        is_friendly)
 from .hardness import (CnfFormula, ReductionInstance, assignment_to_ordering,
                        build_reduction, exact_complete, gadget,
-                       orient_by_assignment, ordering_to_ltt, parse_dimacs,
-                       render_dimacs)
+                       orient_by_assignment, parse_dimacs, render_dimacs)
 from .interval import (Representation, complete_to_acyclic_lt,
                        extend_interval_representation, lbfs,
                        parse_representation, render_representation,
@@ -32,7 +31,7 @@ from .pog import (Certificate, Ordering, Pog, classify, complete_closure,
                   find_directed_cycle, parse_ordering, parse_pog,
                   render_ordering, render_pog)
 from .rounds import (check_ordering, find_round_ordering, ltt_to_ordering,
-                     merge_ltt, moon_decompose, round_to_ltt,
+                     merge_ltt, moon_decompose, ordering_to_ltt, round_to_ltt,
                      saturate_to_round_lt)
 from .verify import verify_certificate
 

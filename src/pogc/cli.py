@@ -13,8 +13,8 @@ import json
 import sys
 
 from .classes import ROWS
-from .errors import (NotInClassError, NotRoundError, NotSatisfyingError,
-                     ParseError, RepresentationError, SizeGuardError,
+from .errors import (NotInClassError, NotSatisfyingError, ParseError,
+                     RepresentationError, SizeGuardError,
                      UnsupportedInstanceError)
 from .hardness import assignment_to_ordering, build_reduction, parse_dimacs
 from .interval import parse_representation, render_representation
@@ -173,14 +173,13 @@ def _build_parser():
         description="Orientation completion of partially oriented graphs.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    for command, what, func in (
-            ("complete", "complete a pog inside a target class", _cmd_complete),
-            ("recognize", "recognize a graph class", _cmd_recognize)):
+    for command, what in (
+            ("complete", "complete a pog inside a target class"),
+            ("recognize", "recognize a graph class")):
         p = sub.add_parser(command, parents=[common], help=what)
         p.add_argument("--class", dest="cls", required=True,
                        choices=[n for c, n in ROWS if c == command])
         p.add_argument("file")
-        p.set_defaults(func=func)
 
     p = sub.add_parser("check-ordering", parents=[common],
                        help="check a vertex ordering")
@@ -188,7 +187,6 @@ def _build_parser():
                    choices=["round", "excellent", "nice"])
     p.add_argument("file")
     p.add_argument("ordering")
-    p.set_defaults(func=_cmd_check_ordering)
 
     p = sub.add_parser("extend-rep", parents=[common],
                        help="extend a partial representation")
@@ -196,29 +194,28 @@ def _build_parser():
                    choices=[r.rep for r in ROWS.values() if r.rep])
     p.add_argument("graph")
     p.add_argument("partial")
-    p.set_defaults(func=_cmd_extend_rep)
 
     p = sub.add_parser("reduce-3sat", parents=[common],
                        help="build the 3-SAT reduction instance")
     p.add_argument("--witness", help="satisfying assignment, e.g. TFT or "
                                      "'1 -2 3'")
     p.add_argument("dimacs")
-    p.set_defaults(func=_cmd_reduce_3sat)
 
     p = sub.add_parser("verify-cert", parents=[common],
                        help="verify a certificate against a pog")
     p.add_argument("file")
     p.add_argument("cert")
-    p.set_defaults(func=_cmd_verify_cert)
     return top
 
 
 def run(argv=None):
+    """Run one command; its `_cmd_` function is looked up at call time,
+    so the cached parser holds no function."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (ParseError, RepresentationError, NotSatisfyingError,
-            NotInClassError, NotRoundError, OSError) as exc:
+            NotInClassError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (SizeGuardError, UnsupportedInstanceError) as exc:

@@ -25,7 +25,7 @@ from .interval import (_orient_window, complete_to_acyclic_lt,
 from .graph import _bfs_colouring, _components, topological_order
 from .pog import Certificate, Pog, _is_complete, _neighbourhood_cycle, \
     _norm, find_directed_cycle
-from .rounds import merge_ltt
+from .rounds import _ltt_of_parts
 
 
 # -- structure ---------------------------------------------------------
@@ -138,11 +138,7 @@ def _merge_arc_parts(P):
     parts = A.ug_components
     if any(len(A.adj[v]) != len(g) - 1 for g in parts for v in g):
         raise InvariantError("arc part is not a tournament")
-    T = P.induced(parts[0])
-    for g in parts[1:]:
-        T = merge_ltt(T, P.induced(g))
-    arcs = frozenset((P.index[T.names[i]], P.index[T.names[j]]) for i, j in T.arcs)
-    return Pog(P.names, frozenset(), arcs)
+    return _ltt_of_parts(P, parts)
 
 
 def complete_friendly(P):

@@ -18,8 +18,7 @@ from .errors import (InvariantError, NotSatisfyingError, ParseError,
 from .graph import topological_order
 from .pog import (Ordering, Pog, _is_complete, _neighbourhood_cycle, _Record,
                   complete_closure, require_oriented)
-from .rounds import (_ltt_ordering, _require_excellent, _require_round,
-                     _round_tournament, check_ordering)
+from .rounds import _ltt_ordering, check_ordering
 
 MAX_SEARCH_EDGES = 22
 MAX_EXCELLENT_VERTICES = 12
@@ -531,19 +530,3 @@ def _excellent_search(P, enumerate_all):
     if enumerate_all:
         return orderings
     return orderings[0] if orderings else None
-
-
-# -- ordering / tournament bridges ---------------------------------------
-
-
-def ordering_to_ltt(P, O):
-    """Locally transitive tournament containing P, from an excellent
-    ordering: the round tournament on O that contains P's arcs, read
-    off the arcs' spans (see `rounds._round_tournament`), then
-    re-checked to be round on O."""
-    _require_excellent(P, O)
-    T = _round_tournament(P, O)
-    if T is None:
-        raise InvariantError("excellent ordering has no round tournament")
-    _require_round(T, O, P.arcs, "completion")
-    return T

@@ -349,13 +349,16 @@ def complete_to_acyclic_lt(P):
 
 
 def _linear_order(D, O):
-    """The round ordering O of an acyclic D with each component rotated
-    to start at its first vertex without in-arcs.  Out-neighbours follow
-    their tail directly, so an arc across that cut would make its tail
-    an in-neighbour of that vertex: every arc points forwards."""
+    """The round ordering O of D with each component rotated to start
+    at its first vertex without in-arcs.  Out-neighbours follow their
+    tail directly, so an arc across that cut would make its tail an
+    in-neighbour of that vertex: every arc points forwards.  So a round
+    component is acyclic exactly when it has such a vertex."""
     seq = []
     for part in D.ug_parts(O.seq):
-        s = next(t for t, v in enumerate(part) if not D.in_nbrs[v])
+        s = next((t for t, v in enumerate(part) if not D.in_nbrs[v]), None)
+        if s is None:
+            raise NotInClassError("not an acyclic local tournament")
         seq.extend(part[s:] + part[:s])
     return seq
 
@@ -369,19 +372,20 @@ def representation_from_orientation(D, kind):
     every other arc, so then every component is laid out as intervals.
     The vertex at position t of a round ordering starts at 2t and runs
     to just past its last out-neighbour, the next d+(v) positions.
+
+    A round ordering decides both classes: a connected local tournament
+    is round exactly when it is locally transitive (Huang, JCTB 63,
+    1995), and acyclic local tournaments are locally transitive.
     """
     require_oriented(D)
     if kind not in ("interval", "circular"):
         raise ValueError("kind must be interval or circular")
-    rep = classify(D)
-    if kind == "circular" and not rep.locally_transitive:
-        raise NotInClassError("not a locally transitive local tournament")
-    linear = kind == "interval" or len(D.ug_components) > 1
-    if linear and not rep.acyclic_local_tournament:
-        raise NotInClassError("not an acyclic local tournament")
     O = find_round_ordering(D)
     if O is None:
-        raise NotInClassError("digraph is not round")
+        raise NotInClassError("not a locally transitive local tournament"
+                              if kind == "circular"
+                              else "not an acyclic local tournament")
+    linear = kind == "interval" or len(D.ug_components) > 1
     seq = _linear_order(D, O) if linear else O.seq
     n = D.n
     R = Representation(kind, tuple(D.names[v] for v in seq),

@@ -11,10 +11,14 @@ A tournament is round on a cyclic ordering O when every vertex beats
 a run of the vertices right after it, and the round tournaments are
 the locally transitive ones (Huang, JCTB 63, 1995).  `_round_tournament`
 builds the one that contains a pog's arcs by a rule on the arcs' spans;
-it exists exactly when O is excellent for the arcs.  Completion under
-an excellent ordering, `ordering_to_ltt` and `round_to_ltt` (per
-component, on its round ordering) all read their tournament off it;
-the last two re-check that O is round for it.
+it exists exactly when O is excellent for the arcs.  `ordering_to_ltt`
+reads its tournament off it, and completion under an excellent
+ordering orients the edges as that tournament does.  `round_to_ltt`
+builds it per component, on the component's round ordering, and merges
+the parts, as the friendly completion of a complete pog does for its
+arc parts.  Each public answer is self-checked once, on the ordering
+it was built on: O is a round ordering of the tournament, read along
+its one cycle, and the tournament keeps the input arcs.
 
 The round ordering also decides membership: a pog is a locally
 transitive tournament exactly when it is an oriented tournament with a
@@ -279,13 +283,23 @@ def _require_excellent(P, O):
         raise NotInClassError("ordering is not excellent: %r" % (wit,))
 
 
-def complete_under_excellent(P, O):
-    """Orient every edge of P so that O stays excellent: each edge goes
-    the way the round tournament on O orients it."""
+def ordering_to_ltt(P, O):
+    """Locally transitive tournament containing P, from an excellent
+    ordering: the round tournament on O that contains P's arcs, read
+    off the arcs' spans (see `_round_tournament`), then re-checked to
+    be round on O."""
     _require_excellent(P, O)
     T = _round_tournament(P, O)
     if T is None:
         raise InvariantError("excellent ordering has no round tournament")
+    _require_round(T, O, P.arcs, "completion")
+    return T
+
+
+def complete_under_excellent(P, O):
+    """Orient every edge of P so that O stays excellent: each edge goes
+    the way the round tournament on O orients it."""
+    T = ordering_to_ltt(P, O)
     return P.orient([e if e in T.arcs else e[::-1] for e in sorted(P.edges)])
 
 
@@ -300,8 +314,7 @@ def saturate_to_round_lt(D, O):
     add = set()
     for i, j in maximal_arcs(D, O):
         base = O.pos[i]
-        r = lambda x: (O.pos[x] - base) % n
-        span = sorted((x for x in range(n) if r(x) <= r(j)), key=r)
+        span = [O.seq[(base + s) % n] for s in range((O.pos[j] - base) % n + 1)]
         add.update((p, q) for s, p in enumerate(span) for q in span[s + 1:]
                    if not D.adjacent(p, q))
     R = Pog(D.names, D.edges, D.arcs | frozenset(add))
@@ -326,21 +339,23 @@ def _ltt_ordering(T):
 
 
 def _require_round(T, O, arcs, what):
-    """Self-check of a tournament T built round on O: O is a round
-    ordering of T, and T contains the input arcs."""
-    if not check_ordering(T, O, "round")[0]:
+    """Self-check of a tournament T built round on O: T is a tournament,
+    so connected, and O is a round ordering of it, read along its one
+    cycle; and T contains the input arcs."""
+    if len(T.arcs) != T.n * (T.n - 1) // 2 \
+            or _check_round(T, O.seq) is not None:
         raise InvariantError("%s is not a locally transitive tournament" % what)
     if not arcs <= T.arcs:
         raise InvariantError("%s dropped an input arc" % what)
 
 
-def round_to_ltt(D):
-    """Complete a round digraph to a locally transitive tournament: the
-    round tournament of each component on its round ordering, merged."""
-    require_oriented(D)
+def _ltt_of_parts(D, parts):
+    """The round tournament of each part of D (a vertex list inducing a
+    round digraph) on its round ordering, merged, and re-indexed as in D
+    unless it already is (one part holding D's vertices in order)."""
     T, O = Pog((), frozenset(), frozenset()), Ordering("cyclic", ())
-    for comp in D.ug_components:
-        sub = D.induced(comp)
+    for part in parts:
+        sub = D.induced(part)
         Oc = find_round_ordering(sub)
         if Oc is None:
             raise NotRoundError("digraph has no round ordering")
@@ -348,11 +363,20 @@ def round_to_ltt(D):
         if Tc is None:
             raise InvariantError("round ordering is not excellent")
         T, O = _merge(T, O, Tc, Oc)
-    at = [D.index[v] for v in T.names]
-    out = Pog(D.names, frozenset(), frozenset((at[i], at[j]) for i, j in T.arcs))
-    _require_round(out, Ordering("cyclic", tuple(at[v] for v in O.seq)),
-                   D.arcs, "completion")
-    return out
+    if T.names != D.names:
+        at = [D.index[v] for v in T.names]
+        T = Pog(D.names, frozenset(),
+                frozenset((at[i], at[j]) for i, j in T.arcs))
+        O = Ordering("cyclic", tuple(at[v] for v in O.seq))
+    _require_round(T, O, D.arcs, "completion")
+    return T
+
+
+def round_to_ltt(D):
+    """Complete a round digraph to a locally transitive tournament: the
+    round tournament of each component on its round ordering, merged."""
+    require_oriented(D)
+    return _ltt_of_parts(D, D.ug_components)
 
 
 # -- Moon decomposition and merging ------------------------------------
@@ -428,12 +452,16 @@ def merge_ltt(T1, T2):
         raise InvariantError("vertex names are not disjoint")
     O1 = ltt_to_ordering(T1, "first tournament")
     O2 = ltt_to_ordering(T2, "second tournament")
-    return _merge(T1, O1, T2, O2)[0]
+    T, O = _merge(T1, O1, T2, O2)
+    _require_round(T, O, T1.arcs | {(T1.n + i, T1.n + j) for i, j in T2.arcs},
+                   "merge")
+    return T
 
 
 def _merge(T1, O1, T2, O2):
-    """merge_ltt on tournaments with known round orderings; returns the
-    merged tournament and the round ordering it is built on."""
+    """merge_ltt on tournaments with known round orderings, unchecked;
+    returns the merged tournament and the round ordering it is built
+    on."""
     if not T1.n:
         return T2, O2
     if not T2.n:
@@ -456,8 +484,5 @@ def _merge(T1, O1, T2, O2):
         arcs.update(combinations(cell, 2))
         for step in range(1, (q - 1) // 2 + 1):
             arcs.update(product(cell, cells[(c + step) % q]))
-    T = Pog(T1.names + T2.names, frozenset(), frozenset(arcs))
-    O = Ordering("cyclic", tuple(v for cell in cells for v in cell))
-    _require_round(T, O, T1.arcs | {(n1 + i, n1 + j) for i, j in T2.arcs},
-                   "merge")
-    return T, O
+    return (Pog(T1.names + T2.names, frozenset(), frozenset(arcs)),
+            Ordering("cyclic", tuple(v for cell in cells for v in cell)))

@@ -234,7 +234,8 @@ def _hall_deficient(P, names):
 
 
 def _verify_obstruction(P, pay):
-    """Induced-subgraph obstructions to proper interval graphs."""
+    """The induced-subgraph obstructions to proper interval graphs that
+    the deciders emit: a hole or a tent."""
     ids = _ids(P, pay["vertices"])
     if ids is None or len(set(ids)) != len(ids):
         return False
@@ -249,25 +250,6 @@ def _verify_obstruction(P, pay):
         hole = set(ids)
         return all(P.adj[v] & hole == {ids[s - 1], ids[(s + 1) % k]}
                    for s, v in enumerate(ids))
-    if kind == "claw":
-        if len(ids) != 4:
-            return False
-        c, a, b, d = ids
-        return (adj(c, a) and adj(c, b) and adj(c, d)
-                and not adj(a, b) and not adj(a, d) and not adj(b, d))
-    if kind == "net":
-        if len(ids) != 6:
-            return False
-        t, p = ids[:3], ids[3:]
-        for s in range(3):
-            for r in range(s + 1, 3):
-                if not adj(t[s], t[r]) or adj(p[s], p[r]):
-                    return False
-        for s in range(3):
-            for r in range(3):
-                if adj(p[s], t[r]) != (s == r):
-                    return False
-        return True
     if kind == "tent":
         if len(ids) != 6:
             return False

@@ -181,8 +181,7 @@ def test_a_yes_outside_its_class_exits_4(w, capsys, monkeypatch):
 def test_each_yes_is_checked_once(w, capsys, monkeypatch):
     """The row check classifies a completion exactly once, and nothing
     else: no completer keeps a self-check of its own.  Only `interval`
-    classifies elsewhere, in the tent branch of complete_to_acyclic_lt
-    and in the input checks of representation_from_orientation."""
+    classifies elsewhere, in the tent branch of complete_to_acyclic_lt."""
     calls = []
     real = classes.classify
     monkeypatch.setattr(classes, "classify", lambda D: calls.append(D) or real(D))

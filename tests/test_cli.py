@@ -253,6 +253,22 @@ def test_internal_error_exit_code(w, capsys, monkeypatch):
     assert err == "internal error: InvariantError: completion is not strong\n"
 
 
+def test_commands_are_looked_up_at_call_time(w, capsys, monkeypatch):
+    """The parser is built once per process, but each run calls the
+    `_cmd_` function that the module holds at that time, so a wrapper
+    put there after the first run (as a tracer does) sees the next."""
+    g = w("g", C4)
+    c = w("cert", json.dumps({"tag": "NonAdjacentPair",
+                              "payload": {"pair": ["a", "c"]}}))
+    assert run(["verify-cert", g, c]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_verify_cert",
+                        lambda args: seen.append(args.cert) or 0)
+    assert run(["verify-cert", g, c]) == 0
+    assert seen == [c]
+    assert capsys.readouterr().out == "valid\n"
+
+
 # -- recognize ----------------------------------------------------------------
 
 
@@ -910,7 +926,9 @@ def _verdicts(w, capsys, text, tag, payloads, budget=1.0):
 def test_verify_cert_hostile_obstructions(w, capsys):
     """Each certificate below is valid, and each variant after it shows
     no obstruction and is invalid: a non-adjacent pair that is adjacent,
-    a bridge that is no edge, a directed cut with an empty or full side."""
+    a bridge that is no edge, a directed cut with an empty or full side.
+    A claw or a net is no kind of NotChordal certificate (no decider
+    emits one), so even a true one is invalid."""
     for text, tag, valid, hostile in (
             ("edge a b\nv c\n", "NonAdjacentPair", {"pair": ["a", "c"]},
              [{"pair": ["a", "b"]}, {"pair": ["b", "a"]}, {"pair": ["a", "a"]}]),
@@ -920,6 +938,11 @@ def test_verify_cert_hostile_obstructions(w, capsys):
              [{"side": []}, {"side": ["a", "b", "c"]}, {"side": ["c", "b", "a"]}])):
         assert _verdicts(w, capsys, text, tag, [valid] + hostile) \
             == ["valid"] + ["invalid"] * len(hostile), tag
+    net = "edge a b\nedge b c\nedge a c\nedge a x\nedge b y\nedge c z\n"
+    assert _verdicts(w, capsys, CLAW, "NotChordal", [
+        {"kind": "claw", "vertices": ["c", "x", "y", "z"]}]) == ["invalid"]
+    assert _verdicts(w, capsys, net, "NotChordal", [
+        {"kind": "net", "vertices": ["a", "b", "c", "x", "y", "z"]}]) == ["invalid"]
 
 
 CLAW = "edge c x\nedge c y\nedge c z\n"

@@ -9,10 +9,9 @@ from pogc.errors import (NotInClassError, NotSatisfyingError, ParseError,
                          SizeGuardError, UnsupportedInstanceError)
 from pogc.hardness import (CnfFormula, assignment_to_ordering,
                            build_reduction, exact_complete, gadget,
-                           ordering_to_ltt, orient_by_assignment, parse_dimacs,
-                           render_dimacs)
+                           orient_by_assignment, parse_dimacs, render_dimacs)
 from pogc.pog import Ordering, Pog, classify
-from pogc.rounds import check_ordering, ltt_to_ordering
+from pogc.rounds import check_ordering, ltt_to_ordering, ordering_to_ltt
 from util import exact_oracle, names, random_pog, search_nice_ordering
 
 

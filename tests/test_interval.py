@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -27,7 +28,8 @@ from pogc.rounds import find_round_ordering
 from pogc.verify import verify_certificate
 from util import (_find_claw, _find_net, _ref_length, all_graphs, all_pogs,
                   brute_force_completion, lbfs_reference, names, orientations,
-                  random_graph, random_pog)
+                  random_graph, random_ltt, random_pog,
+                  representation_from_orientation_reference)
 
 
 def _p3(**kw):
@@ -887,3 +889,44 @@ def test_layout_and_extensions_match_reference():
                 assert got == _outcome(_ref_layout, D, kind)
                 layouts += len(got) == 4
     assert layouts > 1000
+
+
+def _near_round(rng, n):
+    """A seeded oriented graph on n vertices, mostly near the round
+    ones: a random locally transitive tournament cut to the arcs at most
+    c steps along its round ordering (round again: the ends of the
+    out-runs still never move back), on a random subset of the vertices,
+    with one arc turned a third of the time; else a random orientation."""
+    if rng.random() < 0.25:
+        G = random_graph(rng, n, p=rng.choice((0.2, 0.4, 0.7)))
+        return G.orient([e if rng.random() < 0.5 else e[::-1]
+                         for e in sorted(G.edges)])
+    T = random_ltt(rng, n)
+    O = find_round_ordering(T)
+    c = rng.randint(1, n - 1)
+    arcs = [(u, v) for u, v in T.arcs if (O.pos[v] - O.pos[u]) % n <= c]
+    if arcs and rng.random() < 1 / 3:
+        k = rng.randrange(len(arcs))
+        arcs[k] = arcs[k][::-1]
+    D = Pog(T.names, frozenset(), frozenset(arcs))
+    return D.induced(sorted(rng.sample(range(n), rng.randint(n - 2, n))))
+
+
+def test_class_checks_match_the_classify_rule():
+    """representation_from_orientation decides its class by the round
+    ordering alone; the reference asks classify first.  For both kinds,
+    the same exception and message or the same representation, on every
+    oriented graph on at most 5 vertices and on 10,000 seeded ones on 6
+    to 9 vertices."""
+    rng = random.Random(89)
+    graphs = [D for n in range(6) for G in all_graphs(n)
+              for D in orientations(G)]
+    graphs += [_near_round(rng, rng.randint(6, 9)) for _ in range(10000)]
+    seen = Counter()
+    for D in graphs:
+        for kind in ("interval", "circular"):
+            got = _outcome(representation_from_orientation, D, kind)
+            assert got == _outcome(representation_from_orientation_reference,
+                                   D, kind), (kind, D.names, sorted(D.arcs))
+            seen[kind, got[1] if len(got) == 2 else "laid out"] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 300, seen

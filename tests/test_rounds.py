@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import pogc.rounds
 from pogc.errors import NotInClassError, NotRoundError
 from pogc.pog import Ordering, Pog, classify
 from pogc.rounds import (_ltt_ordering, _round_tournament, check_ordering,
@@ -15,7 +16,8 @@ from pogc.rounds import (_ltt_ordering, _round_tournament, check_ordering,
 from util import (all_pogs, all_tournaments, merge_ltt_reference,
                   moon_decompose_reference, names, random_ltt, random_pog,
                   round_tournament_2sat_reference,
-                  round_tournament_rule_reference)
+                  round_tournament_rule_reference,
+                  saturate_to_round_lt_reference)
 
 
 def _cycle(n):
@@ -390,6 +392,47 @@ def test_saturate_rejects_non_excellent():
     D = Pog(names(4), frozenset(), frozenset({(0, 3), (2, 1)}))
     with pytest.raises(NotInClassError):
         saturate_to_round_lt(D, _identity(4))
+
+
+def test_saturate_matches_the_span_scan_reference():
+    """Each maximal arc's span read off O as a run of positions gives
+    what the scan of all n vertices, sorted by offset, gives: seeded
+    arc subsets of random locally transitive tournaments, whose round
+    ordering, turned at random, stays excellent for them."""
+    rng = random.Random(61)
+    added = 0
+    for _ in range(1500):
+        n = rng.randint(1, 14)
+        T = random_ltt(rng, n)
+        seq = find_round_ordering(T).seq
+        turn = rng.randrange(n)
+        O = Ordering("cyclic", seq[turn:] + seq[:turn])
+        p = rng.choice((0.2, 0.5, 0.8))
+        D = Pog(T.names, frozenset(),
+                frozenset(a for a in T.arcs if rng.random() < p))
+        R = saturate_to_round_lt(D, O)
+        assert R.arcs == saturate_to_round_lt_reference(D, O).arcs, \
+            (sorted(D.arcs), O.seq)
+        added += len(R.arcs) - len(D.arcs)
+    assert added > 10000, added
+
+
+def test_round_to_ltt_checks_the_tournament_once(monkeypatch):
+    """Three 4-cycles: one roundness check per component, in its round
+    ordering search, and one of the 12-vertex tournament as a whole; the
+    merges run none."""
+    D = Pog(names(12), frozenset(),
+            frozenset((4 * c + k, 4 * c + (k + 1) % 4)
+                      for c in range(3) for k in range(4)))
+    calls, check = [], pogc.rounds._check_round
+
+    def counted(P, seq):
+        calls.append((P.n, len(seq)))
+        return check(P, seq)
+    monkeypatch.setattr(pogc.rounds, "_check_round", counted)
+    T = round_to_ltt(D)
+    assert len(T.arcs) == 66 and D.arcs <= T.arcs
+    assert calls == [(4, 4)] * 3 + [(12, 12)]
 
 
 def test_round_to_ltt_c3_identity():

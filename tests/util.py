@@ -5,13 +5,17 @@ import itertools
 from pogc.auxgraph import build_aux
 from pogc.classes import ROWS, ClassRow
 from pogc.completions import two_sat
-from pogc.errors import InvariantError, NoZeroOutdegreeStartError, ParseError
+from pogc.errors import (InvariantError, NotInClassError,
+                         NoZeroOutdegreeStartError, ParseError,
+                         RepresentationError)
 from pogc.graph import _reach, bfs_path
 from pogc.hardness import CnfFormula
+from pogc.interval import Representation, orientation_from_representation
 from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _neighbourhoods,
                       _nonadjacent_pairs, _norm, _triangles, classify,
-                      find_directed_cycle)
-from pogc.rounds import MoonDecomposition, check_ordering, find_round_ordering
+                      find_directed_cycle, require_oriented)
+from pogc.rounds import (MoonDecomposition, check_ordering,
+                         find_round_ordering, maximal_arcs)
 
 MAX_NICE_VERTICES = 10
 
@@ -669,3 +673,56 @@ def bad_triples_reference(P):
                             and sum(p not in P.edges for p in pairs) == 2:
                         out.append((x, y, z))
     return out
+
+
+def saturate_to_round_lt_reference(D, O):
+    """pogc.rounds.saturate_to_round_lt by a scan of all n vertices per
+    maximal arc, its span sorted by offset from the tail."""
+    n = D.n
+    add = set()
+    for i, j in maximal_arcs(D, O):
+        base = O.pos[i]
+        r = lambda x: (O.pos[x] - base) % n
+        span = sorted((x for x in range(n) if r(x) <= r(j)), key=r)
+        add.update((p, q) for s, p in enumerate(span) for q in span[s + 1:]
+                   if not D.adjacent(p, q))
+    return Pog(D.names, D.edges, D.arcs | frozenset(add))
+
+
+def representation_from_orientation_reference(D, kind):
+    """pogc.interval.representation_from_orientation deciding its class
+    by classify first: locally transitive local tournament for
+    `circular`, acyclic local tournament for `interval` or a
+    disconnected D; then the round ordering, each component rotated to
+    start at its first vertex without in-arcs when laid out as
+    intervals."""
+    require_oriented(D)
+    if kind not in ("interval", "circular"):
+        raise ValueError("kind must be interval or circular")
+    rep = classify(D)
+    if kind == "circular" and not rep.locally_transitive:
+        raise NotInClassError("not a locally transitive local tournament")
+    linear = kind == "interval" or len(D.ug_components) > 1
+    if linear and not rep.acyclic_local_tournament:
+        raise NotInClassError("not an acyclic local tournament")
+    O = find_round_ordering(D)
+    if O is None:
+        raise NotInClassError("digraph is not round")
+    seq = O.seq
+    if linear:
+        seq = []
+        for part in D.ug_parts(O.seq):
+            s = next(t for t, v in enumerate(part) if not D.in_nbrs[v])
+            seq.extend(part[s:] + part[:s])
+    n = D.n
+    R = Representation(kind, tuple(D.names[v] for v in seq),
+                       tuple((2 * t, 2 * ((t + len(D.out_nbrs[v])) % n) + 1)
+                             for t, v in enumerate(seq)),
+                       2 * n if kind == "circular" else 0)
+    try:
+        back = orientation_from_representation(D, R)
+    except RepresentationError as exc:
+        raise InvariantError("constructed representation is invalid: %s" % exc)
+    if back.arcs != D.arcs:
+        raise InvariantError("representation does not induce the orientation")
+    return R
