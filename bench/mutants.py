@@ -64,6 +64,7 @@ RECORD_DEFAULTS = "tests/test_pog.py::test_record_defaults"
 RECORD_IMMUTABLE = "tests/test_pog.py::test_records_are_immutable"
 OBSTRUCTIONS = "tests/test_cli.py::test_verify_cert_hostile_obstructions"
 WALKS = "tests/test_cli.py::test_verify_cert_hostile_aux_walks"
+SHAPES = "tests/test_cli.py::test_verify_cert_hostile_shapes"
 ROW_NO = "tests/test_classes.py::test_a_certificate_outside_its_row_exits_4"
 ROW_YES = "tests/test_classes.py::test_a_yes_outside_its_class_exits_4"
 ARC_PAIRS = ("tests/test_friendly.py::"
@@ -154,9 +155,18 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("cycle-walk-leaves-core", "pogc/pog.py",
      "        v = min(out[v] & core)\n", "        v = min(out[v])\n", CYCLE),
     ("forbidden-cycle-cells-skipped", "pogc/friendly.py",
-     "if k == universal or len(cell) < 3:\n            continue\n        cyc",
-     "if True:\n            continue\n        cyc",
+     "if k == universal or len(cell) < 2:\n            continue\n        order",
+     "if True:\n            continue\n        order",
      "tests/test_friendly.py::test_forbidden_cycle_matches_reference"),
+    # the first side of a complement component read as the red class,
+    # not as the class of its first vertex
+    ("complement-sides-by-red", "pogc/friendly.py",
+     "if c == col[0]),\n                      tuple(x for x, c in zip(C, col) if c != col[0])",
+     "if c == 0),\n                      tuple(x for x, c in zip(C, col) if c != 0)",
+     "tests/test_friendly.py::test_bipartition_and_bad_triples_match_their_old_loops"),
+    ("circular-cell-cycle-not-returned", "pogc/friendly.py",
+     "        if isinstance(P1, Certificate):\n            return P1\n        P2 = ",
+     "        P2 = ", "tests/test_cli.py::test_extend_rep_circular_cell_cycle"),
     ("aux-view-shared-with-induced", "pogc/pog.py",
      "        return Pog._trusted(tuple(self.names[v] for v in keep), e, a)\n",
      "        Q = Pog._trusted(tuple(self.names[v] for v in keep), e, a)\n"
@@ -357,6 +367,35 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("conflict-kind-unknown-accepted", "pogc/verify.py",
      "in P.edges and steps % 2 == 0\n        return False\n",
      "in P.edges and steps % 2 == 0\n        return True\n", WALKS),
+    # guards that alone reject a certificate of the right shape
+    ("closure-cycle-on-failed-closure", "pogc/verify.py",
+     "            if isinstance(host, Certificate):\n                return False\n",
+     "            if isinstance(host, Certificate):\n                return True\n", SHAPES),
+    ("cell-neighbourhoods-may-differ", "pogc/verify.py",
+     "            if any(nb != ref for nb in closed.values()):\n                return False\n",
+     "            if any(nb != ref for nb in closed.values()):\n                return True\n",
+     SHAPES),
+    ("cycle-location-unknown-accepted", "pogc/verify.py",
+     "universal cell\n        return False\n", "universal cell\n        return True\n",
+     SHAPES),
+    ("bad-triple-on-a-non-edge", "pogc/verify.py",
+     "for p in pairs):\n            return False\n", "for p in pairs):\n            return True\n",
+     SHAPES),
+    ("bad-triple-arc-count-unchecked", "pogc/verify.py",
+     "        if oriented != 2:\n            return False\n",
+     "        if oriented != 2:\n            return True\n", SHAPES),
+    ("hole-below-four-accepted", "pogc/verify.py",
+     "        if k < 4:\n            return False\n", "        if k < 4:\n            return True\n",
+     SHAPES),
+    ("tent-of-other-than-six", "pogc/verify.py",
+     "        if len(ids) != 6:\n            return False\n",
+     "        if len(ids) != 6:\n            return True\n", SHAPES),
+    ("tent-triangle-unchecked", "pogc/verify.py",
+     "adj(q[s], q[r]):\n                    return False\n",
+     "adj(q[s], q[r]):\n                    return True\n", SHAPES),
+    ("tent-attachments-unchecked", "pogc/verify.py",
+     "% 3)):\n                    return False\n", "% 3)):\n                    return True\n",
+     SHAPES),
     # the class table's check of every answer
     ("row-accepts-unlisted-triple", "pogc/classes.py",
      "            if triple(res) not in self.refutes | self.fragment:\n",

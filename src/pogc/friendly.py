@@ -3,9 +3,12 @@
 A pog is friendly when it is consentaneous (arcs never disagree across
 the auxiliary graph) and has no bad triple.  Friendly pogs are
 completable exactly when no directed cycle sits inside a non-universal
-cell or inside a single in- or out-neighbourhood; the completion walks
-the complement components, orienting inner thick components by colour
-class and cross edges by a tournament on component representatives.
+cell or inside a single in- or out-neighbourhood.  complete_cells, which
+orients every non-universal cell, finds the cell cycles; forbidden_cycle
+finds the others.  The completion walks the complement components,
+orienting inner thick components by colour class and cross edges by a
+tournament on component representatives; each component's two sides are
+read off the aux colours.
 
 Proper circular-arc recognition and representation extension are one
 pipeline: the window's induced orientation (no arcs for recognition)
@@ -22,7 +25,7 @@ from .auxgraph import (_arc_classes, build_aux, complete_via_aux,
 from .errors import InvariantError, NotFriendlyError
 from .interval import (_orient_window, complete_to_acyclic_lt,
                        representation_from_orientation)
-from .graph import _bfs_colouring, _components, topological_order
+from .graph import _components, topological_order
 from .pog import Certificate, Pog, _is_complete, _neighbourhood_cycle, \
     _norm, find_directed_cycle
 from .rounds import _ltt_of_parts
@@ -83,17 +86,9 @@ def is_friendly(P):
 
 
 def forbidden_cycle(P):
-    """Directed cycle inside a non-universal cell or inside the in- or
-    out-neighbourhood of a vertex, as a certificate, or None."""
-    cs, universal = P.cells
-    for k, cell in enumerate(cs):
-        if k == universal or len(cell) < 3:
-            continue
-        cyc = find_directed_cycle(P, within=cell)
-        if cyc:
-            return Certificate("DirectedCycle", {
-                "cycle": [P.names[v] for v in cyc],
-                "location": {"kind": "cell"}})
+    """Directed cycle inside the in- or out-neighbourhood of a vertex,
+    as a certificate, or None.  complete_cells finds the cycles inside
+    a non-universal cell."""
     found = _neighbourhood_cycle(P)
     if found is None:
         return None
@@ -133,11 +128,10 @@ def _merge_arc_parts(P):
     oriented complete graph without a forbidden cycle."""
     if P.n == 0:
         return P
-    # arc-connectivity parts; friendliness makes each a tournament
-    A = Pog._trusted(P.names, frozenset(), P.arcs)
-    parts = A.ug_components
-    if any(len(A.adj[v]) != len(g) - 1 for g in parts for v in g):
-        raise InvariantError("arc part is not a tournament")
+    # arc-connectivity parts: every aux component of a complete pog is
+    # thin, so no triangle of a friendly one holds exactly two arcs, and
+    # each part is a tournament
+    parts = Pog._trusted(P.names, frozenset(), P.arcs).ug_components
     return _ltt_of_parts(P, parts)
 
 
@@ -158,6 +152,9 @@ def complete_friendly(P):
                         for i, j in sub.arcs)
         return Pog(P.names, frozenset(), frozenset(arcs))
 
+    P1 = complete_cells(P)  # after is_friendly, so P1 shares P's aux view
+    if isinstance(P1, Certificate):
+        return P1
     cert = forbidden_cycle(P)
     if cert is not None:
         return cert
@@ -167,9 +164,6 @@ def complete_friendly(P):
     if _is_complete(P):
         return _merge_arc_parts(P)
 
-    P1 = complete_cells(P)
-    if isinstance(P1, Certificate):
-        raise InvariantError("cell cycle escaped the forbidden scan")
     bar = complement_components(P)
     if len(bar) == 1:
         D = complete_via_aux(P1)
@@ -179,19 +173,19 @@ def complete_friendly(P):
     return _complete_split_complement(P, P1, bar)
 
 
-def _bipartition(P, comp):
-    """Bipartition of the complement restricted to comp, in comp order,
-    comp[0] on the first side."""
-    adj, colour = P.adj, [-1] * P.n
-    order, clash = _bfs_colouring(
-        lambda v: [w for w in comp if w != v and w not in adj[v]], comp[0],
-        colour, [None] * P.n)
-    if clash is not None:
-        raise InvariantError("complement component is not bipartite")
-    if len(order) != len(comp):
-        raise InvariantError("complement component fell apart")
-    return (tuple(v for v in comp if colour[v] == 0),
-            tuple(v for v in comp if colour[v] == 1))
+def _complement_sides(P, bar):
+    """The bipartition of each complement component C, in C's order and
+    C[0] on the first side, read off the aux colours: r in another
+    component is adjacent to all of C, and (r, x) ~ (r, y) for every
+    non-adjacent x, y in C."""
+    X = build_aux(P)
+    sides = []
+    for a, C in enumerate(bar):
+        r = bar[a - 1][0]
+        col = [X.colours[X.vid[r, x]] for x in C]
+        sides.append((tuple(x for x, c in zip(C, col) if c == col[0]),
+                      tuple(x for x, c in zip(C, col) if c != col[0])))
+    return sides
 
 
 def _complete_split_complement(P, P1, bar):
@@ -216,7 +210,7 @@ def _complete_split_complement(P, P1, bar):
     R = complete_friendly(K)
     if isinstance(R, Certificate):
         raise InvariantError("representative tournament hit a forbidden triangle")
-    sides = [_bipartition(P, C) for C in bar]
+    sides = _complement_sides(P, bar)
     adds = []
     for a in range(len(bar)):
         for b in range(len(bar)):

@@ -290,12 +290,13 @@ def _find_tent(G):
             a, b, c = tri[s], tri[(s + 1) % 3], tri[(s + 2) % 3]
             side.append(sorted(q for q in (G.adj[a] & G.adj[b])
                                if q not in tri and not G.adjacent(q, c)))
+        # only side[s] misses tri[s - 1], so the sides are disjoint
         for q1 in side[0]:
             for q2 in side[1]:
-                if q2 == q1 or G.adjacent(q1, q2):
+                if G.adjacent(q1, q2):
                     continue
                 for q3 in side[2]:
-                    if q3 in (q1, q2) or G.adjacent(q1, q3) or G.adjacent(q2, q3):
+                    if G.adjacent(q1, q3) or G.adjacent(q2, q3):
                         continue
                     return [t1, t2, t3, q1, q2, q3]
     return None
@@ -317,10 +318,7 @@ def complete_to_acyclic_lt(P):
                for u, v in zip(cyc, cyc[1:] + cyc[:1])):
             payload["location"] = {"kind": "closure"}
         return Certificate("DirectedCycle", payload)
-    try:
-        O = lbfs(P.underlying_graph(), arc_aware=closed)
-    except NoZeroOutdegreeStartError:
-        raise InvariantError("cycle-free closure has no sink-free start") from None
+    O = lbfs(P.underlying_graph(), arc_aware=closed)  # acyclic: it has a sink
     for u, v in closed.arcs:
         if O.pos[u] > O.pos[v]:
             raise InvariantError("search order produced a backward arc")

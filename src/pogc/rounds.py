@@ -131,21 +131,17 @@ def _check_nice(P, O):
 
 
 def _succ_map(P, comp):
-    """succ(v) = unique source of the tournament on N+(v); None when
-    d+(v) = 0, raises LookupError when no such source exists (the
-    component is then not round)."""
+    """succ(v) = the source of N+(v): the vertex there with an arc to
+    every other one; None when d+(v) = 0, raises LookupError when N+(v)
+    has no source (the component is then not round).  Two sources would
+    form a 2-cycle, so the first one found is the only one."""
     succ = {}
     for v in comp:
         out = P.out_nbrs[v]
         if not out:
             succ[v] = None
             continue
-        src = None
-        for u in out:
-            if out - {u} <= P.out_nbrs[u]:
-                if src is not None:
-                    raise LookupError
-                src = u
+        src = next((u for u in out if out - {u} <= P.out_nbrs[u]), None)
         if src is None:
             raise LookupError
         succ[v] = src

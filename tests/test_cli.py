@@ -519,6 +519,23 @@ def test_extend_rep_circular_window_misses_hub(w, capsys):
     assert got.names == want.names and got.arcs == want.arcs
 
 
+def test_extend_rep_circular_cell_cycle(w, capsys):
+    """K4 on a, b, c, d with a pendant edge d e: a, b, c are a cell that
+    is not universal, and a window that orients it as a directed
+    triangle is refuted by the cell-cycle search of complete_cells."""
+    graph = ("edge a b\nedge a c\nedge a d\nedge b c\nedge b d\nedge c d\n"
+             "edge d e\n")
+    window = "ca a 0 2 6\nca b 2 4 6\nca c 4 0 6\n"
+    assert run(["extend-rep", "--kind", "circular", w("g", graph),
+                w("p", window)]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"tag": "DirectedCycle", "payload": {
+        "cycle": ["a", "b", "c"], "location": {"kind": "cell"}}}
+    Q = _window_pog(parse_pog(graph), parse_representation(window))
+    assert run(["verify-cert", w("q", render_pog(Q)), w("cert", out)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
 def test_extend_rep_unknown_vertex(w, capsys):
     g = w("g", C4)
     for kind, line in (("interval", "iv zz 0 1\n"), ("circular", "ca zz 0 1 8\n")):
@@ -980,6 +997,52 @@ def test_verify_cert_hostile_aux_walks(w, capsys):
         {"kind": "unoriented_mate", "walk": [["b", "a"], ["b", "c"]]},  # odd
         {"kind": "odd_pair", "walk": [["b", "a"], ["b", "c"], ["c", "b"]]},
     ]) == ["valid", "invalid", "invalid"]
+
+
+def test_verify_cert_hostile_shapes(w, capsys):
+    """Certificates of the right shape that one guard alone rejects: a
+    closure cycle of a pog whose closure fails, a cell whose members'
+    closed neighbourhoods differ, a location of no known kind, a bad
+    triple on a non-edge or with one or three arcs, a hole of three
+    vertices, a tent of seven, and tents whose triangle, independent
+    side or attachments are wrong.  The first payload of each pog is
+    valid."""
+    cycle = "arc a b\narc b c\narc c a\n"
+    assert _verdicts(w, capsys, cycle + "edge c d\n", "DirectedCycle", [
+        {"cycle": ["a", "b", "c"]},
+        {"cycle": ["a", "b", "c"], "location": {"kind": "cell"}},     # d sees c only
+        {"cycle": ["a", "b", "c"], "location": {"kind": "sideways"}},
+    ]) == ["valid", "invalid", "invalid"]
+    # b's two out-arcs take two colours, so the closure fails
+    assert _verdicts(w, capsys, "arc b a\narc b c\n", "DirectedCycle", [
+        {"cycle": ["a", "b", "c"], "location": {"kind": "closure"}},
+    ]) == ["invalid"]
+    for text, verdict in (("arc a b\narc b c\nedge a c\n", "valid"),
+                          ("arc a b\narc b c\n", "invalid"),            # a, c apart
+                          ("arc a b\nedge b c\nedge a c\n", "invalid"),  # one arc
+                          ("arc a b\narc b c\narc a c\n", "invalid")):   # three
+        assert _verdicts(w, capsys, text, "BadTriple",
+                         [{"triple": ["a", "b", "c"]}]) == [verdict], text
+    c4 = "edge a b\nedge b c\nedge c d\nedge d a\n"
+    assert _verdicts(w, capsys, c4 + "edge x y\nedge y z\nedge x z\n", "NotChordal", [
+        {"kind": "hole", "vertices": ["a", "b", "c", "d"]},
+        {"kind": "hole", "vertices": ["x", "y", "z"]},
+    ]) == ["valid", "invalid"]
+    tent = "edge a b\nedge b c\nedge a c\nedge x a\nedge x b\nedge y b\n" \
+           "edge y c\nedge z c\nedge z a\n"
+    order = ["a", "b", "c", "x", "y", "z"]
+    assert _verdicts(w, capsys, tent, "NotChordal", [
+        {"kind": "tent", "vertices": order},
+        {"kind": "tent", "vertices": ["a", "b", "y", "c", "x", "z"]},  # a, y apart
+        {"kind": "tent", "vertices": ["a", "b", "c", "y", "z", "x"]},  # rotated
+    ]) == ["valid", "invalid", "invalid"]
+    assert _verdicts(w, capsys, tent + "edge x y\n", "NotChordal", [
+        {"kind": "tent", "vertices": order},                           # x, y adjacent
+    ]) == ["invalid"]
+    assert _verdicts(w, capsys, tent + "v u\n", "NotChordal", [
+        {"kind": "tent", "vertices": order},
+        {"kind": "tent", "vertices": order + ["u"]},                   # seven
+    ]) == ["valid", "invalid"]
 
 
 def test_verify_cert_long_aux_walks_are_fast(w, capsys):

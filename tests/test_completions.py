@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 from pogc import classes, completions
 from pogc.classes import ROWS
@@ -929,3 +930,48 @@ def test_k_arc_strong_matches_all_pairs_definition():
             assert is_k_arc_strong(D, k) == want, (sorted(arcs), k)
             verdicts.add((k, want))
     assert verdicts == {(k, b) for k in (1, 2, 3) for b in (True, False)}
+
+
+def _strong_without(n, arcs):
+    """True when the digraph on n vertices with these arcs is strong:
+    every vertex reached from vertex 0 and reaching it."""
+    for pairs in (arcs, [(j, i) for i, j in arcs]):
+        seen, todo = {0}, [0]
+        while todo:
+            v = todo.pop()
+            for i, j in pairs:
+                if i == v and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        if len(seen) < n:
+            return False
+    return True
+
+
+def test_k_arc_strong_matches_arc_deletion():
+    """is_k_arc_strong against its definition: D stays strong after any
+    fewer than k of its arcs are deleted, on random digraphs and on a
+    gadget where the flow search sends flow back along a used arc."""
+    rng = random.Random(43)
+    digraphs = []
+    for _ in range(250):
+        n, p = rng.randint(2, 7), rng.choice((0.8, 1.0))
+        digraphs.append((n, sorted((i, j) if rng.random() < 0.5 else (j, i)
+                                   for i, j in itertools.combinations(range(n), 2)
+                                   if rng.random() < p)))
+    # the first flow, from 0 to 1, takes the path 0 2 3 1, which blocks
+    # the two others; the second path 0 4 3 2 5 1 runs back along (2, 3).
+    # The spare arcs, out of 1 or into 0, lie on no path from 0 to 1.
+    gadget = [(0, 2), (2, 3), (3, 1), (0, 4), (4, 3), (2, 5), (5, 1)]
+    spare = [(1, 0), (1, 2), (1, 4), (3, 0), (5, 0)]
+    digraphs += [(6, gadget + [a for t, a in enumerate(spare) if mask >> t & 1])
+                 for mask in range(1 << len(spare))]
+    verdicts = Counter()
+    for n, arcs in digraphs:
+        D = Pog(names(n), frozenset(), frozenset(arcs))
+        for k in (1, 2, 3):
+            want = all(_strong_without(n, [a for a in arcs if a not in cut])
+                       for r in range(k) for cut in itertools.combinations(arcs, r))
+            assert is_k_arc_strong(D, k) == want, (arcs, k)
+            verdicts[k, want] += 1
+    assert min(verdicts[k, b] for k in (1, 2) for b in (True, False)) >= 5, verdicts

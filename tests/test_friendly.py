@@ -6,8 +6,8 @@ from collections import Counter, deque
 
 from pogc import friendly
 from pogc.auxgraph import aux_adjacent, build_aux
-from pogc.errors import InvariantError
-from pogc.friendly import (_bipartition, bad_triples, complement_components,
+from pogc.errors import InvariantError, NotFriendlyError
+from pogc.friendly import (bad_triples, complement_components,
                            complete_cells, complete_friendly,
                            extend_circular_arc_representation,
                            forbidden_cycle, is_friendly)
@@ -77,32 +77,39 @@ def _old_bipartition(P, comp, anchor):
             tuple(v for v in comp if colour[v] == 1))
 
 
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except InvariantError as exc:
-        return str(exc)
-
-
-def test_bipartition_and_bad_triples_match_their_old_loops():
+def test_bipartition_and_bad_triples_match_their_old_loops(monkeypatch):
+    """bad_triples against the triangle scan, and the sides of every
+    complement component that the split path reads off the aux colours
+    against the complement's own BFS, on at least 1,000 pogs that reach
+    that path."""
     rng = random.Random(71)
     corpus = [P for n in range(1, 5) for P in all_pogs(n)]
     corpus += [random_pog(rng, rng.randint(1, 9), p_adj=rng.choice((0.4, 0.7, 0.9)))
                for _ in range(400)]
-    outcomes, bad = set(), 0
+    # graphs and dense pogs with few arcs: friendly, with split complements
+    corpus += list(all_graphs(5))
+    corpus += [random_pog(rng, rng.randint(4, 8), p_adj=0.75, p_arc=0.05)
+               for _ in range(2000)]
+    split, real = [], friendly._complement_sides
+
+    def checked(P, bar):
+        sides = real(P, bar)
+        assert sides == [_old_bipartition(P, C, C[0]) for C in bar], (P, bar)
+        split.append(P)
+        return sides
+
+    monkeypatch.setattr(friendly, "_complement_sides", checked)
+    bad = 0
     for P in corpus:
         got = bad_triples(P)
         assert got == bad_triples_reference(P)
         bad += bool(got)
-        # complement components, and vertex sets that are not one
-        parts = complement_components(P)
-        parts += [sorted(rng.sample(range(P.n), rng.randint(1, P.n))) for _ in range(2)]
-        for C in parts:
-            got = _outcome(_bipartition, P, C)
-            assert got == _outcome(_old_bipartition, P, C, C[0]), (P, C)
-            outcomes.add(got if isinstance(got, str) else "ok")
-    assert len(outcomes) == 3  # bipartite, not bipartite, fell apart
+        try:
+            complete_friendly(P)
+        except NotFriendlyError:
+            pass
     assert 0 < bad < len(corpus)
+    assert len(split) >= 1000, len(split)
 
 
 def test_bad_triples_from_arc_pairs_match_the_triangle_scan(monkeypatch):
@@ -242,9 +249,10 @@ def _with_twins(rng, Q, k):
 
 
 def test_forbidden_cycle_matches_reference():
-    """Certificates equal to those of the cycle search on every cell and
-    hood: on every pog of at most 4 vertices and on random pogs with a
-    planted cell of 3 to 5 twins."""
+    """complete_cells' certificate, else forbidden_cycle's, equals the
+    cycle search on every cell and then on every hood: on every pog of
+    at most 4 vertices and on random pogs with a planted cell of 3 to 5
+    twins."""
     rng = random.Random(73)
     pogs = [P for n in range(5) for P in all_pogs(n)]
     for _ in range(1500):
@@ -254,7 +262,10 @@ def test_forbidden_cycle_matches_reference():
     kinds = Counter()
     for P in pogs:
         want = forbidden_cycle_reference(P)
-        assert forbidden_cycle(P) == want, P
+        got = complete_cells(P)
+        if not isinstance(got, Certificate):
+            got = forbidden_cycle(P)
+        assert got == want, P
         kinds[want and want.payload["location"]["kind"]] += 1
     assert set(kinds) == {None, "cell", "out", "in"}
     assert min(kinds.values()) >= 100, kinds

@@ -7,7 +7,7 @@ import pytest
 
 from pogc.errors import (NotInClassError, NotSatisfyingError, ParseError,
                          SizeGuardError, UnsupportedInstanceError)
-from pogc.hardness import (CnfFormula, assignment_to_ordering,
+from pogc.hardness import (CnfFormula, _assignments_near, assignment_to_ordering,
                            build_reduction, exact_complete, gadget,
                            orient_by_assignment, parse_dimacs, render_dimacs)
 from pogc.pog import Ordering, Pog, classify
@@ -367,3 +367,14 @@ def test_excellent_implies_nice_orderable():
             continue
         assert search_nice_ordering(P) is not None
         done += 1
+
+
+def test_assignments_near_beyond_16_variables():
+    """Past 16 variables only single and then double flips are tried:
+    the assignment itself, then each variable flipped, then each pair,
+    in lexicographic order of the flipped variables."""
+    t = {v: v % 3 == 0 for v in range(1, 18)}
+    flips = [()] + list(itertools.combinations(range(1, 18), 1)) \
+        + list(itertools.combinations(range(1, 18), 2))
+    assert list(_assignments_near(t, 17)) == [
+        {v: t[v] != (v in f) for v in t} for f in flips]

@@ -1,5 +1,6 @@
 """LBFS, elimination orderings, acyclic completions, representations."""
 
+import itertools
 import json
 import random
 import re
@@ -219,6 +220,43 @@ def test_claw_and_net_have_no_local_tournament_orientation():
     assert not any(classify(D).local_tournament for D in orientations(_CLAW))
     assert not any(classify(D).local_tournament for D in orientations(_NET))
     assert any(classify(D).local_tournament for D in orientations(_TENT))
+
+
+def _is_tent(G, vs):
+    """vs = t0 t1 t2 q0 q1 q2 spans a tent: the t's a triangle, the q's
+    independent, and q[s] adjacent to t[s] and t[s + 1] only."""
+    t, q = vs[:3], vs[3:]
+    return all(G.adjacent(t[s], t[r]) and not G.adjacent(q[s], q[r])
+               for s, r in itertools.combinations(range(3), 2)) \
+        and all(G.adjacent(q[s], t[r]) == (r in (s, (s + 1) % 3))
+                for s in range(3) for r in range(3))
+
+
+def test_find_tent_matches_brute_force():
+    """_find_tent finds an induced tent exactly when a search of every
+    triangle and every ordered triple of other vertices does, and what
+    it returns is a tent.  The graphs are the tent with random edges
+    between its outer vertices and up to two random extra vertices, so
+    the search meets outer candidates that see each other."""
+    rng = random.Random(47)
+    tent = sorted(tuple(sorted(e)) for e in _TENT.edges)
+    found = Counter()
+    for _ in range(300):
+        n = 6 + rng.randint(0, 2)
+        edges = set(tent)
+        edges.update(e for e in itertools.combinations(range(n), 2)
+                     if (e[1] >= 6 and rng.random() < 0.5)
+                     or (e[0] >= 3 and e[1] < 6 and rng.random() < 0.3))
+        G = Pog(names(n), frozenset(edges), frozenset())
+        got = pogc.interval._find_tent(G)
+        want = any(_is_tent(G, tri + q)
+                   for tri in itertools.combinations(range(n), 3)
+                   for q in itertools.permutations(
+                       [v for v in range(n) if v not in tri], 3))
+        assert (got is not None) == want, sorted(edges)
+        assert got is None or _is_tent(G, tuple(got))
+        found[want] += 1
+    assert min(found.values()) >= 50, found
 
 
 def test_small_graphs_with_coloured_aux_have_no_claw_or_net():

@@ -13,18 +13,19 @@ import pytest
 
 from pogc import cli, hardness
 from pogc import pog as pog_module
-from pogc.auxgraph import AuxGraph, build_aux
+from pogc.auxgraph import AuxGraph, aux_adjacent, build_aux
 from pogc.classes import ROWS
+from pogc.completions import is_k_arc_strong
 from pogc.errors import InvariantError, ParseError, PogError, RepresentationError
 from pogc.graph import _matching, topological_order
 from pogc.hardness import (CnfFormula, ReductionInstance, build_reduction,
                            orient_by_assignment)
-from pogc.interval import Representation
+from pogc.interval import Representation, representation_from_orientation
 from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _is_complete,
                       _neighbourhood_cycle, _neighbourhoods, classify,
                       complete_closure, find_directed_cycle, parse_ordering,
-                      parse_pog, render_pog)
-from pogc.rounds import MoonDecomposition, moon_decompose
+                      parse_pog, render_pog, require_oriented)
+from pogc.rounds import MoonDecomposition, check_ordering, moon_decompose
 from pogc.verify import verify_certificate
 from util import (all_graphs, all_pogs, directed_cycle_reference, names,
                   neighbourhood_cycle_reference, parse_pog_reference,
@@ -945,6 +946,36 @@ def test_record_validation_errors():
     P = Pog._trusted(("a", "a"), frozenset(), frozenset({(0, 0)}))
     assert P.__dict__ == {"names": ("a", "a"), "edges": frozenset(),
                           "arcs": frozenset({(0, 0)})}
+
+
+def test_library_input_errors():
+    """Each library entry point refuses input outside its domain with
+    the error it documents, before any work."""
+    P = Pog.build(("a", "b", "c"), edges=[("a", "b")], arcs=[("b", "c")])
+    cases = [
+        (InvariantError, "bad arc", lambda: Pog(("a", "b"), frozenset(),
+                                                frozenset({(0, 0)}))),
+        (InvariantError, "unknown vertex 'z'",
+         lambda: Pog.build(("a",), edges=[("a", "z")])),
+        (InvariantError, "cannot orient non-edge a,c", lambda: P.orient([(0, 2)])),
+        (InvariantError, "unoriented edge a,b", lambda: require_oriented(P)),
+        (ValueError, "unknown ordering kind", lambda: check_ordering(
+            P, Ordering("linear", (0, 1, 2)), "bogus")),
+        (InvariantError, "does not cover", lambda: check_ordering(
+            P, Ordering("linear", (0, 1)), "nice")),
+        (ValueError, "unknown aux mode",
+         lambda: aux_adjacent(P, (0, 1), (1, 2), "bogus")),
+        (ParseError, "non-zero", lambda: CnfFormula(3, ((1, 0, 2),))),
+        (ValueError, "unknown format", lambda: render_pog(P, "bogus")),
+        (ValueError, "k must be positive", lambda: is_k_arc_strong(
+            Pog(("a",), frozenset(), frozenset()), 0)),
+        (ValueError, "unknown gadget kind", lambda: hardness.gadget("bogus")),
+        (ValueError, "kind must be interval or circular",
+         lambda: representation_from_orientation(P.orient([(0, 1)]), "bogus")),
+    ]
+    for error, message, call in cases:
+        with pytest.raises(error, match=message):
+            call()
 
 
 def test_import_generates_no_code():
