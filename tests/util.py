@@ -542,8 +542,9 @@ def neighbourhood_cycle_reference(P):
 
 
 def forbidden_cycle_reference(P):
-    """pogc.friendly.forbidden_cycle with a cycle search on every
-    non-universal cell of 3 or more vertices and on every hood."""
+    """The certificate of pogc.friendly.complete_cells(P), else of
+    pogc.friendly.forbidden_cycle(P): a cycle search on every
+    non-universal cell of 3 or more vertices, then on every hood."""
     cs, universal = P.cells
     for k, cell in enumerate(cs):
         if k == universal or len(cell) < 3:
