@@ -124,19 +124,22 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("trusted-shares-out-nbrs", "pogc/pog.py",
      '"_aux"})', '"_aux", "out_nbrs"})',
      "tests/test_pog.py::test_derived_pogs_share_underlying_graph_views"),
+    # each leaf keeps its input's open edges, as a pog built like the
+    # input would
     ("excellent-leaves-like-input", "pogc/hardness.py",
-     "a, like=closed)", "a, like=P)",
+     "P.names, frozenset(),\n                             P.arcs | frozenset(chosen)",
+     "P.names, P.edges,\n                             P.arcs | frozenset(chosen)",
      "tests/test_hardness.py::test_exact_excellent_vs_brute_force"),
     ("tournament-degree-off-by-one", "pogc/pog.py",
      "len(P.arcs) == P.n * (P.n - 1) // 2",
      "len(P.arcs) >= P.n * (P.n - 1) // 2 - 1",
      "tests/test_pog.py::test_lazy_report_matches_eager_reference"),
     ("hoods-skipped-below-4", "pogc/pog.py",
-     "if len(hood) > 2 and _cyclic_core(P, hood):",
-     "if len(hood) > 3 and _cyclic_core(P, hood):", HOODS),
+     "if len(hood) > 2 and (core := _cyclic_core(P, hood)):",
+     "if len(hood) > 3 and (core := _cyclic_core(P, hood)):", HOODS),
     ("hood-in-side-dropped", "pogc/pog.py",
-     "if len(hood) > 2 and _cyclic_core(P, hood):",
-     'if side == "out" and len(hood) > 2 and _cyclic_core(P, hood):',
+     "if len(hood) > 2 and (core := _cyclic_core(P, hood)):",
+     'if side == "out" and len(hood) > 2 and (core := _cyclic_core(P, hood)):',
      HOODS),
     ("clique-test-loosened", "pogc/pog.py",
      "    k = len(S) - 1\n    return all(len(P.adj[x] & S) == k for x in S)",
@@ -249,6 +252,17 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("relaxation-edges-one-way", "pogc/completions.py",
      "        succ[i].add(j)\n        succ[j].add(i)\n",
      "        succ[i].add(j)\n", CYCLE_FACTOR),
+    # the matching refutes only at the root and at the leaves: the
+    # search tries every orientation, 2^20 on the disjoint edges
+    ("cycle-factor-prune-dropped", "pogc/completions.py",
+     "        if hall is not None or not k:\n",
+     "        if not k or hall is not None and k == len(edges):\n",
+     "tests/test_cli.py::test_cycle_factor_disjoint_edges_are_exhausted_fast"),
+    # each edge tried backwards first: a completion still, but not the
+    # first in mask order
+    ("cycle-factor-reverse-first", "pogc/completions.py",
+     "(edges[k - 1], edges[k - 1][::-1])", "(edges[k - 1][::-1], edges[k - 1])",
+     CYCLE_FACTOR),
     ("in-tournament-arc-successor-dropped", "pogc/completions.py",
      "        out = [k ^ 1] if (q, p) in arcs else []\n",
      "        out = []\n", IN_TOURNAMENT),

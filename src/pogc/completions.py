@@ -4,10 +4,9 @@ Transitive tournaments reduce to acyclicity, in-tournaments to 2-SAT
 over edge orientations, strong completions to one lowpoint DFS of the
 bidirected relaxation, which decides Boesch-Tindell's strongness and
 bridge tests and orients every edge (Chung-Garey-Tarjan).
-Cycle factors match out-copies to in-copies (`graph._matching`): a
-completion is refuted by a Hall set of its relaxation, in which arcs
-are usable one way and edges both ways, and only a relaxation that
-matches goes on to a bounded exhaustive search over edge orientations.
+Cycle factors match out-copies to in-copies (`graph._matching`) in the
+relaxation, arcs one way and edges both ways, at every branch of a
+bounded search over edge orientations; a Hall set refutes a completion.
 """
 
 from __future__ import annotations
@@ -227,11 +226,10 @@ def find_cycle_factor(D):
 
 
 def _doubled(P):
-    """Successor sets of P with every edge doubled: the digraph whose
-    arcs are P's arcs and both directions of each of P's edges.  Only
-    the sets an edge extends are copies; the rest are P.out_nbrs' own,
-    which iterate as their set copies do (each is a frozenset copy of a
-    set), so the matching meets neighbours in the same order."""
+    """Successor sets of P's arcs and both directions of each edge.  The
+    sets an edge extends are copies; the rest are P.out_nbrs' own, which
+    iterate as their set copies do (each is a frozenset copy of a set),
+    so the matching meets neighbours in the same order."""
     succ = list(P.out_nbrs)
     for v in {v for e in P.edges for v in e}:
         succ[v] = set(succ[v])
@@ -242,34 +240,36 @@ def _doubled(P):
 
 
 def complete_to_cycle_factor_bruteforce(P):
-    """First completion (in lexicographic orientation order) with a
-    directed cycle factor, or a certificate.  A cycle factor of any
-    completion matches every out-copy to an in-copy in the relaxation
-    `_doubled(P)`, so when that matching fails its Hall set refutes P;
-    otherwise a pog without edges is its own completion, and the rest go
-    to an exhaustive search over edge orientations."""
-    hall = _matching(range(P.n), _doubled(P).__getitem__)[1]
-    if hall is not None:
-        return Certificate("NoCompletion", {
-            "kind": "hall", "target": "cycle_factor",
-            "set": [P.names[v] for v in hall]})
-    if not P.edges:
-        return P
-    edges = sorted(P.edges)
-    if len(edges) > MAX_CYCLE_FACTOR_EDGES:
-        raise SizeGuardError("MAX_CYCLE_FACTOR_EDGES", MAX_CYCLE_FACTOR_EDGES,
-                             len(edges), "unoriented edges")
-    for mask in range(1 << len(edges)):
-        arcs = [(u, v) if not (mask >> k) & 1 else (v, u)
-                for k, (u, v) in enumerate(edges)]
-        # one successor list per mask; a pog only for the completion found
-        succ = [list(s) for s in P.out_nbrs]
-        for u, v in arcs:
-            succ[u].append(v)
-        if _matching(range(P.n), succ.__getitem__)[1] is None:
-            return P.orient(arcs)
-    return Certificate("NoCompletion", {"kind": "exhausted",
-                                        "target": "cycle_factor"})
+    """First completion with a directed cycle factor in mask order (bit
+    k set: sorted edge k backwards), or a certificate.  Depth first, last
+    edge first and forwards first, the search takes each chosen
+    direction's reverse out of the relaxation `_doubled`, which a cycle
+    factor below matches, and prunes where it has no perfect matching:
+    a Hall set at the root refutes P; at a leaf it is the completion."""
+    succ, edges = _doubled(P), sorted(P.edges)
+
+    def search(k):  # None once succ is a completion's, edges[:k] open
+        hall = _matching(range(P.n), succ.__getitem__)[1]
+        if hall is not None or not k:
+            return hall
+        if k > MAX_CYCLE_FACTOR_EDGES:  # only at the root
+            raise SizeGuardError("MAX_CYCLE_FACTOR_EDGES",
+                                 MAX_CYCLE_FACTOR_EDGES, k, "unoriented edges")
+        for u, v in (edges[k - 1], edges[k - 1][::-1]):
+            succ[v].discard(u)
+            if search(k - 1) is None:
+                return None
+            succ[v].add(u)
+        return ()
+
+    hall = search(len(edges))
+    if hall is None:
+        return P.orient([(u, v) if v in succ[u] else (v, u)
+                         for u, v in edges]) if edges else P
+    pay = {"kind": "hall" if hall else "exhausted", "target": "cycle_factor"}
+    if hall:
+        pay["set"] = [P.names[v] for v in hall]
+    return Certificate("NoCompletion", pay)
 
 
 def is_k_arc_strong(D, k):

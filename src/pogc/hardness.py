@@ -49,11 +49,8 @@ class CnfFormula(_Record):
 
 
 def as_assignment(t, n_vars):
-    """Normalise a sequence or mapping into {1..n: bool}."""
-    if isinstance(t, dict):
-        out = {int(k): bool(v) for k, v in t.items()}
-    else:
-        out = {i + 1: bool(v) for i, v in enumerate(t)}
+    """Normalise a mapping into {1..n: bool}."""
+    out = {int(k): bool(v) for k, v in t.items()}
     if sorted(out) != list(range(1, n_vars + 1)):
         raise NotSatisfyingError("assignment must cover variables 1..%d"
                                  % n_vars)
@@ -401,28 +398,20 @@ def _assignments_near(t, n):
 
 def _search_completions(P, want_all):
     """All locally transitive tournament completions of P (only the
-    first unless `want_all`), as sorted arc frozensets.  Exhaustive
-    backtracking, most-constrained edge first.  A leaf is kept when it
-    has a round ordering (`rounds._ltt_ordering`): the round tournaments
-    are the locally transitive ones, and the runs of twins of that
-    ordering are their Moon parts."""
-    if not _is_complete(P):
+    first unless `want_all`), as (arc frozenset, round ordering) pairs
+    sorted by their sorted arcs.  Exhaustive backtracking, most
+    constrained edge first.  Every pair is adjacent, so each completion
+    is a tournament, locally transitive when no neighbourhood holds a
+    directed cycle: P's arcs are tested once, and a chosen arc is
+    pruned when it closes a directed triangle inside a neighbourhood.
+    So every leaf is locally transitive, or round (Huang), and has a
+    round ordering (`rounds._ltt_ordering`), whose runs of twins are
+    its Moon parts."""
+    if not _is_complete(P) or _neighbourhood_cycle(P) is not None:
         return []
     n = P.n
     out = [set(P.out_nbrs[v]) for v in range(n)]
     inn = [set(P.in_nbrs[v]) for v in range(n)]
-
-    # every pair is adjacent, so each orientation is a local tournament
-    # and an arc is pruned only when it closes a directed triangle
-    # inside a neighbourhood
-    for u, v in P.arcs:
-        out[u].discard(v)
-        inn[v].discard(u)
-        if _triangle_in_neighbourhood(out, inn, u, v):
-            return []
-        out[u].add(v)
-        inn[v].add(u)
-
     edges = sorted(P.edges)
     found = []
     chosen = []
@@ -437,10 +426,11 @@ def _search_completions(P, want_all):
         if len(chosen) == len(edges):
             D = Pog._trusted(P.names, frozenset(),
                              P.arcs | frozenset(chosen), like=P)
-            if _ltt_ordering(D) is not None:
-                found.append(frozenset(D.arcs))
-                return not want_all
-            return False
+            O = _ltt_ordering(D)
+            if O is None:
+                raise InvariantError("an ltt search leaf is not round")
+            found.append((D.arcs, O))
+            return not want_all
         k = pick()
         i, j = edges[k]
         edges[k] = None
@@ -460,7 +450,7 @@ def _search_completions(P, want_all):
         return False
 
     rec()
-    return sorted(found, key=lambda a: sorted(a))
+    return sorted(found, key=lambda f: sorted(f[0]))
 
 
 def _triangle_in_neighbourhood(out, inn, u, v):
@@ -501,8 +491,8 @@ def exact_complete(P, target, enumerate_all=False):
     if len(P.edges) > MAX_SEARCH_EDGES:
         raise SizeGuardError("MAX_SEARCH_EDGES", MAX_SEARCH_EDGES,
                              len(P.edges), "unoriented edges")
-    arcsets = _search_completions(P, enumerate_all)
-    sols = [Pog._trusted(P.names, frozenset(), a, like=P) for a in arcsets]
+    found = _search_completions(P, enumerate_all)
+    sols = [Pog._trusted(P.names, frozenset(), a, like=P) for a, _ in found]
     if enumerate_all:
         return sols
     return sols[0] if sols else None
@@ -513,13 +503,9 @@ def _excellent_search(P, enumerate_all):
     if P.n > MAX_EXCELLENT_VERTICES:
         raise SizeGuardError("MAX_EXCELLENT_VERTICES", MAX_EXCELLENT_VERTICES,
                              P.n, "vertices")
-    closed = complete_closure(P)
-    arcsets = _search_completions(closed, enumerate_all)
     orderings = []
     seen = set()
-    for a in arcsets:
-        T = Pog._trusted(P.names, frozenset(), a, like=closed)
-        O = _ltt_ordering(T)    # not None: the leaf check found it
+    for _, O in _search_completions(complete_closure(P), enumerate_all):
         ok, wit = check_ordering(P, O, "excellent")
         if not ok:
             raise InvariantError("derived ordering is not excellent: %r"

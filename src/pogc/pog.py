@@ -482,13 +482,16 @@ def render_ordering(O, P):
 
 def find_directed_cycle(P, within=None):
     """Return a directed cycle of the arc digraph as a vertex list, or
-    None.  `within` restricts to an induced vertex subset.  Each vertex
-    that `_cyclic_core` leaves has a successor among them, so the walk
-    from the smallest, each step to the smallest out-neighbour among
-    them, repeats a vertex; the cycle runs from there."""
+    None.  `within` restricts to an induced vertex subset."""
     core = _cyclic_core(P, frozenset(range(P.n) if within is None else within))
-    if not core:
-        return None
+    return _core_cycle(P, core) if core else None
+
+
+def _core_cycle(P, core):
+    """A directed cycle through a non-empty `_cyclic_core`.  Each of its
+    vertices has a successor in it, so the walk from the smallest, each
+    step to the smallest out-neighbour in it, repeats a vertex; the
+    cycle runs from there."""
     out, at, walk = P.out_nbrs, {}, []
     v = min(core)
     while v not in at:
@@ -563,10 +566,10 @@ def _neighbourhood_cycle(P):
     """The first directed cycle inside an out- or in-neighbourhood (in
     _neighbourhoods order) as (cycle, v, side), or None.  A pog has no
     loops or 2-cycles, so only hoods of 3 or more vertices are peeled;
-    the cycle search runs only on the first hood that fails."""
+    the cycle is walked only in the core of the first hood that fails."""
     for v, side, hood in _neighbourhoods(P):
-        if len(hood) > 2 and _cyclic_core(P, hood):
-            return find_directed_cycle(P, within=hood), v, side
+        if len(hood) > 2 and (core := _cyclic_core(P, hood)):
+            return _core_cycle(P, core), v, side
     return None
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line tests: exit codes, certificates, JSON output."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -166,6 +167,26 @@ def test_cycle_factor_star_is_refuted_fast(w, capsys):
         assert run(["verify-cert", g, w("cert", cert)]) == 0
         assert time.perf_counter() - t0 < 2, k
         assert capsys.readouterr().out.strip() == "valid"
+
+
+def test_cycle_factor_disjoint_edges_are_exhausted_fast(w, capsys):
+    # 20 disjoint edges: the relaxation matches each edge's ends to each
+    # other, but every orientation leaves a vertex with no successor.
+    # Trying all 2^20 orientations took about 18 s for complete and
+    # again for verify-cert; the matching at each branch prunes both
+    # orientations of the first edge the search orients
+    g = w("g", "".join("edge a%d b%d\n" % (t, t) for t in range(20)))
+    t0 = time.perf_counter()
+    assert run(["complete", "--class", "cycle-factor", g]) == 1
+    cert = capsys.readouterr().out
+    assert time.perf_counter() - t0 < 2
+    got = Certificate.from_json(cert)
+    assert (got.tag, got.payload) == (
+        "NoCompletion", {"kind": "exhausted", "target": "cycle_factor"})
+    t0 = time.perf_counter()
+    assert run(["verify-cert", g, w("cert", cert)]) == 0
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr().out.strip() == "valid"
 
 
 def test_verify_cert_hostile_hall_sets(w, capsys):
@@ -1069,3 +1090,24 @@ def test_verify_cert_long_aux_walks_are_fast(w, capsys):
     assert _verdicts(w, capsys, text, "OrientationConflict", [
         {"kind": "odd_pair", "walk": walk}, {"kind": "odd_pair", "walk": spoilt},
         {"kind": "unoriented_mate", "walk": walk}], 2.0) == ["valid"] + ["invalid"] * 2
+
+
+# -- golden bytes ------------------------------------------------------------------
+
+
+def test_cli_bytes_match_the_parity_digest():
+    """The first 2,000 commands of bench/parity.py's seeded corpus (every
+    class of the table plain and with --json, extend-rep, check-ordering,
+    reduce-3sat), with the verify-cert of each refutation, hash to the
+    SHA-256 in tests/parity.sha256: any change to their exit codes,
+    stdout or stderr shows, and `bench/parity.py OLD NEW` names it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "parity", os.path.join(root, "bench", "parity.py"))
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    with open(os.path.join(root, "tests", "parity.sha256")) as fh:
+        want = fh.read().split()[0]
+    t0 = time.perf_counter()
+    assert parity.digest(2000) == want
+    assert time.perf_counter() - t0 < 5

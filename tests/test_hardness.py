@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from pogc.errors import (NotInClassError, NotSatisfyingError, ParseError,
-                         SizeGuardError, UnsupportedInstanceError)
+import pogc.hardness
+from pogc.errors import (InvariantError, NotInClassError, NotSatisfyingError,
+                         ParseError, SizeGuardError, UnsupportedInstanceError)
 from pogc.hardness import (CnfFormula, _assignments_near, assignment_to_ordering,
                            build_reduction, exact_complete, gadget,
                            orient_by_assignment, parse_dimacs, render_dimacs)
@@ -284,6 +285,54 @@ def test_exact_excellent_vs_brute_force():
         assert (got is not None) == want, P.arcs
         if got is not None:
             assert check_ordering(P, got, "excellent")[0]
+
+
+def test_ltt_search_leaf_without_round_ordering_is_an_internal_error(monkeypatch):
+    """The triangle prune is exact, so every leaf has a round ordering;
+    a leaf without one is a bug, raised, never a silent rejection."""
+    P = gadget("X")
+    assert len(exact_complete(P, "ltt", enumerate_all=True)) == 2
+    monkeypatch.setattr(pogc.hardness, "_ltt_ordering", lambda T: None)
+    with pytest.raises(InvariantError, match="^an ltt search leaf is not round$"):
+        exact_complete(P, "ltt")
+
+
+def _oriented_graphs(n, up_to_isomorphism=False):
+    """Every labelled oriented graph on n vertices, or the first of each
+    isomorphism class in that order: each pair is non-adjacent or an arc
+    either way."""
+    pairs = list(itertools.combinations(range(n), 2))
+    seen = set()
+    for choice in itertools.product(range(3), repeat=len(pairs)):
+        arcs = frozenset((i, j) if c == 1 else (j, i)
+                         for c, (i, j) in zip(choice, pairs) if c)
+        if up_to_isomorphism:
+            if arcs in seen:
+                continue
+            seen.update(frozenset((p[i], p[j]) for i, j in arcs)
+                        for p in itertools.permutations(range(n)))
+        yield Pog(names(n), frozenset(), arcs)
+
+
+def test_exact_excellent_enumerates_distinct_excellent_orderings():
+    """enumerate_all returns distinct excellent orderings, none exactly
+    when the single search finds none, and else the one it finds among
+    them: on every oriented graph with at
+    most 4 vertices and one of each isomorphism class on 5 (582)."""
+    corpus = [D for n in range(5) for D in _oriented_graphs(n)]
+    five = list(_oriented_graphs(5, up_to_isomorphism=True))
+    assert len(five) == 582
+    verdicts = {True: 0, False: 0}
+    for D in corpus + five:
+        got = exact_complete(D, "excellent_ordering", enumerate_all=True)
+        for O in got:
+            assert check_ordering(D, O, "excellent")[0], (D.arcs, O)
+        assert len({O.seq for O in got}) == len(got), D.arcs
+        first = exact_complete(D, "excellent_ordering")
+        assert (first is None) == (not got), D.arcs
+        assert first is None or first in got
+        verdicts[bool(got)] += 1
+    assert min(verdicts.values()) >= 50, verdicts
 
 
 def _brute_excellent(P):

@@ -1189,33 +1189,51 @@ def test_neighbourhood_checks_match_reference():
 
 
 def test_report_reads_only_what_it_asks_for(monkeypatch):
-    calls = []
+    """Each check runs the cycle searches it needs and no more: the
+    whole-graph search for acyclic, the hood peels for local
+    transitivity, and a cycle walk only in the core of the first hood
+    that fails, which is peeled once."""
+    calls, peels, walks = [], [], []
     real = pog_module.find_directed_cycle
+    real_core, real_walk = pog_module._cyclic_core, pog_module._core_cycle
 
     def counting(P, within=None):
         calls.append(within)
         return real(P, within)
 
+    def peeling(P, S):
+        peels.append(S)
+        return real_core(P, S)
+
+    def walking(P, core):
+        walks.append(core)
+        return real_walk(P, core)
+
     monkeypatch.setattr(pog_module, "find_directed_cycle", counting)
+    monkeypatch.setattr(pog_module, "_cyclic_core", peeling)
+    monkeypatch.setattr(pog_module, "_core_cycle", walking)
     # transitive tournament on 4 vertices: every check but strong passes
     T = Pog.build(names(4), arcs=[("v%d" % i, "v%d" % j)
                                   for i in range(4) for j in range(i + 1, 4)])
     rep = classify(T)
     assert rep.local_tournament and rep.tournament and rep.strong is False
-    assert calls == []
+    assert calls == [] and peels == []
     assert rep.acyclic and rep.acyclic  # the second read is cached
-    assert calls == [None]
-    assert rep.locally_transitive_tournament  # no hood needs a cycle search
-    assert calls == [None]
+    assert calls == [None] and peels == [frozenset(range(4))]
+    assert rep.locally_transitive_tournament  # no hood needs a cycle walk
+    assert calls == [None] and walks == []
+    assert peels[1:] == [frozenset({1, 2, 3}), frozenset({0, 1, 2})]
     assert rep.witnesses == {"strong": ("v1", "v0")}
-    assert calls == [None]
+    assert calls == [None] and len(peels) == 3
     # a tournament whose out-neighbourhood of v0 is a directed triangle:
-    # the failing read searches that one hood and nothing else
+    # the failing read peels that one hood once and walks its core
     C = Pog.build(names(4), arcs=[("v0", "v1"), ("v0", "v2"), ("v0", "v3"),
                                   ("v1", "v2"), ("v2", "v3"), ("v3", "v1")])
     calls.clear()
+    peels.clear()
     assert not classify(C).locally_transitive_tournament
-    assert calls == [frozenset({1, 2, 3})]
+    assert calls == []
+    assert peels == walks == [frozenset({1, 2, 3})]
 
 
 def _imported_names(tree):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import pogc.rounds
-from pogc.errors import NotInClassError, NotRoundError
+from pogc.errors import InvariantError, NotInClassError, NotRoundError
 from pogc.pog import Ordering, Pog, classify
 from pogc.rounds import (_ltt_ordering, _round_tournament, check_ordering,
                          complete_under_excellent, find_round_ordering,
@@ -616,6 +616,10 @@ def test_ltt_checks_reject_with_class_errors():
         with pytest.raises(NotInClassError,
                            match="^second tournament is not a locally"):
             merge_ltt(Pog.build(("x",)), P)
+    # two tournaments that share a vertex name are rejected before
+    # either is checked
+    with pytest.raises(InvariantError, match="^vertex names are not disjoint$"):
+        merge_ltt(_cycle(3), Pog.build(("x", "v2")))
 
 
 def test_round_to_ltt_empty():
