@@ -266,7 +266,7 @@ def compare(old, new):
         paths = [os.path.join(tmp, side) for side in ("old", "new")]
         procs = [_child(os.path.join(os.path.abspath(tree), "src"), p)
                  for tree, p in zip((old, new), paths)]
-        if any(p.wait() for p in procs):
+        if any([p.wait() for p in procs]):  # wait for both before cleanup
             print("a child process failed")
             return 2
         tally, first, differ, total = {}, {}, 0, 0
