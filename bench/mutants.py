@@ -47,7 +47,7 @@ RENDERED = "tests/test_pog.py::test_rendered_pogs_read_column_wise"
 NICE = "tests/test_rounds.py::test_nice_matches_per_arc_reference"
 RULE = "tests/test_rounds.py::test_round_tournament_follows_the_rule"
 IFF_EXCELLENT = "tests/test_rounds.py::test_round_tournament_iff_excellent_random"
-SPANS = "tests/test_rounds.py::test_excellent_and_maximal_arcs_match_reference_random"
+SPANS = "tests/test_rounds.py::test_excellent_matches_reference_random"
 CYCLE_FACTOR = ("tests/test_completions.py::"
                 "test_cycle_factor_completion_matches_enumeration_reference")
 HALL = "tests/test_cli.py::test_verify_cert_hostile_hall_sets"
@@ -72,6 +72,7 @@ ARC_PAIRS = ("tests/test_friendly.py::"
 CHECKED_ONCE = "tests/test_rounds.py::test_round_to_ltt_checks_the_tournament_once"
 CLASS_CHECKS = "tests/test_interval.py::test_class_checks_match_the_classify_rule"
 SATURATE = "tests/test_rounds.py::test_saturate_matches_the_span_scan_reference"
+MOON = "tests/test_rounds.py::test_moon_and_merge_match_reference_random"
 
 # the class a split creates placed before its old class, as LBFS needs,
 # and after it
@@ -235,8 +236,8 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("nice-bisection-dropped", "pogc/rounds.py",
      "x = bisect_right(at, a)", "x = 0", NICE),
     ("round-tournament-local-import", "pogc/rounds.py",
-     "    n, seq = P.n, O.seq\n",
-     "    from .errors import InvariantError\n    n, seq = P.n, O.seq\n",
+     "    far = _furthest_heads(P, O, P.arcs)\n",
+     "    from .errors import InvariantError\n    far = _furthest_heads(P, O, P.arcs)\n",
      "tests/test_pog.py::test_package_imports_form_a_dag"),
     ("round-tournament-tie-both-ways", "pogc/rounds.py",
      "if i < n // 2 else", "if i <= n // 2 else", RULE),
@@ -247,8 +248,6 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "        if forced >= x - i:\n            return None\n", "", IFF_EXCELLENT),
     ("excellent-running-max-dropped", "pogc/rounds.py",
      "    return list(accumulate(far, max))\n", "    return far\n", SPANS),
-    ("maximal-arcs-own-tail", "pogc/rounds.py",
-     "far[x - 1] < head", "far[x] < head", SPANS),
     ("relaxation-edges-one-way", "pogc/completions.py",
      "        succ[i].add(j)\n        succ[j].add(i)\n",
      "        succ[i].add(j)\n", CYCLE_FACTOR),
@@ -419,7 +418,7 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
     ("row-orientedness-unchecked", "pogc/classes.py",
      "            if res.edges or not getattr", "            if not getattr", ROW_YES),
     ("row-arcs-kept-unchecked", "pogc/classes.py",
-     "self.yes) \\\n                    or self.keeps_arcs and not P.arcs <= res.arcs:",
+     "self.yes) \\\n                    or not P.arcs <= res.arcs:",
      "self.yes):", ROW_YES),
     # bad triples from pairs of arcs: both sides of a vertex, in
     # lexicographic order
@@ -429,17 +428,23 @@ MUTANTS = [  # (name, file under src/, old text, new text, test id)
      "    two_arcs = sorted(tuple(sorted((v, a, b)))",
      "    two_arcs = list(tuple(sorted((v, a, b)))", ARC_PAIRS),
     # the round constructions: the merged tournament's one self-check,
-    # the source that makes a round component acyclic, and the run of
-    # positions a maximal arc spans
+    # the source that makes a round component acyclic, and the runs of
+    # twins, cells and saturation
     ("ltt-of-parts-unchecked", "pogc/rounds.py",
-     '    _require_round(T, O, D.arcs, "completion")\n    return T\n', "    return T\n",
-     CHECKED_ONCE),
+     '    _require_round(T, Ordering("cyclic", tuple(seq)), D.arcs, "completion")\n',
+     "", CHECKED_ONCE),
     ("linear-order-without-a-source", "pogc/interval.py",
      "        if s is None:\n            raise NotInClassError(\"not an acyclic "
      "local tournament\")\n", "        if s is None:\n            s = 0\n",
      CLASS_CHECKS),
-    ("saturate-span-one-short", "pogc/rounds.py",
-     "range((O.pos[j] - base) % n + 1)", "range((O.pos[j] - base) % n)", SATURATE),
+    ("moon-twin-off-by-one", "pogc/rounds.py",
+     "runs[k - 1] != runs[k] + 1", "runs[k - 1] != runs[k]", MOON),
+    ("cells-ahead-not-shifted", "pogc/rounds.py",
+     "        ahead += len(cells[(c + h + 1) % q]) - len(cells[(c + 1) % q])\n", "",
+     MOON),
+    ("saturate-writes-k", "pogc/rounds.py",
+     "[f for f, k in _excellent_spans(D, O)]", "[k for f, k in _excellent_spans(D, O)]",
+     SATURATE),
 ]
 
 

@@ -38,21 +38,20 @@ class ClassRow(_Record):
     claim: str           # the paper's complexity claim
     guard: str = None    # the size guard of the run's exhaustive search
     fragment: frozenset = frozenset()  # triples refuting the friendly fragment only
-    keeps_arcs: bool = False  # the run rebuilds the arc set: check P's arcs stay
     rep: str = None      # the Representation kind that extend-rep extends
 
     def checked(self, P, res):
         """res, the run's answer on P, once checked: a certificate must
         have a triple of the row, and a completion, where `yes` names a
-        property, must be oriented, have it and keep P's arcs if the run
-        rebuilt them.  Raises InvariantError otherwise."""
+        property, must be oriented, have it and keep P's arcs.  Raises
+        InvariantError otherwise."""
         if isinstance(res, Certificate):
             if triple(res) not in self.refutes | self.fragment:
                 raise InvariantError("%s certificate %r does not refute %s"
                                      % (self.command, triple(res), self.name))
         elif hasattr(PropertyReport, self.yes):
             if res.edges or not getattr(classify(res), self.yes) \
-                    or self.keeps_arcs and not P.arcs <= res.arcs:
+                    or not P.arcs <= res.arcs:
                 raise InvariantError("%s answer is not a %s completion"
                                      % (self.name, self.yes))
         return res
@@ -100,7 +99,7 @@ ROWS = {(r.command, r.name): r for r in (
              frozenset(WALKS), POLY),
     ClassRow("complete", "ltlt-friendly", _ltlt, "locally_transitive",
              frozenset(WALKS | {("DirectedCycle", None, k) for k in ("cell", "out", "in")}),
-             NPC + "; polynomial on friendly pogs", keeps_arcs=True,
+             NPC + "; polynomial on friendly pogs",
              fragment=frozenset({("OrientationConflict", "unoriented_mate", LT),
                                  ("BadTriple", None, None)})),
     ClassRow("complete", "ltt-exact", _ltt, "by construction: the round-ordering leaf check",

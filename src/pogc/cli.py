@@ -20,7 +20,7 @@ from .hardness import assignment_to_ordering, build_reduction, parse_dimacs
 from .interval import parse_representation, render_representation
 from .pog import (Certificate, Pog, parse_pog, parse_ordering,
                   render_ordering, render_pog)
-from .rounds import check_ordering
+from .rounds import ORDER_KINDS, check_ordering
 from .verify import verify_certificate
 
 
@@ -183,8 +183,7 @@ def _build_parser():
 
     p = sub.add_parser("check-ordering", parents=[common],
                        help="check a vertex ordering")
-    p.add_argument("--kind", required=True,
-                   choices=["round", "excellent", "nice"])
+    p.add_argument("--kind", required=True, choices=ORDER_KINDS)
     p.add_argument("file")
     p.add_argument("ordering")
 

@@ -425,24 +425,15 @@ def _parse_lines(text):
     return P
 
 
-def render_pog(P, fmt="native"):
+def render_pog(P):
     names, n = P.names, P.n
     # pairs in (i, j) order, sorted as the integer keys i * n + j,
     # which sort faster than tuples
     edges, arcs = (sorted([i * n + j for i, j in pairs]) for pairs in (P.edges, P.arcs))
-    if fmt == "native":
-        out = ["v " + v for v in names]
-        out += [f"edge {names[k // n]} {names[k % n]}" for k in edges]
-        out += [f"arc {names[k // n]} {names[k % n]}" for k in arcs]
-        return "\n".join(out) + ("\n" if out else "")
-    if fmt == "dot":
-        out = ["digraph pog {"]
-        out += ['  "%s";' % v for v in names]
-        out += [f'  "{names[k // n]}" -- "{names[k % n]}";' for k in edges]
-        out += [f'  "{names[k // n]}" -> "{names[k % n]}";' for k in arcs]
-        out.append("}")
-        return "\n".join(out) + "\n"
-    raise ValueError("unknown format %r" % fmt)
+    out = ["v " + v for v in names]
+    out += [f"edge {names[k // n]} {names[k % n]}" for k in edges]
+    out += [f"arc {names[k // n]} {names[k % n]}" for k in arcs]
+    return "\n".join(out) + ("\n" if out else "")
 
 
 def parse_ordering(text, P):

@@ -4,35 +4,38 @@ A round ordering places the out-neighbours of every vertex immediately
 after it and the in-neighbours immediately before it (cyclically,
 within each connected component of the underlying graph).  Excellence
 forbids an arc running backwards inside the cyclic span of another
-arc; `check_ordering` decides it and `maximal_arcs` lists the arcs in
-no other arc's span, both by a running maximum, O(n + arcs log arcs).
+arc; `check_ordering` decides it by a running maximum, O(n + arcs log
+arcs).
 
 A tournament is round on a cyclic ordering O when every vertex beats
 a run of the vertices right after it, and the round tournaments are
-the locally transitive ones (Huang, JCTB 63, 1995).  `_round_tournament`
-builds the one that contains a pog's arcs by a rule on the arcs' spans;
+the locally transitive ones (Huang, JCTB 63, 1995).  One is carried as
+O's sequence and its run lengths (runs[t]: how many vertices after
+seq[t] it beats); `_by_runs` alone writes one out.  `_round_tournament`
+gives the one that contains a pog's arcs by a rule on the arcs' spans;
 it exists exactly when O is excellent for the arcs.  `ordering_to_ltt`
-reads its tournament off it, and completion under an excellent
-ordering orients the edges as that tournament does.  `round_to_ltt`
-builds it per component, on the component's round ordering, and merges
-the parts, as the friendly completion of a complete pog does for its
-arc parts.  Each public answer is self-checked once, on the ordering
-it was built on: O is a round ordering of the tournament, read along
-its one cycle, and the tournament keeps the input arcs.
+writes it, completion under an excellent ordering orients the edges as
+it does, and saturation adds the pairs the rule forces.  `round_to_ltt`
+takes its runs per component, on the component's round ordering, and
+merges them, as the friendly completion of a complete pog does for its
+arc parts; no merge writes a tournament.  Each public answer is
+self-checked once, on the ordering it was built on: O is a round
+ordering of the tournament, read along its one cycle, and the
+tournament keeps the input arcs.
 
 The round ordering also decides membership: a pog is a locally
 transitive tournament exactly when it is an oriented tournament with a
 round ordering (`_ltt_ordering`).  Its Moon parts are the maximal runs
-of consecutive twins on that ordering; they are transitive, and the
-frame on one vertex per part is highly regular.  `merge_ltt` reads
-both tournaments' parts off their orderings and interleaves them into
-one round tournament.
+of consecutive twins on that ordering; they are transitive, and each
+beats the next (q - 1)/2 of the q parts.  `merge_ltt` reads both
+tournaments' parts off their orderings and interleaves them into one
+round tournament.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, combinations, product
+from itertools import accumulate
 
 from .errors import InvariantError, NotInClassError, NotRoundError
 from .pog import Ordering, Pog, _Record, require_oriented
@@ -208,23 +211,30 @@ def _furthest_heads(P, O, arcs):
     return list(accumulate(far, max))
 
 
-def maximal_arcs(P, O):
-    """Arcs not lying inside the cyclic span of any other arc.
+def _by_runs(names, seq, runs):
+    """The digraph on `names` in which seq[t] beats the runs[t] vertices
+    after it on the cycle seq: the one writer of a round tournament."""
+    n = len(seq)
+    return Pog(names, frozenset(), frozenset(
+        (v, seq[(t + d) % n]) for t, v in enumerate(seq)
+        for d in range(1, runs[t] + 1)))
 
-    With x = pos i + n, arc (i, j) lies in another arc's span exactly
-    when a longer arc leaves i (far[x] passes its head) or one whose
-    tail is 1 to n - 1 positions before i reaches its head (far[x - 1]
-    does); a tail n or more positions back reaches less than x.
-    O(n + arcs log arcs) with the arcs sorted."""
-    n, pos = P.n, O.pos
-    arcs = _by_position(P, O)
-    far = _furthest_heads(P, O, arcs)
-    out = []
-    for i, j in arcs:
-        x = pos[i] + n
-        head = x + (pos[j] - pos[i]) % n
-        if far[x] == head and far[x - 1] < head:
-            out.append((i, j))
+
+def _spans(P, O):
+    """Per position i of O, (f(i), k) of `_round_tournament`'s rule: i
+    is forced to beat i+1 .. i+f(i) and beats i+1 .. i+k; None when some
+    pair is both forced and forbidden (O is not excellent for P)."""
+    n = P.n
+    far = _furthest_heads(P, O, P.arcs)
+    out, x = [], 0              # x - i is d0(i), or n when none
+    for i in range(n):
+        forced = max(far[i + n] - (i + n), 0)
+        while x < i + n and far[x] < i + n:     # x may be i: far[i] < i + n
+            x += 1
+        if forced >= x - i:
+            return None
+        half = n // 2 if i < n // 2 else (n - 1) // 2
+        out.append((forced, max(forced, min(half, x - i - 1))))
     return out
 
 
@@ -256,38 +266,28 @@ def _round_tournament(P, O):
 
     With far from `_furthest_heads`, f(i) = far[i+n] - (i+n), and d is
     forbidden exactly when far[i+d] >= i+n; the first such i+d never
-    moves back as i grows.  Deciding is O(n + arcs); writing the
-    tournament out is Theta(n^2)."""
-    n, seq = P.n, O.seq
-    far = _furthest_heads(P, O, P.arcs)
-    arcs, x = [], 0             # x - i is d0(i), or n when none
-    for i in range(n):
-        forced = far[i + n] - (i + n)
-        while x < i + n and far[x] < i + n:     # x may be i: far[i] < i + n
-            x += 1
-        if forced >= x - i:
-            return None
-        half = n // 2 if i < n // 2 else (n - 1) // 2
-        k = max(forced, min(half, x - i - 1))
-        arcs.extend((seq[i], seq[(i + d) % n]) for d in range(1, k + 1))
-    return Pog(P.names, frozenset(), frozenset(arcs))
+    moves back as i grows (`_spans`).  Deciding is O(n + arcs); writing
+    the tournament out is Theta(n^2)."""
+    spans = _spans(P, O)
+    return None if spans is None else \
+        _by_runs(P.names, O.seq, [k for f, k in spans])
 
 
-def _require_excellent(P, O):
+def _excellent_spans(P, O):
+    """`_spans` of an ordering that must be excellent for P."""
     ok, wit = check_ordering(P, O, "excellent")
     if not ok:
         raise NotInClassError("ordering is not excellent: %r" % (wit,))
+    spans = _spans(P, O)
+    if spans is None:
+        raise InvariantError("excellent ordering has no round tournament")
+    return spans
 
 
 def ordering_to_ltt(P, O):
     """Locally transitive tournament containing P, from an excellent
-    ordering: the round tournament on O that contains P's arcs, read
-    off the arcs' spans (see `_round_tournament`), then re-checked to
-    be round on O."""
-    _require_excellent(P, O)
-    T = _round_tournament(P, O)
-    if T is None:
-        raise InvariantError("excellent ordering has no round tournament")
+    ordering: `_round_tournament`, re-checked to be round on O."""
+    T = _by_runs(P.names, O.seq, [k for f, k in _excellent_spans(P, O)])
     _require_round(T, O, P.arcs, "completion")
     return T
 
@@ -300,20 +300,12 @@ def complete_under_excellent(P, O):
 
 
 def saturate_to_round_lt(D, O):
-    """Add arcs between non-adjacent pairs inside spans of maximal arcs,
-    in one pass: every added arc lies inside a maximal span, so the
-    maximal arcs stay the same, and excellence keeps two spans from
-    ordering a pair both ways.  The result is round with ordering O."""
+    """Add an arc between every non-adjacent pair inside some arc's
+    span: the result is the pairs `_round_tournament`'s rule forces,
+    which hold D's arcs (each forced by its own span) and, O being
+    excellent, no arc the other way.  It is round with ordering O."""
     require_oriented(D)
-    _require_excellent(D, O)
-    n = D.n
-    add = set()
-    for i, j in maximal_arcs(D, O):
-        base = O.pos[i]
-        span = [O.seq[(base + s) % n] for s in range((O.pos[j] - base) % n + 1)]
-        add.update((p, q) for s, p in enumerate(span) for q in span[s + 1:]
-                   if not D.adjacent(p, q))
-    R = Pog(D.names, D.edges, D.arcs | frozenset(add))
+    R = _by_runs(D.names, O.seq, [f for f, k in _excellent_spans(D, O)])
     ok, wit = check_ordering(R, O, "round")
     if not ok:
         raise InvariantError("saturation did not reach a round digraph: %r" % (wit,))
@@ -346,25 +338,22 @@ def _require_round(T, O, arcs, what):
 
 
 def _ltt_of_parts(D, parts):
-    """The round tournament of each part of D (a vertex list inducing a
-    round digraph) on its round ordering, merged, and re-indexed as in D
-    unless it already is (one part holding D's vertices in order)."""
-    T, O = Pog((), frozenset(), frozenset()), Ordering("cyclic", ())
+    """The round tournament of each part of D (a sorted vertex list
+    inducing a round digraph) on its round ordering, merged in D's
+    indices and written out once."""
+    seq, runs = [], []
     for part in parts:
         sub = D.induced(part)
         Oc = find_round_ordering(sub)
         if Oc is None:
             raise NotRoundError("digraph has no round ordering")
-        Tc = _round_tournament(sub, Oc)
-        if Tc is None:
+        spans = _spans(sub, Oc)
+        if spans is None:
             raise InvariantError("round ordering is not excellent")
-        T, O = _merge(T, O, Tc, Oc)
-    if T.names != D.names:
-        at = [D.index[v] for v in T.names]
-        T = Pog(D.names, frozenset(),
-                frozenset((at[i], at[j]) for i, j in T.arcs))
-        O = Ordering("cyclic", tuple(at[v] for v in O.seq))
-    _require_round(T, O, D.arcs, "completion")
+        seq, runs = _merge(seq, runs, [part[v] for v in Oc.seq],
+                           [k for f, k in spans])
+    T = _by_runs(D.names, seq, runs)
+    _require_round(T, Ordering("cyclic", tuple(seq)), D.arcs, "completion")
     return T
 
 
@@ -393,52 +382,59 @@ def ltt_to_ordering(T, what=None):
     return O
 
 
-def _moon_runs(T, O):
-    """The Moon parts of T as vertex lists: O split into maximal runs
-    of consecutive twins (u -> v with out(u) = out(v) + {v}), each in
-    O's order, listed cyclically from the run with the smallest first
-    vertex.  Each run is a transitive module and no two runs are twins.
-    Out-degrees fall along a run, so some run starts for n > 0."""
-    seq, out = O.seq, T.out_nbrs
+def _ltt_runs(T, what):
+    """T's round ordering as a sequence, and T's runs on it: each vertex
+    beats the out-degree many vertices right after it."""
+    seq = list(ltt_to_ordering(T, what).seq)
+    return seq, [len(T.out_nbrs[v]) for v in seq]
+
+
+def _moon_runs(seq, runs):
+    """The Moon parts of the round tournament (seq, runs): seq split
+    into maximal runs of consecutive twins, listed cyclically from the
+    part with the smallest first vertex.  u -> v, v right after u, are
+    twins (out(u) = out(v) + {v}) exactly when u's run is one longer
+    than v's.  Runs fall along a part, so some part starts for n > 0."""
     n = len(seq)
     if not n:
         return []
-    starts = [k for k in range(n) if out[seq[k - 1]] != out[seq[k]] | {seq[k]}]
-    runs = [[seq[x % n] for x in range(s, e)]
-            for s, e in zip(starts, starts[1:] + [starts[0] + n])]
-    low = min(range(len(runs)), key=lambda r: runs[r][0])
-    return runs[low:] + runs[:low]
+    starts = [k for k in range(n) if runs[k - 1] != runs[k] + 1]
+    parts = [[seq[x % n] for x in range(s, e)]
+             for s, e in zip(starts, starts[1:] + [starts[0] + n])]
+    low = min(range(len(parts)), key=lambda r: parts[r][0])
+    return parts[low:] + parts[:low]
+
+
+def _by_cells(cells):
+    """The runs, along the cells in turn, of the round tournament in
+    which each of the q cells is transitive in its order and beats the
+    next (q - 1)/2 cells."""
+    q = len(cells)
+    h = (q - 1) // 2
+    ahead = sum(len(cells[c]) for c in range(1, h + 1))
+    runs = []
+    for c, cell in enumerate(cells):
+        m = len(cell)
+        runs.extend(ahead + m - 1 - j for j in range(m))
+        ahead += len(cells[(c + h + 1) % q]) - len(cells[(c + 1) % q])
+    return runs
 
 
 def moon_decompose(T):
     """Partition a locally transitive tournament into transitive parts
     whose quotient (the frame) is highly regular: the runs of twins of
-    its round ordering."""
-    runs = _moon_runs(T, ltt_to_ordering(T, "input"))
-    parts = sorted(runs, key=lambda p: p[0])
-    frame = Pog(tuple(T.names[p[0]] for p in parts), frozenset(),
-                frozenset((x, y) for x in range(len(parts))
-                          for y in range(len(parts))
-                          if (parts[x][0], parts[y][0]) in T.arcs))
-    q = len(parts)
-    if q > 1 and any(len(frame.out_nbrs[x]) != (q - 1) // 2 for x in range(q)):
-        raise InvariantError("frame is not highly regular")
-    dec = MoonDecomposition(frame, tuple(tuple(T.names[v] for v in p)
-                                         for p in parts))
-    if _rebuild(T.names, dec).arcs != T.arcs:
+    its round ordering.  Checked: each part beats the next (q - 1)/2
+    in T, so the frame is highly regular and rebuilds T."""
+    cyc = _moon_runs(*_ltt_runs(T, "input"))
+    seq = [v for p in cyc for v in p]
+    if _by_runs(T.names, seq, _by_cells(cyc)).arcs != T.arcs:
         raise InvariantError("decomposition does not rebuild the tournament")
-    return dec
-
-
-def _rebuild(names, dec):
-    idx = {v: i for i, v in enumerate(names)}
-    parts = [[idx[v] for v in part] for part in dec.parts]
-    arcs = set()
-    for k, part in enumerate(parts):
-        arcs.update(combinations(part, 2))
-        for l in dec.frame.out_nbrs[k]:
-            arcs.update(product(part, parts[l]))
-    return Pog(tuple(names), frozenset(), frozenset(arcs))
+    parts = sorted(cyc, key=lambda p: p[0])
+    rank = {p[0]: x for x, p in enumerate(parts)}
+    frame = _by_runs(tuple(T.names[p[0]] for p in parts),
+                     [rank[p[0]] for p in cyc], [(len(cyc) - 1) // 2] * len(cyc))
+    return MoonDecomposition(frame, tuple(tuple(T.names[v] for v in p)
+                                          for p in parts))
 
 
 def merge_ltt(T1, T2):
@@ -446,39 +442,28 @@ def merge_ltt(T1, T2):
     into one locally transitive tournament containing both."""
     if set(T1.names) & set(T2.names):
         raise InvariantError("vertex names are not disjoint")
-    O1 = ltt_to_ordering(T1, "first tournament")
-    O2 = ltt_to_ordering(T2, "second tournament")
-    T, O = _merge(T1, O1, T2, O2)
-    _require_round(T, O, T1.arcs | {(T1.n + i, T1.n + j) for i, j in T2.arcs},
-                   "merge")
+    s1, r1 = _ltt_runs(T1, "first tournament")
+    s2, r2 = _ltt_runs(T2, "second tournament")
+    n1 = T1.n                   # T2's vertex v is n1 + v in the merge
+    seq, runs = _merge(s1, r1, [n1 + v for v in s2], r2)
+    T = _by_runs(T1.names + T2.names, seq, runs)
+    _require_round(T, Ordering("cyclic", tuple(seq)),
+                   T1.arcs | {(n1 + i, n1 + j) for i, j in T2.arcs}, "merge")
     return T
 
 
-def _merge(T1, O1, T2, O2):
-    """merge_ltt on tournaments with known round orderings, unchecked;
-    returns the merged tournament and the round ordering it is built
-    on."""
-    if not T1.n:
-        return T2, O2
-    if not T2.n:
-        return T1, O1
-    n1 = T1.n                   # T2's vertex v is n1 + v in the merge
-    X = _moon_runs(T1, O1)
-    Y = [[n1 + v for v in run] for run in _moon_runs(T2, O2)]
+def _merge(s1, r1, s2, r2):
+    """merge_ltt on round tournaments given as (sequence, runs) on
+    disjoint vertices, unchecked; returns the merge as the same."""
+    if not s1:
+        return s2, r2
+    if not s2:
+        return s1, r1
+    X, Y = _moon_runs(s1, r1), _moon_runs(s2, r2)
     if len(Y) > len(X):
         X, Y = Y, X
-    a = (len(X) - 1) // 2
-    b = (len(Y) - 1) // 2
-
+    a, b = (len(X) - 1) // 2, (len(Y) - 1) // 2
     # X_0..X_b with Y_0..Y_b, then X_{a+1}..X_{a+b} with Y_{b+1}..Y_{2b}
     cells = [X[k] + Y[k] for k in range(b + 1)] + X[b + 1:a + 1]
     cells += [X[a + k] + Y[b + k] for k in range(1, b + 1)] + X[a + b + 1:]
-
-    q = len(cells)
-    arcs = set()
-    for c, cell in enumerate(cells):
-        arcs.update(combinations(cell, 2))
-        for step in range(1, (q - 1) // 2 + 1):
-            arcs.update(product(cell, cells[(c + step) % q]))
-    return (Pog(T1.names + T2.names, frozenset(), frozenset(arcs)),
-            Ordering("cyclic", tuple(v for cell in cells for v in cell)))
+    return [v for cell in cells for v in cell], _by_cells(cells)

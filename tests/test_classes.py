@@ -99,7 +99,7 @@ def test_rows_name_their_command_and_property():
         by_construction = row.yes.startswith("by construction: ")
         assert by_construction != hasattr(classes.PropertyReport, row.yes), row
         assert not row.refutes & row.fragment
-    assert [r.name for r in ROWS.values() if r.fragment or r.keeps_arcs] == ["ltlt-friendly"]
+    assert [r.name for r in ROWS.values() if r.fragment] == ["ltlt-friendly"]
 
 
 def test_every_listed_triple_is_reached_and_no_other():
@@ -156,8 +156,8 @@ def test_the_friendly_fragment_keeps_exit_1(w, capsys):
 
 
 def test_a_yes_outside_its_class_exits_4(w, capsys, monkeypatch):
-    """A completion that is not oriented, lacks the row's property or,
-    for ltlt-friendly, drops an input arc is an internal error."""
+    """A completion that is not oriented, lacks the row's property or
+    drops an input arc is an internal error."""
     f = w("g", "arc a b\nedge b c\nedge a c\n")
 
     def oriented(*arcs):
@@ -169,6 +169,8 @@ def test_a_yes_outside_its_class_exits_4(w, capsys, monkeypatch):
          "strong answer is not a strong completion"),
         ("ltlt-friendly", oriented((1, 0), (1, 2), (0, 2)),  # transitive, but b -> a
          "ltlt-friendly answer is not a locally_transitive completion"),
+        ("in-tournament", oriented((1, 0), (1, 2), (0, 2)),
+         "in-tournament answer is not a in_tournament completion"),
         ("transitive", oriented((0, 1), (1, 2), (2, 0)),
          "transitive answer is not a transitive_tournament completion")]
     for cls, broken, message in cases:

@@ -330,12 +330,6 @@ def test_parse_hostile_texts_stay_linear():
     assert _outcome(parse_pog, texts[-2])[1:] == ("line 100000: expected 'arc U V'", 100000)
 
 
-def test_render_dot():
-    P = Pog.build(("a", "b", "c"), edges=[("a", "b")], arcs=[("b", "c")])
-    dot = render_pog(P, fmt="dot")
-    assert '"a" -- "b";' in dot and '"b" -> "c";' in dot
-
-
 def test_pog_invariants():
     with pytest.raises(InvariantError):
         Pog(("a", "a"), frozenset(), frozenset())
@@ -966,7 +960,6 @@ def test_library_input_errors():
         (ValueError, "unknown aux mode",
          lambda: aux_adjacent(P, (0, 1), (1, 2), "bogus")),
         (ParseError, "non-zero", lambda: CnfFormula(3, ((1, 0, 2),))),
-        (ValueError, "unknown format", lambda: render_pog(P, "bogus")),
         (ValueError, "k must be positive", lambda: is_k_arc_strong(
             Pog(("a",), frozenset(), frozenset()), 0)),
         (ValueError, "unknown gadget kind", lambda: hardness.gadget("bogus")),

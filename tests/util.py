@@ -15,7 +15,7 @@ from pogc.pog import (NAME_RE, Certificate, Ordering, Pog, _neighbourhoods,
                       _nonadjacent_pairs, _norm, _triangles, classify,
                       find_directed_cycle, require_oriented)
 from pogc.rounds import (MoonDecomposition, check_ordering,
-                         find_round_ordering, maximal_arcs)
+                         find_round_ordering)
 
 MAX_NICE_VERTICES = 10
 
@@ -676,12 +676,30 @@ def bad_triples_reference(P):
     return out
 
 
+def maximal_arcs_reference(P, O):
+    """The pairwise scan: arcs, in (pos tail, pos head) order, that lie
+    inside the cyclic span of no other arc."""
+    n = P.n
+    arcs = sorted(P.arcs, key=lambda a: (O.pos[a[0]], O.pos[a[1]]))
+    out = []
+    for ia, ja in arcs:
+        for b in arcs:
+            if b == (ia, ja):
+                continue
+            r = lambda x: (O.pos[x] - O.pos[b[0]]) % n
+            if r(ia) < r(ja) <= r(b[1]):
+                break
+        else:
+            out.append((ia, ja))
+    return out
+
+
 def saturate_to_round_lt_reference(D, O):
     """pogc.rounds.saturate_to_round_lt by a scan of all n vertices per
     maximal arc, its span sorted by offset from the tail."""
     n = D.n
     add = set()
-    for i, j in maximal_arcs(D, O):
+    for i, j in maximal_arcs_reference(D, O):
         base = O.pos[i]
         r = lambda x: (O.pos[x] - base) % n
         span = sorted((x for x in range(n) if r(x) <= r(j)), key=r)
